@@ -68,6 +68,9 @@ def _load_config(path: str | None) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
+    for name in SUITE_NAMES:
+        if name in doc and not isinstance(doc[name], dict):
+            raise ValueError(f"section {name!r} must be a JSON object")
     return doc
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import grids
 from .grids import GridSpec
 from .hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed, pauli_matrices
-from .symmetry import Permutation, permutation_operator
 
 __all__ = [
     "RadialTable",
@@ -149,16 +148,28 @@ def spin_pair_operators(hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return dot, tensor
 
 
-def _spin_block(cfg: BodyConfig, pot: PotentialSpec, r_values: np.ndarray, hbar: float):
-    """Spatial-diagonal spin interaction on (spatial x spin x spin)."""
+def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, hbar: float) -> np.ndarray:
+    """4x4 spin interaction at each separation, stacked as (len(r), 4, 4)."""
     dot, tensor = spin_pair_operators(hbar)
     eye_spin = np.eye(4, dtype=np.complex128)
-    blocks = (
-        np.kron(np.diag(pot.sample(pot.v1, r_values)), eye_spin)
-        + np.kron(np.diag(pot.sample(pot.v2, r_values)), dot)
-        + np.kron(np.diag(pot.sample(pot.v3, r_values)), tensor)
-    )
-    return blocks
+
+    def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
+        return pot.sample(table, r_values)[:, None, None] * op
+
+    return channel(pot.v1, eye_spin) + channel(pot.v2, dot) + channel(pot.v3, tensor)
+
+
+def _spin_lift(spatial: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
+    """kron(spatial, I4) plus 4x4 ``blocks`` on the spatial diagonal, on
+    (spatial x spin x spin), assembled blockwise in one array."""
+    m = spatial.shape[0]
+    out = np.zeros((m, 4, m, 4), dtype=np.complex128)
+    for s in range(4):
+        out[:, s, :, s] = spatial
+    if blocks is not None:
+        sites = np.arange(m)
+        out[sites, :, sites, :] += blocks
+    return out.reshape(4 * m, 4 * m)
 
 
 def _require_spin_consistency(cfg: BodyConfig, pot: PotentialSpec) -> None:
@@ -212,9 +223,22 @@ def build_hamiltonian(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) ->
     central = np.diag(pot.sample(pot.v, r))
     if not cfg.spin_half:
         return Operator(SpaceSpec.single(cfg.grid.n_sites), kinetic + central)
-    spatial = kinetic + central
-    h = np.kron(spatial, np.eye(4, dtype=np.complex128)) + _spin_block(cfg, pot, r, hbar)
+    h = _spin_lift(kinetic + central, _spin_blocks(pot, r, hbar))
     return Operator(SpaceSpec((cfg.grid.n_sites, 2, 2)), h)
+
+
+def _free_product_part(cfg: BodyConfig, hbar: float) -> np.ndarray:
+    """Sum of the lifted one-body kinetic terms, kron(T1, I) + kron(I, T2),
+    on the two-body product space (times I4 for spin), assembled blockwise."""
+    n = cfg.grid.n_sites
+    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
+    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
+    sites = np.arange(n)
+    spatial = np.zeros((n, n, n, n), dtype=np.complex128)
+    spatial[:, sites, :, sites] = t1
+    spatial[sites, :, sites, :] += t2
+    spatial = spatial.reshape(n * n, n * n)
+    return _spin_lift(spatial) if cfg.spin_half else spatial
 
 
 def _product_parts(cfg: BodyConfig, pot: PotentialSpec, hbar: float):
@@ -222,18 +246,12 @@ def _product_parts(cfg: BodyConfig, pot: PotentialSpec, hbar: float):
     if cfg.n_bodies != 2 or cfg.grid is None:
         raise ValueError("product construction needs two bodies on a grid")
     _require_spin_consistency(cfg, pot)
-    n = cfg.grid.n_sites
-    eye_n = np.eye(n, dtype=np.complex128)
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    kinetic = np.kron(t1, eye_n) + np.kron(eye_n, t2)
+    kinetic = _free_product_part(cfg, hbar)
     x = grids.position_values(cfg.grid)
     dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length).reshape(-1)
     interaction = np.diag(pot.sample(pot.v, dist)).astype(np.complex128)
     if cfg.spin_half:
-        eye_spin = np.eye(4, dtype=np.complex128)
-        kinetic = np.kron(kinetic, eye_spin)
-        interaction = np.kron(interaction, eye_spin) + _spin_block(cfg, pot, dist, hbar)
+        interaction = _spin_lift(interaction, _spin_blocks(pot, dist, hbar))
     return kinetic, interaction
 
 
@@ -245,7 +263,8 @@ def _product_space(cfg: BodyConfig) -> SpaceSpec:
 def build_product_hamiltonian(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) -> Operator:
     """Two-body Hamiltonian on the full product space (no coordinate split)."""
     kinetic, interaction = _product_parts(cfg, pot, hbar)
-    return Operator(_product_space(cfg), kinetic + interaction)
+    kinetic += interaction
+    return Operator(_product_space(cfg), kinetic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,15 +347,13 @@ def weak_coupling_check(
     if any(v < 0 for v in lambdas):
         raise ValueError("couplings must be non-negative")
     kinetic, interaction = _product_parts(cfg, pot, hbar)
-    n = cfg.grid.n_sites
-    eye_n = np.eye(n, dtype=np.complex128)
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    free_sum = np.kron(t1, eye_n) + np.kron(eye_n, t2)
-    if cfg.spin_half:
-        free_sum = np.kron(free_sum, np.eye(4, dtype=np.complex128))
-    zero_residual = float(np.linalg.norm(kinetic - free_sum))
-    deviations = tuple(float(np.linalg.norm(lam * interaction)) for lam in lambdas)
+    free_sum = _free_product_part(cfg, hbar)
+    # One product-space array serves the difference and every scaled copy.
+    buffer = np.subtract(kinetic, free_sum, out=free_sum)
+    zero_residual = float(np.linalg.norm(buffer))
+    deviations = tuple(
+        float(np.linalg.norm(np.multiply(lam, interaction, out=buffer))) for lam in lambdas
+    )
     slopes = [dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0]
     if slopes:
         top = max(slopes)
@@ -357,9 +374,16 @@ def exchange_symmetry_residual(cfg: BodyConfig, pot: PotentialSpec, hbar: float 
     if cfg.masses[0] != cfg.masses[1]:
         raise ValueError("exchange symmetry is claimed only for equal masses")
     h = build_product_hamiltonian(cfg, pot, hbar)
-    image = (1, 0, 3, 2) if cfg.spin_half else (1, 0)
-    u = permutation_operator(Permutation(image), h.space).entries
-    residual = np.linalg.norm(h.entries @ u - u @ h.entries)
+    dims = h.space.factor_dims
+    k = len(dims)
+    slots = list(range(k))
+    image = list((1, 0, 3, 2) if cfg.spin_half else (1, 0))
+    # U_swap only relabels factors, so H U and U H are axis moves of H's
+    # (row factors + column factors) tensor: no permutation matrix is formed.
+    tensor = h.entries.reshape(dims + dims)
+    h_u = np.moveaxis(tensor, [k + i for i in image], [k + t for t in slots])
+    u_h = np.moveaxis(tensor, slots, image)
+    residual = np.linalg.norm((h_u - u_h).reshape(h.entries.shape))
     return float(residual / np.linalg.norm(h.entries))
 
 

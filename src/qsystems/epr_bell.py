@@ -451,17 +451,15 @@ def chsh_lhv(
     )
 
 
-def bell_report(
-    settings: CHSHSettings, model: LHVModel, n_samples: int, seed: int
-) -> dict:
+def bell_report(settings: CHSHSettings, model: LHVModel, estimate: LHVEstimate) -> dict:
     """Side-by-side quantum vs local-model CHSH record.
 
     The verdict compares the magnitude of the quantum value against the
-    classical bound 2; the local model's sampled value comes with its exact
-    arc-integrated counterpart and the Monte-Carlo standard error.
+    classical bound 2; the local model's sampled value ``estimate`` (from
+    ``chsh_lhv``) comes with its exact arc-integrated counterpart and the
+    Monte-Carlo standard error.
     """
     s_quantum = chsh_quantum(settings)
-    estimate = chsh_lhv(model, settings, n_samples, seed)
     s_exact = chsh_lhv_exact(model, settings)
     if abs(s_quantum) > CLASSICAL_BOUND:
         verdict = "Bell inequality violated by quantum prediction"
@@ -470,8 +468,8 @@ def bell_report(
     return {
         "settings": list(settings.as_tuple()),
         "model": model.name,
-        "n_samples": n_samples,
-        "seed": seed,
+        "n_samples": estimate.n_samples,
+        "seed": estimate.seed,
         "S_quantum": s_quantum,
         "S_quantum_abs": abs(s_quantum),
         "S_lhv": estimate.s_value,

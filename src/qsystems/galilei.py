@@ -617,11 +617,17 @@ def position_momentum_residuals(
     return np.linalg.norm(delta, axis=0) / rep.hbar
 
 
-def _apply_factor(mat: np.ndarray, which: int, psi: np.ndarray) -> np.ndarray:
-    """Apply a one-particle operator to one leg of a two-particle state."""
+def _apply_factor(op: np.ndarray, which: int, psi: np.ndarray) -> np.ndarray:
+    """Apply a one-particle operator to one leg of a two-particle state.
+
+    ``op`` is a dense matrix, or the vector of its diagonal, which then acts
+    elementwise.
+    """
+    if op.ndim == 1:
+        return op[:, None] * psi if which == 0 else psi * op
     if which == 0:
-        return mat @ psi
-    return psi @ mat.T
+        return op @ psi
+    return psi @ op.T
 
 
 def verify_additive_grid_pair(
@@ -634,13 +640,13 @@ def verify_additive_grid_pair(
     """Additivity relations for two grid parts, applied matrix-free.
 
     The two-particle operators are never materialized: lifted one-particle
-    matrices act on (n, n) state arrays leg by leg, so grids far beyond the
-    dense-composite bound stay cheap.  Test states are products of masked
-    one-particle states.  Checked, per test state and with relative
-    residuals: the bracket relations among the total H, P, K, M; the mixed
-    relations of each total generator with every per-part position and
-    momentum; exact additivity of the mass; and commutation of generators
-    lifted from different parts.
+    operators act on (n, n) state arrays leg by leg (the diagonal K, X and M
+    elementwise), so grids far beyond the dense-composite bound stay cheap.
+    Test states are products of masked one-particle states.  Checked, per
+    test state and with relative residuals: the bracket relations among the
+    total H, P, K, M; the mixed relations of each total generator with every
+    per-part position and momentum; exact additivity of the mass; and
+    commutation of generators lifted from different parts.
     """
     for part in (part_a, part_b):
         if part.mask is None:
@@ -652,85 +658,78 @@ def verify_additive_grid_pair(
     states_a = part_a.mask.random_states(n_states, rng)
     states_b = part_b.mask.random_states(n_states, rng)
 
-    ops = {}
-    for tag, part in (("a", part_a), ("b", part_b)):
-        ops[tag] = {
-            "P": part.image("P1"),
-            "K": part.image("K1"),
-            "H": part.image("H"),
-            "M": part.image("M"),
-            "X": part.image("K1") / part.mass,
-        }
+    # Leg operators: a name ending in "a" or "b" acts on that part's leg; a
+    # bare generator name is the total, the sum of both legs.
+    legs = {}
+    for which, (tag, part) in enumerate((("a", part_a), ("b", part_b))):
+        k = np.diag(part.image("K1"))
+        legs.update(
+            {
+                "P" + tag: (part.image("P1"), which),
+                "K" + tag: (k, which),
+                "H" + tag: (part.image("H"), which),
+                "M" + tag: (np.diag(part.image("M")), which),
+                "X" + tag: (k / part.mass, which),
+            }
+        )
     m_a, m_b = part_a.mass, part_b.mass
-
-    def total(label: str, psi: np.ndarray) -> np.ndarray:
-        return _apply_factor(ops["a"][label], 0, psi) + _apply_factor(ops["b"][label], 1, psi)
-
-    def part_op(tag: str, label: str, psi: np.ndarray) -> np.ndarray:
-        return _apply_factor(ops[tag][label], 0 if tag == "a" else 1, psi)
-
-    def comm(f, g, psi):
-        return f(g(psi)) - g(f(psi))
 
     records: dict[str, float] = {}
 
     def record(law: str, value: float) -> None:
         records[law] = max(records.get(law, 0.0), value)
 
+    def act(*names: str) -> np.ndarray:
+        """The operator product ``names`` applied to the current test state;
+        ("K", "P") is K_total(P_total(psi)).  Each is computed once per state."""
+        if names not in products:
+            first, rest = names[0], names[1:]
+            if first in legs:
+                op, which = legs[first]
+                products[names] = _apply_factor(op, which, act(*rest))
+            else:
+                products[names] = act(first + "a", *rest) + act(first + "b", *rest)
+        return products[names]
+
+    def comm(f: str, g: str) -> np.ndarray:
+        return act(f, g) - act(g, f)
+
     for col in range(n_states):
         psi = np.outer(states_a[:, col], states_b[:, col])
-
-        tot_p = lambda s: total("P", s)
-        tot_k = lambda s: total("K", s)
-        tot_h = lambda s: total("H", s)
-
+        products = {(): psi}
         expected = 1j * hbar * (m_a + m_b) * psi
         record(
             "[K,P] = ihbar*M (totals)",
-            _relative_residual(comm(tot_k, tot_p, psi) - expected, expected),
+            _relative_residual(comm("K", "P") - expected, expected),
         )
-        expected = 1j * hbar * tot_p(psi)
+        expected = 1j * hbar * act("P")
         record(
             "[K,H] = ihbar*P (totals)",
-            _relative_residual(comm(tot_k, tot_h, psi) - expected, expected),
+            _relative_residual(comm("K", "H") - expected, expected),
         )
-        record(
-            "[P,H] = 0 (totals)",
-            _relative_residual(comm(tot_p, tot_h, psi), tot_p(tot_h(psi))),
-        )
+        record("[P,H] = 0 (totals)", _relative_residual(comm("P", "H"), act("P", "H")))
         for tag, m_r in (("a", m_a), ("b", m_b)):
-            x_r = lambda s, t=tag: part_op(t, "X", s)
-            p_r = lambda s, t=tag: part_op(t, "P", s)
+            x_r, p_r = "X" + tag, "P" + tag
             expected = -1j * hbar * psi
             record(
                 "[P_total, X_part] = -ihbar",
-                _relative_residual(comm(tot_p, x_r, psi) - expected, expected),
+                _relative_residual(comm("P", x_r) - expected, expected),
             )
-            record(
-                "[P_total, P_part] = 0",
-                _relative_residual(comm(tot_p, p_r, psi), tot_p(p_r(psi))),
-            )
-            record(
-                "[K_total, X_part] = 0",
-                _relative_residual(comm(tot_k, x_r, psi), tot_k(x_r(psi))),
-            )
+            record("[P_total, P_part] = 0", _relative_residual(comm("P", p_r), act("P", p_r)))
+            record("[K_total, X_part] = 0", _relative_residual(comm("K", x_r), act("K", x_r)))
             expected = 1j * hbar * m_r * psi
             record(
                 "[K_total, P_part] = ihbar*m_part",
-                _relative_residual(comm(tot_k, p_r, psi) - expected, expected),
+                _relative_residual(comm("K", p_r) - expected, expected),
             )
         expected = (m_a + m_b) * psi
         record(
             "M_total = (m_a + m_b)*identity",
-            _relative_residual(total("M", psi) - expected, expected),
+            _relative_residual(act("M") - expected, expected),
         )
-        cross = _apply_factor(ops["a"]["K"], 0, _apply_factor(ops["b"]["P"], 1, psi)) - \
-            _apply_factor(ops["b"]["P"], 1, _apply_factor(ops["a"]["K"], 0, psi))
         record(
             "cross-part generators commute",
-            _relative_residual(
-                cross, _apply_factor(ops["a"]["K"], 0, _apply_factor(ops["b"]["P"], 1, psi))
-            ),
+            _relative_residual(comm("Ka", "Pb"), act("Ka", "Pb")),
         )
 
     checks = tuple(

@@ -22,7 +22,6 @@ __all__ = [
     "kinetic_operator",
     "wrap_displacement",
     "periodic_distance",
-    "shift_operator",
 ]
 
 
@@ -78,7 +77,3 @@ def wrap_displacement(values: np.ndarray, length: float) -> np.ndarray:
 def periodic_distance(values: np.ndarray, length: float) -> np.ndarray:
     return np.abs(wrap_displacement(values, length))
 
-
-def shift_operator(grid: GridSpec, sites: int = 1) -> np.ndarray:
-    """Cyclic translation by ``sites`` grid points."""
-    return np.roll(np.eye(grid.n_sites, dtype=np.complex128), sites, axis=0)

@@ -922,6 +922,10 @@ _BELL_DEFAULTS = {
 
 def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_BELL_DEFAULTS, config)
+    if not cfg["models"]:
+        raise ValueError("bell needs at least one hidden-variable model")
+    if len(cfg["angles"]) != 4:
+        raise ValueError(f"bell needs four angles, got {len(cfg['angles'])}")
     report = SuiteReport("bell", seed=seed, config=cfg, tool_version=__version__)
     rng = np.random.default_rng(seed)
     settings = epr_bell.CHSHSettings(*[float(a) for a in cfg["angles"]])
@@ -986,6 +990,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         trial_settings.append(
             epr_bell.CHSHSettings(*rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
         )
+    first = None
     for name in cfg["models"]:
         model = epr_bell.SHIPPED_LHV_MODELS[name]()
         exact_worst = max(
@@ -1001,6 +1006,8 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
             )
         )
         estimate = epr_bell.chsh_lhv(model, settings, int(cfg["n_samples"]), seed)
+        if first is None:
+            first = (model, estimate)
         exact_here = epr_bell.chsh_lhv_exact(model, settings)
         margin = float(cfg["mc_sigmas"]) * estimate.stderr
         report.add(
@@ -1033,9 +1040,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         )
     )
 
-    doc = epr_bell.bell_report(
-        settings, epr_bell.SHIPPED_LHV_MODELS[str(cfg["models"][0])](), int(cfg["n_samples"]), seed
-    )
+    doc = epr_bell.bell_report(settings, *first)
     required = {
         "S_quantum",
         "S_lhv",

@@ -94,6 +94,24 @@ class Permutation:
         return Permutation(tuple(image))
 
 
+def _permutation_rows(perm: Permutation, dims: tuple[int, ...]) -> np.ndarray:
+    """Row index of the single 1 in each column of the permutation operator.
+
+    Column multi-index ``c`` is sent to the row multi-index ``s`` with
+    ``s[perm(t)] = c[t]``, so ``U @ v`` is ``v`` scattered to these rows and
+    ``U[:, j]`` is the basis vector at ``rows[j]``.
+    """
+    if perm.size != len(dims):
+        raise ValueError(f"permutation of size {perm.size} on {len(dims)} factors")
+    for i, target in enumerate(perm.image):
+        if dims[i] != dims[target]:
+            raise ValueError(
+                f"factor {i} (dim {dims[i]}) cannot move to slot {target} (dim {dims[target]})"
+            )
+    # Axis perm(t) of the row grid becomes axis t of the column grid.
+    return np.arange(math.prod(dims)).reshape(dims).transpose(perm.image).reshape(-1)
+
+
 def permutation_operator(perm: Permutation, space: SpaceSpec) -> Operator:
     """Unitary that relocates the vector in factor ``i`` to factor ``perm(i)``.
 
@@ -102,19 +120,11 @@ def permutation_operator(perm: Permutation, space: SpaceSpec) -> Operator:
     (equal factors in the identical-components use; mixed dimensions are
     accepted when the permutation maps like onto like).
     """
-    dims = space.factor_dims
-    if perm.size != len(dims):
-        raise ValueError(f"permutation of size {perm.size} on {len(dims)} factors")
-    for i, target in enumerate(perm.image):
-        if dims[i] != dims[target]:
-            raise ValueError(
-                f"factor {i} (dim {dims[i]}) cannot move to slot {target} (dim {dims[target]})"
-            )
+    rows = _permutation_rows(perm, space.factor_dims)
     d = space.total_dim
-    # Row multi-index s satisfies s[perm(t)] = col multi-index[t].
-    tensor = np.eye(d, dtype=np.complex128).reshape(dims + (d,))
-    moved = np.moveaxis(tensor, list(range(perm.size)), list(perm.image))
-    return Operator(space, moved.reshape(d, d))
+    u = np.zeros((d, d), dtype=np.complex128)
+    u[rows, np.arange(d)] = 1.0
+    return Operator(space, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +142,14 @@ def build_projectors(n: int, d: int) -> ProjectorPair:
         raise ValueError("need n >= 2 factors of dimension d >= 1")
     space = SpaceSpec((d,) * n)
     dim = space.total_dim
-    sym = np.zeros((dim, dim), dtype=np.complex128)
-    asym = np.zeros((dim, dim), dtype=np.complex128)
-    for image in itertools.permutations(range(n)):
-        perm = Permutation(image)
-        u = permutation_operator(perm, space).entries
-        sym += u
-        asym += perm.parity * u
+    perms = [Permutation(image) for image in itertools.permutations(range(n))]
+    # Flat position r*dim + c of the 1 in column c of each permutation operator.
+    entries = np.concatenate(
+        [_permutation_rows(p, space.factor_dims) * dim + np.arange(dim) for p in perms]
+    )
+    signs = np.repeat([float(p.parity) for p in perms], dim)
+    sym = np.bincount(entries, minlength=dim * dim).astype(np.complex128).reshape(dim, dim)
+    asym = np.bincount(entries, signs, minlength=dim * dim).astype(np.complex128).reshape(dim, dim)
     norm = math.factorial(n)
     return ProjectorPair(
         space=space,

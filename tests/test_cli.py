@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qsystems.cli import main
 
 FAST_BELL = {"bell": {"n_samples": 10_000, "n_random_settings": 2}}
@@ -132,3 +134,37 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "qsystems" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("angles", ["0,1.5707963", "0,1,2,3,4"])
+def test_bell_angles_need_exactly_four(angles, capsys):
+    rc = main(["bell", "--angles", angles, "--samples", "10000"])
+    assert rc == 2
+    assert "four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("angles", [[0.0, 1.5707963], [0.0, 1.0, 2.0, 3.0, 4.0]])
+def test_config_angles_need_exactly_four(angles, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bell": {"angles": angles, "n_samples": 10_000}})
+    rc = main(["bell", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "four" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["all", "axioms"])
+def test_non_object_config_section_reports_error(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"axioms": [1]})
+    rc = main([command, "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'axioms'" in err
+    assert "Traceback" not in err
+
+
+def test_bell_without_models_reports_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bell": {"models": []}})
+    rc = main(["bell", "--config", cfg])
+    assert rc == 2
+    assert "model" in capsys.readouterr().err

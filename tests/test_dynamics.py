@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsystems import grids
 from qsystems.dynamics import (
     BodyConfig,
     PotentialSpec,
@@ -12,9 +13,11 @@ from qsystems.dynamics import (
     momentum_conservation_residual,
     spin_pair_operators,
     weak_coupling_check,
+    _product_parts,
 )
 from qsystems.grids import GridSpec
-from qsystems.hilbert import StateVector, eigh_phase_fixed
+from qsystems.hilbert import SpaceSpec, StateVector, eigh_phase_fixed
+from qsystems.symmetry import Permutation, permutation_operator
 
 GRID = GridSpec(64, 16.0)
 SPIN_PAIR = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=None)
@@ -194,3 +197,50 @@ def test_momentum_conservation_on_masked_states():
     cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=GRID)
     residual = momentum_conservation_residual(cfg, PotentialSpec(v=gaussian_well().v), seed=2)
     assert residual <= 1e-6
+
+
+def kron_product_parts(cfg, pot, hbar=1.0):
+    """Oracle: the product-space parts built from dense Kronecker products."""
+    n = cfg.grid.n_sites
+    eye_n = np.eye(n, dtype=np.complex128)
+    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
+    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
+    kinetic = np.kron(t1, eye_n) + np.kron(eye_n, t2)
+    x = grids.position_values(cfg.grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length).reshape(-1)
+    interaction = np.diag(pot.sample(pot.v, dist)).astype(np.complex128)
+    if cfg.spin_half:
+        dot, tensor = spin_pair_operators(hbar)
+        eye_spin = np.eye(4, dtype=np.complex128)
+        kinetic = np.kron(kinetic, eye_spin)
+        interaction = np.kron(interaction, eye_spin) + (
+            np.kron(np.diag(pot.sample(pot.v1, dist)), eye_spin)
+            + np.kron(np.diag(pot.sample(pot.v2, dist)), dot)
+            + np.kron(np.diag(pot.sample(pot.v3, dist)), tensor)
+        )
+    return kinetic, interaction
+
+
+@pytest.mark.parametrize("spin_half", [False, True])
+def test_product_parts_match_kron_oracle(spin_half):
+    pot = gaussian_well()
+    if spin_half:
+        r = pot.v.r
+        pot = PotentialSpec(v=pot.v, v1=RadialTable(r, 0.3 * np.exp(-r)), v2=pot.v2, v3=pot.v3)
+    else:
+        pot = PotentialSpec(v=pot.v)
+    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(8, 16.0))
+    kinetic, interaction = _product_parts(cfg, pot, 1.0)
+    oracle_kinetic, oracle_interaction = kron_product_parts(cfg, pot)
+    assert np.array_equal(kinetic, oracle_kinetic)
+    assert np.array_equal(interaction, oracle_interaction)
+
+
+@pytest.mark.parametrize("n_sites", [8, 12])
+def test_exchange_residual_matches_dense_commutator(n_sites):
+    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GridSpec(n_sites, 16.0))
+    pot = gaussian_well()
+    h = build_product_hamiltonian(cfg, pot)
+    u = permutation_operator(Permutation((1, 0, 3, 2)), SpaceSpec((n_sites, n_sites, 2, 2))).entries
+    oracle = float(np.linalg.norm(h.entries @ u - u @ h.entries) / np.linalg.norm(h.entries))
+    assert exchange_symmetry_residual(cfg, pot) == oracle

@@ -280,7 +280,8 @@ class TestLHVSampling:
 
 class TestBellReport:
     def test_fields_and_violation_verdict(self):
-        doc = bell_report(OPTIMAL, sign_cosine_model(), 10_000, seed=1)
+        model = sign_cosine_model()
+        doc = bell_report(OPTIMAL, model, chsh_lhv(model, OPTIMAL, 10_000, seed=1))
         for key in (
             "S_quantum",
             "S_lhv",
@@ -297,6 +298,23 @@ class TestBellReport:
 
     def test_no_violation_at_aligned_settings(self):
         aligned = CHSHSettings(0.0, 0.0, 0.0, 0.0)
-        doc = bell_report(aligned, sign_cosine_model(), 10_000, seed=1)
+        model = sign_cosine_model()
+        doc = bell_report(aligned, model, chsh_lhv(model, aligned, 10_000, seed=1))
         assert doc["verdict"] == "no violation at these settings"
         assert doc["S_quantum"] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_bell_suite_runs_the_monte_carlo_once_per_model(monkeypatch):
+    from qsystems import epr_bell, suites
+
+    calls = []
+    original = epr_bell.chsh_lhv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(epr_bell, "chsh_lhv", counted)
+    report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 2}, seed=3)
+    assert report.to_dict()["pass"] is True
+    assert sorted(calls) == sorted(m().name for m in epr_bell.SHIPPED_LHV_MODELS.values())

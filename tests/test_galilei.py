@@ -248,6 +248,74 @@ class TestAdditive:
         assert "M_total = (m_a + m_b)*identity" in laws
 
 
+def unmemoized_pair_residuals(part_a, part_b, n_states, seed):
+    """Oracle: every leg applied as a dense matmul, each product recomputed."""
+    hbar, m_a, m_b = part_a.hbar, part_a.mass, part_b.mass
+    rng = np.random.default_rng(seed)
+    states_a = part_a.mask.random_states(n_states, rng)
+    states_b = part_b.mask.random_states(n_states, rng)
+    ops = {
+        tag: {
+            "P": part.image("P1"),
+            "K": part.image("K1"),
+            "H": part.image("H"),
+            "M": part.image("M"),
+            "X": part.image("K1") / part.mass,
+        }
+        for tag, part in (("a", part_a), ("b", part_b))
+    }
+
+    def leg(tag, label, s):
+        mat = ops[tag][label]
+        return mat @ s if tag == "a" else s @ mat.T
+
+    def total(label):
+        return lambda s: leg("a", label, s) + leg("b", label, s)
+
+    def part_op(tag, label):
+        return lambda s: leg(tag, label, s)
+
+    def comm(f, g, s):
+        return f(g(s)) - g(f(s))
+
+    def rel(delta, ref):
+        return float(np.linalg.norm(delta)) / float(np.linalg.norm(ref))
+
+    def bracket(law, commutator, expected):
+        return law, rel(commutator - expected, expected)
+
+    records = {}
+    for col in range(n_states):
+        psi = np.outer(states_a[:, col], states_b[:, col])
+        p, k, h = total("P"), total("K"), total("H")
+        found = [
+            bracket("[K,P] = ihbar*M (totals)", comm(k, p, psi), 1j * hbar * (m_a + m_b) * psi),
+            bracket("[K,H] = ihbar*P (totals)", comm(k, h, psi), 1j * hbar * p(psi)),
+            ("[P,H] = 0 (totals)", rel(comm(p, h, psi), p(h(psi)))),
+        ]
+        for tag, m_r in (("a", m_a), ("b", m_b)):
+            x_r, p_r = part_op(tag, "X"), part_op(tag, "P")
+            found += [
+                bracket("[P_total, X_part] = -ihbar", comm(p, x_r, psi), -1j * hbar * psi),
+                ("[P_total, P_part] = 0", rel(comm(p, p_r, psi), p(p_r(psi)))),
+                ("[K_total, X_part] = 0", rel(comm(k, x_r, psi), k(x_r(psi)))),
+                bracket("[K_total, P_part] = ihbar*m_part", comm(k, p_r, psi), 1j * hbar * m_r * psi),
+            ]
+        found.append(bracket("M_total = (m_a + m_b)*identity", total("M")(psi), (m_a + m_b) * psi))
+        k_a, p_b = part_op("a", "K"), part_op("b", "P")
+        found.append(("cross-part generators commute", rel(comm(k_a, p_b, psi), k_a(p_b(psi)))))
+        for law, value in found:
+            records[law] = max(records.get(law, 0.0), value)
+    return records
+
+
+def test_additive_pair_matches_unmemoized_dense_oracle():
+    a = build_grid_rep(32, 16.0, 1.0)
+    b = build_grid_rep(32, 16.0, 1.5)
+    result = verify_additive_grid_pair(a, b, tolerance=1e-6, n_states=6, seed=4)
+    assert {c.law: c.residual for c in result.checks} == unmemoized_pair_residuals(a, b, 6, 4)
+
+
 def test_negative_control_corrupted_rotation():
     rep = build_spin_rep(0.5)
     corrupted = rep.with_image("J3", 2.0 * rep.image("J3"))

@@ -99,6 +99,35 @@ class TestPermutationOperator:
         assert np.max(np.abs(u_pq - u_p @ u_q)) <= 1e-12
 
 
+def dense_permutation_matrix(perm, dims):
+    """Oracle: relabel the axes of the identity, as the dense construction did."""
+    d = math.prod(dims)
+    tensor = np.eye(d, dtype=np.complex128).reshape(dims + (d,))
+    return np.moveaxis(tensor, list(range(perm.size)), list(perm.image)).reshape(d, d)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_permutation_operator_matches_dense_oracle(dims):
+    for image in itertools.permutations(range(len(dims))):
+        perm = Permutation(image)
+        u = permutation_operator(perm, SpaceSpec(dims)).entries
+        assert np.array_equal(u, dense_permutation_matrix(perm, dims)), image
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 2), (5, 2)])
+def test_projectors_match_dense_group_average(n, d):
+    sym = np.zeros((d ** n, d ** n), dtype=np.complex128)
+    asym = np.zeros_like(sym)
+    for image in itertools.permutations(range(n)):
+        perm = Permutation(image)
+        u = dense_permutation_matrix(perm, (d,) * n)
+        sym += u
+        asym += perm.parity * u
+    pair = build_projectors(n, d)
+    assert np.array_equal(pair.symmetrizer.entries, sym / math.factorial(n))
+    assert np.array_equal(pair.antisymmetrizer.entries, asym / math.factorial(n))
+
+
 class TestProjectors:
     @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_ranks_match_enumeration(self, n, d):
