@@ -312,10 +312,14 @@ class WeakCouplingCheck:
     zero_coupling_residual: float
     linearity_spread: float
     tolerance: float
+    zero_tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.zero_coupling_residual == 0.0 and self.linearity_spread <= self.tolerance
+        return (
+            self.zero_coupling_residual <= self.zero_tolerance
+            and self.linearity_spread <= self.tolerance
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -324,8 +328,28 @@ class WeakCouplingCheck:
             "zero_coupling_residual": self.zero_coupling_residual,
             "linearity_spread": self.linearity_spread,
             "tolerance": self.tolerance,
+            "zero_tolerance": self.zero_tolerance,
             "pass": self.passed,
         }
+
+
+def _lifted_kinetic_residual(cfg: BodyConfig, kinetic: np.ndarray, hbar: float, seed: int) -> float:
+    """Relative residual of the product-space ``kinetic`` matrix against the
+    lifted one-body kinetic terms applied matrix-free to seeded vectors.
+
+    Each vector is viewed as (site 1, site 2, rest); T1 acts along site axis
+    0, T2 along site axis 1, and the identity on spin.
+    """
+    n = cfg.grid.n_sites
+    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
+    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
+    rng = np.random.default_rng(seed)
+    shape = (kinetic.shape[0], 4)
+    vectors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tensor = vectors.reshape(n, n, -1)
+    expected = (t1 @ tensor.reshape(n, -1)).reshape(tensor.shape) + t2 @ tensor
+    actual = (kinetic @ vectors).reshape(tensor.shape)
+    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
 
 
 def weak_coupling_check(
@@ -334,25 +358,26 @@ def weak_coupling_check(
     lambda_values: Sequence[float],
     hbar: float = 1.0,
     tolerance: float = 1e-6,
+    zero_tolerance: float = 1e-12,
+    seed: int = 0,
 ) -> WeakCouplingCheck:
     """Deviation from the sum of free one-body Hamiltonians is linear in the
     coupling.
 
     H(lambda) = kinetic + lambda * interaction on the product space.  At
-    lambda = 0 the construction must coincide exactly (to the float) with the
-    sum of lifted free Hamiltonians; for lambda > 0 the Frobenius deviation
-    divided by lambda must be a single constant.
+    lambda = 0 the construction must act as the sum of lifted free
+    Hamiltonians: on seeded vectors it agrees with T1 and T2 applied along
+    their own site axes, to the relative ``zero_tolerance``.  For lambda > 0
+    the Frobenius deviation divided by lambda must be a single constant.
     """
     lambdas = tuple(float(v) for v in lambda_values)
     if any(v < 0 for v in lambdas):
         raise ValueError("couplings must be non-negative")
     kinetic, interaction = _product_parts(cfg, pot, hbar)
-    free_sum = _free_product_part(cfg, hbar)
-    # One product-space array serves the difference and every scaled copy.
-    buffer = np.subtract(kinetic, free_sum, out=free_sum)
-    zero_residual = float(np.linalg.norm(buffer))
+    zero_residual = _lifted_kinetic_residual(cfg, kinetic, hbar, seed)
+    # The kinetic array is not needed again: it holds every scaled copy.
     deviations = tuple(
-        float(np.linalg.norm(np.multiply(lam, interaction, out=buffer))) for lam in lambdas
+        float(np.linalg.norm(np.multiply(lam, interaction, out=kinetic))) for lam in lambdas
     )
     slopes = [dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0]
     if slopes:
@@ -366,6 +391,7 @@ def weak_coupling_check(
         zero_coupling_residual=zero_residual,
         linearity_spread=spread,
         tolerance=tolerance,
+        zero_tolerance=zero_tolerance,
     )
 
 

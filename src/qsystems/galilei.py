@@ -630,6 +630,27 @@ def _apply_factor(op: np.ndarray, which: int, psi: np.ndarray) -> np.ndarray:
     return psi @ op.T
 
 
+def _leg_product(legs: dict, products: dict, names: tuple[str, ...]) -> np.ndarray:
+    """The operator product ``names`` applied to the state ``products[()]``;
+    ("K", "P") is K_total(P_total(psi)).  ``products`` memoizes every partial
+    product, so each is computed once per state.
+
+    A module-level function, so that no closure refers to itself: such a
+    cycle would keep the memo alive after the call until the cyclic garbage
+    collector happened to run.
+    """
+    if names not in products:
+        first, rest = names[0], names[1:]
+        if first in legs:
+            op, which = legs[first]
+            products[names] = _apply_factor(op, which, _leg_product(legs, products, rest))
+        else:
+            products[names] = _leg_product(legs, products, (first + "a", *rest)) + _leg_product(
+                legs, products, (first + "b", *rest)
+            )
+    return products[names]
+
+
 def verify_additive_grid_pair(
     part_a: AlgebraRep,
     part_b: AlgebraRep,
@@ -680,16 +701,7 @@ def verify_additive_grid_pair(
         records[law] = max(records.get(law, 0.0), value)
 
     def act(*names: str) -> np.ndarray:
-        """The operator product ``names`` applied to the current test state;
-        ("K", "P") is K_total(P_total(psi)).  Each is computed once per state."""
-        if names not in products:
-            first, rest = names[0], names[1:]
-            if first in legs:
-                op, which = legs[first]
-                products[names] = _apply_factor(op, which, act(*rest))
-            else:
-                products[names] = act(first + "a", *rest) + act(first + "b", *rest)
-        return products[names]
+        return _leg_product(legs, products, names)
 
     def comm(f: str, g: str) -> np.ndarray:
         return act(f, g) - act(g, f)

@@ -126,7 +126,7 @@ def test_criterion_06_dynamics():
 
     weak_body = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=GridSpec(16, 16.0))
     check = weak_coupling_check(weak_body, pot, [0.1, 0.2, 0.5, 1.0])
-    assert check.zero_coupling_residual == 0.0
+    assert check.zero_coupling_residual <= 1e-12
     assert check.linearity_spread <= 1e-6
     _report(
         6,

@@ -168,3 +168,36 @@ def test_bell_without_models_reports_error(tmp_path, capsys):
     rc = main(["bell", "--config", cfg])
     assert rc == 2
     assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("epr", {"n_inference": 0}, "n_inference"), ("axioms", {"mereology_instances": 0}, "mereology_instances")],
+)
+def test_vacuous_sample_count_reports_error(command, section, key, tmp_path, capsys):
+    cfg = write_config(tmp_path, {command: section})
+    rc = main([command, "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("charges, missing", [([0, 3], "[1, 2]"), ([1, 2, 3], "[0]")])
+def test_charge_list_missing_required_charges_reports_error(charges, missing, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"charge": {"charges": charges}})
+    rc = main(["charge", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"missing {missing}" in err
+    assert "Traceback" not in err
+
+
+def test_tolerance_scale_applies_to_conditional_inference_mode(capsys):
+    def mode_tolerance(scale):
+        assert main(["epr", "--tolerance-scale", scale]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (record,) = [c for c in doc["checks"] if c["id"] == "conditional-inference-mode"]
+        return record["tolerance"]
+
+    assert mode_tolerance("2") == 2 * mode_tolerance("1")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsystems import grids
+from qsystems import dynamics, grids
 from qsystems.dynamics import (
     BodyConfig,
     PotentialSpec,
@@ -163,9 +163,25 @@ class TestWeakCoupling:
     def test_zero_coupling_exact_and_linear(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=GridSpec(16, 16.0))
         check = weak_coupling_check(cfg, gaussian_well(), [0.1, 0.2, 0.5, 1.0])
-        assert check.zero_coupling_residual == 0.0
+        assert check.zero_coupling_residual <= 1e-12
         assert check.linearity_spread <= 1e-6
         assert check.passed
+
+    @pytest.mark.parametrize("spin_half", [True, False])
+    def test_perturbed_free_part_fails_zero_coupling(self, spin_half, monkeypatch):
+        free_part = dynamics._free_product_part
+
+        def perturbed(cfg, hbar):
+            out = free_part(cfg, hbar)
+            out[5, 3] += 1e-8
+            return out
+
+        monkeypatch.setattr(dynamics, "_free_product_part", perturbed)
+        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(16, 16.0))
+        pot = gaussian_well() if spin_half else PotentialSpec(v=gaussian_well().v)
+        check = weak_coupling_check(cfg, pot, [0.5, 1.0])
+        assert check.zero_coupling_residual > 1e-12
+        assert not check.passed
 
     def test_halving_coupling_halves_deviation(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GridSpec(16, 16.0))

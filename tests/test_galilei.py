@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -345,3 +346,17 @@ def test_verification_report_serializable():
     assert doc["pass"] is True
     assert doc["domain_mask"] == "full space"
     assert all({"law", "residual", "tolerance", "pass"} <= set(c) for c in doc["checks"])
+
+
+def test_additive_pair_memo_is_freed_on_return():
+    # The per-state memo of operator products is large; a reference cycle
+    # would keep it until the cyclic collector happened to run.
+    a = build_grid_rep(32, 16.0, 1.0)
+    b = build_grid_rep(32, 16.0, 1.5)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_additive_grid_pair(a, b, tolerance=1e-6, n_states=2, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

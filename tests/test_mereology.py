@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qsystems import mereology, suites
 from qsystems.mereology import (
     NULL,
     Individual,
@@ -221,3 +223,70 @@ def test_load_system_graph_unknown_id():
     doc = {"things": [{"id": "a", "atoms": ["a"]}], "acts_on": [["a", "ghost"]]}
     with pytest.raises(ValueError):
         load_system_graph(doc)
+
+
+# --- the axioms suite's law check over the finite model --------------------
+
+SMALL_POOL = list("abcdef")
+
+
+def _drop_atom_a(x, y):
+    return Individual((x.atoms | y.atoms) - {"a"})
+
+
+def _not_idempotent(x, y):
+    return NULL if x == y and not x.is_null else Individual(x.atoms | y.atoms)
+
+
+def _leaves_the_model(x, y):
+    extra = {"z"} if len(x.atoms) == 2 else set()
+    return Individual(x.atoms | y.atoms | extra)
+
+
+def _null_above_singletons(x, y):
+    return associate(x, y) == y or (x.is_simple and y.is_null)
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("associate", _drop_atom_a),
+        ("associate", _not_idempotent),
+        ("associate", _leaves_the_model),
+        ("is_part_of", _null_above_singletons),
+    ],
+)
+@pytest.mark.parametrize("pool", [SMALL_POOL, list("abcdefghi")])
+def test_law_check_catches_broken_model(name, broken, pool, monkeypatch):
+    monkeypatch.setattr(mereology, name, broken)
+    assert suites._mereology_law_failures(np.random.default_rng(0), pool, 2000) > 0
+
+
+@pytest.mark.parametrize("pool", [list("abcdefgh"), list("abcdefghi")])
+def test_law_check_passes_correct_model(pool):
+    assert suites._mereology_law_failures(np.random.default_rng(0), pool, 2000) == 0
+
+
+def test_exhaustive_law_check_draws_nothing_from_rng():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert suites._mereology_law_failures(rng, SMALL_POOL, 2000) == 0
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "pool, exhaustive, instances",
+    [(list("abcdefgh"), True, 256 ** 3), (list("abcdefghi"), False, 300)],
+)
+def test_axioms_report_names_the_law_check_path(pool, exhaustive, instances):
+    cheap = {
+        "atom_pool": pool,
+        "mereology_instances": 300,
+        "spin_values": [0.5],
+        "grid_sites": 16,
+        "n_test_states": 2,
+    }
+    record = suites.run_axioms(cheap).checks[0]
+    assert record.check_id == "mereology-monoid-parthood"
+    assert record.passed and record.value == 0
+    assert record.detail == {"instances": instances, "exhaustive": exhaustive}
