@@ -20,7 +20,6 @@ from .hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed
 
 __all__ = [
     "ChargeModel",
-    "CentralityCheck",
     "verify_central",
     "gauge_transform",
     "ChargeSector",
@@ -68,36 +67,21 @@ class ChargeModel:
         return np.round(np.linalg.eigvalsh(self.q_operator.entries)).astype(int)
 
 
-@dataclass(frozen=True)
-class CentralityCheck:
-    residuals: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def verify_central(model: ChargeModel, tolerance: float = CENTRAL_ATOL) -> CentralityCheck:
-    """Commutator norm of the charge with every registered observable."""
+def verify_central(model: ChargeModel, tolerance: float = CENTRAL_ATOL) -> dict:
+    """Commutator norm of the charge with every registered observable, as
+    report detail."""
     q = model.q_operator.entries
     residuals = []
     for obs in model.observables:
         comm = q @ obs.entries - obs.entries @ q
         residuals.append(float(np.linalg.norm(comm)))
-    return CentralityCheck(residuals=tuple(residuals), tolerance=tolerance)
+    max_residual = max(residuals, default=0.0)
+    return {
+        "residuals": residuals,
+        "max_residual": max_residual,
+        "tolerance": tolerance,
+        "pass": max_residual <= tolerance,
+    }
 
 
 def gauge_transform(model: ChargeModel, theta: float) -> Operator:

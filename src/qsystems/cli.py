@@ -68,8 +68,10 @@ def _load_config(path: str | None) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    for name in SUITE_NAMES:
-        if name in doc and not isinstance(doc[name], dict):
+    for name, section in doc.items():
+        if name not in SUITE_NAMES:
+            raise ValueError(f"unknown config section {name!r}")
+        if not isinstance(section, dict):
             raise ValueError(f"section {name!r} must be a JSON object")
     return doc
 
@@ -114,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.format == "json":
-        rendered = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        rendered = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         rendered = render_text(doc)
     if args.out:

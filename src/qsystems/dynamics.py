@@ -27,7 +27,6 @@ __all__ = [
     "spin_pair_operators",
     "EvolutionResult",
     "evolve",
-    "WeakCouplingCheck",
     "weak_coupling_check",
     "exchange_symmetry_residual",
     "momentum_conservation_residual",
@@ -93,16 +92,28 @@ class PotentialSpec:
 
     @classmethod
     def from_config(cls, doc: dict, r_max: float = 1.0) -> "PotentialSpec":
-        """Build from a config mapping; entries are constants or {r, values}."""
-        tables = {}
-        for key in ("v", "v1", "v2", "v3"):
-            entry = doc.get(key)
+        """Build from a config mapping; entries are constants or {r, values}
+        with numeric arrays.  Anything else raises ValueError."""
+        keys = ("v", "v1", "v2", "v3")
+        unknown = sorted(set(doc) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown potential entries {unknown}; expected {list(keys)}")
+        tables = dict.fromkeys(keys)
+        for key, entry in doc.items():
             if entry is None:
-                tables[key] = None
-            elif isinstance(entry, (int, float)):
-                tables[key] = RadialTable.constant(float(entry), r_max)
+                continue
+            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                table = RadialTable.constant(float(entry), r_max)
+            elif isinstance(entry, dict) and set(entry) == {"r", "values"}:
+                r, values = np.asarray(entry["r"]), np.asarray(entry["values"])
+                if not all(np.issubdtype(a.dtype, np.number) for a in (r, values)):
+                    raise ValueError(f"potential entry {key!r} needs numeric r and values")
+                table = RadialTable(r, values)
             else:
-                tables[key] = RadialTable(np.asarray(entry["r"]), np.asarray(entry["values"]))
+                raise ValueError(f"potential entry {key!r} must be a number or {{r, values}}")
+            if not (np.all(np.isfinite(table.r)) and np.all(np.isfinite(table.values))):
+                raise ValueError(f"potential entry {key!r} must be finite")
+            tables[key] = table
         return cls(**tables)
 
     @property
@@ -305,34 +316,6 @@ def evolve(
     return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
 
 
-@dataclass(frozen=True)
-class WeakCouplingCheck:
-    lambdas: tuple[float, ...]
-    deviation_norms: tuple[float, ...]
-    zero_coupling_residual: float
-    linearity_spread: float
-    tolerance: float
-    zero_tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.zero_coupling_residual <= self.zero_tolerance
-            and self.linearity_spread <= self.tolerance
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "deviation_norms": list(self.deviation_norms),
-            "zero_coupling_residual": self.zero_coupling_residual,
-            "linearity_spread": self.linearity_spread,
-            "tolerance": self.tolerance,
-            "zero_tolerance": self.zero_tolerance,
-            "pass": self.passed,
-        }
-
-
 def _lifted_kinetic_residual(cfg: BodyConfig, kinetic: np.ndarray, hbar: float, seed: int) -> float:
     """Relative residual of the product-space ``kinetic`` matrix against the
     lifted one-body kinetic terms applied matrix-free to seeded vectors.
@@ -360,9 +343,9 @@ def weak_coupling_check(
     tolerance: float = 1e-6,
     zero_tolerance: float = 1e-12,
     seed: int = 0,
-) -> WeakCouplingCheck:
+) -> dict:
     """Deviation from the sum of free one-body Hamiltonians is linear in the
-    coupling.
+    coupling; the measurements as report detail.
 
     H(lambda) = kinetic + lambda * interaction on the product space.  At
     lambda = 0 the construction must act as the sum of lifted free
@@ -370,29 +353,30 @@ def weak_coupling_check(
     their own site axes, to the relative ``zero_tolerance``.  For lambda > 0
     the Frobenius deviation divided by lambda must be a single constant.
     """
-    lambdas = tuple(float(v) for v in lambda_values)
+    lambdas = [float(v) for v in lambda_values]
     if any(v < 0 for v in lambdas):
         raise ValueError("couplings must be non-negative")
     kinetic, interaction = _product_parts(cfg, pot, hbar)
     zero_residual = _lifted_kinetic_residual(cfg, kinetic, hbar, seed)
     # The kinetic array is not needed again: it holds every scaled copy.
-    deviations = tuple(
+    deviations = [
         float(np.linalg.norm(np.multiply(lam, interaction, out=kinetic))) for lam in lambdas
-    )
+    ]
     slopes = [dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0]
     if slopes:
         top = max(slopes)
         spread = (max(slopes) - min(slopes)) / top if top > 0 else 0.0
     else:
         spread = 0.0
-    return WeakCouplingCheck(
-        lambdas=lambdas,
-        deviation_norms=deviations,
-        zero_coupling_residual=zero_residual,
-        linearity_spread=spread,
-        tolerance=tolerance,
-        zero_tolerance=zero_tolerance,
-    )
+    return {
+        "lambdas": lambdas,
+        "deviation_norms": deviations,
+        "zero_coupling_residual": zero_residual,
+        "linearity_spread": spread,
+        "tolerance": tolerance,
+        "zero_tolerance": zero_tolerance,
+        "pass": zero_residual <= zero_tolerance and spread <= tolerance,
+    }
 
 
 def exchange_symmetry_residual(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) -> float:

@@ -25,16 +25,13 @@ from .hilbert import SpaceSpec
 
 __all__ = [
     "LABELS",
-    "PhysicalConstants",
     "generator",
     "abstract_bracket",
     "combo_add",
     "combo_scale",
     "combo_is_zero",
-    "combo_str",
     "jacobi_residual",
     "verify_structure",
-    "StructureReport",
     "DomainMask",
     "AlgebraRep",
     "build_spin_rep",
@@ -42,8 +39,6 @@ __all__ = [
     "build_additive_rep",
     "casimir_squared",
     "verify_rep",
-    "RepVerification",
-    "PairCheck",
     "position_momentum_residuals",
     "verify_additive_grid_pair",
 ]
@@ -142,22 +137,6 @@ def combo_is_zero(x: Combo) -> bool:
     return all(not coeff for coeff in x.values())
 
 
-def combo_str(x: Combo) -> str:
-    if combo_is_zero(x):
-        return "0"
-    terms = []
-    for label in LABELS:
-        coeff = x.get(label)
-        if not coeff:
-            continue
-        for power in sorted(coeff):
-            frac = coeff[power]
-            unit = {0: "", 1: "ihbar*", 2: "(ihbar)^2*"}.get(power, f"(ihbar)^{power}*")
-            prefix = "" if frac == 1 else ("-" if frac == -1 else f"({frac})*")
-            terms.append(f"{prefix}{unit}{label}")
-    return " + ".join(terms)
-
-
 def abstract_bracket(x: Combo, y: Combo) -> Combo:
     """Bilinear extension of the bracket table; exact arithmetic throughout.
 
@@ -190,29 +169,9 @@ def jacobi_residual(a: str, b: str, c: str) -> Combo:
     return total
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    pairs_checked: int
-    triples_checked: int
-    antisymmetry_failures: tuple[tuple[str, str], ...]
-    jacobi_failures: tuple[tuple[str, str, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.antisymmetry_failures and not self.jacobi_failures
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_checked": self.pairs_checked,
-            "triples_checked": self.triples_checked,
-            "antisymmetry_failures": [list(p) for p in self.antisymmetry_failures],
-            "jacobi_failures": [list(t) for t in self.jacobi_failures],
-            "pass": self.passed,
-        }
-
-
-def verify_structure() -> StructureReport:
-    """Antisymmetry over all generator pairs, Jacobi over all triples, exact."""
+def verify_structure() -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str], ...]]:
+    """Antisymmetry over all 55 generator pairs and Jacobi over all 165
+    triples, exactly: the failing pairs and the failing triples."""
     anti_fail = []
     for a, b in itertools.combinations(LABELS, 2):
         s = combo_add(abstract_bracket(generator(a), generator(b)),
@@ -223,29 +182,12 @@ def verify_structure() -> StructureReport:
     for a, b, c in itertools.combinations(LABELS, 3):
         if not combo_is_zero(jacobi_residual(a, b, c)):
             jacobi_fail.append((a, b, c))
-    return StructureReport(
-        pairs_checked=55,
-        triples_checked=165,
-        antisymmetry_failures=tuple(anti_fail),
-        jacobi_failures=tuple(jacobi_fail),
-    )
+    return tuple(anti_fail), tuple(jacobi_fail)
 
 
 # --------------------------------------------------------------------------
 # Numeric representations
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """The quantum of action; positive, with dimension length*mass/time."""
-
-    hbar: float = 1.0
-    dimension: str = "L M T^-1"
-
-    def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,47 +446,20 @@ def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -
     )
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    law: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class RepVerification:
-    name: str
-    checks: tuple[PairCheck, ...]
-    mask_description: str
-
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "representation": self.name,
-            "domain_mask": self.mask_description,
-            "checks": [c.to_dict() for c in self.checks],
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-        }
+def _bracket_detail(name: str, mask_description: str, residuals: dict, tolerance: float) -> dict:
+    """Report detail of a bracket verification: one record per law, from the
+    ``residuals`` mapping of law text to relative residual."""
+    checks = [
+        {"law": law, "residual": value, "tolerance": tolerance, "pass": value <= tolerance}
+        for law, value in residuals.items()
+    ]
+    return {
+        "representation": name,
+        "domain_mask": mask_description,
+        "checks": checks,
+        "max_residual": max(residuals.values(), default=0.0),
+        "pass": all(c["pass"] for c in checks),
+    }
 
 
 def _expected_image(rep: AlgebraRep, a: str, b: str) -> np.ndarray:
@@ -575,8 +490,8 @@ def _relative_residual(delta: np.ndarray, *references: np.ndarray) -> float:
     return num / den
 
 
-def verify_rep(rep: AlgebraRep, tolerance: float) -> RepVerification:
-    """Bracket residuals over every asserted generator pair.
+def verify_rep(rep: AlgebraRep, tolerance: float) -> dict:
+    """Bracket residuals over every asserted generator pair, as report detail.
 
     For each pair (x, y) in the sector the commutator of the images is
     compared against the image of the exact bracket, applied to the mask
@@ -584,19 +499,15 @@ def verify_rep(rep: AlgebraRep, tolerance: float) -> RepVerification:
     to the larger of the expected image's action and the products' actions.
     """
     basis = rep.mask.basis if rep.mask is not None else np.eye(rep.space.total_dim)
-    checks = []
+    residuals = {}
     for a, b in itertools.combinations(rep.sector, 2):
         ma, mb = rep.image(a), rep.image(b)
         ab = ma @ (mb @ basis)
         ba = mb @ (ma @ basis)
         expected = _expected_image(rep, a, b) @ basis
-        residual = _relative_residual(ab - ba - expected, expected, ab, ba)
-        checks.append(PairCheck(law=_law_string(a, b), residual=residual, tolerance=tolerance))
-    return RepVerification(
-        name=rep.name,
-        checks=tuple(checks),
-        mask_description=rep.mask.description if rep.mask else "full space",
-    )
+        residuals[_law_string(a, b)] = _relative_residual(ab - ba - expected, expected, ab, ba)
+    mask_description = rep.mask.description if rep.mask else "full space"
+    return _bracket_detail(rep.name, mask_description, residuals, tolerance)
 
 
 def position_momentum_residuals(
@@ -657,8 +568,9 @@ def verify_additive_grid_pair(
     tolerance: float,
     n_states: int = 20,
     seed: int = 0,
-) -> RepVerification:
-    """Additivity relations for two grid parts, applied matrix-free.
+) -> dict:
+    """Additivity relations for two grid parts, applied matrix-free, as
+    report detail.
 
     The two-particle operators are never materialized: lifted one-particle
     operators act on (n, n) state arrays leg by leg (the diagonal K, X and M
@@ -744,12 +656,9 @@ def verify_additive_grid_pair(
             _relative_residual(comm("Ka", "Pb"), act("Ka", "Pb")),
         )
 
-    checks = tuple(
-        PairCheck(law=law, residual=value, tolerance=tolerance)
-        for law, value in records.items()
-    )
-    return RepVerification(
-        name=f"additive-pair({part_a.name}, {part_b.name})",
-        checks=checks,
-        mask_description=f"products of masked states: {part_a.mask.description}",
+    return _bracket_detail(
+        f"additive-pair({part_a.name}, {part_b.name})",
+        f"products of masked states: {part_a.mask.description}",
+        records,
+        tolerance,
     )

@@ -161,13 +161,6 @@ class DensityOperator:
         if eigs.min() < -psd_atol:
             raise ValueError(f"density operator has negative eigenvalue {eigs.min():g}")
 
-    def is_valid(self, atol: float = HERMITIAN_ATOL, psd_atol: float = PSD_ATOL) -> bool:
-        try:
-            self.validate(atol=atol, psd_atol=psd_atol)
-        except ValueError:
-            return False
-        return True
-
 
 def basis_state(space: SpaceSpec, index: int) -> StateVector:
     amps = np.zeros(space.total_dim, dtype=np.complex128)

@@ -1,14 +1,14 @@
 """Check records and suite reports.
 
 One record per verified law: an id, the law as a human-readable statement, a
-measured value (residual or boolean), the tolerance it was held to, and the
-verdict.  Reports serialize to JSON deterministically (sorted keys, no
-timestamps), so identical runs produce identical bytes.
+measured value (residual, count or boolean), the tolerance it was held to, and
+the verdict.  Reports serialize to strict JSON deterministically (sorted keys,
+no timestamps, no NaN or Infinity), so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "SuiteReport", "combined_report_dict", "render_text", "as_builtin"]
@@ -17,7 +17,8 @@ SCHEMA_VERSION = 1
 
 
 def as_builtin(value):
-    """Recursively coerce numpy scalars/arrays into plain Python values."""
+    """Recursively coerce numpy scalars/arrays into plain Python values; a
+    non-finite float becomes None, which JSON writes as null."""
     if isinstance(value, dict):
         return {str(k): as_builtin(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -25,7 +26,9 @@ def as_builtin(value):
     if hasattr(value, "tolist"):
         return as_builtin(value.tolist())
     if hasattr(value, "item"):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -37,6 +40,7 @@ class CheckRecord:
     tolerance: float | None
     passed: bool
     detail: dict | None = None
+    non_finite: bool = False  # the value or the tolerance is NaN or infinite
 
     def to_dict(self) -> dict:
         out = {
@@ -48,6 +52,8 @@ class CheckRecord:
         }
         if self.detail is not None:
             out["detail"] = as_builtin(self.detail)
+        if self.non_finite:
+            out["non_finite"] = True
         return out
 
 
@@ -82,9 +88,6 @@ class SuiteReport:
             "summary": self.summary,
             "pass": self.all_passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def combined_report_dict(reports: list[SuiteReport], seed: int, tool_version: str) -> dict:

@@ -23,9 +23,7 @@ __all__ = [
     "build_projectors",
     "SymmetrySector",
     "classify_state",
-    "ExchangeCheck",
     "exchange_expectation_check",
-    "ExclusionCheck",
     "pauli_exclusion_check",
     "physical_projector",
     "count_symmetric_basis",
@@ -34,8 +32,6 @@ __all__ = [
 ]
 
 CLASSIFY_ATOL = 1e-9
-PROJECTOR_ATOL = 1e-12
-EXCHANGE_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,93 +183,35 @@ def classify_state(psi: StateVector, atol: float = CLASSIFY_ATOL) -> SymmetrySec
     return SymmetrySector.MIXED
 
 
-@dataclass(frozen=True)
-class ExchangeCheck:
-    expectation_original: float
-    expectation_permuted: float
-    difference: float
-    tolerance: float
+def exchange_expectation_check(obs: Operator, psi: StateVector, perm: Permutation) -> float:
+    """|<psi|A|psi> - <U psi|A|U psi>| for the permutation operator U.
 
-    @property
-    def passed(self) -> bool:
-        return self.difference <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "expectation_original": self.expectation_original,
-            "expectation_permuted": self.expectation_permuted,
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def exchange_expectation_check(
-    obs: Operator, psi: StateVector, perm: Permutation, tolerance: float = EXCHANGE_ATOL
-) -> ExchangeCheck:
-    """Compare <psi|A|psi> with the expectation in the permuted state.
-
-    Equality is the indistinguishability law for permutation-invariant
-    observables; an observable that singles out a factor will fail it, which
-    is the intended negative control.
+    Zero is the indistinguishability law for permutation-invariant
+    observables; an observable that singles out a factor will break it,
+    which is the intended negative control.
     """
     amps = psi.normalized().amplitudes
     permuted = permutation_operator(perm, psi.space).entries @ amps
     before = float(np.real(np.vdot(amps, obs.entries @ amps)))
     after = float(np.real(np.vdot(permuted, obs.entries @ permuted)))
-    return ExchangeCheck(
-        expectation_original=before,
-        expectation_permuted=after,
-        difference=abs(before - after),
-        tolerance=tolerance,
-    )
+    return abs(before - after)
 
 
-@dataclass(frozen=True)
-class ExclusionCheck:
-    antisymmetrized_norm: float
-    has_duplicate_ray: bool
-    tolerance: float
+def pauli_exclusion_check(single_states: list[StateVector]) -> float:
+    """Norm of the antisymmetrized product of one-component states.
 
-    @property
-    def passed(self) -> bool:
-        """Exclusion holds: duplicate inputs force a vanishing antisymmetric part."""
-        return (not self.has_duplicate_ray) or self.antisymmetrized_norm <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "antisymmetrized_norm": self.antisymmetrized_norm,
-            "has_duplicate_ray": self.has_duplicate_ray,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def pauli_exclusion_check(
-    single_states: list[StateVector], tolerance: float = PROJECTOR_ATOL
-) -> ExclusionCheck:
-    """Antisymmetrize a product of one-component states and measure what's left."""
+    Exclusion: it vanishes when two of the states are the same ray.
+    """
     if len(single_states) < 2:
         raise ValueError("need at least two single-component states")
     d = single_states[0].space.total_dim
     if any(s.space.total_dim != d for s in single_states):
         raise ValueError("single-component states must share one dimension")
-    n = len(single_states)
     product = np.ones(1, dtype=np.complex128)
     for state in single_states:
         product = np.kron(product, state.normalized().amplitudes)
-    pair = build_projectors(n, d)
-    projected = pair.antisymmetrizer.entries @ product
-    duplicate = False
-    for a, b in itertools.combinations(single_states, 2):
-        if a.ray_equals(b):
-            duplicate = True
-            break
-    return ExclusionCheck(
-        antisymmetrized_norm=float(np.linalg.norm(projected)),
-        has_duplicate_ray=duplicate,
-        tolerance=tolerance,
-    )
+    projected = build_projectors(len(single_states), d).antisymmetrizer.entries @ product
+    return float(np.linalg.norm(projected))
 
 
 def physical_projector(n: int, d: int) -> Operator:

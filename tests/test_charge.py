@@ -46,19 +46,19 @@ class TestCentrality:
     def test_diagonal_observables_commute(self):
         model = diag_model([0.0, 1.0], observables=[np.diag([3.0, -1.0])])
         check = verify_central(model)
-        assert check.passed
-        assert check.max_residual <= 1e-14
+        assert check["pass"]
+        assert check["max_residual"] <= 1e-14
 
     def test_sector_mixing_observable_fails(self):
         # explicit 2x2 commutator: [diag(0,1), sigma_x] has norm sqrt(2)
         model = diag_model([0.0, 1.0], observables=[SX])
         check = verify_central(model)
-        assert not check.passed
-        assert check.max_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert not check["pass"]
+        assert check["max_residual"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_identity_always_passes(self):
         model = diag_model([0.0, 1.0], observables=[np.eye(2)])
-        assert verify_central(model).passed
+        assert verify_central(model)["pass"]
 
 
 class TestGauge:
@@ -86,7 +86,7 @@ class TestGauge:
         mat = np.zeros((3, 3), dtype=complex)
         mat[1:, 1:] = np.array([[0.0, 1.0], [1.0, 0.0]])
         model = diag_model([0.0, 1.0, 1.0], observables=[mat])
-        assert verify_central(model).passed
+        assert verify_central(model)["pass"]
         u = gauge_transform(model, 0.77)
         conj = u.entries.conj().T @ mat @ u.entries
         assert np.max(np.abs(conj - mat)) <= 1e-12

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsystems.cli import main
@@ -201,3 +203,82 @@ def test_tolerance_scale_applies_to_conditional_inference_mode(capsys):
         return record["tolerance"]
 
     assert mode_tolerance("2") == 2 * mode_tolerance("1")
+
+
+def test_tolerance_scale_applies_to_monte_carlo_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, FAST_BELL)
+
+    def margins(scale):
+        assert main(["bell", "--config", cfg, "--tolerance-scale", scale]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return [c["tolerance"] for c in doc["checks"] if c["id"].startswith("lhv-sampling")]
+
+    one, two = margins("1"), margins("2")
+    assert len(one) == 3
+    assert two == [2 * m for m in one]
+
+
+def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dynamics": {"evolution": {"t_final": 1}}})
+    assert main(["dynamics", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["evolution"] == {"t_final": 1, "n_steps": 100}
+    assert doc["config"]["relative"]["n_sites"] == 64
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("axioms", {"axioms": {"n_sampels": 3}}, "axioms.n_sampels"),
+        ("axioms", {"axioms": {"grid_sites": [1]}}, "axioms.grid_sites"),
+        ("symmetry", {"symmetry": {"n_random": None}}, "symmetry.n_random"),
+        ("dynamics", {"dynamics": {"evolution": {"n_step": 3}}}, "dynamics.evolution.n_step"),
+        ("charge", {"charge": {"charges": [0, 1.5, 2]}}, "charge.charges[1]"),
+        ("bell", {"bell": {"angles": [0.0, 1.0, 2.0, "x"]}}, "bell.angles[3]"),
+        ("all", {"axiom": {}}, "'axiom'"),
+    ],
+)
+def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):
+    cfg = write_config(tmp_path, doc)
+    rc = main([command, "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("potential", [{"v": "x"}, {"w": 1.0}, {"v": {"r": [{}], "values": [1]}}])
+def test_malformed_potential_reports_error(potential, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dynamics": {"relative": {"potential": potential}}})
+    rc = main(["dynamics", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "potential" in err
+    assert "Traceback" not in err
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Config file"):]
+    example = section[section.index("```json") + len("```json"):]
+    example = json.loads(example[: example.index("```")])
+    cfg = write_config(tmp_path, example)
+    assert main(["all", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_non_finite_results_fail_and_stay_strict_json(tmp_path):
+    cfg = write_config(tmp_path, {"dynamics": {"evolution": {"t_final": 1e308, "n_steps": 100}}})
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    failed = {c["id"]: c for c in doc["checks"] if not c["pass"]}
+    assert set(failed) == {"evolution-norm-drift", "evolution-energy-drift"}
+    for record in failed.values():
+        assert record["non_finite"] is True
+        assert record["value"] is None
+    assert all("non_finite" not in c for c in doc["checks"] if c["pass"])

@@ -163,9 +163,9 @@ class TestWeakCoupling:
     def test_zero_coupling_exact_and_linear(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=GridSpec(16, 16.0))
         check = weak_coupling_check(cfg, gaussian_well(), [0.1, 0.2, 0.5, 1.0])
-        assert check.zero_coupling_residual <= 1e-12
-        assert check.linearity_spread <= 1e-6
-        assert check.passed
+        assert check["zero_coupling_residual"] <= 1e-12
+        assert check["linearity_spread"] <= 1e-6
+        assert check["pass"]
 
     @pytest.mark.parametrize("spin_half", [True, False])
     def test_perturbed_free_part_fails_zero_coupling(self, spin_half, monkeypatch):
@@ -180,21 +180,21 @@ class TestWeakCoupling:
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(16, 16.0))
         pot = gaussian_well() if spin_half else PotentialSpec(v=gaussian_well().v)
         check = weak_coupling_check(cfg, pot, [0.5, 1.0])
-        assert check.zero_coupling_residual > 1e-12
-        assert not check.passed
+        assert check["zero_coupling_residual"] > 1e-12
+        assert not check["pass"]
 
     def test_halving_coupling_halves_deviation(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GridSpec(16, 16.0))
         pot = PotentialSpec(v=gaussian_well().v)
         check = weak_coupling_check(cfg, pot, [0.5, 1.0])
-        half, full = check.deviation_norms
+        half, full = check["deviation_norms"]
         assert half == pytest.approx(0.5 * full, rel=1e-9)
 
     def test_ratio_ten_between_couplings(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GridSpec(16, 16.0))
         pot = PotentialSpec(v=gaussian_well().v)
         check = weak_coupling_check(cfg, pot, [0.1, 1.0])
-        small, big = check.deviation_norms
+        small, big = check["deviation_norms"]
         assert big / small == pytest.approx(10.0, rel=1e-6)
 
 

@@ -7,7 +7,6 @@ import pytest
 from qsystems import galilei
 from qsystems.galilei import (
     LABELS,
-    PhysicalConstants,
     abstract_bracket,
     build_additive_rep,
     build_grid_rep,
@@ -83,18 +82,7 @@ class TestExactLayer:
         assert combo_is_zero(jacobi_residual("K1", "H", "P1"))
 
     def test_structure_report_all_green(self):
-        report = verify_structure()
-        assert report.passed
-        assert report.pairs_checked == 55
-        assert report.triples_checked == 165
-        assert report.to_dict()["pass"] is True
-
-
-def test_physical_constants_positive():
-    assert PhysicalConstants().hbar == 1.0
-    assert PhysicalConstants().dimension == "L M T^-1"
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=-1.0)
+        assert verify_structure() == ((), ())
 
 
 class TestSpinReps:
@@ -130,8 +118,8 @@ class TestSpinReps:
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
     def test_bracket_residuals(self, j):
         verification = verify_rep(build_spin_rep(j), tolerance=1e-12)
-        assert verification.passed
-        assert verification.max_residual <= 1e-12
+        assert verification["pass"]
+        assert verification["max_residual"] <= 1e-12
 
     def test_casimir_commutes_with_rotations(self):
         rep = build_spin_rep(1.5)
@@ -176,7 +164,7 @@ class TestGridRep:
 
     def test_bracket_residuals_masked(self):
         verification = verify_rep(build_grid_rep(128, 16.0, 1.0), tolerance=1e-6)
-        assert verification.passed, verification.to_dict()
+        assert verification["pass"], verification
 
     def test_kinetic_ground_energy_near_zero(self):
         rep = build_grid_rep(64, 16.0, 1.0)
@@ -196,7 +184,7 @@ class TestAdditive:
         assert np.allclose(eigs, [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
         assert np.allclose(total.image("M"), 2.5 * np.eye(4), atol=1e-15)
         assert total.mass == 2.5
-        assert verify_rep(total, tolerance=1e-12).passed
+        assert verify_rep(total, tolerance=1e-12)["pass"]
 
     def test_cross_part_commutation_exact(self):
         parts = [build_spin_rep(0.5), build_spin_rep(1.0)]
@@ -242,8 +230,8 @@ class TestAdditive:
         a = build_grid_rep(128, 16.0, 1.0)
         b = build_grid_rep(128, 16.0, 1.5)
         result = verify_additive_grid_pair(a, b, tolerance=1e-6, n_states=20, seed=0)
-        assert result.passed, result.to_dict()
-        laws = {c.law for c in result.checks}
+        assert result["pass"], result
+        laws = {c["law"] for c in result["checks"]}
         assert "[P_total, X_part] = -ihbar" in laws
         assert "[K_total, P_part] = ihbar*m_part" in laws
         assert "M_total = (m_a + m_b)*identity" in laws
@@ -314,15 +302,16 @@ def test_additive_pair_matches_unmemoized_dense_oracle():
     a = build_grid_rep(32, 16.0, 1.0)
     b = build_grid_rep(32, 16.0, 1.5)
     result = verify_additive_grid_pair(a, b, tolerance=1e-6, n_states=6, seed=4)
-    assert {c.law: c.residual for c in result.checks} == unmemoized_pair_residuals(a, b, 6, 4)
+    residuals = {c["law"]: c["residual"] for c in result["checks"]}
+    assert residuals == unmemoized_pair_residuals(a, b, 6, 4)
 
 
 def test_negative_control_corrupted_rotation():
     rep = build_spin_rep(0.5)
     corrupted = rep.with_image("J3", 2.0 * rep.image("J3"))
     verification = verify_rep(corrupted, tolerance=1e-12)
-    assert not verification.passed
-    failing = {c.law for c in verification.checks if not c.passed}
+    assert not verification["pass"]
+    failing = {c["law"] for c in verification["checks"] if not c["pass"]}
     assert any("[J1,J2]" in law for law in failing)
 
 
@@ -341,8 +330,7 @@ def test_rep_requires_all_images():
 
 
 def test_verification_report_serializable():
-    verification = verify_rep(build_spin_rep(0.5), tolerance=1e-12)
-    doc = verification.to_dict()
+    doc = verify_rep(build_spin_rep(0.5), tolerance=1e-12)
     assert doc["pass"] is True
     assert doc["domain_mask"] == "full space"
     assert all({"law", "residual", "tolerance", "pass"} <= set(c) for c in doc["checks"])

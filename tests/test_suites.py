@@ -1,0 +1,178 @@
+"""The suite layer's contracts: config merging and validation, the one verdict
+policy of every check, and the structure of the seed-0 default report.
+
+``data/report_structure.json`` records, for every check of the seed-0 default
+``all`` report, its suite, id, law, tolerance and the keys of its detail.
+After a deliberate change to a check, rewrite it with
+``PYTHONPATH=src python tests/test_suites.py``.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qsystems import suites
+from qsystems.report import SuiteReport, as_builtin
+
+STRUCTURE = Path(__file__).parent / "data" / "report_structure.json"
+
+DEFAULTS = {
+    "axioms": suites._AXIOMS_DEFAULTS,
+    "symmetry": suites._SYMMETRY_DEFAULTS,
+    "dynamics": suites._DYNAMICS_DEFAULTS,
+    "charge": suites._CHARGE_DEFAULTS,
+    "epr": suites._EPR_DEFAULTS,
+    "bell": suites._BELL_DEFAULTS,
+}
+
+
+class TestMerge:
+    def test_nested_override_keeps_siblings(self):
+        cfg = suites._merge(DEFAULTS["dynamics"], {"evolution": {"t_final": 1}}, "dynamics")
+        assert cfg["evolution"] == {"t_final": 1, "n_steps": 100}
+        assert cfg["relative"] == DEFAULTS["dynamics"]["relative"]
+
+    def test_defaults_are_not_mutated(self):
+        before = json.dumps(DEFAULTS["dynamics"], sort_keys=True)
+        suites._merge(DEFAULTS["dynamics"], {"relative": {"n_sites": 8}}, "dynamics")
+        assert json.dumps(DEFAULTS["dynamics"], sort_keys=True) == before
+
+    def test_integer_stands_for_number_but_not_the_reverse(self):
+        assert suites._merge(DEFAULTS["epr"], {"length": 8}, "epr")["length"] == 8
+        with pytest.raises(ValueError, match=r"epr\.n_sites must be an integer"):
+            suites._merge(DEFAULTS["epr"], {"n_sites": 64.0}, "epr")
+        with pytest.raises(ValueError, match=r"epr\.n_sites must be an integer"):
+            suites._merge(DEFAULTS["epr"], {"n_sites": True}, "epr")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ValueError, match=r"bell\.mc_sigmas must be finite"):
+            suites._merge(DEFAULTS["bell"], {"mc_sigmas": value}, "bell")
+
+    def test_optional_potential_must_be_an_object(self):
+        cfg = suites._merge(
+            DEFAULTS["dynamics"], {"relative": {"potential": {"v": 1.0}}}, "dynamics"
+        )
+        assert cfg["relative"]["potential"] == {"v": 1.0}
+        assert cfg["relative"]["n_sites"] == 64
+        with pytest.raises(ValueError, match=r"dynamics\.relative\.potential"):
+            suites._merge(DEFAULTS["dynamics"], {"relative": {"potential": 1.0}}, "dynamics")
+        with pytest.raises(ValueError, match=r"unknown config key axioms\.potential"):
+            suites._merge(DEFAULTS["axioms"], {"potential": {}}, "axioms")
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def suite_sections(draw):
+    """A suite name and a random section that mostly reuses its real keys."""
+    name = draw(st.sampled_from(sorted(DEFAULTS)))
+    keys = st.sampled_from(sorted(DEFAULTS[name])) | st.text(max_size=4)
+    nested = st.dictionaries(
+        st.sampled_from(["n_sites", "masses", "lambdas", "t_final", "potential"]), JSON_VALUES
+    )
+    section = draw(st.dictionaries(keys, JSON_VALUES | nested, max_size=5) | JSON_VALUES)
+    return name, section
+
+
+@settings(max_examples=200, deadline=None)
+@given(suite_sections())
+def test_merge_returns_a_config_or_raises_value_error(case):
+    name, section = case
+    try:
+        cfg = suites._merge(DEFAULTS[name], section, name)
+    except ValueError:
+        return
+    assert isinstance(cfg, dict)
+    assert set(cfg) == set(DEFAULTS[name])
+
+
+class TestVerdictPolicy:
+    def checks(self, scale=1.0):
+        report = SuiteReport("probe", seed=0, config={"tight": 1e-3})
+        check, tol = suites._checks(report, scale)
+        return report, check, tol
+
+    def test_residual_passes_at_its_scaled_tolerance(self):
+        report, check, tol = self.checks(scale=2.0)
+        assert tol("tight") == 2e-3 and tol(0.5) == 1.0
+        check("key", "law", 2e-3, "tight")
+        check("number", "law", 1.5, 0.5)
+        assert [(c.tolerance, c.passed) for c in report.checks] == [(2e-3, True), (1.0, False)]
+
+    def test_count_passes_at_zero_and_flag_when_true(self):
+        report, check, _ = self.checks()
+        check("zero", "law", 0)
+        check("some", "law", 3)
+        check("true", "law", np.bool_(True))
+        check("false", "law", False)
+        assert [(c.value, c.tolerance, c.passed) for c in report.checks] == [
+            (0, None, True),
+            (3, None, False),
+            (True, None, True),
+            (False, None, False),
+        ]
+
+    @pytest.mark.parametrize(
+        "value, tolerance", [(math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)]
+    )
+    def test_non_finite_residual_or_tolerance_fails(self, value, tolerance):
+        report, check, _ = self.checks()
+        check("bad", "law", value, tolerance, {"samples": [value, 1.0]})
+        record = report.checks[0].to_dict()
+        assert record["pass"] is False and record["non_finite"] is True
+        json.dumps(record, allow_nan=False)
+
+    def test_finite_record_has_no_non_finite_key(self):
+        report, check, _ = self.checks()
+        check("ok", "law", 1e-4, "tight")
+        assert "non_finite" not in report.checks[0].to_dict()
+
+
+def test_as_builtin_maps_non_finite_floats_to_null():
+    doc = {"a": np.array([1.0, np.nan]), "b": np.float64(np.inf), "c": [-math.inf, 2]}
+    assert as_builtin(doc) == {"a": [1.0, None], "b": None, "c": [None, 2]}
+
+
+def report_structure(reports) -> list[dict]:
+    """(suite, id, law, tolerance, detail keys) of every check, in order."""
+    return [
+        {
+            "suite": report.suite,
+            "id": record["id"],
+            "law": record["law"],
+            "tolerance": record["tolerance"],
+            "detail_keys": sorted(record["detail"]) if "detail" in record else None,
+        }
+        for report in reports
+        for record in report.to_dict()["checks"]
+    ]
+
+
+def test_seed0_report_structure_matches_record():
+    found = report_structure(suites.run_all(seed=0))
+    recorded = json.loads(STRUCTURE.read_text(encoding="utf-8"))
+    assert [(c["suite"], c["id"]) for c in found] == [(c["suite"], c["id"]) for c in recorded]
+    for got, want in zip(found, recorded):
+        # The Monte-Carlo margins come from a sampled stderr: compare loosely.
+        if want["tolerance"] is None:
+            assert got["tolerance"] is None, got["id"]
+        else:
+            assert got["tolerance"] == pytest.approx(want["tolerance"], rel=1e-9), got["id"]
+        assert (got["law"], got["detail_keys"]) == (want["law"], want["detail_keys"]), got["id"]
+
+
+if __name__ == "__main__":
+    structure = report_structure(suites.run_all(seed=0))
+    STRUCTURE.write_text(json.dumps(structure, indent=1) + "\n", encoding="utf-8")
