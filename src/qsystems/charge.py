@@ -30,7 +30,6 @@ __all__ = [
 
 CENTRAL_ATOL = 1e-10
 INTEGER_SPECTRUM_ATOL = 1e-9
-BLOCK_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +116,7 @@ class SectorDecomposition:
         }
 
 
-def sector_decomposition(model: ChargeModel, block_atol: float = BLOCK_ATOL) -> SectorDecomposition:
+def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
     """Spectral projectors of the charge and the superselection diagnostics.
 
     Reports whether the neutral (charge-zero) sector is one-dimensional,

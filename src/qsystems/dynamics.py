@@ -4,7 +4,10 @@ evolution, and the weak-coupling additivity check.
 Two-body spatial problems are posed in the relative coordinate on a single
 periodic grid (center of mass dropped); the full product-space construction
 is also available, mainly so that the zero-coupling Hamiltonian can be
-compared exactly against the sum of lifted one-body Hamiltonians.
+compared exactly against the sum of lifted one-body Hamiltonians.  The
+momentum-conservation check draws masked product states and applies the
+two-body operators leg by leg with the :mod:`qsystems.grids` machinery that
+the additive Galilei pair uses.
 """
 
 from __future__ import annotations
@@ -410,41 +413,34 @@ def momentum_conservation_residual(
 
     Requires a spinless two-body configuration; the potential must depend
     only on the relative separation (which the construction guarantees).
-    The two-body operators are applied leg by leg to (n, n) state arrays, so
+    The two-body operators are applied leg by leg to (n, n) state arrays by
+    :func:`grids.leg_product`, the engine of the additive Galilei pair, so
     nothing of size n^2 x n^2 is ever formed.
     """
     if cfg.spin_half:
         raise ValueError("momentum conservation check runs on the spinless model")
-    from .galilei import build_grid_rep  # local import to avoid a cycle
-
-    n = cfg.grid.n_sites
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    p = grids.momentum_operator(cfg.grid, hbar)
-    x = grids.position_values(cfg.grid)
-    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length)
-    v = pot.sample(pot.v, dist)
-
-    def apply_h(psi: np.ndarray) -> np.ndarray:
-        return t1 @ psi + psi @ t2.T + v * psi
-
-    def apply_p(psi: np.ndarray) -> np.ndarray:
-        return p @ psi + psi @ p.T
-
-    rep_a = build_grid_rep(
-        n, cfg.grid.length, cfg.masses[0], hbar, band_fraction, envelope_frac
-    )
-    rep_b = build_grid_rep(
-        n, cfg.grid.length, cfg.masses[1], hbar, band_fraction, envelope_frac
-    )
+    grid = cfg.grid
+    x = grids.position_values(grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
+    p = grids.momentum_operator(grid, hbar)
+    ops = {
+        "Ha": (grids.kinetic_operator(grid, cfg.masses[0], hbar), 0),
+        "Hb": (grids.kinetic_operator(grid, cfg.masses[1], hbar), 1),
+        "V": (pot.sample(pot.v, dist), None),
+        "H": ("Ha", "Hb", "V"),
+        "Pa": (p, 0),
+        "Pb": (p, 1),
+        "P": ("Pa", "Pb"),
+    }
+    mask = grids.band_limited_mask(grid, band_fraction, envelope_frac)
     rng = np.random.default_rng(seed)
-    sa = rep_a.mask.random_states(n_states, rng)
-    sb = rep_b.mask.random_states(n_states, rng)
+    sa = mask.random_states(n_states, rng)
+    sb = mask.random_states(n_states, rng)
     worst = 0.0
     for col in range(n_states):
-        psi = np.outer(sa[:, col], sb[:, col])
-        hp = apply_h(apply_p(psi))
-        ph = apply_p(apply_h(psi))
+        products = {(): np.outer(sa[:, col], sb[:, col])}
+        hp = grids.leg_product(ops, products, ("H", "P"))
+        ph = grids.leg_product(ops, products, ("P", "H"))
         scale = max(np.linalg.norm(hp), np.linalg.norm(ph))
         if scale > 0:
             worst = max(worst, float(np.linalg.norm(hp - ph) / scale))

@@ -7,21 +7,23 @@ coefficients times powers of (i*hbar); antisymmetry and the Jacobi identity
 are checked with no floating point at all.  The numeric layer builds dense
 matrix representations (spin, periodic grid, additive composites) and
 measures how well each one reproduces the bracket table, restricted to the
-subspace on which the representation makes its claims.
+subspace on which the representation makes its claims.  A representation
+holds images of exactly the generators it asserts.  Grid masks and the
+leg-by-leg two-particle products live in :mod:`qsystems.grids`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import grids
-from .grids import GridSpec
-from .hilbert import SpaceSpec
+from .grids import DomainMask, GridSpec, leg_product
+from .hilbert import Operator, SpaceSpec, lift
 
 __all__ = [
     "LABELS",
@@ -32,7 +34,6 @@ __all__ = [
     "combo_is_zero",
     "jacobi_residual",
     "verify_structure",
-    "DomainMask",
     "AlgebraRep",
     "build_spin_rep",
     "build_grid_rep",
@@ -190,55 +191,26 @@ def verify_structure() -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, st
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DomainMask:
-    """Orthonormal basis of the subspace on which bracket relations hold."""
-
-    basis: np.ndarray  # (dim, m) columns
-    description: str
-
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=np.complex128)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    def random_states(self, n_states: int, rng: np.random.Generator) -> np.ndarray:
-        """Unit-norm columns drawn uniformly from the masked subspace."""
-        m = self.subspace_dim
-        coeffs = rng.standard_normal((m, n_states)) + 1j * rng.standard_normal((m, n_states))
-        states = self.basis @ coeffs
-        return states / np.linalg.norm(states, axis=0, keepdims=True)
-
-
 @dataclass(eq=False)
 class AlgebraRep:
-    """Dense operator images of the generators on one space.
+    """Dense operator images, on one space, of the generators whose mutual
+    bracket relations the representation asserts.
 
-    ``sector`` lists the labels whose mutual bracket relations the
-    representation asserts; images outside the sector exist (as zero
-    matrices, typically) but carry no claim.  ``mask`` restricts assertions
-    to a subspace when exact relations are unattainable (periodic grids).
+    ``images`` is keyed in ``LABELS`` order; a generator the representation
+    does not realize has no image.  ``mask`` restricts assertions to a
+    subspace when exact relations are unattainable (periodic grids).
     """
 
     space: SpaceSpec
     images: dict[str, np.ndarray]
     hbar: float
     mass: float
-    sector: tuple[str, ...]
     mask: DomainMask | None = None
     name: str = "rep"
 
     def __post_init__(self):
-        missing = [lab for lab in LABELS if lab not in self.images]
-        if missing:
-            raise ValueError(f"representation lacks images for {missing}")
+        if list(self.images) != [lab for lab in LABELS if lab in self.images]:
+            raise ValueError(f"image labels {list(self.images)} must follow the order of {LABELS}")
         frozen = {}
         d = self.space.total_dim
         for lab, mat in self.images.items():
@@ -260,11 +232,6 @@ class AlgebraRep:
         if m_eigs.min() < -atol:
             raise ValueError("mass image has a negative eigenvalue")
 
-    def with_image(self, label: str, matrix: np.ndarray) -> "AlgebraRep":
-        new_images = dict(self.images)
-        new_images[label] = matrix
-        return replace(self, images=new_images)
-
 
 def _zeros(d: int) -> np.ndarray:
     return np.zeros((d, d), dtype=np.complex128)
@@ -278,8 +245,8 @@ def build_spin_rep(j, hbar: float = 1.0, mass: float = 1.0) -> AlgebraRep:
     j : half-integer spin (1/2, 1, 3/2, ...).
     hbar, mass : scale of the angular momenta and the central mass value.
 
-    The boosts, momenta, and energy are mapped to zero; only the rotation
-    subalgebra together with the central mass is asserted.
+    Only the rotation subalgebra together with the central mass is realized
+    and asserted; the representation has no boost, momentum or energy image.
     """
     two_j = round(2 * float(j))
     if abs(2 * float(j) - two_j) > 1e-9 or two_j < 1:
@@ -297,14 +264,11 @@ def build_spin_rep(j, hbar: float = 1.0, mass: float = 1.0) -> AlgebraRep:
     jminus = jplus.conj().T
     jx = 0.5 * (jplus + jminus)
     jy = -0.5j * (jplus - jminus)
-    images = {lab: _zeros(dim) for lab in LABELS}
-    images.update({"J1": jx, "J2": jy, "J3": jz, "M": mass * np.eye(dim, dtype=np.complex128)})
     return AlgebraRep(
         space=SpaceSpec.single(dim),
-        images=images,
+        images={"J1": jx, "J2": jy, "J3": jz, "M": mass * np.eye(dim, dtype=np.complex128)},
         hbar=hbar,
         mass=mass,
-        sector=("J1", "J2", "J3", "M"),
         mask=None,
         name=f"spin(j={jv:g})",
     )
@@ -317,32 +281,6 @@ def casimir_squared(rep: AlgebraRep) -> np.ndarray:
         mat = rep.image(lab)
         total = total + mat @ mat
     return total
-
-
-def _band_limited_mask(
-    grid: GridSpec, band_fraction: float, envelope_frac: float, svd_cut: float = 1e-4
-) -> DomainMask:
-    n = grid.n_sites
-    max_mode = int(np.floor(n * band_fraction / 2))
-    x = grids.position_values(grid)
-    sigma = grid.length * envelope_frac
-    envelope = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
-    columns = []
-    for mode in range(-max_mode, max_mode + 1):
-        k = 2.0 * np.pi * mode / grid.length
-        columns.append(envelope * np.exp(1j * k * x))
-    raw = np.column_stack(columns)
-    # Neighboring columns overlap strongly; keep only the well-conditioned
-    # part of the span, or the orthonormalization amplifies roundoff into
-    # spurious high-frequency content.
-    u, s, _ = np.linalg.svd(raw, full_matrices=False)
-    basis = u[:, s >= svd_cut * s[0]]
-    description = (
-        f"well-conditioned span (cutoff {svd_cut:g}) of gaussian envelope "
-        f"sigma={sigma:g} at box center times plane waves with |mode| <= {max_mode} "
-        f"of {n} (lowest {band_fraction:.0%} of momentum modes); dim {basis.shape[1]}"
-    )
-    return DomainMask(basis=basis, description=description)
 
 
 def build_grid_rep(
@@ -361,31 +299,24 @@ def build_grid_rep(
     commutator vanishes, the trace of i*hbar*M does not), so the bracket
     claims are restricted to the returned band-limited interior mask.
 
-    The single spatial axis realizes H, P1, K1, M; the remaining generators
-    are represented by zero and are outside the asserted sector.
+    The single spatial axis realizes H, P1, K1, M, the only images the
+    representation carries.
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
     grid = GridSpec(n_sites=n_sites, length=float(length))
-    x = grids.position_values(grid)
-    pos = np.diag(x).astype(np.complex128)
-    mom = grids.momentum_operator(grid, hbar)
-    images = {lab: _zeros(n_sites) for lab in LABELS}
-    images.update(
-        {
-            "P1": mom,
-            "K1": mass * pos,
-            "H": grids.kinetic_operator(grid, mass, hbar),
-            "M": mass * np.eye(n_sites, dtype=np.complex128),
-        }
-    )
+    pos = np.diag(grids.position_values(grid)).astype(np.complex128)
     return AlgebraRep(
         space=SpaceSpec.single(n_sites),
-        images=images,
+        images={
+            "H": grids.kinetic_operator(grid, mass, hbar),
+            "P1": grids.momentum_operator(grid, hbar),
+            "K1": mass * pos,
+            "M": mass * np.eye(n_sites, dtype=np.complex128),
+        },
         hbar=hbar,
         mass=mass,
-        sector=("H", "P1", "K1", "M"),
-        mask=_band_limited_mask(grid, band_fraction, envelope_frac),
+        mask=grids.band_limited_mask(grid, band_fraction, envelope_frac),
         name=f"grid(n={n_sites}, L={length:g}, m={mass:g})",
     )
 
@@ -393,9 +324,10 @@ def build_grid_rep(
 def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -> AlgebraRep:
     """Composite representation: tensor-product space, summed lifted generators.
 
-    Every generator image is the sum over parts of that part's image lifted
-    by identities on the other factors; in particular the total mass image is
-    the sum of the part masses.  Dense construction only; beyond
+    The composite carries the generators that every part carries.  Each
+    image is the sum over parts of that part's image lifted by identities on
+    the other factors; in particular the total mass image is the sum of the
+    part masses.  Dense construction only; beyond
     ``max_dense_dim`` use :func:`verify_additive_grid_pair`, which applies the
     lifted operators matrix-free.
     """
@@ -412,20 +344,15 @@ def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -
         )
     factor_dims = tuple(itertools.chain.from_iterable(p.space.factor_dims for p in parts))
     space = SpaceSpec(factor_dims)
-
-    def lift_part(mat: np.ndarray, index: int) -> np.ndarray:
-        out = np.eye(1, dtype=np.complex128)
-        for r, d in enumerate(dims):
-            out = np.kron(out, mat if r == index else np.eye(d, dtype=np.complex128))
-        return out
+    part_space = SpaceSpec(tuple(dims))
 
     images = {}
     for lab in LABELS:
-        total = _zeros(total_dim)
-        for r, part in enumerate(parts):
-            total = total + lift_part(part.image(lab), r)
-        images[lab] = total
-    sector = tuple(lab for lab in LABELS if all(lab in p.sector for p in parts))
+        if all(lab in p.images for p in parts):
+            total = _zeros(total_dim)
+            for r, part in enumerate(parts):
+                total = total + lift(Operator(part.space, part.image(lab)), r, part_space).entries
+            images[lab] = total
     mask = None
     if all(p.mask is not None for p in parts):
         basis = parts[0].mask.basis
@@ -440,7 +367,6 @@ def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -
         images=images,
         hbar=hbar,
         mass=float(sum(p.mass for p in parts)),
-        sector=sector,
         mask=mask,
         name="additive(" + ", ".join(p.name for p in parts) + ")",
     )
@@ -493,14 +419,14 @@ def _relative_residual(delta: np.ndarray, *references: np.ndarray) -> float:
 def verify_rep(rep: AlgebraRep, tolerance: float) -> dict:
     """Bracket residuals over every asserted generator pair, as report detail.
 
-    For each pair (x, y) in the sector the commutator of the images is
-    compared against the image of the exact bracket, applied to the mask
-    basis (the full space when no mask is present).  Residuals are relative
+    For each pair (x, y) of the representation's generators the commutator
+    of the images is compared against the image of the exact bracket,
+    applied to the mask basis (the full space when no mask is present).  Residuals are relative
     to the larger of the expected image's action and the products' actions.
     """
     basis = rep.mask.basis if rep.mask is not None else np.eye(rep.space.total_dim)
     residuals = {}
-    for a, b in itertools.combinations(rep.sector, 2):
+    for a, b in itertools.combinations(rep.images, 2):
         ma, mb = rep.image(a), rep.image(b)
         ab = ma @ (mb @ basis)
         ba = mb @ (ma @ basis)
@@ -526,40 +452,6 @@ def position_momentum_residuals(
     p = rep.image("P1")
     delta = x @ (p @ states) - p @ (x @ states) - 1j * rep.hbar * states
     return np.linalg.norm(delta, axis=0) / rep.hbar
-
-
-def _apply_factor(op: np.ndarray, which: int, psi: np.ndarray) -> np.ndarray:
-    """Apply a one-particle operator to one leg of a two-particle state.
-
-    ``op`` is a dense matrix, or the vector of its diagonal, which then acts
-    elementwise.
-    """
-    if op.ndim == 1:
-        return op[:, None] * psi if which == 0 else psi * op
-    if which == 0:
-        return op @ psi
-    return psi @ op.T
-
-
-def _leg_product(legs: dict, products: dict, names: tuple[str, ...]) -> np.ndarray:
-    """The operator product ``names`` applied to the state ``products[()]``;
-    ("K", "P") is K_total(P_total(psi)).  ``products`` memoizes every partial
-    product, so each is computed once per state.
-
-    A module-level function, so that no closure refers to itself: such a
-    cycle would keep the memo alive after the call until the cyclic garbage
-    collector happened to run.
-    """
-    if names not in products:
-        first, rest = names[0], names[1:]
-        if first in legs:
-            op, which = legs[first]
-            products[names] = _apply_factor(op, which, _leg_product(legs, products, rest))
-        else:
-            products[names] = _leg_product(legs, products, (first + "a", *rest)) + _leg_product(
-                legs, products, (first + "b", *rest)
-            )
-    return products[names]
 
 
 def verify_additive_grid_pair(
@@ -591,12 +483,12 @@ def verify_additive_grid_pair(
     states_a = part_a.mask.random_states(n_states, rng)
     states_b = part_b.mask.random_states(n_states, rng)
 
-    # Leg operators: a name ending in "a" or "b" acts on that part's leg; a
-    # bare generator name is the total, the sum of both legs.
-    legs = {}
+    # A name ending in "a" or "b" acts on that part's leg; a bare generator
+    # name is the total, the sum of both legs.
+    ops = {}
     for which, (tag, part) in enumerate((("a", part_a), ("b", part_b))):
         k = np.diag(part.image("K1"))
-        legs.update(
+        ops.update(
             {
                 "P" + tag: (part.image("P1"), which),
                 "K" + tag: (k, which),
@@ -605,6 +497,7 @@ def verify_additive_grid_pair(
                 "X" + tag: (k / part.mass, which),
             }
         )
+    ops.update({label: (label + "a", label + "b") for label in "PKHM"})
     m_a, m_b = part_a.mass, part_b.mass
 
     records: dict[str, float] = {}
@@ -613,7 +506,7 @@ def verify_additive_grid_pair(
         records[law] = max(records.get(law, 0.0), value)
 
     def act(*names: str) -> np.ndarray:
-        return _leg_product(legs, products, names)
+        return leg_product(ops, products, names)
 
     def comm(f: str, g: str) -> np.ndarray:
         return act(f, g) - act(g, f)

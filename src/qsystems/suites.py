@@ -25,6 +25,11 @@ __all__ = ["SUITE_RUNNERS", "run_suite", "run_all"]
 # Config keys that have no default and may be given as a JSON object.
 _OPTIONAL_OBJECTS = {"dynamics.relative.potential"}
 
+# Config keys whose number must be positive.
+_POSITIVE_NUMBERS = {"axioms.hbar", "dynamics.hbar", "epr.hbar"}
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 _JSON_TYPES = {
     bool: "a boolean",
     int: "an integer",
@@ -38,13 +43,13 @@ _JSON_TYPES = {
 
 def _check_type(path: str, default, value) -> None:
     """Raise ValueError, naming ``path``, unless ``value`` has the JSON type of
-    ``default`` and is finite."""
+    ``default`` and, if a number, is finite and within the float range."""
     expected = type(default)
     if not (type(value) is expected or (expected is float and type(value) is int)):
         got = _JSON_TYPES.get(type(value), type(value).__name__)
         raise ValueError(f"{path} must be {_JSON_TYPES[expected]}, not {got}")
-    if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"{path} must be finite")
+    if type(value) in (int, float) and not (-_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ValueError(f"{path} must be finite and within the float range")
     if expected is list and default:
         for i, item in enumerate(value):
             _check_type(f"{path}[{i}]", default[0], item)
@@ -73,6 +78,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
             out[key] = _merge(defaults[key], value, where)
         else:
             _check_type(where, defaults[key], value)
+            if where in _POSITIVE_NUMBERS and not value > 0:
+                raise ValueError(f"{where} must be positive")
             out[key] = value
     return out
 

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsystems.cli import main
+from qsystems import suites
+from qsystems.cli import SUITE_NAMES, main
 
 FAST_BELL = {"bell": {"n_samples": 10_000, "n_random_settings": 2}}
 
@@ -236,6 +242,13 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ("charge", {"charge": {"charges": [0, 1.5, 2]}}, "charge.charges[1]"),
         ("bell", {"bell": {"angles": [0.0, 1.0, 2.0, "x"]}}, "bell.angles[3]"),
         ("all", {"axiom": {}}, "'axiom'"),
+        ("epr", {"epr": {"length": 10 ** 400}}, "epr.length must be finite"),
+        ("epr", {"epr": {"n_sites": -(10 ** 400)}}, "epr.n_sites must be finite"),
+        ("axioms", {"axioms": {"grid_masses": [1.0, 10 ** 400]}}, "axioms.grid_masses[1] must be"),
+        ("axioms", {"axioms": {"hbar": 0}}, "axioms.hbar must be positive"),
+        ("dynamics", {"dynamics": {"hbar": 0}}, "dynamics.hbar must be positive"),
+        ("epr", {"epr": {"hbar": -1.0}}, "epr.hbar must be positive"),
+        ("all", {"axioms": {"hbar": 0.0}}, "axioms.hbar must be positive"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):
@@ -245,6 +258,74 @@ def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_pa
     err = capsys.readouterr().err
     assert path in err
     assert "Traceback" not in err
+
+
+# Values of every JSON type, for keys whose default has another type.
+_ANY_JSON = ["text", True, None, [], {}, 1.5, 7]
+
+
+def _paths(defaults: dict, path: str):
+    """(dotted path, default) of every key below ``path``, objects included."""
+    for key, value in defaults.items():
+        yield f"{path}.{key}", value
+        if isinstance(value, dict):
+            yield from _paths(value, f"{path}.{key}")
+
+
+_PATHS = []
+for _suite in SUITE_NAMES:
+    _defaults = getattr(suites, f"_{_suite.upper()}_DEFAULTS")
+    _PATHS += [(_suite, where, d) for where, d in [(_suite, _defaults), *_paths(_defaults, _suite)]]
+
+
+def _draw_path(draw, keep):
+    return draw(st.sampled_from([entry for entry in _PATHS if keep(entry[2])]))
+
+
+@st.composite
+def invalid_sections(draw):
+    """(suite, dotted path, config) with exactly one invalid entry."""
+    kind = draw(st.sampled_from(["unknown", "mistyped", "non-finite", "overflow", "hbar"]))
+    if kind == "unknown":
+        suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
+        where += ".no_such_key"
+        value = draw(st.sampled_from(_ANY_JSON))
+    elif kind == "mistyped":
+        suite, where, default = _draw_path(draw, lambda d: not isinstance(d, dict))
+        value = draw(st.sampled_from([
+            v for v in _ANY_JSON
+            if type(v) is not type(default) and not (type(default) is float and type(v) is int)
+        ]))
+    elif kind == "non-finite":
+        suite, where, _ = _draw_path(draw, lambda d: type(d) is float)
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "overflow":
+        suite, where, _ = _draw_path(draw, lambda d: type(d) in (int, float))
+        value = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 400))
+    else:
+        where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
+        suite = where.split(".")[0]
+        value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
+    doc = value
+    for key in reversed(where.split(".")):
+        doc = {key: doc}
+    return suite, where, doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(invalid_sections())
+def test_main_rejects_every_invalid_section_with_exit_2(case):
+    suite, where, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([suite, "--config", str(path)])
+    assert rc == 2
+    assert where in err.getvalue()
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("potential", [{"v": "x"}, {"w": 1.0}, {"v": {"r": [{}], "values": [1]}}])

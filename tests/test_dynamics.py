@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsystems import dynamics, grids
+from qsystems import dynamics, galilei, grids
 from qsystems.dynamics import (
     BodyConfig,
     PotentialSpec,
@@ -213,6 +213,35 @@ def test_momentum_conservation_on_masked_states():
     cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=GRID)
     residual = momentum_conservation_residual(cfg, PotentialSpec(v=gaussian_well().v), seed=2)
     assert residual <= 1e-6
+
+
+def test_momentum_conservation_matches_explicit_product_oracle():
+    grid = GridSpec(32, 16.0)
+    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=grid)
+    pot = PotentialSpec(v=gaussian_well().v)
+    t1 = grids.kinetic_operator(grid, 1.0)
+    t2 = grids.kinetic_operator(grid, 1.5)
+    p = grids.momentum_operator(grid)
+    x = grids.position_values(grid)
+    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+
+    def apply_h(psi):
+        return t1 @ psi + psi @ t2.T + v * psi
+
+    def apply_p(psi):
+        return p @ psi + psi @ p.T
+
+    mask = galilei.build_grid_rep(32, 16.0, 1.0).mask
+    rng = np.random.default_rng(5)
+    sa, sb = mask.random_states(4, rng), mask.random_states(4, rng)
+    expected = 0.0
+    for col in range(4):
+        psi = np.outer(sa[:, col], sb[:, col])
+        hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
+        scale = max(np.linalg.norm(hp), np.linalg.norm(ph))
+        expected = max(expected, float(np.linalg.norm(hp - ph) / scale))
+    assert expected > 0.0
+    assert momentum_conservation_residual(cfg, pot, n_states=4, seed=5) == expected
 
 
 def kron_product_parts(cfg, pot, hbar=1.0):

@@ -97,7 +97,7 @@ def test_commuting_pair_simultaneously_sharp_dense():
     # Small grid so both observables fit as dense matrices: total momentum is
     # exactly sharp, relative position is sharp to the regularization width.
     from qsystems.hilbert import Operator, sharp_value
-    from qsystems.grids import GridSpec, momentum_values, unitary_dft
+    from qsystems.grids import GridSpec, momentum_operator
 
     cfg = EPRConfig(n_sites=32, length=16.0, separation=1.0, width=1.0)
     psi = build_epr_state(cfg)
@@ -105,8 +105,7 @@ def test_commuting_pair_simultaneously_sharp_dense():
     xrel = Operator(psi.space, np.diag(d.reshape(-1)))
 
     grid = GridSpec(32, 16.0)
-    f = unitary_dft(grid)
-    p1 = f.conj().T @ (momentum_values(grid)[:, None] * f)
+    p1 = momentum_operator(grid)
     p_tot = np.kron(p1, np.eye(32)) + np.kron(np.eye(32), p1)
     p_op = Operator(psi.space, 0.5 * (p_tot + p_tot.conj().T))
 

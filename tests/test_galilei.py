@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from fractions import Fraction
 
@@ -211,7 +212,7 @@ class TestAdditive:
         b = build_grid_rep(32, 16.0, 1.5)
         dense = build_additive_rep([a, b])
         assert dense.space.total_dim == 1024
-        assert dense.sector == ("H", "P1", "K1", "M")
+        assert tuple(dense.images) == ("H", "P1", "K1", "M")
         rng = np.random.default_rng(3)
         psi_a = a.mask.random_states(1, rng)[:, 0]
         psi_b = b.mask.random_states(1, rng)[:, 0]
@@ -308,25 +309,26 @@ def test_additive_pair_matches_unmemoized_dense_oracle():
 
 def test_negative_control_corrupted_rotation():
     rep = build_spin_rep(0.5)
-    corrupted = rep.with_image("J3", 2.0 * rep.image("J3"))
+    corrupted = dataclasses.replace(rep, images={**rep.images, "J3": 2.0 * rep.image("J3")})
     verification = verify_rep(corrupted, tolerance=1e-12)
     assert not verification["pass"]
     failing = {c["law"] for c in verification["checks"] if not c["pass"]}
     assert any("[J1,J2]" in law for law in failing)
 
 
-def test_rep_requires_all_images():
+def test_rep_rejects_labels_outside_or_out_of_order():
     rep = build_spin_rep(0.5)
-    partial = dict(rep.images)
-    del partial["M"]
-    with pytest.raises(ValueError):
-        galilei.AlgebraRep(
-            space=rep.space,
-            images=partial,
-            hbar=1.0,
-            mass=1.0,
-            sector=rep.sector,
-        )
+    for labels in (("J1", "J2", "J3", "Q"), ("J2", "J1", "J3", "M"), ("M", "J1", "J2", "J3")):
+        images = dict(zip(labels, rep.images.values()))
+        with pytest.raises(ValueError, match="order"):
+            galilei.AlgebraRep(space=rep.space, images=images, hbar=1.0, mass=1.0)
+
+
+def test_reps_hold_only_asserted_images():
+    assert tuple(build_spin_rep(1.0).images) == ("J1", "J2", "J3", "M")
+    assert tuple(build_grid_rep(32, 16.0, 1.0).images) == ("H", "P1", "K1", "M")
+    total = build_additive_rep([build_spin_rep(0.5), build_grid_rep(32, 16.0, 1.0)])
+    assert tuple(total.images) == ("M",)
 
 
 def test_verification_report_serializable():
