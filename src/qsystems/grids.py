@@ -27,7 +27,6 @@ __all__ = [
     "periodic_distance",
     "DomainMask",
     "band_limited_mask",
-    "apply_factor",
     "leg_product",
 ]
 
@@ -137,7 +136,7 @@ def band_limited_mask(
     return DomainMask(basis=basis, description=description)
 
 
-def apply_factor(op: np.ndarray, which: int | None, psi: np.ndarray) -> np.ndarray:
+def _apply_factor(op: np.ndarray, which: int | None, psi: np.ndarray) -> np.ndarray:
     """Apply an operator to the (n, n) two-particle state array ``psi``.
 
     With ``which`` 0 or 1, ``op`` is a one-particle operator on that leg: a
@@ -158,7 +157,7 @@ def leg_product(ops: dict, products: dict, names: tuple[str, ...]) -> np.ndarray
     """The operator product ``names`` applied to the state ``products[()]``;
     ("K", "P") is K(P(psi)).
 
-    ``ops`` maps a name to ``(op, which)``, applied by :func:`apply_factor`,
+    ``ops`` maps a name to ``(op, which)``, applied by :func:`_apply_factor`,
     or to a tuple of names, whose operators it sums in that order:
     ``"H": ("Ha", "Hb", "V")``.  ``products`` memoizes every partial product,
     so each is computed once per state.
@@ -176,5 +175,5 @@ def leg_product(ops: dict, products: dict, names: tuple[str, ...]) -> np.ndarray
             products[names] = total
         else:
             op, which = entry
-            products[names] = apply_factor(op, which, leg_product(ops, products, rest))
+            products[names] = _apply_factor(op, which, leg_product(ops, products, rest))
     return products[names]
