@@ -2,12 +2,13 @@
 evolution, and the weak-coupling additivity check.
 
 Two-body spatial problems are posed in the relative coordinate on a single
-periodic grid (center of mass dropped); the full product-space construction
-is also available, mainly so that the zero-coupling Hamiltonian can be
-compared exactly against the sum of lifted one-body Hamiltonians.  The
-momentum-conservation check draws masked product states and applies the
-two-body operators leg by leg with the :mod:`qsystems.grids` machinery that
-the additive Galilei pair uses.
+periodic grid (center of mass dropped).  The product-space checks
+(weak coupling and exchange symmetry) never store the n^2 x n^2 product-space
+Hamiltonian: they apply it to a few seeded vectors, the one-body kinetic
+terms along their own site axes and the pair potential and spin blocks
+pointwise.  The momentum-conservation check draws masked product states and
+applies the two-body operators leg by leg with the :mod:`qsystems.grids`
+machinery that the additive Galilei pair uses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "PotentialSpec",
     "BodyConfig",
     "build_hamiltonian",
-    "build_product_hamiltonian",
     "spin_pair_operators",
     "EvolutionResult",
     "evolve",
@@ -173,16 +173,15 @@ def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, hbar: float) -> np.nd
     return channel(pot.v1, eye_spin) + channel(pot.v2, dot) + channel(pot.v3, tensor)
 
 
-def _spin_lift(spatial: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
+def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """kron(spatial, I4) plus 4x4 ``blocks`` on the spatial diagonal, on
     (spatial x spin x spin), assembled blockwise in one array."""
     m = spatial.shape[0]
     out = np.zeros((m, 4, m, 4), dtype=np.complex128)
     for s in range(4):
         out[:, s, :, s] = spatial
-    if blocks is not None:
-        sites = np.arange(m)
-        out[sites, :, sites, :] += blocks
+    sites = np.arange(m)
+    out[sites, :, sites, :] += blocks
     return out.reshape(4 * m, 4 * m)
 
 
@@ -241,44 +240,55 @@ def build_hamiltonian(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) ->
     return Operator(SpaceSpec((cfg.grid.n_sites, 2, 2)), h)
 
 
-def _free_product_part(cfg: BodyConfig, hbar: float) -> np.ndarray:
-    """Sum of the lifted one-body kinetic terms, kron(T1, I) + kron(I, T2),
-    on the two-body product space (times I4 for spin), assembled blockwise."""
+def _apply_product_hamiltonian(
+    cfg: BodyConfig, pot: PotentialSpec, hbar: float, vectors: np.ndarray
+) -> np.ndarray:
+    """The two-body product-space Hamiltonian applied to ``vectors`` (columns
+    last), each viewed as (site 1, site 2, spin): T1 acts along site axis 0,
+    T2 along site axis 1, and V(x1, x2) and the 4x4 spin blocks pointwise."""
+    _require_spin_consistency(cfg, pot)
     n = cfg.grid.n_sites
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    sites = np.arange(n)
-    spatial = np.zeros((n, n, n, n), dtype=np.complex128)
-    spatial[:, sites, :, sites] = t1
-    spatial[sites, :, sites, :] += t2
-    spatial = spatial.reshape(n * n, n * n)
-    return _spin_lift(spatial) if cfg.spin_half else spatial
+    t1, t2 = (grids.kinetic_operator(cfg.grid, m, hbar) for m in cfg.masses)
+    x = grids.position_values(cfg.grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length)
+    psi = vectors.reshape(n, n, -1, vectors.shape[-1])
+    out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
+    out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
+    out += pot.sample(pot.v, dist)[:, :, None, None] * psi
+    if cfg.spin_half:
+        blocks = _spin_blocks(pot, dist.reshape(-1), hbar)
+        out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
+    return out.reshape(vectors.shape)
 
 
-def _product_parts(cfg: BodyConfig, pot: PotentialSpec, hbar: float):
-    """(kinetic, interaction) matrices on the two-body product space."""
+def _one_body_sum(cfg: BodyConfig, hbar: float, vectors: np.ndarray) -> np.ndarray:
+    """(H1 x 1 + 1 x H2) applied to :func:`_seeded_vectors`-shaped ``vectors``,
+    each H_i the one-body :func:`build_hamiltonian` on body i's (site, spin) legs."""
+    total = np.zeros_like(vectors)
+    for body, mass in enumerate(cfg.masses):
+        one = BodyConfig(1, (mass,), cfg.spin_half, cfg.grid)
+        h = build_hamiltonian(one, PotentialSpec.zero(), hbar).entries
+        moved = np.moveaxis(vectors, (body, body + 2), (0, 1))
+        applied = (h @ moved.reshape(h.shape[0], -1)).reshape(moved.shape)
+        total += np.moveaxis(applied, (0, 1), (body, body + 2))
+    return total
+
+
+def _scaled(pot: PotentialSpec, lam: float) -> PotentialSpec:
+    """``pot`` with every table's values multiplied by the coupling ``lam``."""
+    tables = (pot.v, pot.v1, pot.v2, pot.v3)
+    return PotentialSpec(*(None if t is None else RadialTable(t.r, lam * t.values) for t in tables))
+
+
+def _seeded_vectors(cfg: BodyConfig, seed: int) -> np.ndarray:
+    """Four complex Gaussian vectors of the two-body product space, shaped
+    (site 1, site 2, spin 1, spin 2, 4) with spin dims 1 for spinless bodies,
+    from a local generator so that no other check's draws shift."""
     if cfg.n_bodies != 2 or cfg.grid is None:
         raise ValueError("product construction needs two bodies on a grid")
-    _require_spin_consistency(cfg, pot)
-    kinetic = _free_product_part(cfg, hbar)
-    x = grids.position_values(cfg.grid)
-    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length).reshape(-1)
-    interaction = np.diag(pot.sample(pot.v, dist)).astype(np.complex128)
-    if cfg.spin_half:
-        interaction = _spin_lift(interaction, _spin_blocks(pot, dist, hbar))
-    return kinetic, interaction
-
-
-def _product_space(cfg: BodyConfig) -> SpaceSpec:
-    n = cfg.grid.n_sites
-    return SpaceSpec((n, n, 2, 2)) if cfg.spin_half else SpaceSpec((n, n))
-
-
-def build_product_hamiltonian(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) -> Operator:
-    """Two-body Hamiltonian on the full product space (no coordinate split)."""
-    kinetic, interaction = _product_parts(cfg, pot, hbar)
-    kinetic += interaction
-    return Operator(_product_space(cfg), kinetic)
+    n, s = cfg.grid.n_sites, 2 if cfg.spin_half else 1
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n, s, s, 4)) + 1j * rng.standard_normal((n, n, s, s, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,25 +329,6 @@ def evolve(
     return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
 
 
-def _lifted_kinetic_residual(cfg: BodyConfig, kinetic: np.ndarray, hbar: float, seed: int) -> float:
-    """Relative residual of the product-space ``kinetic`` matrix against the
-    lifted one-body kinetic terms applied matrix-free to seeded vectors.
-
-    Each vector is viewed as (site 1, site 2, rest); T1 acts along site axis
-    0, T2 along site axis 1, and the identity on spin.
-    """
-    n = cfg.grid.n_sites
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    rng = np.random.default_rng(seed)
-    shape = (kinetic.shape[0], 4)
-    vectors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    tensor = vectors.reshape(n, n, -1)
-    expected = (t1 @ tensor.reshape(n, -1)).reshape(tensor.shape) + t2 @ tensor
-    actual = (kinetic @ vectors).reshape(tensor.shape)
-    return float(np.linalg.norm(actual - expected) / np.linalg.norm(expected))
-
-
 def weak_coupling_check(
     cfg: BodyConfig,
     pot: PotentialSpec,
@@ -350,27 +341,26 @@ def weak_coupling_check(
     """Deviation from the sum of free one-body Hamiltonians is linear in the
     coupling; the measurements as report detail.
 
-    H(lambda) = kinetic + lambda * interaction on the product space.  At
-    lambda = 0 the construction must act as the sum of lifted free
-    Hamiltonians: on seeded vectors it agrees with T1 and T2 applied along
-    their own site axes, to the relative ``zero_tolerance``.  For lambda > 0
-    the Frobenius deviation divided by lambda must be a single constant.
+    H(lambda), built from ``pot`` with every table scaled by lambda, is
+    applied to four seeded product-space vectors v.  H(0)v must agree with
+    the one-body :func:`build_hamiltonian` of each body applied on its own
+    (site, spin) legs, to the relative ``zero_tolerance``; for lambda > 0,
+    ||(H(lambda) - H(0))v|| / lambda must be a single constant.
     """
     lambdas = [float(v) for v in lambda_values]
     if any(v < 0 for v in lambdas):
         raise ValueError("couplings must be non-negative")
-    kinetic, interaction = _product_parts(cfg, pot, hbar)
-    zero_residual = _lifted_kinetic_residual(cfg, kinetic, hbar, seed)
-    # The kinetic array is not needed again: it holds every scaled copy.
+    vectors = _seeded_vectors(cfg, seed)
+    free = _apply_product_hamiltonian(cfg, _scaled(pot, 0.0), hbar, vectors)
+    expected = _one_body_sum(cfg, hbar, vectors)
+    zero_residual = float(np.linalg.norm(free - expected) / np.linalg.norm(expected))
     deviations = [
-        float(np.linalg.norm(np.multiply(lam, interaction, out=kinetic))) for lam in lambdas
+        float(np.linalg.norm(_apply_product_hamiltonian(cfg, _scaled(pot, lam), hbar, vectors) - free))
+        for lam in lambdas
     ]
     slopes = [dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0]
-    if slopes:
-        top = max(slopes)
-        spread = (max(slopes) - min(slopes)) / top if top > 0 else 0.0
-    else:
-        spread = 0.0
+    top = max(slopes, default=0.0)
+    spread = (top - min(slopes)) / top if top > 0 else 0.0
     return {
         "lambdas": lambdas,
         "deviation_norms": deviations,
@@ -382,22 +372,21 @@ def weak_coupling_check(
     }
 
 
-def exchange_symmetry_residual(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) -> float:
-    """Relative norm of [H, U_swap] on the product space for identical bodies."""
+def exchange_symmetry_residual(
+    cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0, seed: int = 0
+) -> float:
+    """Relative norm ||H(Uv) - U(Hv)|| / ||Hv|| of [H, U_swap] applied to four
+    seeded product-space vectors v, for identical bodies.
+
+    U_swap only relabels the factors (x1, s1) <-> (x2, s2), so it acts on
+    each vector as an axis transpose: no permutation matrix is formed.
+    """
     if cfg.masses[0] != cfg.masses[1]:
         raise ValueError("exchange symmetry is claimed only for equal masses")
-    h = build_product_hamiltonian(cfg, pot, hbar)
-    dims = h.space.factor_dims
-    k = len(dims)
-    slots = list(range(k))
-    image = list((1, 0, 3, 2) if cfg.spin_half else (1, 0))
-    # U_swap only relabels factors, so H U and U H are axis moves of H's
-    # (row factors + column factors) tensor: no permutation matrix is formed.
-    tensor = h.entries.reshape(dims + dims)
-    h_u = np.moveaxis(tensor, [k + i for i in image], [k + t for t in slots])
-    u_h = np.moveaxis(tensor, slots, image)
-    residual = np.linalg.norm((h_u - u_h).reshape(h.entries.shape))
-    return float(residual / np.linalg.norm(h.entries))
+    vectors = _seeded_vectors(cfg, seed)
+    hv = _apply_product_hamiltonian(cfg, pot, hbar, vectors)
+    huv = _apply_product_hamiltonian(cfg, pot, hbar, vectors.transpose(1, 0, 3, 2, 4))
+    return float(np.linalg.norm(huv - hv.transpose(1, 0, 3, 2, 4)) / np.linalg.norm(hv))
 
 
 def momentum_conservation_residual(

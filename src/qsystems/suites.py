@@ -445,7 +445,8 @@ _DYNAMICS_DEFAULTS = {
 
 
 # Relative residual of the zero-coupling product Hamiltonian against the
-# matrix-free lifted kinetic terms: rounding only, summed in another order.
+# one-body Hamiltonians applied on their own legs: rounding only, summed in
+# another order.
 _ZERO_COUPLING_RTOL = 1e-12
 
 
@@ -539,7 +540,7 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
 
     exch_body = _two_bodies((1.0, 1.0), True, weak_grid)
     check("exchange-symmetry", "[H, U_swap] vanishes for identical bodies",
-          dynamics.exchange_symmetry_residual(exch_body, pot, hbar), "exchange_tolerance")
+          dynamics.exchange_symmetry_residual(exch_body, pot, hbar, seed), "exchange_tolerance")
 
     mom = cfg["momentum"]
     mom_body = _two_bodies(mom["masses"], False, GridSpec(int(mom["n_sites"]), length))
@@ -843,6 +844,10 @@ SUITE_RUNNERS = {
 }
 
 
+_DEFAULTS = dict(axioms=_AXIOMS_DEFAULTS, symmetry=_SYMMETRY_DEFAULTS, dynamics=_DYNAMICS_DEFAULTS,
+                 charge=_CHARGE_DEFAULTS, epr=_EPR_DEFAULTS, bell=_BELL_DEFAULTS)
+
+
 def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     runner = SUITE_RUNNERS.get(name)
     if runner is None:
@@ -852,7 +857,10 @@ def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_sc
 
 def run_all(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> list[SuiteReport]:
     config = config or {}
+    # Every section is merged, and so validated, before any suite runs.  A
+    # runner merges its merged section again, which returns an equal dict.
+    sections = {name: _merge(_DEFAULTS[name], config.get(name), name) for name in SUITE_RUNNERS}
     return [
-        SUITE_RUNNERS[name](config.get(name), seed=seed, tolerance_scale=tolerance_scale)
-        for name in ("axioms", "symmetry", "dynamics", "charge", "epr", "bell")
+        SUITE_RUNNERS[name](section, seed=seed, tolerance_scale=tolerance_scale)
+        for name, section in sections.items()
     ]

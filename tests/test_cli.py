@@ -233,6 +233,20 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, path",
+    [({"epr": {"hbar": 0}}, "epr.hbar must be positive"), ({"bell": {"n_sample": 9}}, "bell.n_sample")],
+)
+def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
+    def first_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the whole config was validated")
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "axioms", first_suite)
+    cfg = write_config(tmp_path, doc)
+    assert main(["all", "--config", cfg]) == 2
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, doc, path",
     [
         ("axioms", {"axioms": {"n_sampels": 3}}, "axioms.n_sampels"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,11 @@ from qsystems.dynamics import (
     PotentialSpec,
     RadialTable,
     build_hamiltonian,
-    build_product_hamiltonian,
     evolve,
     exchange_symmetry_residual,
     momentum_conservation_residual,
     spin_pair_operators,
     weak_coupling_check,
-    _product_parts,
 )
 from qsystems.grids import GridSpec
 from qsystems.hilbert import SpaceSpec, StateVector, eigh_phase_fixed
@@ -119,9 +119,9 @@ class TestBuild:
 
     def test_product_hamiltonian_hermitian(self):
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=GridSpec(16, 16.0))
-        h = build_product_hamiltonian(cfg, PotentialSpec(v=gaussian_well().v))
-        assert h.space.factor_dims == (16, 16)
-        assert h.is_hermitian(1e-12)
+        eye = np.eye(16 * 16, dtype=np.complex128)
+        h = dynamics._apply_product_hamiltonian(cfg, PotentialSpec(v=gaussian_well().v), 1.0, eye)
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 class TestEvolution:
@@ -169,14 +169,14 @@ class TestWeakCoupling:
 
     @pytest.mark.parametrize("spin_half", [True, False])
     def test_perturbed_free_part_fails_zero_coupling(self, spin_half, monkeypatch):
-        free_part = dynamics._free_product_part
+        apply = dynamics._apply_product_hamiltonian
 
-        def perturbed(cfg, hbar):
-            out = free_part(cfg, hbar)
-            out[5, 3] += 1e-8
+        def perturbed(cfg, pot, hbar, vectors):
+            out = apply(cfg, pot, hbar, vectors)
+            out.reshape(-1, 4)[5] += 1e-8 * vectors.reshape(-1, 4)[3]  # H[5, 3] += 1e-8
             return out
 
-        monkeypatch.setattr(dynamics, "_free_product_part", perturbed)
+        monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", perturbed)
         cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(16, 16.0))
         pot = gaussian_well() if spin_half else PotentialSpec(v=gaussian_well().v)
         check = weak_coupling_check(cfg, pot, [0.5, 1.0])
@@ -255,7 +255,7 @@ def kron_product_parts(cfg, pot, hbar=1.0):
     dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length).reshape(-1)
     interaction = np.diag(pot.sample(pot.v, dist)).astype(np.complex128)
     if cfg.spin_half:
-        dot, tensor = spin_pair_operators(hbar)
+        dot, tensor = dynamics.spin_pair_operators(hbar)
         eye_spin = np.eye(4, dtype=np.complex128)
         kinetic = np.kron(kinetic, eye_spin)
         interaction = np.kron(interaction, eye_spin) + (
@@ -274,18 +274,55 @@ def test_product_parts_match_kron_oracle(spin_half):
         pot = PotentialSpec(v=pot.v, v1=RadialTable(r, 0.3 * np.exp(-r)), v2=pot.v2, v3=pot.v3)
     else:
         pot = PotentialSpec(v=pot.v)
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(8, 16.0))
-    kinetic, interaction = _product_parts(cfg, pot, 1.0)
-    oracle_kinetic, oracle_interaction = kron_product_parts(cfg, pot)
-    assert np.array_equal(kinetic, oracle_kinetic)
-    assert np.array_equal(interaction, oracle_interaction)
+    for n_sites in (8, 12):
+        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(n_sites, 16.0))
+        vectors = dynamics._seeded_vectors(cfg, 4).reshape(-1, 4)
+        expected = sum(kron_product_parts(cfg, pot)) @ vectors
+        actual = dynamics._apply_product_hamiltonian(cfg, pot, 1.0, vectors)
+        assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def asymmetric_spin_pair_operators(hbar=1.0):
+    """s1.s2 and a tensor term built from s1z alone, which the swap does not fix."""
+    dot, _ = spin_pair_operators(hbar)
+    sz = 0.5 * hbar * np.diag([1.0, -1.0])
+    return dot, 3.0 * np.kron(sz, 0.5 * hbar * np.eye(2)) - dot
 
 
 @pytest.mark.parametrize("n_sites", [8, 12])
-def test_exchange_residual_matches_dense_commutator(n_sites):
+def test_exchange_residual_matches_dense_commutator(n_sites, monkeypatch):
     cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GridSpec(n_sites, 16.0))
     pot = gaussian_well()
-    h = build_product_hamiltonian(cfg, pot)
     u = permutation_operator(Permutation((1, 0, 3, 2)), SpaceSpec((n_sites, n_sites, 2, 2))).entries
-    oracle = float(np.linalg.norm(h.entries @ u - u @ h.entries) / np.linalg.norm(h.entries))
-    assert exchange_symmetry_residual(cfg, pot) == oracle
+    vectors = dynamics._seeded_vectors(cfg, 3).reshape(-1, 4)
+
+    def dense_residual():
+        h = sum(kron_product_parts(cfg, pot))
+        return float(np.linalg.norm((h @ u - u @ h) @ vectors) / np.linalg.norm(h @ vectors))
+
+    # Both read rounding only, as fractions of ||Hv||.
+    assert exchange_symmetry_residual(cfg, pot, seed=3) == pytest.approx(dense_residual(), abs=1e-12)
+    monkeypatch.setattr(dynamics, "spin_pair_operators", asymmetric_spin_pair_operators)
+    oracle = dense_residual()
+    assert oracle > 1e-3
+    assert exchange_symmetry_residual(cfg, pot, seed=3) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_product_space_checks_stay_small_at_many_body_size():
+    # The many-body workload's product space: 4 * 24^2 = 2304 dimensions,
+    # where one dense complex Hamiltonian alone takes 81 MiB.
+    grid = GridSpec(24, 16.0)
+    weak_body = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=grid)
+    exchange_body = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=grid)
+    calls = [
+        lambda: weak_coupling_check(weak_body, gaussian_well(), [0.125, 0.25, 0.5, 1.0]),
+        lambda: exchange_symmetry_residual(exchange_body, gaussian_well()),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -20,14 +20,7 @@ from qsystems.report import SuiteReport, as_builtin
 
 STRUCTURE = Path(__file__).parent / "data" / "report_structure.json"
 
-DEFAULTS = {
-    "axioms": suites._AXIOMS_DEFAULTS,
-    "symmetry": suites._SYMMETRY_DEFAULTS,
-    "dynamics": suites._DYNAMICS_DEFAULTS,
-    "charge": suites._CHARGE_DEFAULTS,
-    "epr": suites._EPR_DEFAULTS,
-    "bell": suites._BELL_DEFAULTS,
-}
+DEFAULTS = suites._DEFAULTS
 
 
 class TestMerge:
