@@ -1,7 +1,7 @@
 """Finite-dimensional verification toolkit for the algebraic laws of
 many-component quantum systems.
 
-Subpackages cover the association calculus of physical systems, dense
+Subpackages cover the association calculus of individuals, dense
 states/operators over explicit tensor factors, the centrally extended
 Galilei algebra with concrete representations, permutation symmetrization,
 spin-spin dynamics, charge superselection, and correlated-pair / CHSH
@@ -10,29 +10,6 @@ machinery with local hidden-variable baselines.
 
 __version__ = "0.1.0"
 
-from .hilbert import (
-    DensityOperator,
-    Operator,
-    SpaceSpec,
-    StateVector,
-    born_probability,
-    conjugate_by_unitary,
-    lift,
-    partial_trace,
-    sharp_value,
-    tensor,
-)
+from .hilbert import Operator, SpaceSpec, StateVector, lift
 
-__all__ = [
-    "__version__",
-    "SpaceSpec",
-    "StateVector",
-    "Operator",
-    "DensityOperator",
-    "tensor",
-    "lift",
-    "born_probability",
-    "sharp_value",
-    "conjugate_by_unitary",
-    "partial_trace",
-]
+__all__ = ["__version__", "SpaceSpec", "StateVector", "Operator", "lift"]

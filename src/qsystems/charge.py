@@ -61,10 +61,6 @@ class ChargeModel:
         if np.max(np.abs(q.entries - np.eye(self.space.total_dim))) <= 1e-12:
             raise ValueError("charge operator must differ from the identity")
 
-    @property
-    def charges(self) -> np.ndarray:
-        return np.round(np.linalg.eigvalsh(self.q_operator.entries)).astype(int)
-
 
 def verify_central(model: ChargeModel, tolerance: float = CENTRAL_ATOL) -> dict:
     """Commutator norm of the charge with every registered observable, as

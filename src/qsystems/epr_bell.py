@@ -262,13 +262,6 @@ class CHSHSettings:
     beta: float = math.pi / 4.0
     beta_prime: float = 3.0 * math.pi / 4.0
 
-    @classmethod
-    def from_string(cls, text: str) -> "CHSHSettings":
-        parts = [float(v) for v in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected four comma-separated angles")
-        return cls(*parts)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
 

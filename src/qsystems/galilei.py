@@ -30,7 +30,6 @@ __all__ = [
     "generator",
     "abstract_bracket",
     "combo_add",
-    "combo_scale",
     "combo_is_zero",
     "jacobi_residual",
     "verify_structure",
@@ -121,16 +120,6 @@ def combo_add(x: Combo, y: Combo) -> Combo:
             out[label] = merged
         else:
             out.pop(label, None)
-    return out
-
-
-def combo_scale(x: Combo, rational, ih_power: int = 0) -> Combo:
-    factor = {ih_power: Fraction(rational)}
-    out: Combo = {}
-    for label, coeff in x.items():
-        scaled = _coeff_mul(coeff, factor)
-        if scaled:
-            out[label] = scaled
     return out
 
 

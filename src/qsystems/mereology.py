@@ -1,37 +1,17 @@
-"""Association calculus for individuals, things, and systems.
+"""Association calculus for individuals.
 
 The carrier model is concrete: an individual is a finite set of named atoms,
 association is set union, and the null individual is the empty set.  In this
-model every law of the calculus (monoid laws, parthood, composition,
-emergence, systemhood, environments) is decidable and exactly testable.
+model every law of the calculus (monoid laws, parthood, composition) is
+decidable and exactly testable.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping
 
-__all__ = [
-    "Individual",
-    "NULL",
-    "associate",
-    "is_part_of",
-    "is_proper_part_of",
-    "composition",
-    "Thing",
-    "PropertyStatus",
-    "classify_property",
-    "SystemGraph",
-    "EnvironmentView",
-    "is_system",
-    "environment_of",
-    "physical_sum",
-    "load_system_graph",
-]
+__all__ = ["Individual", "NULL", "associate", "is_part_of", "composition"]
 
 # Powerset enumeration in composition() is exponential; refuse beyond this.
 _MAX_COMPOSITION_ATOMS = 16
@@ -84,10 +64,6 @@ def is_part_of(x: Individual, y: Individual) -> bool:
     return associate(x, y) == y
 
 
-def is_proper_part_of(x: Individual, y: Individual) -> bool:
-    return x != y and is_part_of(x, y)
-
-
 def composition(x: Individual) -> frozenset[Individual]:
     """All parts of ``x``, including the null individual and ``x`` itself."""
     atoms = sorted(x.atoms)
@@ -100,161 +76,3 @@ def composition(x: Individual) -> frozenset[Individual]:
         for combo in itertools.combinations(atoms, r):
             parts.append(Individual(frozenset(combo)))
     return frozenset(parts)
-
-
-@dataclass(frozen=True)
-class Thing:
-    """An individual together with its intrinsic and relational properties.
-
-    Relational properties are (name, argument-tuple) pairs; the arguments are
-    opaque identifiers.  Two things with equal full property sets and equal
-    individuals are the same thing; things agreeing on intrinsic properties
-    alone are *identical* (they may still differ relationally).
-    """
-
-    individual: Individual
-    intrinsic: frozenset[str] = field(default_factory=frozenset)
-    relational: frozenset[tuple[str, tuple[str, ...]]] = field(default_factory=frozenset)
-
-    @property
-    def property_names(self) -> frozenset[str]:
-        return self.intrinsic | frozenset(name for name, _ in self.relational)
-
-    def has_property(self, name: str) -> bool:
-        return name in self.property_names
-
-    def same_thing(self, other: "Thing") -> bool:
-        """Full property-set equality (and same substrate)."""
-        return (
-            self.individual == other.individual
-            and self.intrinsic == other.intrinsic
-            and self.relational == other.relational
-        )
-
-    def identical_to(self, other: "Thing") -> bool:
-        """Identity up to relational properties: intrinsic sets agree."""
-        return self.intrinsic == other.intrinsic
-
-
-class PropertyStatus(enum.Enum):
-    INHERITED = "inherited"
-    EMERGENT = "emergent"
-    ABSENT = "absent"
-
-
-def classify_property(name: str, thing: Thing, parts: Iterable[Thing]) -> PropertyStatus:
-    """Classify ``name`` on ``thing`` relative to its proper-part things.
-
-    ``parts`` must be the proper-part things of ``thing`` (supplied by the
-    caller; this module does not derive part-things from atoms).  A property
-    the thing lacks is ``ABSENT`` regardless of the parts.
-    """
-    parts = list(parts)
-    for part in parts:
-        if not is_proper_part_of(part.individual, thing.individual):
-            raise ValueError(f"{part} is not a proper part of {thing}")
-    if not thing.has_property(name):
-        return PropertyStatus.ABSENT
-    if any(part.has_property(name) for part in parts):
-        return PropertyStatus.INHERITED
-    return PropertyStatus.EMERGENT
-
-
-@dataclass(frozen=True)
-class SystemGraph:
-    """Things plus a directed acts-on relation between them.
-
-    ``acts_on`` may mention things outside ``members``; those links are what
-    the environment computation looks at.
-    """
-
-    members: frozenset[Thing]
-    acts_on: frozenset[tuple[Thing, Thing]] = field(default_factory=frozenset)
-
-    def connected_within(self, thing: Thing) -> bool:
-        """True if ``thing`` acts on or is acted on by another member."""
-        for a, b in self.acts_on:
-            if a == thing and b != thing and b in self.members:
-                return True
-            if b == thing and a != thing and a in self.members:
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class EnvironmentView:
-    system: SystemGraph
-    environment: frozenset[Thing]
-    closed: bool
-
-
-def is_system(graph: SystemGraph) -> bool:
-    """At least two members, each connected to at least one other member."""
-    if len(graph.members) < 2:
-        return False
-    return all(graph.connected_within(m) for m in graph.members)
-
-
-def environment_of(graph: SystemGraph, universe: Iterable[Thing]) -> EnvironmentView:
-    """Non-members of ``graph`` linked to some member by the acts-on relation."""
-    universe = frozenset(universe)
-    if not graph.members <= universe:
-        raise ValueError("system members must belong to the universe")
-    env = set()
-    for thing in universe - graph.members:
-        for a, b in graph.acts_on:
-            if (a == thing and b in graph.members) or (b == thing and a in graph.members):
-                env.add(thing)
-                break
-    env_frozen = frozenset(env)
-    return EnvironmentView(system=graph, environment=env_frozen, closed=not env_frozen)
-
-
-def physical_sum(a: SystemGraph, b: SystemGraph) -> SystemGraph:
-    """Join of two system graphs: union of members and of acts-on links."""
-    return SystemGraph(members=a.members | b.members, acts_on=a.acts_on | b.acts_on)
-
-
-def _thing_from_spec(spec: Mapping) -> Thing:
-    relational = frozenset(
-        (str(name), tuple(str(arg) for arg in args)) for name, args in spec.get("relational", [])
-    )
-    return Thing(
-        individual=Individual(frozenset(str(a) for a in spec.get("atoms", []))),
-        intrinsic=frozenset(str(p) for p in spec.get("intrinsic", [])),
-        relational=relational,
-    )
-
-
-def load_system_graph(source) -> tuple[SystemGraph, dict[str, Thing]]:
-    """Load a system graph from a JSON file, path, or parsed dict.
-
-    Schema::
-
-        {
-          "things": [{"id": str, "atoms": [str], "intrinsic": [str],
-                      "relational": [[str, [str, ...]], ...]}, ...],
-          "members": [id, ...],            # optional, defaults to all things
-          "acts_on": [[id, id], ...]
-        }
-
-    Returns the graph plus the id -> Thing table (ids are file-local names).
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
-    table: dict[str, Thing] = {}
-    for spec in doc["things"]:
-        tid = str(spec["id"])
-        if tid in table:
-            raise ValueError(f"duplicate thing id {tid!r}")
-        table[tid] = _thing_from_spec(spec)
-    member_ids = doc.get("members", list(table))
-    try:
-        members = frozenset(table[str(i)] for i in member_ids)
-        acts = frozenset((table[str(a)], table[str(b)]) for a, b in doc.get("acts_on", []))
-    except KeyError as exc:
-        raise ValueError(f"acts_on/members references unknown id {exc}") from None
-    return SystemGraph(members=members, acts_on=acts), table

@@ -28,6 +28,26 @@ _OPTIONAL_OBJECTS = {"dynamics.relative.potential"}
 # Config keys whose number must be positive.
 _POSITIVE_NUMBERS = {"axioms.hbar", "dynamics.hbar", "epr.hbar"}
 
+# Integer size and count keys, each at least 1 and at most its bound.  A count
+# of 0 would pass a check over no samples, and a huge one would never finish;
+# each bound is at least ten times the largest value the shipped configs use.
+_COUNT_BOUNDS = {
+    "axioms.mereology_instances": 1_000_000,
+    "axioms.grid_sites": 4096,
+    "axioms.n_test_states": 1000,
+    "symmetry.n_random": 1000,
+    "dynamics.relative.n_sites": 2048,
+    "dynamics.evolution.n_steps": 100_000,
+    "dynamics.weak_coupling.n_sites": 256,
+    "dynamics.momentum.n_sites": 4096,
+    "charge.n_observables": 100,
+    "charge.n_phases": 1000,
+    "epr.n_sites": 16_384,
+    "epr.n_inference": 1000,
+    "bell.n_samples": 10_000_000,
+    "bell.n_random_settings": 1000,
+}
+
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _JSON_TYPES = {
@@ -55,12 +75,32 @@ def _check_type(path: str, default, value) -> None:
             _check_type(f"{path}[{i}]", default[0], item)
 
 
+def _check_value(path: str, value) -> None:
+    """Raise ValueError, naming ``path``, unless ``value`` keeps its key's rule."""
+    if path in _POSITIVE_NUMBERS and not value > 0:
+        raise ValueError(f"{path} must be positive")
+    if path in _COUNT_BOUNDS and value < 1:
+        raise ValueError(f"{path} must be at least 1")
+    if path in _COUNT_BOUNDS and value > _COUNT_BOUNDS[path]:
+        raise ValueError(f"{path} must be at most {_COUNT_BOUNDS[path]}")
+    if path in ("symmetry.cases", "bell.models") and not value:
+        raise ValueError(f"{path} must not be empty")
+    if path == "bell.angles" and len(value) != 4:
+        raise ValueError(f"{path} must hold four angles, got {len(value)}")
+    if path == "charge.charges":
+        # 0 labels the vacuum; 1 and 2 carry the relative-phase pair.
+        missing = [q for q in (0, 1, 2) if q not in value]
+        if missing:
+            raise ValueError(f"{path} must contain 0, 1 and 2; missing {missing}")
+
+
 def _merge(defaults: dict, override, path: str) -> dict:
     """``defaults`` updated by ``override`` at every depth.
 
-    Raises ValueError, naming the dotted path, for an unknown key or for a
+    Raises ValueError, naming the dotted path, for an unknown key, for a
     value whose JSON type differs from its default's (an integer may stand
-    for a number, and every element of a list must match the default's first).
+    for a number, and every element of a list must match the default's first)
+    or for a value that breaks its key's rule in :func:`_check_value`.
     """
     if override is None:
         override = {}
@@ -78,8 +118,7 @@ def _merge(defaults: dict, override, path: str) -> dict:
             out[key] = _merge(defaults[key], value, where)
         else:
             _check_type(where, defaults[key], value)
-            if where in _POSITIVE_NUMBERS and not value > 0:
-                raise ValueError(f"{where} must be positive")
+            _check_value(where, value)
             out[key] = value
     return out
 
@@ -237,8 +276,6 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
 
     pool = list(cfg["atom_pool"])
     instances = int(cfg["mereology_instances"])
-    if instances < 1:
-        raise ValueError("axioms.mereology_instances must be at least 1")
     exhaustive = _mereology_is_exhaustive(pool)
     check("mereology-monoid-parthood",
           "association is a commutative idempotent monoid with neutral null; "
@@ -597,10 +634,6 @@ def _build_charge_model(charges: list[int], n_observables: int, rng: np.random.G
 def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_CHARGE_DEFAULTS, config, "charge")
     charges = cfg["charges"]
-    # 0 labels the vacuum; 1 and 2 carry the relative-phase pair.
-    missing = [q for q in (0, 1, 2) if q not in charges]
-    if missing:
-        raise ValueError(f"charge.charges must contain 0, 1 and 2; missing {missing}")
     report = SuiteReport("charge", seed=seed, config=cfg, tool_version=__version__)
     check, tol = _checks(report, tolerance_scale)
     rng = np.random.default_rng(seed)
@@ -673,8 +706,6 @@ _EPR_DEFAULTS = {
 def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_EPR_DEFAULTS, config, "epr")
     n_inference = int(cfg["n_inference"])
-    if n_inference < 1:
-        raise ValueError("epr.n_inference must be at least 1")
     hbar = float(cfg["hbar"])
     report = SuiteReport("epr", seed=seed, config=cfg, tool_version=__version__)
     check, _ = _checks(report, tolerance_scale)
@@ -762,10 +793,6 @@ _BELL_DEFAULTS = {
 
 def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_BELL_DEFAULTS, config, "bell")
-    if not cfg["models"]:
-        raise ValueError("bell needs at least one hidden-variable model")
-    if len(cfg["angles"]) != 4:
-        raise ValueError(f"bell needs four angles, got {len(cfg['angles'])}")
     report = SuiteReport("bell", seed=seed, config=cfg, tool_version=__version__)
     check, _ = _checks(report, tolerance_scale)
     rng = np.random.default_rng(seed)

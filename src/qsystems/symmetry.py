@@ -1,13 +1,12 @@
 """Permutation action on equal-factor tensor spaces.
 
 Unitary factor-permutation operators, symmetrizer/antisymmetrizer projector
-pairs, sector classification of states, exchange invariance of expectation
-values, and the exclusion property of the antisymmetric sector.
+pairs, exchange invariance of expectation values, and the exclusion property
+of the antisymmetric sector.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,17 +20,12 @@ __all__ = [
     "permutation_operator",
     "ProjectorPair",
     "build_projectors",
-    "SymmetrySector",
-    "classify_state",
     "exchange_expectation_check",
     "pauli_exclusion_check",
-    "physical_projector",
     "count_symmetric_basis",
     "count_antisymmetric_basis",
     "projector_rank",
 ]
-
-CLASSIFY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,16 +38,6 @@ class Permutation:
         n = len(self.image)
         if sorted(self.image) != list(range(n)):
             raise ValueError(f"{self.image} is not a permutation of 0..{n - 1}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        image = list(range(n))
-        image[i], image[j] = image[j], image[i]
-        return cls(tuple(image))
 
     @property
     def size(self) -> int:
@@ -82,12 +66,6 @@ class Permutation:
         if self.size != other.size:
             raise ValueError("permutation sizes differ")
         return Permutation(tuple(self.image[other.image[i]] for i in range(self.size)))
-
-    def inverse(self) -> "Permutation":
-        image = [0] * self.size
-        for i, target in enumerate(self.image):
-            image[target] = i
-        return Permutation(tuple(image))
 
 
 def _permutation_rows(perm: Permutation, dims: tuple[int, ...]) -> np.ndarray:
@@ -154,35 +132,6 @@ def build_projectors(n: int, d: int) -> ProjectorPair:
     )
 
 
-class SymmetrySector(enum.Enum):
-    SYMMETRIC = "symmetric"
-    ANTISYMMETRIC = "antisymmetric"
-    MIXED = "mixed"
-
-    @property
-    def transposition_eigenvalue(self):
-        """The scalar a transposition applies in a pure sector, else None."""
-        if self is SymmetrySector.SYMMETRIC:
-            return 1
-        if self is SymmetrySector.ANTISYMMETRIC:
-            return -1
-        return None
-
-
-def classify_state(psi: StateVector, atol: float = CLASSIFY_ATOL) -> SymmetrySector:
-    """Which permutation sector a normalized equal-factor state lives in."""
-    dims = psi.space.factor_dims
-    if len(set(dims)) != 1:
-        raise ValueError("classification needs equal factor dimensions")
-    pair = build_projectors(len(dims), dims[0])
-    amps = psi.normalized().amplitudes
-    if np.linalg.norm(pair.symmetrizer.entries @ amps - amps) <= atol:
-        return SymmetrySector.SYMMETRIC
-    if np.linalg.norm(pair.antisymmetrizer.entries @ amps - amps) <= atol:
-        return SymmetrySector.ANTISYMMETRIC
-    return SymmetrySector.MIXED
-
-
 def exchange_expectation_check(obs: Operator, psi: StateVector, perm: Permutation) -> float:
     """|<psi|A|psi> - <U psi|A|U psi>| for the permutation operator U.
 
@@ -212,12 +161,6 @@ def pauli_exclusion_check(single_states: list[StateVector]) -> float:
         product = np.kron(product, state.normalized().amplitudes)
     projected = build_projectors(len(single_states), d).antisymmetrizer.entries @ product
     return float(np.linalg.norm(projected))
-
-
-def physical_projector(n: int, d: int) -> Operator:
-    """Projector onto the accessible sector: symmetric plus antisymmetric."""
-    pair = build_projectors(n, d)
-    return Operator(pair.space, pair.symmetrizer.entries + pair.antisymmetrizer.entries)
 
 
 def count_symmetric_basis(n: int, d: int) -> int:

@@ -180,7 +180,12 @@ def test_bell_without_models_reports_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, section, key",
-    [("epr", {"n_inference": 0}, "n_inference"), ("axioms", {"mereology_instances": 0}, "mereology_instances")],
+    [
+        ("epr", {"n_inference": 0}, "n_inference"),
+        ("axioms", {"mereology_instances": 0}, "mereology_instances"),
+        ("symmetry", {"n_random": 0}, "symmetry.n_random must be at least 1"),
+        ("symmetry", {"cases": []}, "symmetry.cases must not be empty"),
+    ],
 )
 def test_vacuous_sample_count_reports_error(command, section, key, tmp_path, capsys):
     cfg = write_config(tmp_path, {command: section})
@@ -234,7 +239,15 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc, path",
-    [({"epr": {"hbar": 0}}, "epr.hbar must be positive"), ({"bell": {"n_sample": 9}}, "bell.n_sample")],
+    [
+        ({"epr": {"hbar": 0}}, "epr.hbar must be positive"),
+        ({"bell": {"n_sample": 9}}, "bell.n_sample"),
+        ({"symmetry": {"n_random": 10 ** 300}}, "symmetry.n_random must be at most 1000"),
+        ({"bell": {"models": []}}, "bell.models must not be empty"),
+        ({"bell": {"angles": [0, 1]}}, "bell.angles must hold four angles"),
+        ({"epr": {"n_inference": 0}}, "epr.n_inference must be at least 1"),
+        ({"charge": {"charges": [0, 1]}}, "charge.charges must contain 0, 1 and 2; missing [2]"),
+    ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
     def first_suite(*args, **kwargs):
@@ -299,7 +312,7 @@ def _draw_path(draw, keep):
 @st.composite
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
-    kind = draw(st.sampled_from(["unknown", "mistyped", "non-finite", "overflow", "hbar"]))
+    kind = draw(st.sampled_from(["unknown", "mistyped", "non-finite", "overflow", "hbar", "count"]))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
         where += ".no_such_key"
@@ -316,10 +329,15 @@ def invalid_sections(draw):
     elif kind == "overflow":
         suite, where, _ = _draw_path(draw, lambda d: type(d) in (int, float))
         value = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 400))
-    else:
+    elif kind == "hbar":
         where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
+    else:
+        where = draw(st.sampled_from(sorted(suites._COUNT_BOUNDS)))
+        suite = where.split(".")[0]
+        bound = suites._COUNT_BOUNDS[where]
+        value = draw(st.integers(max_value=0) | st.integers(bound + 1, 10 ** 300))
     doc = value
     for key in reversed(where.split(".")):
         doc = {key: doc}

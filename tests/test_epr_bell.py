@@ -96,7 +96,7 @@ class TestCommutingPair:
 def test_commuting_pair_simultaneously_sharp_dense():
     # Small grid so both observables fit as dense matrices: total momentum is
     # exactly sharp, relative position is sharp to the regularization width.
-    from qsystems.hilbert import Operator, sharp_value
+    from qsystems.hilbert import Operator
     from qsystems.grids import GridSpec, momentum_operator
 
     cfg = EPRConfig(n_sites=32, length=16.0, separation=1.0, width=1.0)
@@ -109,15 +109,24 @@ def test_commuting_pair_simultaneously_sharp_dense():
     p_tot = np.kron(p1, np.eye(32)) + np.kron(np.eye(32), p1)
     p_op = Operator(psi.space, 0.5 * (p_tot + p_tot.conj().T))
 
+    def mean_and_residual(observable):
+        """<A> and the sharpness residual ||A psi - <A> psi|| / max(1, ||A psi||)."""
+        amps = psi.normalized().amplitudes
+        image = observable.entries @ amps
+        mean = float(np.real(np.vdot(amps, image)))
+        scale = max(1.0, float(np.linalg.norm(image)))
+        return mean, float(np.linalg.norm(image - mean * amps)) / scale
+
     # The coarse 32-site grid leaves an aliased momentum tail at the 1e-7
     # level; the pair state is a momentum eigenvector at that resolution.
-    assert sharp_value(psi, p_op, tol=1e-6) == pytest.approx(
-        cfg.snapped_momentum(), abs=1e-9
-    )
-    sharp_x = sharp_value(psi, xrel, tol=cfg.width)
-    assert sharp_x == pytest.approx(cfg.separation, abs=cfg.width)
+    mean_p, residual_p = mean_and_residual(p_op)
+    assert residual_p <= 1e-6
+    assert mean_p == pytest.approx(cfg.snapped_momentum(), abs=1e-9)
+    mean_x, residual_x = mean_and_residual(xrel)
+    assert residual_x <= cfg.width
+    assert mean_x == pytest.approx(cfg.separation, abs=cfg.width)
     # at a tolerance far below the width the position is not sharp
-    assert sharp_value(psi, xrel, tol=1e-10) is None
+    assert residual_x > 1e-10
 
 
 class TestConditionalInference:
@@ -189,12 +198,6 @@ class TestQuantumCHSH:
         for delta in (0.3, 1.1, 4.5):
             shifted = CHSHSettings(*(angle + delta for angle in OPTIMAL.as_tuple()))
             assert chsh_quantum(shifted) == pytest.approx(base, abs=1e-10)
-
-    def test_settings_parse(self):
-        parsed = CHSHSettings.from_string("0,1.5707963267948966,0.7853981633974483,2.356194490192345")
-        assert abs(chsh_quantum(parsed)) == pytest.approx(QUANTUM_BOUND, abs=1e-10)
-        with pytest.raises(ValueError):
-            CHSHSettings.from_string("1,2,3")
 
 
 class TestLHVModels:

@@ -15,7 +15,6 @@ from qsystems.galilei import (
     casimir_squared,
     combo_add,
     combo_is_zero,
-    combo_scale,
     generator,
     jacobi_residual,
     position_momentum_residuals,
@@ -68,13 +67,12 @@ class TestExactLayer:
         assert combo_is_zero(bracket("P2", "H"))
 
     def test_bracket_bilinearity(self):
-        x = combo_add(generator("J1"), combo_scale(generator("K2"), Fraction(3, 2)))
+        k2 = generator("K2")
+        x = combo_add(generator("J1"), combo_add(k2, k2))  # J1 + 2 K2
         y = generator("P2")
         lhs = abstract_bracket(x, y)
-        rhs = combo_add(
-            abstract_bracket(generator("J1"), y),
-            combo_scale(abstract_bracket(generator("K2"), y), Fraction(3, 2)),
-        )
+        k2_y = abstract_bracket(k2, y)
+        rhs = combo_add(abstract_bracket(generator("J1"), y), combo_add(k2_y, k2_y))
         assert lhs == rhs
 
     def test_jacobi_specific_triples(self):

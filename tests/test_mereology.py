@@ -1,25 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qsystems import mereology, suites
-from qsystems.mereology import (
-    NULL,
-    Individual,
-    PropertyStatus,
-    SystemGraph,
-    Thing,
-    associate,
-    classify_property,
-    composition,
-    environment_of,
-    is_part_of,
-    is_system,
-    load_system_graph,
-    physical_sum,
-)
+from qsystems.mereology import NULL, Individual, associate, composition, is_part_of
 
 atoms = st.frozensets(st.sampled_from("abcdef"), max_size=6)
 individuals = atoms.map(Individual)
@@ -83,146 +67,6 @@ def test_composition_refuses_huge_individuals():
     big = Individual(frozenset(f"atom{i}" for i in range(20)))
     with pytest.raises(ValueError):
         composition(big)
-
-
-def _fluid_things():
-    parts = [
-        Thing(Individual.of("m1"), intrinsic=frozenset({"mass"})),
-        Thing(Individual.of("m2"), intrinsic=frozenset({"mass"})),
-    ]
-    whole = Thing(
-        Individual.of("m1", "m2"),
-        intrinsic=frozenset({"mass", "viscosity"}),
-    )
-    return whole, parts
-
-
-def test_mass_is_inherited_viscosity_emergent():
-    whole, parts = _fluid_things()
-    assert classify_property("mass", whole, parts) is PropertyStatus.INHERITED
-    assert classify_property("viscosity", whole, parts) is PropertyStatus.EMERGENT
-    assert classify_property("charge", whole, parts) is PropertyStatus.ABSENT
-
-
-def test_classify_property_rejects_non_parts():
-    whole, _ = _fluid_things()
-    alien = Thing(Individual.of("x"), intrinsic=frozenset({"mass"}))
-    with pytest.raises(ValueError):
-        classify_property("mass", whole, [alien])
-
-
-def test_emergent_never_held_by_any_part_exhaustive():
-    # Exhaustive over every sub-thing of a six-atom individual.
-    import itertools
-
-    atoms = ["a", "b", "c", "d", "e", "f"]
-    whole_ind = Individual(frozenset(atoms))
-    parts = []
-    for r in range(1, 6):
-        for combo in itertools.combinations(atoms, r):
-            props = frozenset({"wet"}) if "a" in combo else frozenset()
-            parts.append(Thing(Individual(frozenset(combo)), intrinsic=props))
-    whole = Thing(whole_ind, intrinsic=frozenset({"wet", "alive"}))
-    assert classify_property("wet", whole, parts) is PropertyStatus.INHERITED
-    verdict = classify_property("alive", whole, parts)
-    assert verdict is PropertyStatus.EMERGENT
-    assert not any(p.has_property("alive") for p in parts)
-
-
-def test_thing_identity_notions():
-    t1 = Thing(Individual.of("a"), intrinsic=frozenset({"charge"}))
-    t2 = Thing(
-        Individual.of("a"),
-        intrinsic=frozenset({"charge"}),
-        relational=frozenset({("near", ("b",))}),
-    )
-    assert t1.identical_to(t2)
-    assert not t1.same_thing(t2)
-    assert t1.same_thing(Thing(Individual.of("a"), intrinsic=frozenset({"charge"})))
-
-
-def _things(*names):
-    return [Thing(Individual.of(n)) for n in names]
-
-
-def test_is_system_requires_two_connected_members():
-    x, y, z = _things("x", "y", "z")
-    assert is_system(SystemGraph(frozenset({x, y}), frozenset({(x, y)})))
-    assert not is_system(SystemGraph(frozenset({x, y}), frozenset()))
-    assert not is_system(SystemGraph(frozenset({x}), frozenset()))
-    # z dangles: connected members only
-    assert not is_system(SystemGraph(frozenset({x, y, z}), frozenset({(x, y)})))
-
-
-def test_self_action_does_not_connect():
-    x, y = _things("x", "y")
-    graph = SystemGraph(frozenset({x, y}), frozenset({(x, x), (y, y)}))
-    assert not is_system(graph)
-
-
-def test_environment_closed_when_universe_is_members():
-    x, y = _things("x", "y")
-    graph = SystemGraph(frozenset({x, y}), frozenset({(x, y)}))
-    view = environment_of(graph, {x, y})
-    assert view.closed and view.environment == frozenset()
-
-
-def test_environment_picks_up_linked_outsiders_only():
-    x, y, probe, bystander = _things("x", "y", "probe", "bystander")
-    graph = SystemGraph(frozenset({x, y}), frozenset({(x, y), (probe, x)}))
-    view = environment_of(graph, {x, y, probe, bystander})
-    assert view.environment == frozenset({probe})
-    assert not view.closed
-    assert not (view.environment & graph.members)
-
-
-def test_environment_requires_members_in_universe():
-    x, y = _things("x", "y")
-    graph = SystemGraph(frozenset({x, y}), frozenset({(x, y)}))
-    with pytest.raises(ValueError):
-        environment_of(graph, {x})
-
-
-@given(st.lists(st.sampled_from("uvwx"), min_size=2, max_size=4, unique=True))
-def test_environment_of_own_members_always_closed(names):
-    things = [Thing(Individual.of(n)) for n in names]
-    links = frozenset((a, b) for a in things for b in things if a != b)
-    graph = SystemGraph(frozenset(things), links)
-    assert environment_of(graph, things).closed
-
-
-def test_physical_sum_joins_members_and_links():
-    x, y, u, v = _things("x", "y", "u", "v")
-    g1 = SystemGraph(frozenset({x, y}), frozenset({(x, y)}))
-    g2 = SystemGraph(frozenset({u, v}), frozenset({(u, v)}))
-    joined = physical_sum(g1, g2)
-    assert joined.members == frozenset({x, y, u, v})
-    assert joined.acts_on == frozenset({(x, y), (u, v)})
-
-
-def test_load_system_graph_roundtrip(tmp_path):
-    doc = {
-        "things": [
-            {"id": "left", "atoms": ["a"], "intrinsic": ["spin"]},
-            {"id": "right", "atoms": ["b"], "relational": [["near", ["left"]]]},
-            {"id": "outsider", "atoms": ["c"]},
-        ],
-        "members": ["left", "right"],
-        "acts_on": [["left", "right"], ["outsider", "left"]],
-    }
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(doc))
-    graph, table = load_system_graph(path)
-    assert is_system(graph)
-    assert len(graph.members) == 2
-    view = environment_of(graph, table.values())
-    assert view.environment == frozenset({table["outsider"]})
-
-
-def test_load_system_graph_unknown_id():
-    doc = {"things": [{"id": "a", "atoms": ["a"]}], "acts_on": [["a", "ghost"]]}
-    with pytest.raises(ValueError):
-        load_system_graph(doc)
 
 
 # --- the axioms suite's law check over the finite model --------------------

@@ -2,8 +2,8 @@
 check, runs that check's suite runner at its defaults, and asserts that the
 check fails.  A check that no defect can flip would pass vacuously.
 
-Rows so far cover the dynamics product-space checks and
-``momentum-conservation``.
+Rows so far cover every check of the symmetry suite, the dynamics
+product-space checks and ``momentum-conservation``.
 """
 
 from dataclasses import replace
@@ -11,11 +11,92 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsystems import dynamics, suites
+from qsystems import dynamics, galilei, suites, symmetry
+from qsystems.hilbert import Operator
 
 SAMPLE = dynamics.PotentialSpec.sample
 APPLY = dynamics._apply_product_hamiltonian
 SPIN_PAIR_OPERATORS = dynamics.spin_pair_operators
+PROJECTORS = symmetry.build_projectors
+PERMUTATION_OPERATOR = symmetry.permutation_operator
+PERMUTATION_ROWS = symmetry._permutation_rows
+PROJECTOR_RANK = symmetry.projector_rank
+ANTISYMMETRIC_COUNT = symmetry.count_antisymmetric_basis
+ADDITIVE_REP = galilei.build_additive_rep
+
+
+def antisymmetric_count_off_by_one(monkeypatch):
+    """The enumeration oracle counts one antisymmetric basis vector too many."""
+    monkeypatch.setattr(
+        symmetry, "count_antisymmetric_basis", lambda n, d: ANTISYMMETRIC_COUNT(n, d) + 1
+    )
+
+
+def _projectors_with(monkeypatch, change):
+    """build_projectors returns ``change(S, A)`` in place of (S, A)."""
+
+    def build(n, d):
+        pair = PROJECTORS(n, d)
+        s, a = change(pair.symmetrizer.entries, pair.antisymmetrizer.entries)
+        return symmetry.ProjectorPair(pair.space, Operator(pair.space, s), Operator(pair.space, a))
+
+    monkeypatch.setattr(symmetry, "build_projectors", build)
+
+
+def scaled_symmetrizer(monkeypatch):
+    """The symmetrizer is 1% too large, so it is no longer idempotent."""
+    _projectors_with(monkeypatch, lambda s, a: (1.01 * s, a))
+
+
+def leaky_antisymmetrizer(monkeypatch):
+    """The antisymmetrizer keeps 1% of the symmetric sector."""
+    _projectors_with(monkeypatch, lambda s, a: (s, a + 0.01 * s))
+
+
+def rank_counts_every_eigenvalue(monkeypatch):
+    """The projector rank counts the zero eigenvalues too."""
+    monkeypatch.setattr(symmetry, "projector_rank", lambda op: PROJECTOR_RANK(op, threshold=-0.5))
+
+
+def inverse_image_permutation_operator(monkeypatch):
+    """U(p) is built from the inverse image, which reverses products."""
+
+    def operator(perm, space):
+        return PERMUTATION_OPERATOR(symmetry.Permutation(tuple(np.argsort(perm.image).tolist())), space)
+
+    monkeypatch.setattr(symmetry, "permutation_operator", operator)
+
+
+def exclusion_with_symmetrizer(monkeypatch):
+    """The exclusion check projects with the symmetrizer."""
+    _projectors_with(monkeypatch, lambda s, a: (s, s))
+
+
+def scaled_antisymmetrizer(monkeypatch):
+    """The antisymmetrizer is 1% too large."""
+    _projectors_with(monkeypatch, lambda s, a: (s, 1.01 * a))
+
+
+def rotated_second_spin_frame(monkeypatch):
+    """The second spin's frame is turned 90 degrees about z before the sum,
+    so the summed J^2 is no longer symmetric in the two components."""
+
+    def build(parts, *args, **kwargs):
+        first, second = parts
+        images = dict(second.images, J1=second.images["J2"], J2=-second.images["J1"])
+        return ADDITIVE_REP([first, replace(second, images=images)], *args, **kwargs)
+
+    monkeypatch.setattr(galilei, "build_additive_rep", build)
+
+
+def permutation_rows_off_by_one(monkeypatch):
+    """Every column of a permutation operator lands one row too far down."""
+
+    def rows(perm, dims):
+        out = PERMUTATION_ROWS(perm, dims)
+        return (out + 1) % out.size
+
+    monkeypatch.setattr(symmetry, "_permutation_rows", rows)
 
 
 def nonlinear_sample(monkeypatch):
@@ -63,6 +144,18 @@ def potential_of_first_position(monkeypatch):
 
 
 ROWS = [
+    *[
+        ("symmetry", f"projector-ranks-n{n}-d{d}", antisymmetric_count_off_by_one)
+        for n, d in suites._SYMMETRY_DEFAULTS["cases"]
+    ],
+    ("symmetry", "projector-idempotency-orthogonality", scaled_symmetrizer),
+    ("symmetry", "sector-orthogonality", leaky_antisymmetrizer),
+    ("symmetry", "sector-sum-dimension", rank_counts_every_eigenvalue),
+    ("symmetry", "permutation-homomorphism", inverse_image_permutation_operator),
+    ("symmetry", "pauli-exclusion-duplicates", exclusion_with_symmetrizer),
+    ("symmetry", "slater-survival", scaled_antisymmetrizer),
+    ("symmetry", "exchange-invariant-total-observable", rotated_second_spin_frame),
+    ("symmetry", "exchange-invariance-symmetric-state", permutation_rows_off_by_one),
     ("dynamics", "weak-coupling-linearity", nonlinear_sample),
     ("dynamics", "weak-coupling-zero", wrong_second_mass),
     ("dynamics", "exchange-symmetry", asymmetric_tensor_term),

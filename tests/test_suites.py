@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from qsystems import suites
 from qsystems.report import SuiteReport, as_builtin
 
+ROOT = Path(__file__).parents[1]
 STRUCTURE = Path(__file__).parent / "data" / "report_structure.json"
 
 DEFAULTS = suites._DEFAULTS
@@ -45,6 +46,20 @@ class TestMerge:
     def test_non_finite_number_rejected(self, value):
         with pytest.raises(ValueError, match=r"bell\.mc_sigmas must be finite"):
             suites._merge(DEFAULTS["bell"], {"mc_sigmas": value}, "bell")
+
+    def test_count_bounds_leave_ten_times_every_shipped_size(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme[readme.index("## Config file"):]
+        example = example[example.index("```json") + len("```json"):]
+        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+        configs = [DEFAULTS, json.loads(example[: example.index("```")])]
+        configs += [w["config"] for w in workloads["workloads"].values()]
+        for where, bound in suites._COUNT_BOUNDS.items():
+            for config in configs:
+                value = config
+                for key in where.split("."):
+                    value = value.get(key, {})
+                assert value == {} or bound >= 10 * value, where
 
     def test_optional_potential_must_be_an_object(self):
         cfg = suites._merge(

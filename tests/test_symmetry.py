@@ -9,15 +9,12 @@ from qsystems.galilei import build_additive_rep, build_spin_rep, casimir_squared
 from qsystems.hilbert import Operator, SpaceSpec, StateVector, basis_state, lift, pauli_matrices
 from qsystems.symmetry import (
     Permutation,
-    SymmetrySector,
     build_projectors,
-    classify_state,
     count_antisymmetric_basis,
     count_symmetric_basis,
     exchange_expectation_check,
     pauli_exclusion_check,
     permutation_operator,
-    physical_projector,
     projector_rank,
 )
 
@@ -58,12 +55,13 @@ class TestPermutation:
         composed = p.compose(q)
         for i in range(3):
             assert composed.image[i] == p.image[q.image[i]]
-        assert p.compose(p.inverse()) == Permutation.identity(3)
+        inverse = Permutation(tuple(np.argsort(p.image).tolist()))
+        assert p.compose(inverse) == inverse.compose(p) == Permutation((0, 1, 2))
 
 
 class TestPermutationOperator:
     def test_identity_permutation(self):
-        u = permutation_operator(Permutation.identity(2), TWO_QUBITS)
+        u = permutation_operator(Permutation((0, 1)), TWO_QUBITS)
         assert np.array_equal(u.entries, np.eye(4))
 
     def test_transposition_swaps_product_kets(self):
@@ -74,8 +72,8 @@ class TestPermutationOperator:
 
     def test_transpositions_are_involutions(self):
         space = SpaceSpec((3, 3, 3))
-        for i, j in itertools.combinations(range(3), 2):
-            u = permutation_operator(Permutation.transposition(3, i, j), space).entries
+        for image in [(1, 0, 2), (2, 1, 0), (0, 2, 1)]:
+            u = permutation_operator(Permutation(image), space).entries
             assert np.allclose(u @ u, np.eye(27))
 
     def test_unitarity(self):
@@ -176,34 +174,25 @@ class TestProjectors:
             psi_a = raw_a / np.linalg.norm(raw_a)
             assert abs(np.vdot(psi_s, psi_a)) <= 1e-12
 
-    def test_physical_projector_is_sum(self):
-        pair = build_projectors(3, 2)
-        combined = physical_projector(3, 2)
-        assert np.allclose(
-            combined.entries,
-            pair.symmetrizer.entries + pair.antisymmetrizer.entries,
-        )
+
+def fixed_by(projector, psi):
+    """Whether the projector leaves the state unchanged: it lies in that sector."""
+    return np.linalg.norm(projector.entries @ psi.amplitudes - psi.amplitudes) <= 1e-9
 
 
 class TestClassify:
     def test_symmetric_and_antisymmetric_states(self):
+        pair = build_projectors(2, 2)
         sym = StateVector(TWO_QUBITS, np.array([0, 1, 1, 0]) / math.sqrt(2))
         singlet = StateVector(TWO_QUBITS, np.array([0, 1, -1, 0]) / math.sqrt(2))
-        assert classify_state(sym) is SymmetrySector.SYMMETRIC
-        assert classify_state(singlet) is SymmetrySector.ANTISYMMETRIC
+        assert fixed_by(pair.symmetrizer, sym) and not fixed_by(pair.antisymmetrizer, sym)
+        assert fixed_by(pair.antisymmetrizer, singlet) and not fixed_by(pair.symmetrizer, singlet)
 
     def test_product_state_is_mixed(self):
+        pair = build_projectors(2, 2)
         e01 = basis_state(TWO_QUBITS, 1)
-        assert classify_state(e01) is SymmetrySector.MIXED
-
-    def test_transposition_eigenvalues(self):
-        assert SymmetrySector.SYMMETRIC.transposition_eigenvalue == 1
-        assert SymmetrySector.ANTISYMMETRIC.transposition_eigenvalue == -1
-        assert SymmetrySector.MIXED.transposition_eigenvalue is None
-
-    def test_requires_equal_factors(self):
-        with pytest.raises(ValueError):
-            classify_state(random_state(SpaceSpec((2, 3)), 1))
+        assert not fixed_by(pair.symmetrizer, e01)
+        assert not fixed_by(pair.antisymmetrizer, e01)
 
     def test_projected_states_classify_by_sector(self):
         pair = build_projectors(3, 2)
@@ -211,7 +200,8 @@ class TestClassify:
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         sym_raw = pair.symmetrizer.entries @ raw
         psi = StateVector(pair.space, sym_raw / np.linalg.norm(sym_raw))
-        assert classify_state(psi) is SymmetrySector.SYMMETRIC
+        assert fixed_by(pair.symmetrizer, psi)
+        assert not fixed_by(pair.antisymmetrizer, psi)
 
 
 class TestExchangeExpectation:
