@@ -37,6 +37,12 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ChargeModel(space=space, q_operator=Operator(space, np.triu(np.ones((2, 2)))))
 
+    def test_charges_property(self):
+        model = diag_model([0.0, 1.0, 1.0, 2.0])
+        decomposition = sector_decomposition(model).to_dict()
+        assert decomposition["charges"] == [0, 1, 2]
+        assert decomposition["dimensions"] == [1, 2, 1]
+
 
 class TestCentrality:
     def test_diagonal_observables_commute(self):

@@ -51,6 +51,43 @@ def test_states_are_immutable():
         psi.amplitudes[0] = 2.0
 
 
+def test_tensor_basis_bookkeeping():
+    # product basis index of e_i x e_j is i * d2 + j, the np.kron ordering
+    e0, e1 = basis_state(QUBIT, 0), basis_state(QUBIT, 1)
+    combined = basis_state(TWO_QUBITS, 1)
+    assert combined.space.factor_dims == (2, 2)
+    assert np.array_equal(combined.amplitudes, np.kron(e0.amplitudes, e1.amplitudes))
+    assert np.argmax(np.abs(combined.amplitudes)) == 1
+
+
+def test_tensor_identity_operators():
+    for which in (0, 1):
+        eye4 = lift(op(np.eye(2)), which, TWO_QUBITS)
+        assert np.array_equal(eye4.entries, np.eye(4))
+        assert eye4.space.factor_dims == (2, 2)
+
+
+def test_tensor_mixed_kinds_rejected():
+    # an operator's matrix is not a state's amplitudes, nor the other way round
+    with pytest.raises(ValueError):
+        StateVector(QUBIT, np.eye(2))
+    with pytest.raises(ValueError):
+        Operator(TWO_QUBITS, basis_state(TWO_QUBITS, 0).amplitudes)
+
+
+def test_tensor_associativity_bookkeeping():
+    rng = np.random.default_rng(3)
+    space = SpaceSpec((2, 3, 2))
+    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (2, 3, 2)]
+    lifted = [lift(Operator(SpaceSpec.single(m.shape[0]), m), k, space).entries for k, m in enumerate(mats)]
+    product = lifted[0] @ lifted[1] @ lifted[2]
+    left = np.kron(np.kron(mats[0], mats[1]), mats[2])
+    right = np.kron(mats[0], np.kron(mats[1], mats[2]))
+    assert space.total_dim == 12
+    assert np.allclose(product, left, atol=1e-12)
+    assert np.allclose(product, right, atol=1e-12)
+
+
 def test_tensor_operator_action_against_dense_oracle():
     # direct 4x4 multiplication oracle
     state = basis_state(TWO_QUBITS, 1)  # e0 x e1
@@ -111,6 +148,36 @@ def test_conjugate_by_identity_and_spectrum_preservation():
     assert rotated.is_hermitian(1e-12)
 
 
+def test_born_probability_equal_superposition():
+    # projector oracle: |<e0|psi>|^2 = |<e1|psi>|^2 = 1/2
+    psi = StateVector(QUBIT, [1.0, 1.0]).normalized()
+    vals, vecs = eigh_phase_fixed(SZ)
+    probs = np.abs(vecs.conj().T @ psi.amplitudes) ** 2
+    assert np.allclose(vals, [-1.0, 1.0])
+    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
+
+
+def test_born_probability_full_spectrum_random():
+    # the eigenbasis is orthonormal and complete: probabilities sum to one
+    psi = rng_state(SpaceSpec.single(5), 4)
+    _, vecs = eigh_phase_fixed(random_hermitian(5, seed=3))
+    probs = np.abs(vecs.conj().T @ psi.amplitudes) ** 2
+    assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(5), atol=1e-12)
+
+
+def test_gauge_like_conjugation_fixes_commuting_operator():
+    from qsystems.charge import ChargeModel, gauge_transform
+
+    q = op(np.diag([0.0, 1.0]))
+    model = ChargeModel(space=QUBIT, q_operator=q)
+    a = np.diag([2.0, -1.0])
+    for theta in (0.3, 1.2, 4.0):
+        u = gauge_transform(model, theta).entries
+        assert np.allclose(u, np.diag(np.exp(1j * theta * np.array([0.0, 1.0]))), atol=1e-12)
+        assert np.allclose(u.conj().T @ a @ u, a, atol=1e-12)
+
+
 def test_eigh_phase_convention_deterministic():
     mat = random_hermitian(4, seed=30)
     vals1, vecs1 = eigh_phase_fixed(mat)
@@ -120,3 +187,12 @@ def test_eigh_phase_convention_deterministic():
     for col in range(4):
         pivot = vecs1[np.argmax(np.abs(vecs1[:, col]) > 1e-12), col]
         assert pivot.real > 0 and abs(pivot.imag) < 1e-12
+
+
+def test_expectation_matches_manual():
+    # <a x b| A x 1 |a x b> = <a|A|a> for a normalized b
+    a, b = rng_state(QUBIT, 44), rng_state(QUBIT, 45)
+    joint = StateVector(TWO_QUBITS, np.kron(a.amplitudes, b.amplitudes))
+    lifted = lift(op(SZ), 0, TWO_QUBITS)
+    manual = a.amplitudes.conj() @ SZ @ a.amplitudes
+    assert np.vdot(joint.amplitudes, lifted.entries @ joint.amplitudes) == pytest.approx(complex(manual))

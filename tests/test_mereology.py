@@ -69,6 +69,20 @@ def test_composition_refuses_huge_individuals():
         composition(big)
 
 
+def test_thing_identity_notions():
+    # an individual is its atoms: order and repetition do not matter
+    assert Individual.of("a", "b") == Individual.of("b", "a", "b")
+    assert hash(Individual.of("a", "b")) == hash(Individual.of("b", "a"))
+    assert Individual.of("a") != Individual.of("a", "b")
+
+
+def test_physical_sum_joins_members_and_links():
+    xy, uv = Individual.of("x", "y"), Individual.of("u", "v")
+    joined = associate(xy, uv)
+    assert joined == Individual.of("x", "y", "u", "v") == xy | uv
+    assert is_part_of(xy, joined) and is_part_of(uv, joined)
+    assert composition(xy) | composition(uv) <= composition(joined)
+
 # --- the axioms suite's law check over the finite model --------------------
 
 SMALL_POOL = list("abcdef")

@@ -174,6 +174,15 @@ class TestProjectors:
             psi_a = raw_a / np.linalg.norm(raw_a)
             assert abs(np.vdot(psi_s, psi_a)) <= 1e-12
 
+    def test_physical_projector_is_sum(self):
+        # S and A are orthogonal, so S + A projects onto the physical sectors
+        pair = build_projectors(3, 2)
+        combined = pair.symmetrizer.entries + pair.antisymmetrizer.entries
+        assert np.max(np.abs(combined @ combined - combined)) <= 1e-12
+        assert projector_rank(Operator(pair.space, combined)) == (
+            count_symmetric_basis(3, 2) + count_antisymmetric_basis(3, 2)
+        )
+
 
 def fixed_by(projector, psi):
     """Whether the projector leaves the state unchanged: it lies in that sector."""
@@ -193,6 +202,20 @@ class TestClassify:
         e01 = basis_state(TWO_QUBITS, 1)
         assert not fixed_by(pair.symmetrizer, e01)
         assert not fixed_by(pair.antisymmetrizer, e01)
+
+    def test_transposition_eigenvalues(self):
+        swap = permutation_operator(Permutation((1, 0)), TWO_QUBITS).entries
+        sym = np.array([0, 1, 1, 0]) / math.sqrt(2)
+        singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
+        assert np.allclose(swap @ sym, sym)
+        assert np.allclose(swap @ singlet, -singlet)
+        # a product of distinct kets is no eigenvector of the exchange
+        e01 = basis_state(TWO_QUBITS, 1).amplitudes
+        assert abs(np.vdot(e01, swap @ e01)) <= 1e-12
+
+    def test_requires_equal_factors(self):
+        with pytest.raises(ValueError):
+            permutation_operator(Permutation((1, 0)), SpaceSpec((2, 3)))
 
     def test_projected_states_classify_by_sector(self):
         pair = build_projectors(3, 2)
