@@ -174,6 +174,7 @@ def commuting_pair_check(cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessRepo
 
     mean_d = float(np.sum(prob * d))
     var_d = float(np.sum(prob * (d - mean_d) ** 2))
+    del prob  # each (n, n) temporary goes after its last use, to keep the peak low
 
     k = grids.momentum_values(cfg.grid, hbar)
     ksum = k[:, None] + k[None, :]
@@ -183,10 +184,12 @@ def commuting_pair_check(cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessRepo
     var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
     mean_rel = float(np.sum(prob_k * krel))
     var_rel = float(np.sum(prob_k * (krel - mean_rel) ** 2))
+    del ksum, krel, prob_k
 
     p_psi = total_momentum_apply(psi, cfg, hbar)
     commutator = d * p_psi - total_momentum_apply(d * psi, cfg, hbar)
     state_residual = float(np.linalg.norm(commutator))
+    del p_psi, commutator
 
     shifted = np.roll(psi, 1, axis=(0, 1))
     shift_comm = d * shifted - np.roll(d * psi, 1, axis=(0, 1))
@@ -434,6 +437,7 @@ def chsh_lhv(
         mean = float(products.mean())
         estimates.append(mean)
         variance += float(products.var(ddof=1)) / n_samples
+        del lam, products  # the next batch need not hold this one's arrays
     s_value = sum(sign * est for sign, est in zip(signs, estimates))
     return LHVEstimate(
         s_value=float(s_value),

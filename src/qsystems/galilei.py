@@ -443,6 +443,15 @@ def position_momentum_residuals(
     return np.linalg.norm(delta, axis=0) / rep.hbar
 
 
+def _factored_norms(*terms: tuple[complex, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Frobenius norms, one per state, of sum(c * U_s V_s^T) over ``(c, (U, V))``
+    terms: the norms of R_U R_V^T from thin QRs of the concatenated factors,
+    which keep the conditioning that Gram matrices would square."""
+    r_u = np.linalg.qr(np.concatenate([c * u for c, (u, _) in terms], axis=-1), mode="r")
+    r_v = np.linalg.qr(np.concatenate([v for _, (_, v) in terms], axis=-1), mode="r")
+    return np.linalg.norm(r_u @ np.swapaxes(r_v, -1, -2), axis=(-2, -1))
+
+
 def verify_additive_grid_pair(
     part_a: AlgebraRep,
     part_b: AlgebraRep,
@@ -453,14 +462,18 @@ def verify_additive_grid_pair(
     """Additivity relations for two grid parts, applied matrix-free, as
     report detail.
 
-    The two-particle operators are never materialized: lifted one-particle
-    operators act on (n, n) state arrays leg by leg (the diagonal K, X and M
-    elementwise), so grids far beyond the dense-composite bound stay cheap.
-    Test states are products of masked one-particle states.  Checked, per
-    test state and with relative residuals: the bracket relations among the
-    total H, P, K, M; the mixed relations of each total generator with every
-    per-part position and momentum; exact additivity of the mass; and
-    commutation of generators lifted from different parts.
+    The two-particle operators are never materialized, and neither are the
+    states.  Test states are products ``a (x) b`` of masked one-particle
+    states, and every operator here acts on one leg, so every operator
+    product applied to a test state is a short sum of products.  All test
+    states are carried at once as factor stacks ``(U, V)`` of shape
+    ``(n_states, n, k)`` through :func:`grids.leg_product`: a lifted
+    one-particle operator multiplies one factor (the diagonal K, X and M
+    elementwise), and a sum concatenates factors.  Checked, per test state
+    and with relative residuals: the bracket relations among the total H, P,
+    K, M; the mixed relations of each total generator with every per-part
+    position and momentum; exact additivity of the mass; and commutation of
+    generators lifted from different parts.
     """
     for part in (part_a, part_b):
         if part.mask is None:
@@ -488,55 +501,39 @@ def verify_additive_grid_pair(
         )
     ops.update({label: (label + "a", label + "b") for label in "PKHM"})
     m_a, m_b = part_a.mass, part_b.mass
+    psi = (states_a.T[:, :, None], states_b.T[:, :, None])
+    products = {(): psi}
 
     records: dict[str, float] = {}
 
-    def record(law: str, value: float) -> None:
-        records[law] = max(records.get(law, 0.0), value)
+    def record(law: str, lhs: list, c: complex = 0.0, expected: tuple = psi) -> None:
+        """``lhs = c * expected`` for ``lhs`` a list of ``(coefficient, state)``
+        terms: the largest residual over the states, relative to ``c *
+        expected``, or to the first term when c is 0, as in
+        :func:`_relative_residual`."""
+        num = _factored_norms(*lhs, *([(-c, expected)] if c else []))
+        den = _factored_norms(*([(c, expected)] if c else lhs[:1]))
+        ratio = np.where(num == 0.0, 0.0, np.inf)
+        np.divide(num, den, out=ratio, where=den > 0.0)
+        records[law] = max(records.get(law, 0.0), float(ratio.max()))
 
-    def act(*names: str) -> np.ndarray:
+    def act(*names: str) -> tuple:
         return leg_product(ops, products, names)
 
-    def comm(f: str, g: str) -> np.ndarray:
-        return act(f, g) - act(g, f)
+    def comm(f: str, g: str) -> list:
+        return [(1, act(f, g)), (-1, act(g, f))]
 
-    for col in range(n_states):
-        psi = np.outer(states_a[:, col], states_b[:, col])
-        products = {(): psi}
-        expected = 1j * hbar * (m_a + m_b) * psi
-        record(
-            "[K,P] = ihbar*M (totals)",
-            _relative_residual(comm("K", "P") - expected, expected),
-        )
-        expected = 1j * hbar * act("P")
-        record(
-            "[K,H] = ihbar*P (totals)",
-            _relative_residual(comm("K", "H") - expected, expected),
-        )
-        record("[P,H] = 0 (totals)", _relative_residual(comm("P", "H"), act("P", "H")))
-        for tag, m_r in (("a", m_a), ("b", m_b)):
-            x_r, p_r = "X" + tag, "P" + tag
-            expected = -1j * hbar * psi
-            record(
-                "[P_total, X_part] = -ihbar",
-                _relative_residual(comm("P", x_r) - expected, expected),
-            )
-            record("[P_total, P_part] = 0", _relative_residual(comm("P", p_r), act("P", p_r)))
-            record("[K_total, X_part] = 0", _relative_residual(comm("K", x_r), act("K", x_r)))
-            expected = 1j * hbar * m_r * psi
-            record(
-                "[K_total, P_part] = ihbar*m_part",
-                _relative_residual(comm("K", p_r) - expected, expected),
-            )
-        expected = (m_a + m_b) * psi
-        record(
-            "M_total = (m_a + m_b)*identity",
-            _relative_residual(act("M") - expected, expected),
-        )
-        record(
-            "cross-part generators commute",
-            _relative_residual(comm("Ka", "Pb"), act("Ka", "Pb")),
-        )
+    record("[K,P] = ihbar*M (totals)", comm("K", "P"), 1j * hbar * (m_a + m_b))
+    record("[K,H] = ihbar*P (totals)", comm("K", "H"), 1j * hbar, act("P"))
+    record("[P,H] = 0 (totals)", comm("P", "H"))
+    for tag, m_r in (("a", m_a), ("b", m_b)):
+        x_r, p_r = "X" + tag, "P" + tag
+        record("[P_total, X_part] = -ihbar", comm("P", x_r), -1j * hbar)
+        record("[P_total, P_part] = 0", comm("P", p_r))
+        record("[K_total, X_part] = 0", comm("K", x_r))
+        record("[K_total, P_part] = ihbar*m_part", comm("K", p_r), 1j * hbar * m_r)
+    record("M_total = (m_a + m_b)*identity", [(1, act("M"))], m_a + m_b)
+    record("cross-part generators commute", comm("Ka", "Pb"))
 
     return _bracket_detail(
         f"additive-pair({part_a.name}, {part_b.name})",

@@ -48,6 +48,12 @@ _COUNT_BOUNDS = {
     "bell.n_random_settings": 1000,
 }
 
+# Each ``symmetry.cases`` entry [n, d] builds dense d^n x d^n projectors from
+# n! * d^n scattered indices; both are bounded at ten times the largest shipped
+# case, [4, 4] and [7, 2].
+_CASE_DIM_BOUND = 2560
+_CASE_INDEX_BOUND = 6_451_200
+
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _JSON_TYPES = {
@@ -85,6 +91,19 @@ def _check_value(path: str, value) -> None:
         raise ValueError(f"{path} must be at most {_COUNT_BOUNDS[path]}")
     if path in ("symmetry.cases", "bell.models") and not value:
         raise ValueError(f"{path} must not be empty")
+    if path == "symmetry.cases":
+        for i, case in enumerate(value):
+            if len(case) != 2 or case[0] < 2 or case[1] < 1:
+                raise ValueError(f"{path}[{i}] must be [n, d] with n >= 2 and d >= 1, got {case}")
+            n, d = case
+            if max(n, d) > _CASE_DIM_BOUND or d ** n > _CASE_DIM_BOUND:
+                raise ValueError(
+                    f"{path}[{i}] must have n, d and d^n at most {_CASE_DIM_BOUND}, got {case}"
+                )
+            if math.factorial(n) * d ** n > _CASE_INDEX_BOUND:
+                raise ValueError(
+                    f"{path}[{i}] must have n! * d^n at most {_CASE_INDEX_BOUND}, got {case}"
+                )
     if path == "bell.angles" and len(value) != 4:
         raise ValueError(f"{path} must hold four angles, got {len(value)}")
     if path == "charge.charges":
@@ -275,14 +294,14 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
     rng = np.random.default_rng(seed)
 
     pool = list(cfg["atom_pool"])
-    instances = int(cfg["mereology_instances"])
     exhaustive = _mereology_is_exhaustive(pool)
+    # The number of triples checked: every one of the finite model, or the samples.
+    instances = (2 ** len(set(pool))) ** 3 if exhaustive else int(cfg["mereology_instances"])
     check("mereology-monoid-parthood",
           "association is a commutative idempotent monoid with neutral null; "
           "parthood is a partial order",
           _mereology_law_failures(rng, pool, instances),
-          detail={"instances": (2 ** len(set(pool))) ** 3 if exhaustive else instances,
-                  "exhaustive": exhaustive})
+          detail={"instances": instances, "exhaustive": exhaustive})
 
     antisymmetry_failures, jacobi_failures = galilei.verify_structure()
     check("algebra-antisymmetry",

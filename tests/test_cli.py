@@ -247,6 +247,14 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"bell": {"angles": [0, 1]}}, "bell.angles must hold four angles"),
         ({"epr": {"n_inference": 0}}, "epr.n_inference must be at least 1"),
         ({"charge": {"charges": [0, 1]}}, "charge.charges must contain 0, 1 and 2; missing [2]"),
+        ({"symmetry": {"cases": [[2]]}}, "symmetry.cases[0] must be [n, d]"),
+        ({"symmetry": {"cases": [[2, 2], [1, 2]]}}, "symmetry.cases[1] must be [n, d]"),
+        ({"symmetry": {"cases": [[2, 0]]}}, "symmetry.cases[0] must be [n, d]"),
+        ({"symmetry": {"cases": [[2, 2, 2]]}}, "symmetry.cases[0] must be [n, d]"),
+        ({"symmetry": {"cases": [[2, 10 ** 300]]}}, "symmetry.cases[0] must have n, d and d^n at most"),
+        ({"symmetry": {"cases": [[10 ** 300, 2]]}}, "symmetry.cases[0] must have n, d and d^n at most"),
+        ({"symmetry": {"cases": [[2, 51]]}}, "symmetry.cases[0] must have n, d and d^n at most 2560"),
+        ({"symmetry": {"cases": [[11, 1]]}}, "symmetry.cases[0] must have n! * d^n at most"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,3 +321,28 @@ def test_bell_suite_runs_the_monte_carlo_once_per_model(monkeypatch):
     report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 2}, seed=3)
     assert report.to_dict()["pass"] is True
     assert sorted(calls) == sorted(m().name for m in epr_bell.SHIPPED_LHV_MODELS.values())
+
+
+def test_pair_check_drops_its_grid_temporaries():
+    # At the default 256 sites one (n, n) complex array is 1 MiB; the check
+    # keeps at most about eight of them alive at once.
+    cfg = EPRConfig(n_sites=256, length=16.0, separation=1.0, width=0.25)
+    tracemalloc.start()
+    try:
+        commuting_pair_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
+
+
+def test_lhv_batches_do_not_overlap_in_memory():
+    # At 10^6 samples one float array is 7.6 MiB; a batch that still held the
+    # previous batch's products peaked at 39 MiB.
+    tracemalloc.start()
+    try:
+        chsh_lhv(sign_cosine_model(), OPTIMAL, 1_000_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * 2**20

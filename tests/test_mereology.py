@@ -148,3 +148,28 @@ def test_axioms_report_names_the_law_check_path(pool, exhaustive, instances):
     assert record.check_id == "mereology-monoid-parthood"
     assert record.passed and record.value == 0
     assert record.detail == {"instances": instances, "exhaustive": exhaustive}
+
+
+@pytest.mark.parametrize(
+    "pool, instances", [(list("abcdefgh"), 256 ** 3), (list("abcdefghijkl"), 300)]
+)
+def test_law_check_is_given_the_number_of_triples_it_checks(pool, instances, monkeypatch):
+    # A caller that reads the argument, such as a profiler's counter, sees the
+    # 256**3 triples of the exhaustive path, not the unused sample count.
+    seen = []
+    law_failures = suites._mereology_law_failures
+
+    def recording(rng, pool, instances):
+        seen.append(instances)
+        return law_failures(rng, pool, instances)
+
+    monkeypatch.setattr(suites, "_mereology_law_failures", recording)
+    cheap = {
+        "atom_pool": pool,
+        "mereology_instances": 300,
+        "spin_values": [0.5],
+        "grid_sites": 16,
+        "n_test_states": 2,
+    }
+    suites.run_axioms(cheap)
+    assert seen == [instances]

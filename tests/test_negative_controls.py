@@ -1,9 +1,11 @@
 """Negative controls: each row injects one defect into the code under one
 check, runs that check's suite runner at its defaults, and asserts that the
-check fails.  A check that no defect can flip would pass vacuously.
+check fails.  A check that no defect can flip would pass vacuously.  The
+axioms suite runs on a small config (a 64-site grid, 4 test states and 4
+atoms), where every check still passes before injection.
 
-Rows so far cover every check of the symmetry suite, the dynamics
-product-space checks and ``momentum-conservation``.
+Rows so far cover every check of the axioms and symmetry suites, the
+dynamics product-space checks and ``momentum-conservation``.
 """
 
 from dataclasses import replace
@@ -11,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsystems import dynamics, galilei, suites, symmetry
+from qsystems import dynamics, galilei, mereology, suites, symmetry
 from qsystems.hilbert import Operator
 
 SAMPLE = dynamics.PotentialSpec.sample
@@ -23,6 +25,75 @@ PERMUTATION_ROWS = symmetry._permutation_rows
 PROJECTOR_RANK = symmetry.projector_rank
 ANTISYMMETRIC_COUNT = symmetry.count_antisymmetric_basis
 ADDITIVE_REP = galilei.build_additive_rep
+SPIN_REP = galilei.build_spin_rep
+GRID_REP = galilei.build_grid_rep
+ADDITIVE_GRID_PAIR = galilei.verify_additive_grid_pair
+
+SMALL_AXIOMS = {"grid_sites": 64, "n_test_states": 4, "atom_pool": ["a", "b", "c", "d"]}
+CONFIGS = {"axioms": SMALL_AXIOMS}
+
+
+def associate_drops_an_atom(monkeypatch):
+    """Association loses the atom "d", so it is no longer idempotent."""
+    monkeypatch.setattr(
+        mereology, "associate", lambda x, y: mereology.Individual((x.atoms | y.atoms) - {"d"})
+    )
+
+
+def one_sided_table_entry(monkeypatch):
+    """[K1, H] reads 2 P1 while [H, K1] still reads -P1."""
+    monkeypatch.setitem(galilei._TABLE, ("K1", "H"), {"P1": 2})
+
+
+def doubled_rotation_bracket(monkeypatch):
+    """[J1, J2] = 2 ihbar J3, antisymmetric but inconsistent with the other
+    rotation brackets, so J1, J2, K1 break the Jacobi identity."""
+    monkeypatch.setitem(galilei._TABLE, ("J1", "J2"), {"J3": 2})
+    monkeypatch.setitem(galilei._TABLE, ("J2", "J1"), {"J3": -2})
+
+
+def _scaled_image(rep, label, factor=1.001):
+    return replace(rep, images={**rep.images, label: factor * rep.images[label]})
+
+
+def scaled_spin_j3(monkeypatch):
+    """Every spin representation's J3 is 0.1% too large."""
+    monkeypatch.setattr(
+        galilei, "build_spin_rep", lambda *a, **k: _scaled_image(SPIN_REP(*a, **k), "J3")
+    )
+
+
+def scaled_grid_momentum(monkeypatch):
+    """Every grid representation's momentum is 0.1% too large."""
+    monkeypatch.setattr(
+        galilei, "build_grid_rep", lambda *a, **k: _scaled_image(GRID_REP(*a, **k), "P1")
+    )
+
+
+def scaled_pair_momentum(monkeypatch):
+    """The additive pair reads part b's momentum 0.1% too large; the grid
+    representations themselves stay correct."""
+
+    def verify(part_a, part_b, *args, **kwargs):
+        return ADDITIVE_GRID_PAIR(part_a, _scaled_image(part_b, "P1"), *args, **kwargs)
+
+    monkeypatch.setattr(galilei, "verify_additive_grid_pair", verify)
+
+
+def _composite_with(monkeypatch, label):
+    monkeypatch.setattr(
+        galilei, "build_additive_rep", lambda *a, **k: _scaled_image(ADDITIVE_REP(*a, **k), label)
+    )
+
+
+def composite_mass_off(monkeypatch):
+    """The composite's mass image is 0.1% off the sum of the part masses."""
+    _composite_with(monkeypatch, "M")
+
+
+def composite_j3_off(monkeypatch):
+    """The composite's J3 image is 0.1% off the sum of the parts' J3."""
+    _composite_with(monkeypatch, "J3")
 
 
 def antisymmetric_count_off_by_one(monkeypatch):
@@ -144,6 +215,19 @@ def potential_of_first_position(monkeypatch):
 
 
 ROWS = [
+    ("axioms", "mereology-monoid-parthood", associate_drops_an_atom),
+    ("axioms", "algebra-antisymmetry", one_sided_table_entry),
+    ("axioms", "algebra-jacobi", doubled_rotation_bracket),
+    *[
+        ("axioms", f"spin-{kind}-j{j:g}", scaled_spin_j3)
+        for j in suites._AXIOMS_DEFAULTS["spin_values"]
+        for kind in ("brackets", "casimir")
+    ],
+    ("axioms", "grid-position-momentum", scaled_grid_momentum),
+    ("axioms", "grid-brackets", scaled_grid_momentum),
+    ("axioms", "additive-pair-relations", scaled_pair_momentum),
+    ("axioms", "additive-spin-mass", composite_mass_off),
+    ("axioms", "additive-spin-j3-spectrum", composite_j3_off),
     *[
         ("symmetry", f"projector-ranks-n{n}-d{d}", antisymmetric_count_off_by_one)
         for n, d in suites._SYMMETRY_DEFAULTS["cases"]
@@ -164,7 +248,7 @@ ROWS = [
 
 
 def verdicts(suite: str) -> dict:
-    return {c.check_id: c.passed for c in suites.run_suite(suite).checks}
+    return {c.check_id: c.passed for c in suites.run_suite(suite, CONFIGS.get(suite)).checks}
 
 
 @pytest.mark.parametrize("suite", sorted({suite for suite, _, _ in ROWS}))

@@ -60,6 +60,10 @@ class TestMerge:
                 for key in where.split("."):
                     value = value.get(key, {})
                 assert value == {} or bound >= 10 * value, where
+        for config in configs:
+            for n, d in config.get("symmetry", {}).get("cases", []):
+                assert suites._CASE_DIM_BOUND >= 10 * d ** n
+                assert suites._CASE_INDEX_BOUND >= 10 * math.factorial(n) * d ** n
 
     def test_optional_potential_must_be_an_object(self):
         cfg = suites._merge(
