@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,17 @@ from .report import combined_report_dict, render_text
 from .suites import run_all, run_suite
 
 SUITE_NAMES = ("axioms", "symmetry", "dynamics", "charge", "epr", "bell")
+
+
+def _tolerance_scale(text: str) -> float:
+    """The --tolerance-scale value: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and not negative, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--tolerance-scale",
-            type=float,
+            type=_tolerance_scale,
             default=1.0,
             help="multiply documented tolerances (exploratory runs only)",
         )

@@ -47,10 +47,19 @@ __all__ = [
     "bell_report",
     "CLASSICAL_BOUND",
     "QUANTUM_BOUND",
+    "MIN_LHV_SAMPLES",
 ]
 
 CLASSICAL_BOUND = 2.0
 QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
+
+# The Monte Carlo needs this many samples per correlation for its normal
+# error bar to mean anything.
+MIN_LHV_SAMPLES = 10_000
+# Hidden variables drawn and compared per block: the Monte Carlo holds a few
+# arrays of this length at once, whatever the sample count.  The blocks draw
+# the same doubles as one call of the full length.
+_LHV_CHUNK = 2 ** 16
 
 
 # --------------------------------------------------------------------------
@@ -311,10 +320,13 @@ class LHVModel:
     """Deterministic local responses on a shared circular hidden variable.
 
     ``response_a(setting, lam)`` and ``response_b(setting, lam)`` take a
-    setting angle and hidden-variable angles and return +/-1; each response
-    depends only on its own setting and the hidden variable.  ``jumps_a`` and
+    setting angle and hidden-variable angles ``lam`` in [0, 2*pi) and return
+    a boolean array: True is outcome +1, False is -1.  Each response depends
+    only on its own setting and the hidden variable.  ``jumps_a`` and
     ``jumps_b`` list the discontinuity angles of the responses in [0, 2*pi),
-    which lets expectations be integrated arc-exactly.
+    which lets expectations be integrated arc-exactly.  The responses are
+    written independently of the jump lists, so the sampled and the
+    integrated correlations are two descriptions of one model.
     """
 
     name: str
@@ -324,17 +336,31 @@ class LHVModel:
     jumps_b: Callable[[float], np.ndarray]
 
 
-def _pm(condition: np.ndarray) -> np.ndarray:
-    return np.where(condition, 1.0, -1.0)
+def _on_arcs(lam: np.ndarray, starts, width: float) -> np.ndarray:
+    """Whether each angle of ``lam`` (in [0, 2*pi)) lies on one of the arcs
+    [start, start + width) taken mod 2*pi: two comparisons per arc, against
+    ends computed once per call."""
+    two_pi = 2.0 * np.pi
+    inside = None
+    for start in starts:
+        lo = start % two_pi
+        hi = lo + width
+        if hi > two_pi:
+            arc = (lam >= lo) | (lam < hi - two_pi)
+        else:
+            arc = (lam >= lo) & (lam < hi)
+        inside = arc if inside is None else inside | arc
+    return inside
 
 
 def sign_cosine_model() -> LHVModel:
     """Hemisphere responses: each side answers with the sign of cos(lam - setting),
-    anticorrelated so aligned analyzers reproduce the singlet's E = -1."""
+    that is, +1 on the half circle centred on its setting; B answers the
+    opposite, so aligned analyzers reproduce the singlet's E = -1."""
     return LHVModel(
         name="sign-cosine",
-        response_a=lambda a, lam: _pm(np.cos(lam - a) >= 0.0),
-        response_b=lambda b, lam: -_pm(np.cos(lam - b) >= 0.0),
+        response_a=lambda a, lam: _on_arcs(lam, [a - np.pi / 2], np.pi),
+        response_b=lambda b, lam: ~_on_arcs(lam, [b - np.pi / 2], np.pi),
         jumps_a=lambda a: np.mod([a - np.pi / 2, a + np.pi / 2], 2.0 * np.pi),
         jumps_b=lambda b: np.mod([b - np.pi / 2, b + np.pi / 2], 2.0 * np.pi),
     )
@@ -343,23 +369,24 @@ def sign_cosine_model() -> LHVModel:
 def narrow_window_model(half_width: float = np.pi / 3.0) -> LHVModel:
     """Window responses: +1 only when the hidden variable falls within
     ``half_width`` of the setting; biased marginals, still local."""
-    cos_w = np.cos(half_width)
     return LHVModel(
         name="narrow-window",
-        response_a=lambda a, lam: _pm(np.cos(lam - a) > cos_w),
-        response_b=lambda b, lam: -_pm(np.cos(lam - b) > cos_w),
+        response_a=lambda a, lam: _on_arcs(lam, [a - half_width], 2.0 * half_width),
+        response_b=lambda b, lam: ~_on_arcs(lam, [b - half_width], 2.0 * half_width),
         jumps_a=lambda a: np.mod([a - half_width, a + half_width], 2.0 * np.pi),
         jumps_b=lambda b: np.mod([b - half_width, b + half_width], 2.0 * np.pi),
     )
 
 
 def double_frequency_model() -> LHVModel:
-    """Responses flipping at twice the analyzer rate around the circle."""
+    """Responses flipping at twice the analyzer rate around the circle: the
+    sign of cos(2 (lam - setting)), +1 on the two quarter circles centred on
+    the setting and on its opposite."""
     quarters = np.array([1.0, 3.0, 5.0, 7.0]) * np.pi / 4.0
     return LHVModel(
         name="double-frequency",
-        response_a=lambda a, lam: _pm(np.cos(2.0 * (lam - a)) >= 0.0),
-        response_b=lambda b, lam: -_pm(np.cos(2.0 * (lam - b)) >= 0.0),
+        response_a=lambda a, lam: _on_arcs(lam, [a - np.pi / 4, a + 3 * np.pi / 4], np.pi / 2),
+        response_b=lambda b, lam: ~_on_arcs(lam, [b - np.pi / 4, b + 3 * np.pi / 4], np.pi / 2),
         jumps_a=lambda a: np.mod(a + quarters, 2.0 * np.pi),
         jumps_b=lambda b: np.mod(b + quarters, 2.0 * np.pi),
     )
@@ -389,9 +416,8 @@ def correlation_lhv_exact(model: LHVModel, angle_a: float, angle_b: float) -> fl
         if t1 <= t0:
             continue
         mid = np.array([(t0 + t1) / 2.0])
-        total += float(
-            model.response_a(angle_a, mid)[0] * model.response_b(angle_b, mid)[0]
-        ) * (t1 - t0)
+        agree = model.response_a(angle_a, mid)[0] == model.response_b(angle_b, mid)[0]
+        total += (1.0 if agree else -1.0) * (t1 - t0)
     return total / (2.0 * np.pi)
 
 
@@ -419,25 +445,28 @@ def chsh_lhv(
 ) -> LHVEstimate:
     """Monte-Carlo CHSH estimate for a local model; reproducible given the seed.
 
-    Each of the four correlations draws its own batch of hidden variables
-    from one seeded generator.  The standard error combines the four
-    per-term variances of the mean.
+    Each of the four correlations draws its own ``n_samples`` hidden variables
+    from one seeded generator, in blocks of ``_LHV_CHUNK``, and counts the
+    samples on which the two outcomes agree: E = (2 agree - n) / n.  Outcomes
+    are +/-1, so each term's sample variance is n (1 - E^2) / (n - 1), and
+    the standard error is sqrt(sum (1 - E_i^2) / (n - 1)).
     """
-    if n_samples < 10_000:
-        raise ValueError("use at least 10^4 samples per correlation")
+    if n_samples < MIN_LHV_SAMPLES:
+        raise ValueError(f"use at least {MIN_LHV_SAMPLES} samples per correlation")
     rng = np.random.default_rng(seed)
     a, ap, b, bp = settings.as_tuple()
     signs = (1.0, -1.0, 1.0, 1.0)
     pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     estimates = []
     variance = 0.0
-    for (sa, sb), sign in zip(pairs, signs):
-        lam = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
-        products = model.response_a(sa, lam) * model.response_b(sb, lam)
-        mean = float(products.mean())
+    for sa, sb in pairs:
+        agree = 0
+        for start in range(0, n_samples, _LHV_CHUNK):
+            lam = rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
+            agree += int(np.count_nonzero(model.response_a(sa, lam) == model.response_b(sb, lam)))
+        mean = (2 * agree - n_samples) / n_samples
         estimates.append(mean)
-        variance += float(products.var(ddof=1)) / n_samples
-        del lam, products  # the next batch need not hold this one's arrays
+        variance += (1.0 - mean * mean) / (n_samples - 1)
     s_value = sum(sign * est for sign, est in zip(signs, estimates))
     return LHVEstimate(
         s_value=float(s_value),

@@ -28,6 +28,11 @@ _OPTIONAL_OBJECTS = {"dynamics.relative.potential"}
 # Config keys whose number must be positive.
 _POSITIVE_NUMBERS = {"axioms.hbar", "dynamics.hbar", "epr.hbar"}
 
+# Config keys, besides every ``*_tolerance`` key, whose number must not be
+# negative.  A negative tolerance or margin would fail its check whatever the
+# code computes; zero is legal and demands an exact result.
+_NON_NEGATIVE_NUMBERS = {"bell.mc_sigmas"}
+
 # Integer size and count keys, each at least 1 and at most its bound.  A count
 # of 0 would pass a check over no samples, and a huge one would never finish;
 # each bound is at least ten times the largest value the shipped configs use.
@@ -47,6 +52,10 @@ _COUNT_BOUNDS = {
     "bell.n_samples": 10_000_000,
     "bell.n_random_settings": 1000,
 }
+
+# Count keys whose least value is above 1: the Monte Carlo's normal error bar
+# needs this many samples per correlation.
+_COUNT_MINIMA = {"bell.n_samples": epr_bell.MIN_LHV_SAMPLES}
 
 # Each ``symmetry.cases`` entry [n, d] builds dense d^n x d^n projectors from
 # n! * d^n scattered indices; both are bounded at ten times the largest shipped
@@ -85,8 +94,10 @@ def _check_value(path: str, value) -> None:
     """Raise ValueError, naming ``path``, unless ``value`` keeps its key's rule."""
     if path in _POSITIVE_NUMBERS and not value > 0:
         raise ValueError(f"{path} must be positive")
-    if path in _COUNT_BOUNDS and value < 1:
-        raise ValueError(f"{path} must be at least 1")
+    if (path.endswith("_tolerance") or path in _NON_NEGATIVE_NUMBERS) and value < 0:
+        raise ValueError(f"{path} must not be negative")
+    if path in _COUNT_BOUNDS and value < _COUNT_MINIMA.get(path, 1):
+        raise ValueError(f"{path} must be at least {_COUNT_MINIMA.get(path, 1)}")
     if path in _COUNT_BOUNDS and value > _COUNT_BOUNDS[path]:
         raise ValueError(f"{path} must be at most {_COUNT_BOUNDS[path]}")
     if path in ("symmetry.cases", "bell.models") and not value:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsystems import suites
 from qsystems.cli import SUITE_NAMES, main
@@ -95,6 +95,15 @@ def test_tolerance_scale_can_force_failures(tmp_path, capsys):
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
+
+
+def test_zero_tolerances_stay_legal(tmp_path, capsys):
+    # Zero demands an exact result: it fails the sampled checks, but it is not
+    # a config error.
+    cfg = write_config(tmp_path, {"bell": {"n_samples": 10_000, "mc_sigmas": 0,
+                                           "lhv_tolerance": 0, "quantum_tolerance": 0}})
+    assert main(["bell", "--config", cfg, "--tolerance-scale", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_config_section_overrides_defaults(tmp_path, capsys):
@@ -255,6 +264,10 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"symmetry": {"cases": [[10 ** 300, 2]]}}, "symmetry.cases[0] must have n, d and d^n at most"),
         ({"symmetry": {"cases": [[2, 51]]}}, "symmetry.cases[0] must have n, d and d^n at most 2560"),
         ({"symmetry": {"cases": [[11, 1]]}}, "symmetry.cases[0] must have n! * d^n at most"),
+        ({"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
+        ({"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
+        ({"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
+        ({"charge": {"phase_tolerance": -1e-300}}, "charge.phase_tolerance must not be negative"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -284,6 +297,9 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("dynamics", {"dynamics": {"hbar": 0}}, "dynamics.hbar must be positive"),
         ("epr", {"epr": {"hbar": -1.0}}, "epr.hbar must be positive"),
         ("all", {"axioms": {"hbar": 0.0}}, "axioms.hbar must be positive"),
+        ("bell", {"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
+        ("bell", {"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
+        ("bell", {"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):
@@ -313,6 +329,12 @@ for _suite in SUITE_NAMES:
     _PATHS += [(_suite, where, d) for where, d in [(_suite, _defaults), *_paths(_defaults, _suite)]]
 
 
+# Every tolerance key, and the other keys that must not be negative.
+_NON_NEGATIVE_PATHS = sorted(
+    {where for _, where, _ in _PATHS if where.endswith("_tolerance")} | suites._NON_NEGATIVE_NUMBERS
+)
+
+
 def _draw_path(draw, keep):
     return draw(st.sampled_from([entry for entry in _PATHS if keep(entry[2])]))
 
@@ -320,7 +342,9 @@ def _draw_path(draw, keep):
 @st.composite
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
-    kind = draw(st.sampled_from(["unknown", "mistyped", "non-finite", "overflow", "hbar", "count"]))
+    kind = draw(st.sampled_from(
+        ["unknown", "mistyped", "non-finite", "overflow", "hbar", "negative", "count"]
+    ))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
         where += ".no_such_key"
@@ -341,11 +365,16 @@ def invalid_sections(draw):
         where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
+    elif kind == "negative":
+        where = draw(st.sampled_from(_NON_NEGATIVE_PATHS))
+        suite = where.split(".")[0]
+        value = draw(st.floats(max_value=-5e-324, allow_infinity=False) | st.integers(max_value=-1))
     else:
         where = draw(st.sampled_from(sorted(suites._COUNT_BOUNDS)))
         suite = where.split(".")[0]
         bound = suites._COUNT_BOUNDS[where]
-        value = draw(st.integers(max_value=0) | st.integers(bound + 1, 10 ** 300))
+        least = suites._COUNT_MINIMA.get(where, 1)
+        value = draw(st.integers(max_value=least - 1) | st.integers(bound + 1, 10 ** 300))
     doc = value
     for key in reversed(where.split(".")):
         doc = {key: doc}
@@ -364,6 +393,36 @@ def test_main_rejects_every_invalid_section_with_exit_2(case):
             rc = main([suite, "--config", str(path)])
     assert rc == 2
     assert where in err.getvalue()
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def invalid_flags(draw):
+    """(argv, named) with one invalid --tolerance-scale or --samples value."""
+    command = draw(st.sampled_from([*SUITE_NAMES, "all"]))
+    if command == "bell" and draw(st.booleans()):
+        return ["bell", "--samples", str(draw(st.integers(max_value=9_999)))], "bell.n_samples"
+    scale = draw(st.one_of(
+        st.floats(max_value=-5e-324).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "", "1,5", "x"]),
+    ))
+    return [command, f"--tolerance-scale={scale}"], "--tolerance-scale"
+
+
+@settings(max_examples=40, deadline=None)
+@given(invalid_flags())
+@example((["bell", "--tolerance-scale=-1"], "--tolerance-scale"))
+@example((["bell", "--tolerance-scale", "nan"], "--tolerance-scale"))
+@example((["all", "--tolerance-scale", "inf"], "--tolerance-scale"))
+@example((["bell", "--samples", "100"], "bell.n_samples"))
+def test_main_rejects_every_invalid_flag_value_with_exit_2(case):
+    argv, named = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 2
+    assert named in err.getvalue()
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,38 @@ from qsystems.epr_bell import (
 )
 
 OPTIMAL = CHSHSettings()
+
+
+# Oracles: the cos-form +/-1 responses and the one-shot float estimator that the
+# arc tests and the agreement count of ``chsh_lhv`` replaced.  Side A answers
+# ``COS_RESPONSES[name](setting, lam)``; side B answers its negation.
+def _pm(condition):
+    return np.where(condition, 1.0, -1.0)
+
+
+COS_RESPONSES = {
+    "sign-cosine": lambda s, lam: _pm(np.cos(lam - s) >= 0.0),
+    "narrow-window": lambda s, lam: _pm(np.cos(lam - s) > np.cos(np.pi / 3.0)),
+    "double-frequency": lambda s, lam: _pm(np.cos(2.0 * (lam - s)) >= 0.0),
+}
+
+
+def oracle_chsh_lhv(name, settings, n_samples, seed):
+    """(S, stderr, correlations) from one full-length draw per correlation,
+    ``products.mean()`` and ``products.var(ddof=1)``."""
+    response = COS_RESPONSES[name]
+    rng = np.random.default_rng(seed)
+    a, ap, b, bp = settings.as_tuple()
+    signs = (1.0, -1.0, 1.0, 1.0)
+    estimates = []
+    variance = 0.0
+    for sa, sb in ((a, b), (a, bp), (ap, b), (ap, bp)):
+        lam = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
+        products = response(sa, lam) * -response(sb, lam)
+        estimates.append(float(products.mean()))
+        variance += float(products.var(ddof=1)) / n_samples
+    s_value = sum(sign * est for sign, est in zip(signs, estimates))
+    return s_value, float(np.sqrt(variance)), tuple(estimates)
 
 
 class TestEPRConfig:
@@ -204,11 +237,30 @@ class TestQuantumCHSH:
 class TestLHVModels:
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
     def test_responses_are_dichotomic(self, name):
+        # Boolean outcomes (True is +1) over the whole domain [0, 2*pi), and
+        # both outcomes occur on each side.
         model = SHIPPED_LHV_MODELS[name]()
-        lam = np.linspace(0, 2 * math.pi, 1001)
+        lam = np.linspace(0, 2 * math.pi, 1000, endpoint=False)
         for setting in (0.0, 0.9, 2.0):
-            assert set(np.unique(model.response_a(setting, lam))) <= {-1.0, 1.0}
-            assert set(np.unique(model.response_b(setting, lam))) <= {-1.0, 1.0}
+            for response in (model.response_a, model.response_b):
+                outcomes = response(setting, lam)
+                assert outcomes.dtype == np.bool_
+                assert outcomes.shape == lam.shape
+                assert outcomes.any() and not outcomes.all()
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_arc_responses_match_the_cosine_forms(self, name):
+        # 10^7 seeded draws per model, 2 * 10^6 at each setting; B's response is
+        # the negation of the cos form at its own setting.
+        model = SHIPPED_LHV_MODELS[name]()
+        oracle = COS_RESPONSES[name]
+        rng = np.random.default_rng(2024)
+        for setting in (0.0, 0.9, 2.0, math.pi / 4, 3 * math.pi / 4):
+            for _ in range(2):
+                lam = rng.uniform(0.0, 2.0 * math.pi, size=1_000_000)
+                plus = oracle(setting, lam) > 0
+                assert np.array_equal(model.response_a(setting, lam), plus)
+                assert np.array_equal(model.response_b(setting, lam), ~plus)
 
     def test_sign_cosine_exact_correlation(self):
         # closed form: E(a,b) = -(1 - 2|a-b|/pi) for |a-b| <= pi
@@ -222,11 +274,10 @@ class TestLHVModels:
     def test_exact_correlation_matches_dense_sampling(self):
         # independent quadrature oracle: midpoint rule on a fine grid
         lam = (np.arange(200001) + 0.5) * (2 * math.pi / 200001)
-        for factory in (narrow_window_model, double_frequency_model):
+        for factory in (sign_cosine_model, narrow_window_model, double_frequency_model):
             model = factory()
-            sampled = float(
-                np.mean(model.response_a(0.7, lam) * model.response_b(1.9, lam))
-            )
+            agree = model.response_a(0.7, lam) == model.response_b(1.9, lam)
+            sampled = 2.0 * float(np.mean(agree)) - 1.0
             exact = correlation_lhv_exact(model, 0.7, 1.9)
             assert exact == pytest.approx(sampled, abs=1e-4)
 
@@ -255,6 +306,27 @@ class TestLHVSampling:
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(ValueError):
             chsh_lhv(sign_cosine_model(), OPTIMAL, 100, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [10_000, 100_003, 1_000_000])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_estimate_matches_the_one_shot_cosine_oracle(self, name, n_samples):
+        # Blocks of draws, arc tests and the agreement count give the oracle's
+        # correlations and S exactly; the closed-form stderr agrees to 2 ulp.
+        settings = CHSHSettings(0.3, 1.4, 0.9, 2.6)
+        estimate = chsh_lhv(SHIPPED_LHV_MODELS[name](), settings, n_samples, seed=n_samples)
+        s_value, stderr, correlations = oracle_chsh_lhv(name, settings, n_samples, n_samples)
+        assert estimate.correlations == correlations
+        assert estimate.s_value == s_value
+        assert abs(estimate.stderr - stderr) <= 2 * np.spacing(stderr)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_sampler_never_reads_the_jump_tables(self, name):
+        def refuse(setting):
+            raise AssertionError("the sampler read a jump table")
+
+        model = SHIPPED_LHV_MODELS[name]()
+        blind = replace(model, jumps_a=refuse, jumps_b=refuse)
+        assert chsh_lhv(blind, OPTIMAL, 10_000, seed=3) == chsh_lhv(model, OPTIMAL, 10_000, seed=3)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
     def test_estimate_within_five_sigma_of_exact(self, name):
@@ -337,12 +409,14 @@ def test_pair_check_drops_its_grid_temporaries():
 
 
 def test_lhv_batches_do_not_overlap_in_memory():
-    # At 10^6 samples one float array is 7.6 MiB; a batch that still held the
-    # previous batch's products peaked at 39 MiB.
-    tracemalloc.start()
-    try:
-        chsh_lhv(sign_cosine_model(), OPTIMAL, 1_000_000, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 34 * 2**20
+    # The Monte Carlo draws blocks of 2**16 hidden variables (0.5 MiB) and
+    # peaks at 1.0 MiB whatever the sample count; one full-length batch of
+    # 10^6 samples held 7.6 MiB per float array and peaked at 31 MiB.
+    for factory in SHIPPED_LHV_MODELS.values():
+        tracemalloc.start()
+        try:
+            chsh_lhv(factory(), OPTIMAL, 1_000_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20

@@ -2,18 +2,27 @@
 check, runs that check's suite runner at its defaults, and asserts that the
 check fails.  A check that no defect can flip would pass vacuously.  The
 axioms suite runs on a small config (a 64-site grid, 4 test states and 4
-atoms), where every check still passes before injection.
+atoms), and the bell suite on 10^5 samples, 2 random settings and analyzer
+angles at which every model's Monte Carlo is sensitive to a misplaced jump;
+every check still passes there before injection.
 
-Rows so far cover every check of the axioms and symmetry suites, the
-dynamics product-space checks and ``momentum-conservation``.
+Rows cover every check of the axioms, symmetry and bell suites, the dynamics
+product-space checks and ``momentum-conservation``.  A check of those three
+suites that no numerical defect can reach has a written reason in
+``REASONS`` in place of a row, and a test keeps every check id of
+``tests/data/report_structure.json`` in one of the two.
 """
 
+import json
+import math
 from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsystems import dynamics, galilei, mereology, suites, symmetry
+from qsystems import dynamics, epr_bell, galilei, mereology, suites, symmetry
 from qsystems.hilbert import Operator
 
 SAMPLE = dynamics.PotentialSpec.sample
@@ -29,8 +38,15 @@ SPIN_REP = galilei.build_spin_rep
 GRID_REP = galilei.build_grid_rep
 ADDITIVE_GRID_PAIR = galilei.verify_additive_grid_pair
 
+ANALYZER = epr_bell.analyzer_operator
+SIGN_COSINE = epr_bell.sign_cosine_model
+
 SMALL_AXIOMS = {"grid_sites": 64, "n_test_states": 4, "atom_pool": ["a", "b", "c", "d"]}
-CONFIGS = {"axioms": SMALL_AXIOMS}
+# At these angles the four A-B angle differences do not cancel in S, so a jump
+# table shifted by 0.05 rad moves every model's exact S by about 0.13, over
+# 20 standard errors of its 10^5-sample estimate.
+SMALL_BELL = {"angles": [0.5, 1.1, 0.1, 0.9], "n_samples": 100_000, "n_random_settings": 2}
+CONFIGS = {"axioms": SMALL_AXIOMS, "bell": SMALL_BELL}
 
 
 def associate_drops_an_atom(monkeypatch):
@@ -214,6 +230,72 @@ def potential_of_first_position(monkeypatch):
     monkeypatch.setattr(dynamics.PotentialSpec, "sample", sample)
 
 
+def product_state_for_singlet(monkeypatch):
+    """The "singlet" is the product state |01>, whose correlations
+    -cos(a) cos(b) depend on the absolute analyzer angles."""
+
+    def product():
+        psi = np.zeros(4, dtype=np.complex128)
+        psi[1] = 1.0
+        return psi
+
+    monkeypatch.setattr(epr_bell, "singlet_state", product)
+
+
+def chsh_sign_slip(monkeypatch):
+    """S adds E(a, b') where it should subtract it."""
+
+    def chsh(settings):
+        a, ap, b, bp = settings.as_tuple()
+        corr = epr_bell.correlation_quantum
+        return corr(a, b) + corr(a, bp) + corr(ap, b) + corr(ap, bp)
+
+    monkeypatch.setattr(epr_bell, "chsh_quantum", chsh)
+
+
+def analyzer_dial_wraps_at_pi(monkeypatch):
+    """The analyzer reads its angle mod pi, so a setting past pi flips sign."""
+    monkeypatch.setattr(epr_bell, "analyzer_operator", lambda theta: ANALYZER(theta % math.pi))
+
+
+def _shipped_model_with(monkeypatch, name, change):
+    """The bell suite builds ``change(model)`` in place of the shipped model ``name``."""
+    factory = epr_bell.SHIPPED_LHV_MODELS[name]
+    monkeypatch.setitem(epr_bell.SHIPPED_LHV_MODELS, name, lambda: change(factory()))
+
+
+def signalling_partner(model):
+    """B answers the opposite of A's own outcome, and the same outcome once
+    A's setting is more than pi/2 from B's: E(a, b) = -sign cos(a - b), which
+    reaches |S| = 4 at the canonical settings.  B reads the setting A last
+    answered for, so the model is not local."""
+    last = [0.0]
+
+    def response_a(a, lam):
+        last[0] = a
+        return model.response_a(a, lam)
+
+    def response_b(b, lam):
+        outcome = model.response_a(last[0], lam)
+        return ~outcome if math.cos(last[0] - b) >= 0.0 else outcome
+
+    return replace(model, response_a=response_a, response_b=response_b)
+
+
+def shifted_jumps_a(model):
+    """The A jump table sits 0.05 rad past A's true jumps.  Only exact
+    integration reads the table, so the sampled S stays where it was."""
+    return replace(model, jumps_a=lambda a: np.mod(model.jumps_a(a) + 0.05, 2.0 * np.pi))
+
+
+def hemisphere_missing_a_jump(monkeypatch):
+    """The hemisphere model's A jump table drops its jump at a + pi/2, so exact
+    integration reads |S| = 3 at the canonical settings."""
+    monkeypatch.setattr(epr_bell, "sign_cosine_model", lambda: replace(
+        SIGN_COSINE(), jumps_a=lambda a: np.mod([a - np.pi / 2], 2.0 * np.pi)
+    ))
+
+
 ROWS = [
     ("axioms", "mereology-monoid-parthood", associate_drops_an_atom),
     ("axioms", "algebra-antisymmetry", one_sided_table_entry),
@@ -244,7 +326,31 @@ ROWS = [
     ("dynamics", "weak-coupling-zero", wrong_second_mass),
     ("dynamics", "exchange-symmetry", asymmetric_tensor_term),
     ("dynamics", "momentum-conservation", potential_of_first_position),
+    ("bell", "chsh-quantum-optimal", product_state_for_singlet),
+    ("bell", "chsh-quantum-tsirelson", chsh_sign_slip),
+    ("bell", "correlation-cosine-law", analyzer_dial_wraps_at_pi),
+    ("bell", "chsh-rotation-invariance", product_state_for_singlet),
+    *[
+        row
+        for name in suites._BELL_DEFAULTS["models"]
+        for row in (
+            ("bell", f"lhv-classical-bound-{name}",
+             partial(_shipped_model_with, name=name, change=signalling_partner)),
+            ("bell", f"lhv-sampling-consistency-{name}",
+             partial(_shipped_model_with, name=name, change=shifted_jumps_a)),
+        )
+    ],
+    ("bell", "lhv-sign-cosine-saturation", hemisphere_missing_a_jump),
 ]
+
+# Checks with no row, each with the reason no numerical defect can flip it.
+REASONS = {
+    ("bell", "bell-report-schema"): "it asks whether bell_report's dict literal holds six "
+    "literal keys; only an edit of that literal can fail it, and TestBellReport pins them",
+}
+
+# Suites whose every check id needs a row or a reason.
+COVERED_SUITES = ("axioms", "symmetry", "bell")
 
 
 def verdicts(suite: str) -> dict:
@@ -261,3 +367,16 @@ def test_controls_start_from_passing_checks(suite):
 def test_injected_defect_fails_its_check(suite, check_id, inject, monkeypatch):
     inject(monkeypatch)
     assert verdicts(suite)[check_id] is False
+
+
+def test_every_check_of_a_covered_suite_has_a_control_or_a_reason():
+    path = Path(__file__).parent / "data" / "report_structure.json"
+    structure = {(entry["suite"], entry["id"]) for entry in json.loads(path.read_text())}
+    controlled = {(suite, check_id) for suite, check_id, _ in ROWS}
+    assert not controlled & set(REASONS)
+    assert (controlled | set(REASONS)) <= structure  # no row outlives its check
+    missing = sorted(
+        key for key in structure
+        if key[0] in COVERED_SUITES and key not in controlled and key not in REASONS
+    )
+    assert not missing, f"checks with neither a negative control nor a reason: {missing}"
