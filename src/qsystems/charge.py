@@ -28,7 +28,6 @@ __all__ = [
     "relative_phase_spread",
 ]
 
-CENTRAL_ATOL = 1e-10
 INTEGER_SPECTRUM_ATOL = 1e-9
 
 
@@ -62,21 +61,10 @@ class ChargeModel:
             raise ValueError("charge operator must differ from the identity")
 
 
-def verify_central(model: ChargeModel, tolerance: float = CENTRAL_ATOL) -> dict:
-    """Commutator norm of the charge with every registered observable, as
-    report detail."""
+def verify_central(model: ChargeModel) -> list[float]:
+    """Commutator norm of the charge with each registered observable."""
     q = model.q_operator.entries
-    residuals = []
-    for obs in model.observables:
-        comm = q @ obs.entries - obs.entries @ q
-        residuals.append(float(np.linalg.norm(comm)))
-    max_residual = max(residuals, default=0.0)
-    return {
-        "residuals": residuals,
-        "max_residual": max_residual,
-        "tolerance": tolerance,
-        "pass": max_residual <= tolerance,
-    }
+    return [float(np.linalg.norm(q @ obs.entries - obs.entries @ q)) for obs in model.observables]
 
 
 def gauge_transform(model: ChargeModel, theta: float) -> Operator:
@@ -138,28 +126,21 @@ def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
     if model.vacuum_index is not None:
         vac = np.zeros(model.space.total_dim, dtype=np.complex128)
         vac[model.vacuum_index] = 1.0
-        vacuum_ok = True
-        for theta in np.linspace(0.0, 2.0 * np.pi, 9):
-            if np.linalg.norm(gauge_transform(model, theta).entries @ vac - vac) > 1e-10:
-                vacuum_ok = False
-                break
-        if vacuum_ok:
-            for unitary in model.symmetry_unitaries:
-                if np.linalg.norm(unitary.entries @ vac - vac) > 1e-10:
-                    vacuum_ok = False
-                    break
+        unitaries = [gauge_transform(model, theta) for theta in np.linspace(0.0, 2.0 * np.pi, 9)]
+        moved = [u.entries @ vac - vac for u in [*unitaries, *model.symmetry_unitaries]]
+        vacuum_ok = bool(np.all(np.linalg.norm(moved, axis=1) <= 1e-10))
 
-    worst = 0.0
-    for obs in model.observables:
-        for sa, sb in itertools.combinations(sectors, 2):
-            block = sa.projector @ obs.entries @ sb.projector
-            worst = max(worst, float(np.max(np.abs(block))))
+    blocks = [
+        sa.projector @ obs.entries @ sb.projector
+        for obs in model.observables
+        for sa, sb in itertools.combinations(sectors, 2)
+    ]
     return SectorDecomposition(
         sectors=tuple(sectors),
         neutral_dimension=neutral_dim,
         neutral_unique=neutral_dim == 1,
         vacuum_invariant=vacuum_ok,
-        offdiagonal_residual=worst,
+        offdiagonal_residual=float(np.max(np.abs(blocks), initial=0.0)),
     )
 
 
@@ -168,23 +149,21 @@ def relative_phase_spread(
     state_a: StateVector,
     state_b: StateVector,
     n_phases: int = 16,
-) -> float:
-    """Spread of every observable's expectation over relative-phase twists.
+) -> np.ndarray:
+    """Spread of each observable's expectation over relative-phase twists.
 
     ``state_a`` and ``state_b`` should live in different charge sectors; the
-    returned number is the largest variation, over a uniform grid of phases
+    spread of an observable A is its variation, over a uniform grid of phases
     alpha, of <psi_alpha|A|psi_alpha> with
     psi_alpha = (a + e^{i alpha} b)/sqrt(2).  Superselection makes it vanish.
     """
     a = state_a.normalized().amplitudes
     b = state_b.normalized().amplitudes
     alphas = 2.0 * np.pi * np.arange(n_phases) / n_phases
-    worst = 0.0
-    for obs in model.observables:
-        values = []
-        for alpha in alphas:
+    values = np.empty((len(model.observables), n_phases))
+    for i, obs in enumerate(model.observables):
+        for j, alpha in enumerate(alphas):
             psi = (a + np.exp(1j * alpha) * b) / np.sqrt(2.0)
             psi = psi / np.linalg.norm(psi)
-            values.append(float(np.real(np.vdot(psi, obs.entries @ psi))))
-        worst = max(worst, max(values) - min(values))
-    return worst
+            values[i, j] = np.real(np.vdot(psi, obs.entries @ psi))
+    return np.ptp(values, axis=1)

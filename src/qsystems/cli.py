@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .epr_bell import SHIPPED_LHV_MODELS
 from .report import combined_report_dict, render_text
-from .suites import run_all, run_suite
+from .suites import SUITE_RUNNERS, run_all, run_suite
 
-SUITE_NAMES = ("axioms", "symmetry", "dynamics", "charge", "epr", "bell")
+SUITE_NAMES = tuple(SUITE_RUNNERS)
 
 
 def _tolerance_scale(text: str) -> float:
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--model",
                 type=str,
                 default=None,
-                choices=("sign-cosine", "narrow-window", "double-frequency"),
+                choices=tuple(SHIPPED_LHV_MODELS),
                 help="run only this hidden-variable model",
             )
             p.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples")

@@ -151,17 +151,6 @@ class PairSharpnessReport:
     var_total_momentum: float
     var_relative_momentum: float
 
-    def to_dict(self) -> dict:
-        return {
-            "commutator_state_residual": self.commutator_state_residual,
-            "shift_commutator_residual": self.shift_commutator_residual,
-            "mean_relative_position": self.mean_relative_position,
-            "var_relative_position": self.var_relative_position,
-            "mean_total_momentum": self.mean_total_momentum,
-            "var_total_momentum": self.var_total_momentum,
-            "var_relative_momentum": self.var_relative_momentum,
-        }
-
 
 def commuting_pair_check(cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessReport:
     """How compatible the relative position and total momentum are on the pair

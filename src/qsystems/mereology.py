@@ -23,30 +23,6 @@ class Individual:
 
     atoms: frozenset[str] = field(default_factory=frozenset)
 
-    @classmethod
-    def of(cls, *atoms: str) -> "Individual":
-        return cls(frozenset(atoms))
-
-    @property
-    def is_null(self) -> bool:
-        return not self.atoms
-
-    @property
-    def is_simple(self) -> bool:
-        return len(self.atoms) == 1
-
-    @property
-    def is_composed(self) -> bool:
-        return len(self.atoms) >= 2
-
-    def __or__(self, other: "Individual") -> "Individual":
-        return associate(self, other)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_null:
-            return "Individual(null)"
-        return f"Individual({{{', '.join(sorted(self.atoms))}}})"
-
     def __lt__(self, other: "Individual") -> bool:
         return sorted(self.atoms) < sorted(other.atoms)
 

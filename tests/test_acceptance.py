@@ -50,8 +50,8 @@ def test_criterion_02_structure_constants_exact():
 def test_criterion_03_spin_representations():
     for j in (0.5, 1.0, 1.5):
         rep = galilei.build_spin_rep(j)
-        verification = galilei.verify_rep(rep, tolerance=1e-12)
-        assert verification["pass"], verification
+        verification = galilei.verify_rep(rep)
+        assert np.max([c["residual"] for c in verification["checks"]]) <= 1e-12, verification
         expected = j * (j + 1)
         casimir_dev = np.max(
             np.abs(galilei.casimir_squared(rep) - expected * np.eye(rep.space.total_dim))
@@ -66,12 +66,13 @@ def test_criterion_04_grid_and_additive_representation():
     assert residuals.shape == (20,)
     assert residuals.max() <= 1e-6
     partner = galilei.build_grid_rep(128, 16.0, 1.5)
-    pair = galilei.verify_additive_grid_pair(rep, partner, tolerance=1e-6, n_states=20, seed=0)
-    assert pair["pass"], pair
+    pair = galilei.verify_additive_grid_pair(rep, partner, n_states=20, seed=0)
+    pair_max = np.max([c["residual"] for c in pair["checks"]])
+    assert pair_max <= 1e-6, pair
     _report(
         4,
         f"n=128 grid: [X,P] relative error {residuals.max():.2e} <= 1e-6 on 20 states; "
-        f"two-particle additivity max residual {pair['max_residual']:.2e} <= 1e-6",
+        f"two-particle additivity max residual {pair_max:.2e} <= 1e-6",
     )
 
 
@@ -138,15 +139,15 @@ def test_criterion_06_dynamics():
 def test_criterion_07_superselection():
     rng = np.random.default_rng(12)
     model = _build_charge_model([-1, 0, 1, 1, 2, 2], 3, rng)
-    central = verify_central(model, tolerance=1e-10)
-    assert central["pass"]
-    spread = relative_phase_spread(
+    central = np.max(verify_central(model))
+    assert central <= 1e-10
+    spread = np.max(relative_phase_spread(
         model, basis_state(model.space, 2), basis_state(model.space, 4), n_phases=16
-    )
+    ))
     assert spread <= 1e-10
     _report(
         7,
-        f"central commutators max {central['max_residual']:.1e} <= 1e-10; "
+        f"central commutators max {central:.1e} <= 1e-10; "
         f"16-phase expectation spread {spread:.1e} <= 1e-10",
     )
 

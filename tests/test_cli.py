@@ -205,6 +205,17 @@ def test_vacuous_sample_count_reports_error(command, section, key, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_check_that_measures_nothing_reports_error(tmp_path, capsys):
+    # No case has an antisymmetric sector, so no pair of sector states is drawn.
+    cfg = write_config(tmp_path, {"symmetry": {"cases": [[3, 2], [4, 2]]}})
+    out = tmp_path / "report.json"
+    assert main(["symmetry", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "symmetry/sector-orthogonality measured nothing" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("charges, missing", [([0, 3], "[1, 2]"), ([1, 2, 3], "[0]")])
 def test_charge_list_missing_required_charges_reports_error(charges, missing, tmp_path, capsys):
     cfg = write_config(tmp_path, {"charge": {"charges": charges}})
@@ -263,11 +274,16 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"symmetry": {"cases": [[2, 10 ** 300]]}}, "symmetry.cases[0] must have n, d and d^n at most"),
         ({"symmetry": {"cases": [[10 ** 300, 2]]}}, "symmetry.cases[0] must have n, d and d^n at most"),
         ({"symmetry": {"cases": [[2, 51]]}}, "symmetry.cases[0] must have n, d and d^n at most 2560"),
-        ({"symmetry": {"cases": [[11, 1]]}}, "symmetry.cases[0] must have n! * d^n at most"),
+        ({"symmetry": {"cases": [[11, 2]]}}, "symmetry.cases[0] must have n! * d^n at most"),
         ({"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
         ({"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
         ({"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
         ({"charge": {"phase_tolerance": -1e-300}}, "charge.phase_tolerance must not be negative"),
+        ({"bell": {"models": ["sign-cosine", "nope"]}},
+         "bell.models[1] must be one of sign-cosine, narrow-window, double-frequency, got 'nope'"),
+        ({"symmetry": {"cases": [[2, 2], [3, 1]]}},
+         "symmetry.cases[1] must be [n, d] with n >= 2 and d >= 2, got [3, 1]"),
+        ({"symmetry": {"cases": [[2, 1], [3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -300,6 +316,8 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("bell", {"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
         ("bell", {"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
         ("bell", {"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
+        ("bell", {"bell": {"models": ["nope"]}}, "bell.models[0] must be one of"),
+        ("symmetry", {"symmetry": {"cases": [[3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):

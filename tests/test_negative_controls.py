@@ -11,8 +11,13 @@ product-space checks and ``momentum-conservation``.  A check of those three
 suites that no numerical defect can reach has a written reason in
 ``REASONS`` in place of a row, and a test keeps every check id of
 ``tests/data/report_structure.json`` in one of the two.
+
+``NAN_ROWS`` does the same for NaN: each row makes one measurement, not the
+first, of a check that reduces several NaN, and asserts that the check fails
+and is marked ``non_finite``.
 """
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsystems import dynamics, epr_bell, galilei, mereology, suites, symmetry
+from qsystems import charge, dynamics, epr_bell, galilei, grids, mereology, suites, symmetry
 from qsystems.hilbert import Operator
 
 SAMPLE = dynamics.PotentialSpec.sample
@@ -357,12 +362,6 @@ def verdicts(suite: str) -> dict:
     return {c.check_id: c.passed for c in suites.run_suite(suite, CONFIGS.get(suite)).checks}
 
 
-@pytest.mark.parametrize("suite", sorted({suite for suite, _, _ in ROWS}))
-def test_controls_start_from_passing_checks(suite):
-    checks = verdicts(suite)
-    assert all(checks[check_id] for s, check_id, _ in ROWS if s == suite)
-
-
 @pytest.mark.parametrize("suite, check_id, inject", ROWS, ids=[row[1] for row in ROWS])
 def test_injected_defect_fails_its_check(suite, check_id, inject, monkeypatch):
     inject(monkeypatch)
@@ -380,3 +379,160 @@ def test_every_check_of_a_covered_suite_has_a_control_or_a_reason():
         if key[0] in COVERED_SUITES and key not in controlled and key not in REASONS
     )
     assert not missing, f"checks with neither a negative control nor a reason: {missing}"
+
+
+# --------------------------------------------------------------------------
+# NaN measurements: a running maximum such as max(worst, x) would drop them.
+# --------------------------------------------------------------------------
+
+NAN = math.nan
+
+
+def nan_on_call(target, name, call, spoil=lambda result: NAN):
+    """Call ``call`` (from 0) of ``target.name`` returns ``spoil(result)``."""
+
+    def inject(monkeypatch):
+        original, calls = getattr(target, name), itertools.count()
+
+        def spoiled(*args, **kwargs):
+            result = original(*args, **kwargs)
+            return spoil(result) if next(calls) == call else result
+
+        monkeypatch.setattr(target, name, spoiled)
+
+    return inject
+
+
+def nan_at(array, index=1):
+    out = np.array(array, dtype=np.result_type(np.asarray(array), float))
+    out.flat[index] = NAN
+    return out
+
+
+def nan_second_law(detail):
+    """A bracket verification whose second law reads NaN."""
+    laws = [dict(law) for law in detail["checks"]]
+    laws[1]["residual"] = NAN
+    return {**detail, "checks": laws}
+
+
+def nan_symmetrizer_entry(pair):
+    """A projector pair whose symmetrizer has a NaN above the diagonal, which
+    the rank's eigensolver (lower triangle) does not read."""
+    s = nan_at(pair.symmetrizer.entries)
+    return symmetry.ProjectorPair(pair.space, Operator(pair.space, s), pair.antisymmetrizer)
+
+
+def nan_operator_entry(op):
+    return Operator(op.space, nan_at(op.entries))
+
+
+def nan_second_sector(decomp):
+    sectors = list(decomp.sectors)
+    sectors[1] = replace(sectors[1], projector=nan_at(sectors[1].projector))
+    return replace(decomp, sectors=tuple(sectors))
+
+
+def nan_in_second_observable(monkeypatch):
+    build = suites._build_charge_model
+
+    def model(*args):
+        built = build(*args)
+        observables = list(built.observables)
+        observables[1] = nan_operator_entry(observables[1])
+        return replace(built, observables=tuple(observables))
+
+    monkeypatch.setattr(suites, "_build_charge_model", model)
+
+
+def nan_gauge_at_quarter_turn(monkeypatch):
+    """exp(i theta Q) has a NaN entry at theta = pi/4, the second of the
+    gauge-invariance angles."""
+    gauge = charge.gauge_transform
+
+    def transform(model, theta):
+        u = gauge(model, theta)
+        return nan_operator_entry(u) if theta == math.pi / 4 else u
+
+    monkeypatch.setattr(charge, "gauge_transform", transform)
+
+
+def nan_correlation_off_the_grid_origin(monkeypatch):
+    grid = np.linspace(0.0, 2.0 * math.pi, 13)
+    correlation = epr_bell.correlation_quantum
+
+    def spoiled(a, b):
+        return NAN if (a, b) == (grid[2], grid[5]) else correlation(a, b)
+
+    monkeypatch.setattr(epr_bell, "correlation_quantum", spoiled)
+
+
+def nan_exact_chsh_at_canonical_settings(monkeypatch):
+    """Exact S reads NaN at the canonical settings, the second trial setting
+    of every classical-bound check."""
+    exact = epr_bell.chsh_lhv_exact
+    canonical = epr_bell.CHSHSettings()
+
+    def spoiled(model, settings):
+        return NAN if settings == canonical else exact(model, settings)
+
+    monkeypatch.setattr(epr_bell, "chsh_lhv_exact", spoiled)
+
+
+_SPIN_VALUES = suites._AXIOMS_DEFAULTS["spin_values"]
+
+NAN_ROWS = [
+    *[
+        ("axioms", f"spin-brackets-j{j:g}", nan_on_call(galilei, "verify_rep", i, nan_second_law))
+        for i, j in enumerate(_SPIN_VALUES)
+    ],
+    ("axioms", "grid-position-momentum",
+     nan_on_call(galilei, "position_momentum_residuals", 0, nan_at)),
+    ("axioms", "grid-brackets", nan_on_call(galilei, "verify_rep", len(_SPIN_VALUES), nan_second_law)),
+    ("axioms", "additive-pair-relations",
+     nan_on_call(galilei, "verify_additive_grid_pair", 0, nan_second_law)),
+    ("symmetry", "projector-idempotency-orthogonality",
+     nan_on_call(symmetry, "build_projectors", 1, nan_symmetrizer_entry)),
+    ("symmetry", "sector-orthogonality",
+     nan_on_call(symmetry, "build_projectors", 1, nan_symmetrizer_entry)),
+    ("symmetry", "permutation-homomorphism",
+     nan_on_call(symmetry, "permutation_operator", 4, nan_operator_entry)),
+    ("symmetry", "pauli-exclusion-duplicates", nan_on_call(symmetry, "pauli_exclusion_check", 1)),
+    ("symmetry", "exchange-invariant-total-observable",
+     nan_on_call(symmetry, "exchange_expectation_check", 2)),
+    ("dynamics", "weak-coupling-linearity",
+     nan_on_call(dynamics, "_apply_product_hamiltonian", 2, lambda out: np.full_like(out, NAN))),
+    ("dynamics", "momentum-conservation",
+     nan_on_call(grids, "leg_product", 2, lambda out: np.full_like(out, NAN))),
+    ("charge", "central-commutators", nan_on_call(charge, "verify_central", 0, nan_at)),
+    ("charge", "gauge-invariance", nan_gauge_at_quarter_turn),
+    ("charge", "sector-resolution", nan_on_call(charge, "sector_decomposition", 0, nan_second_sector)),
+    ("charge", "superselection-offdiagonal", nan_in_second_observable),
+    ("charge", "relative-phase-invisibility", nan_in_second_observable),
+    ("epr", "conditional-inference-mode",
+     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, mode=NAN))),
+    ("epr", "conditional-inference-width",
+     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, width=NAN))),
+    ("bell", "correlation-cosine-law", nan_correlation_off_the_grid_origin),
+    ("bell", "chsh-rotation-invariance", nan_on_call(epr_bell, "chsh_quantum", 3)),
+    *[
+        ("bell", f"lhv-classical-bound-{name}", nan_exact_chsh_at_canonical_settings)
+        for name in suites._BELL_DEFAULTS["models"]
+    ],
+]
+
+
+@pytest.mark.parametrize("suite, check_id, inject", NAN_ROWS, ids=[row[1] for row in NAN_ROWS])
+def test_nan_measurement_fails_its_check(suite, check_id, inject, monkeypatch):
+    inject(monkeypatch)
+    with np.errstate(invalid="ignore"):  # arithmetic on NaN is the point here
+        report = suites.run_suite(suite, CONFIGS.get(suite))
+    record = next(c for c in report.checks if c.check_id == check_id)
+    assert (record.passed, record.non_finite) == (False, True)
+    json.dumps(record.to_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("suite", sorted({suite for suite, _, _ in ROWS + NAN_ROWS}))
+def test_controls_start_from_passing_checks(suite):
+    checks = verdicts(suite)
+    assert all(checks[check_id] for s, check_id, _ in ROWS + NAN_ROWS if s == suite)

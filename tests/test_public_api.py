@@ -3,8 +3,9 @@
 A name in a module's ``__all__`` must be loaded somewhere in ``src/qsystems``
 (as a name, as an attribute or by a ``from ... import``) outside the
 top-level statement that defines it.  Re-exports in ``__init__.py`` do not
-count as a use.  A name that only its own tests reach is dead API: delete it
-rather than export it.
+count as a use.  Likewise every public method and property of an exported
+class must be loaded as an attribute outside its own definition.  A name
+that only its own tests reach is dead API: delete it rather than export it.
 """
 
 import ast
@@ -59,8 +60,53 @@ def _unused_exports(modules=MODULES) -> list[str]:
     return unused
 
 
+def _unused_members(modules=MODULES) -> list[str]:
+    """Public methods and properties of exported classes that no attribute
+    load reaches outside the member's own definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+    loads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unused = []
+    for path, tree in trees.items():
+        exported = set(_exports(tree))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                inside = {id(node) for node in ast.walk(member)}
+                if not any(n.attr == member.name and id(n) not in inside for n in loads):
+                    unused.append(f"{path.stem}.{cls.name}.{member.name}")
+    return unused
+
+
 def test_every_exported_name_is_used_inside_the_package():
     assert _unused_exports() == []
+
+
+def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
+    assert _unused_members() == []
+
+
+def test_member_probe_ignores_self_reference_and_private_members(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "__all__ = ['C']\n"
+        "class C:\n"
+        "    def used(self):\n        return 0\n"
+        "    def alone(self):\n        return self.alone()\n"
+        "    @property\n    def idle(self):\n        return 1\n"
+        "    def _private(self):\n        return 2\n"
+        "class Hidden:\n    def spare(self):\n        return 3\n"
+        "def f(c):\n    return c.used()\n",
+        encoding="utf-8",
+    )
+    assert _unused_members([probe]) == ["probe.C.alone", "probe.C.idle"]
 
 
 @pytest.mark.parametrize(

@@ -113,18 +113,16 @@ def test_merge_returns_a_config_or_raises_value_error(case):
 class TestVerdictPolicy:
     def checks(self, scale=1.0):
         report = SuiteReport("probe", seed=0, config={"tight": 1e-3})
-        check, tol = suites._checks(report, scale)
-        return report, check, tol
+        return report, suites._checks(report, scale)
 
     def test_residual_passes_at_its_scaled_tolerance(self):
-        report, check, tol = self.checks(scale=2.0)
-        assert tol("tight") == 2e-3 and tol(0.5) == 1.0
+        report, check = self.checks(scale=2.0)
         check("key", "law", 2e-3, "tight")
         check("number", "law", 1.5, 0.5)
         assert [(c.tolerance, c.passed) for c in report.checks] == [(2e-3, True), (1.0, False)]
 
     def test_count_passes_at_zero_and_flag_when_true(self):
-        report, check, _ = self.checks()
+        report, check = self.checks()
         check("zero", "law", 0)
         check("some", "law", 3)
         check("true", "law", np.bool_(True))
@@ -140,16 +138,46 @@ class TestVerdictPolicy:
         "value, tolerance", [(math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)]
     )
     def test_non_finite_residual_or_tolerance_fails(self, value, tolerance):
-        report, check, _ = self.checks()
+        report, check = self.checks()
         check("bad", "law", value, tolerance, {"samples": [value, 1.0]})
         record = report.checks[0].to_dict()
         assert record["pass"] is False and record["non_finite"] is True
         json.dumps(record, allow_nan=False)
 
     def test_finite_record_has_no_non_finite_key(self):
-        report, check, _ = self.checks()
+        report, check = self.checks()
         check("ok", "law", 1e-4, "tight")
         assert "non_finite" not in report.checks[0].to_dict()
+
+    def test_scalar_residual_is_the_value(self):
+        report, check = self.checks()
+        check("scalar", "law", np.float64(2.5e-4), "tight")
+        record = report.checks[0].to_dict()
+        assert (record["value"], record["tolerance"], record["pass"]) == (2.5e-4, 1e-3, True)
+
+    @pytest.mark.parametrize("residuals", [[1e-4, 5e-4, 2e-4], np.array([5e-4, 0.0]), (0.0, 5e-4)])
+    def test_value_is_the_largest_residual(self, residuals):
+        report, check = self.checks()
+        check("many", "law", residuals, "tight")
+        assert (report.checks[0].value, report.checks[0].passed) == (5e-4, True)
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [[0.0, math.nan], [1e-4, 2e-4, math.nan, 0.0], [-math.inf, 0.0], np.array([0.0, math.inf])],
+    )
+    def test_any_non_finite_residual_fails(self, residuals):
+        report, check = self.checks()
+        check("many", "law", residuals, "tight")
+        record = report.checks[0].to_dict()
+        assert record["pass"] is False and record["non_finite"] is True
+        json.dumps(record, allow_nan=False)
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([])])
+    def test_empty_measurement_raises_naming_the_check(self, empty):
+        report, check = self.checks()
+        with pytest.raises(ValueError, match=r"probe/nothing measured nothing"):
+            check("nothing", "law", empty, "tight")
+        assert report.checks == []
 
 
 def test_as_builtin_maps_non_finite_floats_to_null():
@@ -172,8 +200,13 @@ def report_structure(reports) -> list[dict]:
     ]
 
 
-def test_seed0_report_structure_matches_record():
-    found = report_structure(suites.run_all(seed=0))
+@pytest.fixture(scope="module")
+def seed0_reports():
+    return suites.run_all(seed=0)
+
+
+def test_seed0_report_structure_matches_record(seed0_reports):
+    found = report_structure(seed0_reports)
     recorded = json.loads(STRUCTURE.read_text(encoding="utf-8"))
     assert [(c["suite"], c["id"]) for c in found] == [(c["suite"], c["id"]) for c in recorded]
     for got, want in zip(found, recorded):
@@ -183,6 +216,36 @@ def test_seed0_report_structure_matches_record():
         else:
             assert got["tolerance"] == pytest.approx(want["tolerance"], rel=1e-9), got["id"]
         assert (got["law"], got["detail_keys"]) == (want["law"], want["detail_keys"]), got["id"]
+
+
+def verdict_keys(value, path="detail"):
+    """Paths of the keys, at any depth of ``value``, named ``pass`` or ending
+    in ``tolerance``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "pass" or key.endswith("tolerance"):
+                yield f"{path}.{key}"
+            yield from verdict_keys(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from verdict_keys(item, f"{path}[{i}]")
+
+
+def test_details_hold_measurements_never_verdicts(seed0_reports):
+    # check() alone judges: a detail that carries its own pass or tolerance
+    # is a second verdict that can disagree with the record's.
+    found = [
+        f"{report.suite}/{record['id']}: {key}"
+        for report in seed0_reports
+        for record in report.to_dict()["checks"]
+        for key in verdict_keys(record.get("detail"))
+    ]
+    assert found == []
+
+
+def test_verdict_key_probe_reaches_nested_entries():
+    detail = {"checks": [{"law": "x", "residual": 0.0, "pass": True}], "zero_tolerance": 1.0}
+    assert sorted(verdict_keys(detail)) == ["detail.checks[0].pass", "detail.zero_tolerance"]
 
 
 if __name__ == "__main__":
