@@ -1,14 +1,15 @@
 """Two-body Hamiltonians with central and spin-spin interactions, unitary
 evolution, and the weak-coupling additivity check.
 
-Two-body spatial problems are posed in the relative coordinate on a single
-periodic grid (center of mass dropped).  The product-space checks
+The two-body functions here pose one pair of spin-1/2 bodies on a periodic
+grid, given as the grid and the two masses.  The Hamiltonian is posed in the
+relative coordinate (center of mass dropped).  The product-space checks
 (weak coupling and exchange symmetry) never store the n^2 x n^2 product-space
 Hamiltonian: they apply it to a few seeded vectors, the one-body kinetic
 terms along their own site axes and the pair potential and spin blocks
 pointwise.  The momentum-conservation check draws masked product states and
-applies the two-body operators leg by leg with the :mod:`qsystems.grids`
-machinery that the additive Galilei pair uses.
+applies the spinless two-body operators to each as an (n, n) array, one
+matrix product per leg.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed, pauli_m
 __all__ = [
     "RadialTable",
     "PotentialSpec",
-    "BodyConfig",
     "build_hamiltonian",
     "spin_pair_operators",
     "EvolutionResult",
@@ -83,13 +83,6 @@ class PotentialSpec:
     v3: RadialTable | None = None
 
     @classmethod
-    def from_constants(cls, v=0.0, v1=0.0, v2=0.0, v3=0.0, r_max: float = 1.0) -> "PotentialSpec":
-        def table(c):
-            return None if c == 0.0 else RadialTable.constant(float(c), r_max)
-
-        return cls(v=table(v), v1=table(v1), v2=table(v2), v3=table(v3))
-
-    @classmethod
     def from_config(cls, doc: dict, r_max: float = 1.0) -> "PotentialSpec":
         """Build from a config mapping; entries are constants or {r, values}
         with numeric arrays.  Anything else raises ValueError."""
@@ -115,34 +108,10 @@ class PotentialSpec:
             tables[key] = table
         return cls(**tables)
 
-    @property
-    def has_spin_terms(self) -> bool:
-        return any(t is not None for t in (self.v1, self.v2, self.v3))
-
     def sample(self, table: RadialTable | None, r: np.ndarray) -> np.ndarray:
         if table is None:
             return np.zeros_like(np.asarray(r, dtype=np.float64))
         return table(r)
-
-
-@dataclass(frozen=True)
-class BodyConfig:
-    """How many bodies, their masses, whether they carry spin 1/2, the grid."""
-
-    n_bodies: int
-    masses: tuple[float, ...]
-    spin_half: bool = False
-    grid: GridSpec | None = None
-
-    def __post_init__(self):
-        if self.n_bodies not in (1, 2):
-            raise ValueError("only one- and two-body configurations are supported")
-        if len(self.masses) != self.n_bodies:
-            raise ValueError("need one mass per body")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
-        if self.grid is None and self.n_bodies == 1:
-            raise ValueError("a single body needs a grid")
 
 
 def spin_pair_operators(hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -181,78 +150,50 @@ def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out.reshape(4 * m, 4 * m)
 
 
-def _require_spin_consistency(cfg: BodyConfig, pot: PotentialSpec) -> None:
-    if pot.has_spin_terms and not cfg.spin_half:
-        raise ValueError("spin-channel potentials given for spinless bodies")
-
-
-def build_hamiltonian(cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0) -> Operator:
-    """Hermitian Hamiltonian of two spin-1/2 bodies: kinetic + central +
-    spin-spin terms.
-
-    With a grid, the pair is posed in the relative coordinate with reduced
-    mass, on space (n, 2, 2); with no grid, it is the pure spin model on
-    (2, 2), in which case all potential tables must be constant.
-    """
-    if cfg.n_bodies != 2 or not cfg.spin_half:
-        raise ValueError("the Hamiltonian is built for two spin-1/2 bodies")
-    if cfg.grid is None:
-        constants = {}
-        for key in ("v", "v1", "v2", "v3"):
-            table = getattr(pot, key)
-            if table is None:
-                constants[key] = 0.0
-            elif np.ptp(table.values) == 0.0:
-                constants[key] = float(table.values[0])
-            else:
-                raise ValueError("gridless model requires constant potential tables")
-        dot, tensor = spin_pair_operators(hbar)
-        h = (
-            (constants["v"] + constants["v1"]) * np.eye(4, dtype=np.complex128)
-            + constants["v2"] * dot
-            + constants["v3"] * tensor
-        )
-        return Operator(SpaceSpec((2, 2)), h)
-
-    m1, m2 = cfg.masses
+def build_hamiltonian(
+    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, hbar: float = 1.0
+) -> Operator:
+    """Hermitian Hamiltonian of two spin-1/2 bodies of ``masses``: kinetic +
+    central + spin-spin terms, posed in the relative coordinate with reduced
+    mass on ``grid``, on space (n, 2, 2)."""
+    m1, m2 = masses
     mu = m1 * m2 / (m1 + m2)
-    kinetic = grids.kinetic_operator(cfg.grid, mu, hbar)
-    r = np.abs(grids.position_values(cfg.grid))
+    kinetic = grids.kinetic_operator(grid, mu, hbar)
+    r = np.abs(grids.position_values(grid))
     central = np.diag(pot.sample(pot.v, r))
     h = _spin_lift(kinetic + central, _spin_blocks(pot, r, hbar))
-    return Operator(SpaceSpec((cfg.grid.n_sites, 2, 2)), h)
+    return Operator(SpaceSpec((grid.n_sites, 2, 2)), h)
 
 
 def _apply_product_hamiltonian(
-    cfg: BodyConfig, pot: PotentialSpec, hbar: float, vectors: np.ndarray
+    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, hbar: float, vectors: np.ndarray
 ) -> np.ndarray:
     """The two-body product-space Hamiltonian applied to ``vectors`` (columns
-    last), each viewed as (site 1, site 2, spin): T1 acts along site axis 0,
-    T2 along site axis 1, and V(x1, x2) and the 4x4 spin blocks pointwise."""
-    _require_spin_consistency(cfg, pot)
-    n = cfg.grid.n_sites
-    t1, t2 = (grids.kinetic_operator(cfg.grid, m, hbar) for m in cfg.masses)
-    x = grids.position_values(cfg.grid)
-    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length)
-    psi = vectors.reshape(n, n, -1, vectors.shape[-1])
+    last), each viewed as (site 1, site 2, spin 1 x spin 2): T1 acts along
+    site axis 0, T2 along site axis 1, and V(x1, x2) and the 4x4 spin blocks
+    pointwise."""
+    n = grid.n_sites
+    t1, t2 = (grids.kinetic_operator(grid, m, hbar) for m in masses)
+    x = grids.position_values(grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
+    psi = vectors.reshape(n, n, 4, vectors.shape[-1])
     out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
     out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
     out += pot.sample(pot.v, dist)[:, :, None, None] * psi
-    if cfg.spin_half:
-        blocks = _spin_blocks(pot, dist.reshape(-1), hbar)
-        out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
+    blocks = _spin_blocks(pot, dist.reshape(-1), hbar)
+    out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
     return out.reshape(vectors.shape)
 
 
-def _one_body_sum(cfg: BodyConfig, hbar: float, vectors: np.ndarray) -> np.ndarray:
+def _one_body_sum(
+    grid: GridSpec, masses: Sequence[float], hbar: float, vectors: np.ndarray
+) -> np.ndarray:
     """(H1 x 1 + 1 x H2) applied to :func:`_seeded_vectors`-shaped ``vectors``,
     each H_i body i's kinetic operator, times the identity on its spin, on
     body i's (site, spin) legs."""
     total = np.zeros_like(vectors)
-    for body, mass in enumerate(cfg.masses):
-        h = grids.kinetic_operator(cfg.grid, mass, hbar)
-        if cfg.spin_half:
-            h = np.kron(h, np.eye(2, dtype=np.complex128))
+    for body, mass in enumerate(masses):
+        h = np.kron(grids.kinetic_operator(grid, mass, hbar), np.eye(2, dtype=np.complex128))
         moved = np.moveaxis(vectors, (body, body + 2), (0, 1))
         applied = (h @ moved.reshape(h.shape[0], -1)).reshape(moved.shape)
         total += np.moveaxis(applied, (0, 1), (body, body + 2))
@@ -265,15 +206,13 @@ def _scaled(pot: PotentialSpec, lam: float) -> PotentialSpec:
     return PotentialSpec(*(None if t is None else RadialTable(t.r, lam * t.values) for t in tables))
 
 
-def _seeded_vectors(cfg: BodyConfig, seed: int) -> np.ndarray:
+def _seeded_vectors(grid: GridSpec, seed: int) -> np.ndarray:
     """Four complex Gaussian vectors of the two-body product space, shaped
-    (site 1, site 2, spin 1, spin 2, 4) with spin dims 1 for spinless bodies,
-    from a local generator so that no other check's draws shift."""
-    if cfg.n_bodies != 2 or cfg.grid is None:
-        raise ValueError("product construction needs two bodies on a grid")
-    n, s = cfg.grid.n_sites, 2 if cfg.spin_half else 1
+    (site 1, site 2, spin 1, spin 2, 4), from a local generator so that no
+    other check's draws shift."""
+    shape = (grid.n_sites, grid.n_sites, 2, 2, 4)
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n, s, s, 4)) + 1j * rng.standard_normal((n, n, s, s, 4))
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,7 +254,8 @@ def evolve(
 
 
 def weak_coupling_check(
-    cfg: BodyConfig,
+    grid: GridSpec,
+    masses: Sequence[float],
     pot: PotentialSpec,
     lambda_values: Sequence[float],
     hbar: float = 1.0,
@@ -333,14 +273,14 @@ def weak_coupling_check(
     largest, NaN if any slope is NaN.
     """
     lambdas = [float(v) for v in lambda_values]
-    if any(v < 0 for v in lambdas):
-        raise ValueError("couplings must be non-negative")
-    vectors = _seeded_vectors(cfg, seed)
-    free = _apply_product_hamiltonian(cfg, _scaled(pot, 0.0), hbar, vectors)
-    expected = _one_body_sum(cfg, hbar, vectors)
+    vectors = _seeded_vectors(grid, seed)
+    free = _apply_product_hamiltonian(grid, masses, _scaled(pot, 0.0), hbar, vectors)
+    expected = _one_body_sum(grid, masses, hbar, vectors)
     zero_residual = float(np.linalg.norm(free - expected) / np.linalg.norm(expected))
     deviations = [
-        float(np.linalg.norm(_apply_product_hamiltonian(cfg, _scaled(pot, lam), hbar, vectors) - free))
+        float(np.linalg.norm(
+            _apply_product_hamiltonian(grid, masses, _scaled(pot, lam), hbar, vectors) - free
+        ))
         for lam in lambdas
     ]
     slopes = np.array([dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0])
@@ -355,24 +295,24 @@ def weak_coupling_check(
 
 
 def exchange_symmetry_residual(
-    cfg: BodyConfig, pot: PotentialSpec, hbar: float = 1.0, seed: int = 0
+    grid: GridSpec, mass: float, pot: PotentialSpec, hbar: float = 1.0, seed: int = 0
 ) -> float:
     """Relative norm ||H(Uv) - U(Hv)|| / ||Hv|| of [H, U_swap] applied to four
-    seeded product-space vectors v, for identical bodies.
+    seeded product-space vectors v, for two identical bodies of ``mass``.
 
     U_swap only relabels the factors (x1, s1) <-> (x2, s2), so it acts on
     each vector as an axis transpose: no permutation matrix is formed.
     """
-    if cfg.masses[0] != cfg.masses[1]:
-        raise ValueError("exchange symmetry is claimed only for equal masses")
-    vectors = _seeded_vectors(cfg, seed)
-    hv = _apply_product_hamiltonian(cfg, pot, hbar, vectors)
-    huv = _apply_product_hamiltonian(cfg, pot, hbar, vectors.transpose(1, 0, 3, 2, 4))
+    masses = (mass, mass)
+    vectors = _seeded_vectors(grid, seed)
+    hv = _apply_product_hamiltonian(grid, masses, pot, hbar, vectors)
+    huv = _apply_product_hamiltonian(grid, masses, pot, hbar, vectors.transpose(1, 0, 3, 2, 4))
     return float(np.linalg.norm(huv - hv.transpose(1, 0, 3, 2, 4)) / np.linalg.norm(hv))
 
 
 def momentum_conservation_residual(
-    cfg: BodyConfig,
+    grid: GridSpec,
+    masses: Sequence[float],
     pot: PotentialSpec,
     hbar: float = 1.0,
     n_states: int = 10,
@@ -382,36 +322,31 @@ def momentum_conservation_residual(
 ) -> np.ndarray:
     """Relative norm of [H, P_total] applied to each masked product state.
 
-    Requires a spinless two-body configuration; the potential must depend
-    only on the relative separation (which the construction guarantees).
-    The two-body operators are applied leg by leg to (n, n) state arrays by
-    :func:`grids.leg_product`, the engine of the additive Galilei pair, so
+    The bodies are taken spinless, so only the central potential ``pot.v``
+    enters H; it depends only on the relative separation, which the
+    construction guarantees.  Each state is an (n, n) array, on which a
+    one-body operator acts by one matrix product along its own axis, so
     nothing of size n^2 x n^2 is ever formed.
     """
-    if cfg.spin_half:
-        raise ValueError("momentum conservation check runs on the spinless model")
-    grid = cfg.grid
     x = grids.position_values(grid)
-    dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
+    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+    t1, t2 = (grids.kinetic_operator(grid, m, hbar) for m in masses)
     p = grids.momentum_operator(grid, hbar)
-    ops = {
-        "Ha": (grids.kinetic_operator(grid, cfg.masses[0], hbar), 0),
-        "Hb": (grids.kinetic_operator(grid, cfg.masses[1], hbar), 1),
-        "V": (pot.sample(pot.v, dist), None),
-        "H": ("Ha", "Hb", "V"),
-        "Pa": (p, 0),
-        "Pb": (p, 1),
-        "P": ("Pa", "Pb"),
-    }
+
+    def apply_h(psi):
+        return t1 @ psi + psi @ t2.T + v * psi
+
+    def apply_p(psi):
+        return p @ psi + psi @ p.T
+
     mask = grids.band_limited_mask(grid, band_fraction, envelope_frac)
     rng = np.random.default_rng(seed)
     sa = mask.random_states(n_states, rng)
     sb = mask.random_states(n_states, rng)
     residuals = np.zeros(n_states)
     for col in range(n_states):
-        products = {(): np.outer(sa[:, col], sb[:, col])}
-        hp = grids.leg_product(ops, products, ("H", "P"))
-        ph = grids.leg_product(ops, products, ("P", "H"))
+        psi = np.outer(sa[:, col], sb[:, col])
+        hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
         scale = np.maximum(np.linalg.norm(hp), np.linalg.norm(ph))
         if scale != 0.0:  # both products vanish at scale 0, and NaN stays NaN
             residuals[col] = np.linalg.norm(hp - ph) / scale

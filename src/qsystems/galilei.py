@@ -1,10 +1,10 @@
 """The centrally extended Galilei Lie algebra: exact structure constants and
 concrete operator representations.
 
-Two layers live here.  The exact layer works with formal linear combinations
-of the eleven generators H, P1..P3, K1..K3, J1..J3, M over rational
-coefficients times powers of (i*hbar); antisymmetry and the Jacobi identity
-are checked with no floating point at all.  The numeric layer builds dense
+Two layers live here.  The exact layer holds the brackets of the eleven
+generators H, P1..P3, K1..K3, J1..J3, M as one integer tensor of structure
+constants; antisymmetry and the Jacobi identity are checked in integer
+arithmetic, with no floating point at all.  The numeric layer builds dense
 matrix representations (spin, periodic grid, additive composites) and
 measures how well each one reproduces the bracket table, restricted to the
 subspace on which the representation makes its claims.  A representation
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .hilbert import Operator, SpaceSpec, lift
 
 __all__ = [
     "LABELS",
-    "generator",
-    "abstract_bracket",
-    "combo_add",
-    "combo_is_zero",
-    "jacobi_residual",
     "verify_structure",
     "AlgebraRep",
     "build_spin_rep",
@@ -45,11 +39,6 @@ __all__ = [
 
 LABELS = ("H", "P1", "P2", "P3", "K1", "K2", "K3", "J1", "J2", "J3", "M")
 
-# Coefficients are polynomials in (i*hbar): {power: Fraction}.  A formal
-# combination maps generator label -> coefficient.
-Coeff = dict
-Combo = dict
-
 _LEVI_CIVITA = {
     (1, 2, 3): 1,
     (2, 3, 1): 1,
@@ -60,119 +49,48 @@ _LEVI_CIVITA = {
 }
 
 
-def _build_table() -> dict[tuple[str, str], dict[str, Fraction]]:
-    table: dict[tuple[str, str], dict[str, Fraction]] = {}
+def _structure_constants() -> np.ndarray:
+    """The integer tensor C with [a, b] = i*hbar * sum_c C[a, b, c] c, indexed
+    in ``LABELS`` order."""
+    c = np.zeros((len(LABELS),) * 3, dtype=np.int64)
 
-    def put(a: str, b: str, combo: Mapping[str, int]) -> None:
-        table[(a, b)] = {lab: Fraction(c) for lab, c in combo.items() if c}
-        table[(b, a)] = {lab: -Fraction(c) for lab, c in combo.items() if c}
+    def put(a: str, b: str, label: str, sign: int) -> None:
+        a, b, label = LABELS.index(a), LABELS.index(b), LABELS.index(label)
+        c[a, b, label] = sign
+        c[b, a, label] = -sign
 
     for (i, j, k), sign in _LEVI_CIVITA.items():
         if i < j:
-            put(f"J{i}", f"J{j}", {f"J{k}": sign})
-        put(f"J{i}", f"K{j}", {f"K{k}": sign})
-        put(f"J{i}", f"P{j}", {f"P{k}": sign})
+            put(f"J{i}", f"J{j}", f"J{k}", sign)
+        put(f"J{i}", f"K{j}", f"K{k}", sign)
+        put(f"J{i}", f"P{j}", f"P{k}", sign)
     for i in (1, 2, 3):
-        put(f"K{i}", "H", {f"P{i}": 1})
-        put(f"K{i}", f"P{i}", {"M": 1})
-    return table
+        put(f"K{i}", "H", f"P{i}", 1)
+        put(f"K{i}", f"P{i}", "M", 1)
+    return c
 
 
-_TABLE = _build_table()
-
-
-def generator(label: str) -> Combo:
-    """The formal combination consisting of a single generator."""
-    if label not in LABELS:
-        raise ValueError(f"unknown generator {label!r}")
-    return {label: {0: Fraction(1)}}
-
-
-def _coeff_add(a: Coeff, b: Coeff) -> Coeff:
-    out = dict(a)
-    for power, frac in b.items():
-        total = out.get(power, Fraction(0)) + frac
-        if total:
-            out[power] = total
-        else:
-            out.pop(power, None)
-    return out
-
-
-def _coeff_mul(a: Coeff, b: Coeff) -> Coeff:
-    out: Coeff = {}
-    for pa, fa in a.items():
-        for pb, fb in b.items():
-            power = pa + pb
-            total = out.get(power, Fraction(0)) + fa * fb
-            if total:
-                out[power] = total
-            else:
-                out.pop(power, None)
-    return out
-
-
-def combo_add(x: Combo, y: Combo) -> Combo:
-    out = {label: dict(coeff) for label, coeff in x.items()}
-    for label, coeff in y.items():
-        merged = _coeff_add(out.get(label, {}), coeff)
-        if merged:
-            out[label] = merged
-        else:
-            out.pop(label, None)
-    return out
-
-
-def combo_is_zero(x: Combo) -> bool:
-    return all(not coeff for coeff in x.values())
-
-
-def abstract_bracket(x: Combo, y: Combo) -> Combo:
-    """Bilinear extension of the bracket table; exact arithmetic throughout.
-
-    Every elementary bracket contributes one factor of (i*hbar), so nesting
-    raises the power.
-    """
-    out: Combo = {}
-    for la, ca in x.items():
-        for lb, cb in y.items():
-            entry = _TABLE.get((la, lb))
-            if not entry:
-                continue
-            weight = _coeff_mul(ca, cb)
-            for lc, frac in entry.items():
-                term = _coeff_mul(weight, {1: frac})
-                merged = _coeff_add(out.get(lc, {}), term)
-                if merged:
-                    out[lc] = merged
-                else:
-                    out.pop(lc, None)
-    return out
-
-
-def jacobi_residual(a: str, b: str, c: str) -> Combo:
-    """[a,[b,c]] + [b,[c,a]] + [c,[a,b]], exactly."""
-    ga, gb, gc = generator(a), generator(b), generator(c)
-    total = abstract_bracket(ga, abstract_bracket(gb, gc))
-    total = combo_add(total, abstract_bracket(gb, abstract_bracket(gc, ga)))
-    total = combo_add(total, abstract_bracket(gc, abstract_bracket(ga, gb)))
-    return total
+_STRUCTURE = _structure_constants()
 
 
 def verify_structure() -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str], ...]]:
     """Antisymmetry over all 55 generator pairs and Jacobi over all 165
-    triples, exactly: the failing pairs and the failing triples."""
-    anti_fail = []
-    for a, b in itertools.combinations(LABELS, 2):
-        s = combo_add(abstract_bracket(generator(a), generator(b)),
-                      abstract_bracket(generator(b), generator(a)))
-        if not combo_is_zero(s):
-            anti_fail.append((a, b))
-    jacobi_fail = []
-    for a, b, c in itertools.combinations(LABELS, 3):
-        if not combo_is_zero(jacobi_residual(a, b, c)):
-            jacobi_fail.append((a, b, c))
-    return tuple(anti_fail), tuple(jacobi_fail)
+    triples, exactly: the failing pairs and the failing triples.
+
+    [a, [b, c]] = (i*hbar)^2 sum_e (sum_d C[b, c, d] C[a, d, e]) e, so the
+    Jacobi sum is that integer tensor plus its two cyclic transposes in
+    (a, b, c).
+    """
+    c = _STRUCTURE
+    antisymmetry = c + c.transpose(1, 0, 2)
+    nested = np.einsum("bcd,ade->abce", c, c)
+    jacobi = nested + nested.transpose(1, 2, 0, 3) + nested.transpose(2, 0, 1, 3)
+    pairs = itertools.combinations(range(len(LABELS)), 2)
+    triples = itertools.combinations(range(len(LABELS)), 3)
+    return (
+        tuple((LABELS[i], LABELS[j]) for i, j in pairs if antisymmetry[i, j].any()),
+        tuple((LABELS[i], LABELS[j], LABELS[k]) for i, j, k in triples if jacobi[i, j, k].any()),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -361,24 +279,28 @@ def _bracket_detail(name: str, mask_description: str, residuals: dict) -> dict:
     }
 
 
+def _bracket_terms(a: str, b: str) -> list[tuple[str, int]]:
+    """(label, coefficient) of every generator in [a, b] / (i*hbar), by label."""
+    row = _STRUCTURE[LABELS.index(a), LABELS.index(b)]
+    return sorted((LABELS[c], int(row[c])) for c in np.flatnonzero(row))
+
+
 def _expected_image(rep: AlgebraRep, a: str, b: str) -> np.ndarray:
-    """Image of [a, b] according to the exact table: (i*hbar) * sum c * image."""
-    combo = _TABLE.get((a, b), {})
+    """Image of [a, b] according to the structure constants: (i*hbar) * sum c * image."""
     total = _zeros(rep.space.total_dim)
-    for label, frac in combo.items():
-        total = total + (1j * rep.hbar * float(frac)) * rep.image(label)
+    for label, coeff in _bracket_terms(a, b):
+        total = total + (1j * rep.hbar * float(coeff)) * rep.image(label)
     return total
 
 
 def _law_string(a: str, b: str) -> str:
-    combo = _TABLE.get((a, b), {})
-    if not combo:
+    terms = _bracket_terms(a, b)
+    if not terms:
         return f"[{a},{b}] = 0"
-    terms = []
-    for label, frac in sorted(combo.items()):
-        prefix = "" if frac == 1 else ("-" if frac == -1 else f"({frac})*")
-        terms.append(f"{prefix}ihbar*{label}")
-    return f"[{a},{b}] = " + " + ".join(terms)
+    return f"[{a},{b}] = " + " + ".join(
+        ("" if coeff == 1 else "-" if coeff == -1 else f"({coeff})*") + f"ihbar*{label}"
+        for label, coeff in terms
+    )
 
 
 def _relative_residual(delta: np.ndarray, *references: np.ndarray) -> float:

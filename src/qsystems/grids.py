@@ -6,11 +6,12 @@ One spatial dimension, ``n`` sites on a box of length ``L`` with positions
 DFT.  Exact canonical commutators are impossible in finite dimensions, so
 every consumer of these operators restricts its claims to band-limited,
 interior-localized states: the :class:`DomainMask` of
-:func:`band_limited_mask`.  Two-particle checks draw product test states from
-such masks and apply one-particle operators leg by leg with :func:`leg_product`,
-so no n^2 x n^2 matrix is formed.  A state is an (n, n) array or, while it is
-a sum of products, factor stacks ``(U, V)`` of shape ``(n_states, n, k)`` with
-``psi_s = U_s V_s^T``, on which a leg operator acts on one factor.
+:func:`band_limited_mask`.  The additive Galilei pair draws product test
+states from such masks and applies one-particle operators leg by leg with
+:func:`leg_product`, so no n^2 x n^2 matrix is formed.  It carries every
+state, a sum of products, as factor stacks ``(U, V)`` of shape
+``(n_states, n, k)`` with ``psi_s = U_s V_s^T``, on which a leg operator acts
+on one factor.
 """
 
 from __future__ import annotations
@@ -138,41 +139,28 @@ def band_limited_mask(
     return DomainMask(basis=basis, description=description)
 
 
-def _apply_factor(op: np.ndarray, which: int | None, psi):
-    """Apply an operator to the two-particle state ``psi``.
-
-    With ``which`` 0 or 1, ``op`` is a one-particle operator on that leg (an
-    axis of an (n, n) array, or a factor of ``(U, V)``): a dense matrix, or
-    the vector of its diagonal, which then acts elementwise.  With ``which``
-    None, ``op`` is an (n, n) array that multiplies an (n, n) ``psi``
-    elementwise, a potential diagonal in both positions.
-    """
-    if isinstance(psi, tuple):
-        leg = psi[which]
-        if op.ndim == 1:
-            leg = op[:, None] * leg
-        else:  # one matrix product over the columns of every state
-            s, n, k = leg.shape
-            leg = (op @ leg.transpose(1, 0, 2).reshape(n, s * k)).reshape(n, s, k).transpose(1, 0, 2)
-        return (leg, psi[1]) if which == 0 else (psi[0], leg)
-    if which is None:
-        return op * psi
+def _apply_factor(op: np.ndarray, which: int, psi: tuple[np.ndarray, np.ndarray]):
+    """Apply the one-particle operator ``op`` on leg ``which`` (0 or 1) of the
+    factor stacks ``psi = (U, V)``: ``op`` multiplies that factor, as a dense
+    matrix or as the vector of its diagonal, which then acts elementwise."""
+    leg = psi[which]
     if op.ndim == 1:
-        return op[:, None] * psi if which == 0 else psi * op
-    if which == 0:
-        return op @ psi
-    return psi @ op.T
+        leg = op[:, None] * leg
+    else:  # one matrix product over the columns of every state
+        s, n, k = leg.shape
+        leg = (op @ leg.transpose(1, 0, 2).reshape(n, s * k)).reshape(n, s, k).transpose(1, 0, 2)
+    return (leg, psi[1]) if which == 0 else (psi[0], leg)
 
 
 def leg_product(ops: dict, products: dict, names: tuple[str, ...]):
-    """The operator product ``names`` applied to the state ``products[()]``;
-    ("K", "P") is K(P(psi)).
+    """The operator product ``names`` applied to the factor stacks
+    ``products[()]``; ("K", "P") is K(P(psi)).
 
-    The state is an (n, n) array or factor stacks ``(U, V)``, and the result
-    has the same form.  ``ops`` maps a name to ``(op, which)``, applied by
-    :func:`_apply_factor`, or to a tuple of names, whose operators it sums in
-    that order: ``"H": ("Ha", "Hb", "V")``.  ``products`` memoizes every
-    partial product, so each is computed once per state.
+    ``ops`` maps a name to ``(op, which)``, applied by :func:`_apply_factor`,
+    or to a tuple of names, whose operators it sums in that order:
+    ``"P": ("Pa", "Pb")``.  A sum of factored states concatenates their
+    factors.  ``products`` memoizes every partial product, so each is
+    computed once.
 
     A module-level function, so that no closure refers to itself: such a
     cycle would keep the memo alive after the call until the cyclic garbage
@@ -182,10 +170,7 @@ def leg_product(ops: dict, products: dict, names: tuple[str, ...]):
         entry, rest = ops[names[0]], names[1:]
         if isinstance(entry[0], str):
             terms = [leg_product(ops, products, (term, *rest)) for term in entry]
-            if isinstance(terms[0], tuple):  # a sum of factored states concatenates
-                products[names] = tuple(np.concatenate(f, axis=-1) for f in zip(*terms))
-            else:
-                products[names] = sum(terms[1:], terms[0])
+            products[names] = tuple(np.concatenate(f, axis=-1) for f in zip(*terms))
         else:
             op, which = entry
             products[names] = _apply_factor(op, which, leg_product(ops, products, rest))

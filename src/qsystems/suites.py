@@ -63,6 +63,14 @@ _COUNT_MINIMA = {"bell.n_samples": epr_bell.MIN_LHV_SAMPLES}
 _CASE_DIM_BOUND = 2560
 _CASE_INDEX_BOUND = 6_451_200
 
+# List keys whose every entry adds its own check ids, each by the label here;
+# a repeated label would write two records under one id.
+_ID_LABELS = {
+    "axioms.spin_values": lambda j: f"{j:g}",
+    "symmetry.cases": lambda case: f"n{case[0]}-d{case[1]}",
+    "bell.models": str,
+}
+
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _JSON_TYPES = {
@@ -130,6 +138,23 @@ def _check_value(path: str, value) -> None:
         missing = [q for q in (0, 1, 2) if q not in value]
         if missing:
             raise ValueError(f"{path} must contain 0, 1 and 2; missing {missing}")
+    if path.endswith("masses") and (len(value) != 2 or not all(m > 0 for m in value)):
+        raise ValueError(f"{path} must hold exactly two positive masses, got {value}")
+    if path == "dynamics.weak_coupling.lambdas":
+        # Linearity compares the slopes of the positive couplings: with fewer
+        # than two there is no spread to measure.
+        if any(lam < 0 for lam in value):
+            raise ValueError(f"{path} must not hold a negative coupling, got {value}")
+        if sum(lam > 0 for lam in value) < 2:
+            raise ValueError(f"{path} must hold at least two positive couplings, got {value}")
+    if path in _ID_LABELS:
+        labels = [_ID_LABELS[path](entry) for entry in value]
+        for i, label in enumerate(labels):
+            first = labels.index(label)
+            if first < i:
+                raise ValueError(
+                    f"{path}[{i}] repeats {path}[{first}]: both add the ids of {label!r}"
+                )
 
 
 def _merge(defaults: dict, override, path: str) -> dict:
@@ -351,7 +376,7 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
     n_states = int(cfg["n_test_states"])
     rep_a, rep_b = (
         galilei.build_grid_rep(int(cfg["grid_sites"]), float(cfg["grid_length"]), float(m), hbar)
-        for m in cfg["grid_masses"][:2]
+        for m in cfg["grid_masses"]
     )
     rep_a.validate()
     xp_residuals = galilei.position_momentum_residuals(rep_a, n_states=n_states, seed=seed)
@@ -534,12 +559,6 @@ def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, 
     )
 
 
-def _two_bodies(masses, spin_half: bool, grid: GridSpec | None) -> dynamics.BodyConfig:
-    return dynamics.BodyConfig(
-        n_bodies=2, masses=tuple(float(m) for m in masses), spin_half=spin_half, grid=grid
-    )
-
-
 def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_DYNAMICS_DEFAULTS, config, "dynamics")
     hbar = float(cfg["hbar"])
@@ -559,27 +578,21 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
             float(rel["v2_scale"]),
             float(rel["v3_scale"]),
         )
-    body = _two_bodies(rel["masses"], True, GridSpec(int(rel["n_sites"]), length))
-    h = dynamics.build_hamiltonian(body, pot, hbar)
+    h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot, hbar)
     check("hamiltonian-hermiticity", "kinetic + central + spin-spin Hamiltonian is hermitian",
           np.max(np.abs(h.entries - h.entries.conj().T)), "hermiticity_tolerance")
 
-    spin_only = _two_bodies((1.0, 1.0), True, None)
-    dot_h = dynamics.build_hamiltonian(
-        spin_only, dynamics.PotentialSpec.from_constants(v2=1.0), hbar
-    )
-    eigs = np.sort(np.linalg.eigvalsh(dot_h.entries))
+    # The spin operators that the Hamiltonian's spin-spin terms are built from.
+    dot, tensor = dynamics.spin_pair_operators(hbar)
+    eigs = np.sort(np.linalg.eigvalsh(dot))
     check("singlet-triplet-split", "s1.s2 spectrum: -3 hbar^2/4 once, +hbar^2/4 threefold",
           np.max(np.abs(eigs - (hbar ** 2) * np.array([-0.75, 0.25, 0.25, 0.25]))),
           "spin_spectrum_tolerance")
-    tensor_h = dynamics.build_hamiltonian(
-        spin_only, dynamics.PotentialSpec.from_constants(v3=1.0), hbar
-    )
     sx, sy, sz = (0.5 * hbar * m for m in pauli_matrices())
-    dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
-    oracle = np.sort(np.linalg.eigvalsh(3.0 * np.kron(sz, sz) - dot))
+    oracle_dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
+    oracle = np.sort(np.linalg.eigvalsh(3.0 * np.kron(sz, sz) - oracle_dot))
     check("tensor-term-spectrum", "3(s1.n)(s2.n) - s1.s2 spectrum matches the explicit 4x4 oracle",
-          np.max(np.abs(np.sort(np.linalg.eigvalsh(tensor_h.entries)) - oracle)),
+          np.max(np.abs(np.sort(np.linalg.eigvalsh(tensor)) - oracle)),
           "spin_spectrum_tolerance")
 
     evo = cfg["evolution"]
@@ -596,11 +609,7 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     weak = cfg["weak_coupling"]
     weak_grid = GridSpec(int(weak["n_sites"]), length)
     coupling = dynamics.weak_coupling_check(
-        _two_bodies(weak["masses"], True, weak_grid),
-        pot,
-        [float(v) for v in weak["lambdas"]],
-        hbar,
-        seed=seed,
+        weak_grid, weak["masses"], pot, [float(v) for v in weak["lambdas"]], hbar, seed=seed
     )
     check("weak-coupling-zero",
           "at zero coupling the product Hamiltonian acts on seeded vectors as the "
@@ -609,16 +618,16 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     check("weak-coupling-linearity", "deviation norm divided by the coupling is a single constant",
           coupling["linearity_spread"], "linearity_tolerance")
 
-    exch_body = _two_bodies((1.0, 1.0), True, weak_grid)
     check("exchange-symmetry", "[H, U_swap] vanishes for identical bodies",
-          dynamics.exchange_symmetry_residual(exch_body, pot, hbar, seed), "exchange_tolerance")
+          dynamics.exchange_symmetry_residual(weak_grid, 1.0, pot, hbar, seed),
+          "exchange_tolerance")
 
     mom = cfg["momentum"]
-    mom_body = _two_bodies(mom["masses"], False, GridSpec(int(mom["n_sites"]), length))
-    central_only = dynamics.PotentialSpec(v=pot.v)
     check("momentum-conservation",
           "[H, P_total] vanishes on masked states for separation-only potentials",
-          dynamics.momentum_conservation_residual(mom_body, central_only, hbar, seed=seed),
+          dynamics.momentum_conservation_residual(
+              GridSpec(int(mom["n_sites"]), length), mom["masses"], pot, hbar, seed=seed
+          ),
           "momentum_tolerance")
     return report
 

@@ -140,7 +140,8 @@ def exchange_expectation_check(obs: Operator, psi: StateVector, perm: Permutatio
     which is the intended negative control.
     """
     amps = psi.normalized().amplitudes
-    permuted = permutation_operator(perm, psi.space).entries @ amps
+    permuted = np.empty_like(amps)
+    permuted[_permutation_rows(perm, psi.space.factor_dims)] = amps  # U @ amps
     before = float(np.real(np.vdot(amps, obs.entries @ amps)))
     after = float(np.real(np.vdot(permuted, obs.entries @ permuted)))
     return abs(before - after)

@@ -14,7 +14,14 @@ import numpy as np
 
 from qsystems import epr_bell, galilei, symmetry
 from qsystems.cli import main
-from qsystems.dynamics import BodyConfig, PotentialSpec, RadialTable, build_hamiltonian, evolve, weak_coupling_check
+from qsystems.dynamics import (
+    PotentialSpec,
+    RadialTable,
+    build_hamiltonian,
+    evolve,
+    spin_pair_operators,
+    weak_coupling_check,
+)
 from qsystems.grids import GridSpec
 from qsystems.hilbert import SpaceSpec, StateVector, basis_state
 from qsystems.charge import relative_phase_spread, verify_central
@@ -101,9 +108,8 @@ def test_criterion_05_symmetrization_projectors():
 
 
 def test_criterion_06_dynamics():
-    spin_pair = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=None)
-    h_dot = build_hamiltonian(spin_pair, PotentialSpec.from_constants(v2=1.0))
-    eigs = np.sort(np.linalg.eigvalsh(h_dot.entries))
+    dot, _ = spin_pair_operators()
+    eigs = np.sort(np.linalg.eigvalsh(dot))
     assert np.max(np.abs(eigs - np.array([-0.75, 0.25, 0.25, 0.25]))) <= 1e-12
 
     grid = GridSpec(64, 16.0)
@@ -114,8 +120,7 @@ def test_criterion_06_dynamics():
         v2=RadialTable(r, 0.8 * shape),
         v3=RadialTable(r, 0.5 * shape),
     )
-    body = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=grid)
-    h = build_hamiltonian(body, pot)
+    h = build_hamiltonian(grid, (1.0, 1.0), pot)
     rng = np.random.default_rng(6)
     psi0 = StateVector(
         h.space,
@@ -125,8 +130,7 @@ def test_criterion_06_dynamics():
     assert result.norm_drift <= 1e-10
     assert result.energy_drift <= 1e-9
 
-    weak_body = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=GridSpec(16, 16.0))
-    check = weak_coupling_check(weak_body, pot, [0.1, 0.2, 0.5, 1.0])
+    check = weak_coupling_check(GridSpec(16, 16.0), (1.0, 1.3), pot, [0.1, 0.2, 0.5, 1.0])
     assert check["zero_coupling_residual"] <= 1e-12
     assert check["linearity_spread"] <= 1e-6
     _report(

@@ -284,6 +284,22 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"symmetry": {"cases": [[2, 2], [3, 1]]}},
          "symmetry.cases[1] must be [n, d] with n >= 2 and d >= 2, got [3, 1]"),
         ({"symmetry": {"cases": [[2, 1], [3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
+        ({"dynamics": {"momentum": {"masses": [-1.0, 1.0]}}},
+         "dynamics.momentum.masses must hold exactly two positive masses"),
+        ({"axioms": {"grid_masses": [1.0]}}, "axioms.grid_masses must hold exactly two positive masses"),
+        ({"axioms": {"grid_masses": [1.0, 1.5, 9.0]}}, "axioms.grid_masses must hold exactly two"),
+        ({"dynamics": {"relative": {"masses": [1.0, 0.0]}}}, "dynamics.relative.masses must hold"),
+        ({"dynamics": {"weak_coupling": {"masses": []}}}, "dynamics.weak_coupling.masses must hold"),
+        ({"dynamics": {"weak_coupling": {"lambdas": []}}},
+         "dynamics.weak_coupling.lambdas must hold at least two positive couplings"),
+        ({"dynamics": {"weak_coupling": {"lambdas": [0.0, 0.5]}}},
+         "dynamics.weak_coupling.lambdas must hold at least two positive couplings"),
+        ({"dynamics": {"weak_coupling": {"lambdas": [-0.5, 0.5, 1.0]}}},
+         "dynamics.weak_coupling.lambdas must not hold a negative coupling"),
+        ({"bell": {"models": ["sign-cosine", "sign-cosine"]}}, "bell.models[1] repeats bell.models[0]"),
+        ({"symmetry": {"cases": [[2, 2], [3, 2], [2, 2]]}}, "symmetry.cases[2] repeats symmetry.cases[0]"),
+        ({"axioms": {"spin_values": [0.5, 1.5, 1.5000001]}},
+         "axioms.spin_values[2] repeats axioms.spin_values[1]"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):

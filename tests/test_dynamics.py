@@ -5,7 +5,6 @@ import pytest
 
 from qsystems import dynamics, galilei, grids
 from qsystems.dynamics import (
-    BodyConfig,
     PotentialSpec,
     RadialTable,
     build_hamiltonian,
@@ -16,11 +15,11 @@ from qsystems.dynamics import (
     weak_coupling_check,
 )
 from qsystems.grids import GridSpec
-from qsystems.hilbert import SpaceSpec, StateVector, eigh_phase_fixed
+from qsystems.hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed, pauli_matrices
 from qsystems.symmetry import Permutation, permutation_operator
 
 GRID = GridSpec(64, 16.0)
-SPIN_PAIR = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=None)
+SMALL = GridSpec(16, 16.0)
 
 
 def gaussian_well(depth=2.0, width=1.5, v2=0.8, v3=0.5):
@@ -54,85 +53,73 @@ class TestTables:
         assert pot.v1 is None and pot.v3 is None
 
 
-class TestBodyConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BodyConfig(n_bodies=3, masses=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            BodyConfig(n_bodies=2, masses=(1.0,))
-        with pytest.raises(ValueError):
-            BodyConfig(n_bodies=2, masses=(1.0, -1.0))
-        with pytest.raises(ValueError):
-            BodyConfig(n_bodies=1, masses=(1.0,), grid=None)
+def spin_hamiltonian(v2=0.0, v3=0.0, hbar=1.0):
+    """The spin-spin interaction of constant couplings v2 and v3, from the
+    operators that build the relative Hamiltonian's spin blocks."""
+    dot, tensor = spin_pair_operators(hbar)
+    return v2 * dot + v3 * tensor
 
 
 class TestBuild:
     def test_free_pair_ground_energy_is_zero(self):
-        cfg = BodyConfig(n_bodies=2, masses=(2.0, 2.0), spin_half=True, grid=GRID)
-        h = build_hamiltonian(cfg, PotentialSpec())
+        h = build_hamiltonian(GRID, (2.0, 2.0), PotentialSpec())
         assert h.is_hermitian(1e-12)
         eigs = np.linalg.eigvalsh(h.entries)
         assert abs(eigs.min()) <= 1e-12  # free ground state at zero
 
     def test_spinless_pair_is_not_built(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GRID)
-        with pytest.raises(ValueError, match="spin-1/2"):
-            build_hamiltonian(cfg, PotentialSpec(v=gaussian_well().v))
+        # A central potential alone still poses the spin-1/2 pair.
+        h = build_hamiltonian(GRID, (1.0, 1.0), PotentialSpec(v=gaussian_well().v))
+        assert h.space.factor_dims == (64, 2, 2)
 
     def test_single_body_rejects_pair_potentials(self):
-        cfg = BodyConfig(n_bodies=1, masses=(1.0,), grid=GRID)
         with pytest.raises(ValueError):
-            build_hamiltonian(cfg, PotentialSpec.from_constants(v=1.0))
+            build_hamiltonian(GRID, (1.0,), PotentialSpec(v=gaussian_well().v))
 
     def test_spin_potentials_need_spin(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GRID)
-        with pytest.raises(ValueError):
-            build_hamiltonian(cfg, PotentialSpec.from_constants(v2=1.0))
+        # The spinless momentum check reads the central potential only.
+        pot = gaussian_well()
+        residuals = [
+            momentum_conservation_residual(GRID, (1.0, 1.5), p, n_states=3, seed=1).tolist()
+            for p in (pot, PotentialSpec(v=pot.v))
+        ]
+        assert residuals[0] == residuals[1]
 
     def test_singlet_triplet_spectrum(self):
         # 4x4 exact diagonalization oracle for s1.s2
-        dot, _ = spin_pair_operators()
-        oracle = np.sort(np.linalg.eigvalsh(dot))
-        h = build_hamiltonian(SPIN_PAIR, PotentialSpec.from_constants(v2=1.0))
-        assert np.allclose(np.sort(np.linalg.eigvalsh(h.entries)), oracle, atol=1e-14)
+        sx, sy, sz = (0.5 * m for m in pauli_matrices())
+        oracle = np.sort(np.linalg.eigvalsh(np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)))
+        h = spin_hamiltonian(v2=1.0)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(h)), oracle, atol=1e-14)
         assert np.allclose(oracle, [-0.75, 0.25, 0.25, 0.25], atol=1e-14)
 
     def test_singlet_triplet_scaling_with_coupling(self):
         c = 2.7
-        h = build_hamiltonian(SPIN_PAIR, PotentialSpec.from_constants(v2=c))
-        eigs = np.sort(np.linalg.eigvalsh(h.entries))
+        eigs = np.sort(np.linalg.eigvalsh(spin_hamiltonian(v2=c)))
         assert np.allclose(eigs, c * np.array([-0.75, 0.25, 0.25, 0.25]), atol=1e-12)
 
     def test_tensor_term_spectrum(self):
-        _, tensor = spin_pair_operators()
-        oracle = np.sort(np.linalg.eigvalsh(tensor))
-        h = build_hamiltonian(SPIN_PAIR, PotentialSpec.from_constants(v3=1.0))
-        assert np.allclose(np.sort(np.linalg.eigvalsh(h.entries)), oracle, atol=1e-14)
+        sx, sy, sz = (0.5 * m for m in pauli_matrices())
+        dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
+        oracle = np.sort(np.linalg.eigvalsh(3.0 * np.kron(sz, sz) - dot))
+        h = spin_hamiltonian(v3=1.0)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(h)), oracle, atol=1e-14)
         assert np.allclose(oracle, [-1.0, 0.0, 0.5, 0.5], atol=1e-14)
 
-    def test_gridless_requires_constant_tables(self):
-        r = np.linspace(0.0, 2.0, 8)
-        varying = PotentialSpec(v2=RadialTable(r, r))
-        with pytest.raises(ValueError):
-            build_hamiltonian(SPIN_PAIR, varying)
-
     def test_relative_hamiltonian_hermitian_scales(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 3.0), spin_half=True, grid=GRID)
-        h = build_hamiltonian(cfg, gaussian_well())
+        h = build_hamiltonian(GRID, (1.0, 3.0), gaussian_well())
         assert h.space.factor_dims == (64, 2, 2)
         assert h.is_hermitian(1e-12)
 
     def test_product_hamiltonian_hermitian(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=GridSpec(16, 16.0))
-        eye = np.eye(16 * 16, dtype=np.complex128)
-        h = dynamics._apply_product_hamiltonian(cfg, PotentialSpec(v=gaussian_well().v), 1.0, eye)
+        eye = np.eye(16 * 16 * 4, dtype=np.complex128)
+        h = dynamics._apply_product_hamiltonian(SMALL, (1.0, 1.5), gaussian_well(), 1.0, eye)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 class TestEvolution:
     def test_stationary_state_phase_only(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GridSpec(16, 16.0))
-        h = build_hamiltonian(cfg, gaussian_well())
+        h = build_hamiltonian(SMALL, (1.0, 1.0), gaussian_well())
         _, vecs = eigh_phase_fixed(h.entries)
         psi0 = StateVector(h.space, vecs[:, 0])
         result = evolve(psi0, h, t_final=3.0, n_steps=50)
@@ -140,8 +127,7 @@ class TestEvolution:
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
     def test_drifts_within_documented_bounds(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GRID)
-        h = build_hamiltonian(cfg, gaussian_well())
+        h = build_hamiltonian(GRID, (1.0, 1.0), gaussian_well())
         rng = np.random.default_rng(10)
         psi0 = StateVector(
             h.space, rng.standard_normal(h.space.total_dim) + 1j * rng.standard_normal(h.space.total_dim)
@@ -152,13 +138,10 @@ class TestEvolution:
         assert len(result.times) == 101
 
     def test_rejects_non_hermitian_and_unnormalized(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=None)
-        h = build_hamiltonian(cfg, PotentialSpec.from_constants(v2=1.0))
+        h = Operator(SpaceSpec((2, 2)), spin_hamiltonian(v2=1.0))
         bad = StateVector(h.space, [1.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             evolve(bad, h, 1.0, 10)
-        from qsystems.hilbert import Operator
-
         lop = Operator(h.space, np.triu(np.ones((4, 4))))
         with pytest.raises(ValueError):
             evolve(bad.normalized(), lop, 1.0, 10)
@@ -166,63 +149,51 @@ class TestEvolution:
 
 class TestWeakCoupling:
     def test_zero_coupling_exact_and_linear(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=GridSpec(16, 16.0))
-        check = weak_coupling_check(cfg, gaussian_well(), [0.1, 0.2, 0.5, 1.0])
+        check = weak_coupling_check(SMALL, (1.0, 1.3), gaussian_well(), [0.1, 0.2, 0.5, 1.0])
         assert check["zero_coupling_residual"] <= 1e-12
         assert check["linearity_spread"] <= 1e-6
 
-    @pytest.mark.parametrize("spin_half", [True, False])
-    def test_perturbed_free_part_fails_zero_coupling(self, spin_half, monkeypatch):
+    @pytest.mark.parametrize("spin_terms", [True, False])
+    def test_perturbed_free_part_fails_zero_coupling(self, spin_terms, monkeypatch):
         apply = dynamics._apply_product_hamiltonian
 
-        def perturbed(cfg, pot, hbar, vectors):
-            out = apply(cfg, pot, hbar, vectors)
+        def perturbed(grid, masses, pot, hbar, vectors):
+            out = apply(grid, masses, pot, hbar, vectors)
             out.reshape(-1, 4)[5] += 1e-8 * vectors.reshape(-1, 4)[3]  # H[5, 3] += 1e-8
             return out
 
         monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", perturbed)
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(16, 16.0))
-        pot = gaussian_well() if spin_half else PotentialSpec(v=gaussian_well().v)
-        check = weak_coupling_check(cfg, pot, [0.5, 1.0])
+        pot = gaussian_well() if spin_terms else PotentialSpec(v=gaussian_well().v)
+        check = weak_coupling_check(SMALL, (1.0, 1.3), pot, [0.5, 1.0])
         assert check["zero_coupling_residual"] > 1e-12
         assert not (check["zero_coupling_residual"] <= 1e-12 and check["linearity_spread"] <= 1e-6)
 
     def test_halving_coupling_halves_deviation(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GridSpec(16, 16.0))
         pot = PotentialSpec(v=gaussian_well().v)
-        check = weak_coupling_check(cfg, pot, [0.5, 1.0])
+        check = weak_coupling_check(SMALL, (1.0, 1.0), pot, [0.5, 1.0])
         half, full = check["deviation_norms"]
         assert half == pytest.approx(0.5 * full, rel=1e-9)
 
     def test_ratio_ten_between_couplings(self):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=False, grid=GridSpec(16, 16.0))
         pot = PotentialSpec(v=gaussian_well().v)
-        check = weak_coupling_check(cfg, pot, [0.1, 1.0])
+        check = weak_coupling_check(SMALL, (1.0, 1.0), pot, [0.1, 1.0])
         small, big = check["deviation_norms"]
         assert big / small == pytest.approx(10.0, rel=1e-6)
 
 
 def test_exchange_symmetry_for_identical_bodies():
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GridSpec(16, 16.0))
-    assert exchange_symmetry_residual(cfg, gaussian_well()) <= 1e-10
-
-
-def test_exchange_symmetry_requires_equal_masses():
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 2.0), spin_half=True, grid=GridSpec(16, 16.0))
-    with pytest.raises(ValueError):
-        exchange_symmetry_residual(cfg, gaussian_well())
+    assert exchange_symmetry_residual(SMALL, 1.0, gaussian_well()) <= 1e-10
 
 
 def test_momentum_conservation_on_masked_states():
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=GRID)
-    residuals = momentum_conservation_residual(cfg, PotentialSpec(v=gaussian_well().v), seed=2)
+    pot = PotentialSpec(v=gaussian_well().v)
+    residuals = momentum_conservation_residual(GRID, (1.0, 1.5), pot, seed=2)
     assert residuals.shape == (10,)
     assert np.max(residuals) <= 1e-6
 
 
 def test_momentum_conservation_matches_explicit_product_oracle():
     grid = GridSpec(32, 16.0)
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.5), spin_half=False, grid=grid)
     pot = PotentialSpec(v=gaussian_well().v)
     t1 = grids.kinetic_operator(grid, 1.0)
     t2 = grids.kinetic_operator(grid, 1.5)
@@ -246,44 +217,41 @@ def test_momentum_conservation_matches_explicit_product_oracle():
         scale = max(np.linalg.norm(hp), np.linalg.norm(ph))
         expected.append(float(np.linalg.norm(hp - ph) / scale))
     assert min(expected) > 0.0
-    assert momentum_conservation_residual(cfg, pot, n_states=4, seed=5).tolist() == expected
+    assert momentum_conservation_residual(grid, (1.0, 1.5), pot, n_states=4, seed=5).tolist() == expected
 
 
-def kron_product_parts(cfg, pot, hbar=1.0):
+def kron_product_parts(grid, masses, pot, hbar=1.0):
     """Oracle: the product-space parts built from dense Kronecker products."""
-    n = cfg.grid.n_sites
-    eye_n = np.eye(n, dtype=np.complex128)
-    t1 = grids.kinetic_operator(cfg.grid, cfg.masses[0], hbar)
-    t2 = grids.kinetic_operator(cfg.grid, cfg.masses[1], hbar)
-    kinetic = np.kron(t1, eye_n) + np.kron(eye_n, t2)
-    x = grids.position_values(cfg.grid)
-    dist = grids.periodic_distance(x[:, None] - x[None, :], cfg.grid.length).reshape(-1)
-    interaction = np.diag(pot.sample(pot.v, dist)).astype(np.complex128)
-    if cfg.spin_half:
-        dot, tensor = dynamics.spin_pair_operators(hbar)
-        eye_spin = np.eye(4, dtype=np.complex128)
-        kinetic = np.kron(kinetic, eye_spin)
-        interaction = np.kron(interaction, eye_spin) + (
-            np.kron(np.diag(pot.sample(pot.v1, dist)), eye_spin)
-            + np.kron(np.diag(pot.sample(pot.v2, dist)), dot)
-            + np.kron(np.diag(pot.sample(pot.v3, dist)), tensor)
-        )
+    eye_n = np.eye(grid.n_sites, dtype=np.complex128)
+    t1 = grids.kinetic_operator(grid, masses[0], hbar)
+    t2 = grids.kinetic_operator(grid, masses[1], hbar)
+    x = grids.position_values(grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length).reshape(-1)
+    dot, tensor = dynamics.spin_pair_operators(hbar)
+    eye_spin = np.eye(4, dtype=np.complex128)
+    kinetic = np.kron(np.kron(t1, eye_n) + np.kron(eye_n, t2), eye_spin)
+    interaction = (
+        np.kron(np.diag(pot.sample(pot.v, dist)), eye_spin)
+        + np.kron(np.diag(pot.sample(pot.v1, dist)), eye_spin)
+        + np.kron(np.diag(pot.sample(pot.v2, dist)), dot)
+        + np.kron(np.diag(pot.sample(pot.v3, dist)), tensor)
+    )
     return kinetic, interaction
 
 
-@pytest.mark.parametrize("spin_half", [False, True])
-def test_product_parts_match_kron_oracle(spin_half):
+@pytest.mark.parametrize("spin_terms", [False, True])
+def test_product_parts_match_kron_oracle(spin_terms):
     pot = gaussian_well()
-    if spin_half:
+    if spin_terms:
         r = pot.v.r
         pot = PotentialSpec(v=pot.v, v1=RadialTable(r, 0.3 * np.exp(-r)), v2=pot.v2, v3=pot.v3)
     else:
         pot = PotentialSpec(v=pot.v)
     for n_sites in (8, 12):
-        cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=spin_half, grid=GridSpec(n_sites, 16.0))
-        vectors = dynamics._seeded_vectors(cfg, 4).reshape(-1, 4)
-        expected = sum(kron_product_parts(cfg, pot)) @ vectors
-        actual = dynamics._apply_product_hamiltonian(cfg, pot, 1.0, vectors)
+        grid = GridSpec(n_sites, 16.0)
+        vectors = dynamics._seeded_vectors(grid, 4).reshape(-1, 4)
+        expected = sum(kron_product_parts(grid, (1.0, 1.3), pot)) @ vectors
+        actual = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pot, 1.0, vectors)
         assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -296,32 +264,30 @@ def asymmetric_spin_pair_operators(hbar=1.0):
 
 @pytest.mark.parametrize("n_sites", [8, 12])
 def test_exchange_residual_matches_dense_commutator(n_sites, monkeypatch):
-    cfg = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=GridSpec(n_sites, 16.0))
+    grid = GridSpec(n_sites, 16.0)
     pot = gaussian_well()
     u = permutation_operator(Permutation((1, 0, 3, 2)), SpaceSpec((n_sites, n_sites, 2, 2))).entries
-    vectors = dynamics._seeded_vectors(cfg, 3).reshape(-1, 4)
+    vectors = dynamics._seeded_vectors(grid, 3).reshape(-1, 4)
 
     def dense_residual():
-        h = sum(kron_product_parts(cfg, pot))
+        h = sum(kron_product_parts(grid, (1.0, 1.0), pot))
         return float(np.linalg.norm((h @ u - u @ h) @ vectors) / np.linalg.norm(h @ vectors))
 
     # Both read rounding only, as fractions of ||Hv||.
-    assert exchange_symmetry_residual(cfg, pot, seed=3) == pytest.approx(dense_residual(), abs=1e-12)
+    assert exchange_symmetry_residual(grid, 1.0, pot, seed=3) == pytest.approx(dense_residual(), abs=1e-12)
     monkeypatch.setattr(dynamics, "spin_pair_operators", asymmetric_spin_pair_operators)
     oracle = dense_residual()
     assert oracle > 1e-3
-    assert exchange_symmetry_residual(cfg, pot, seed=3) == pytest.approx(oracle, rel=1e-12)
+    assert exchange_symmetry_residual(grid, 1.0, pot, seed=3) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_product_space_checks_stay_small_at_many_body_size():
     # The many-body workload's product space: 4 * 24^2 = 2304 dimensions,
     # where one dense complex Hamiltonian alone takes 81 MiB.
     grid = GridSpec(24, 16.0)
-    weak_body = BodyConfig(n_bodies=2, masses=(1.0, 1.3), spin_half=True, grid=grid)
-    exchange_body = BodyConfig(n_bodies=2, masses=(1.0, 1.0), spin_half=True, grid=grid)
     calls = [
-        lambda: weak_coupling_check(weak_body, gaussian_well(), [0.125, 0.25, 0.5, 1.0]),
-        lambda: exchange_symmetry_residual(exchange_body, gaussian_well()),
+        lambda: weak_coupling_check(grid, (1.0, 1.3), gaussian_well(), [0.125, 0.25, 0.5, 1.0]),
+        lambda: exchange_symmetry_residual(grid, 1.0, gaussian_well()),
     ]
     for call in calls:
         tracemalloc.start()

@@ -6,10 +6,9 @@ atoms), and the bell suite on 10^5 samples, 2 random settings and analyzer
 angles at which every model's Monte Carlo is sensitive to a misplaced jump;
 every check still passes there before injection.
 
-Rows cover every check of the axioms, symmetry and bell suites, the dynamics
-product-space checks and ``momentum-conservation``.  A check of those three
-suites that no numerical defect can reach has a written reason in
-``REASONS`` in place of a row, and a test keeps every check id of
+Rows cover every check of the axioms, symmetry, dynamics and bell suites.  A
+check of those four suites that no numerical defect can reach has a written
+reason in ``REASONS`` in place of a row, and a test keeps every check id of
 ``tests/data/report_structure.json`` in one of the two.
 
 ``NAN_ROWS`` does the same for NaN: each row makes one measurement, not the
@@ -33,6 +32,7 @@ from qsystems.hilbert import Operator
 SAMPLE = dynamics.PotentialSpec.sample
 APPLY = dynamics._apply_product_hamiltonian
 SPIN_PAIR_OPERATORS = dynamics.spin_pair_operators
+EIGH = dynamics.eigh_phase_fixed
 PROJECTORS = symmetry.build_projectors
 PERMUTATION_OPERATOR = symmetry.permutation_operator
 PERMUTATION_ROWS = symmetry._permutation_rows
@@ -61,16 +61,23 @@ def associate_drops_an_atom(monkeypatch):
     )
 
 
-def one_sided_table_entry(monkeypatch):
+def _structure_with(monkeypatch, *entries):
+    """The structure constants with each ``(a, b, c, value)`` entry C[a, b, c] set."""
+    constants = galilei._STRUCTURE.copy()
+    for *labels, value in entries:
+        constants[tuple(galilei.LABELS.index(label) for label in labels)] = value
+    monkeypatch.setattr(galilei, "_STRUCTURE", constants)
+
+
+def one_sided_structure_constant(monkeypatch):
     """[K1, H] reads 2 P1 while [H, K1] still reads -P1."""
-    monkeypatch.setitem(galilei._TABLE, ("K1", "H"), {"P1": 2})
+    _structure_with(monkeypatch, ("K1", "H", "P1", 2))
 
 
 def doubled_rotation_bracket(monkeypatch):
     """[J1, J2] = 2 ihbar J3, antisymmetric but inconsistent with the other
     rotation brackets, so J1, J2, K1 break the Jacobi identity."""
-    monkeypatch.setitem(galilei._TABLE, ("J1", "J2"), {"J3": 2})
-    monkeypatch.setitem(galilei._TABLE, ("J2", "J1"), {"J3": -2})
+    _structure_with(monkeypatch, ("J1", "J2", "J3", 2), ("J2", "J1", "J3", -2))
 
 
 def _scaled_image(rep, label, factor=1.001):
@@ -204,22 +211,58 @@ def nonlinear_sample(monkeypatch):
 def wrong_second_mass(monkeypatch):
     """The product-space Hamiltonian takes body 2's mass 10% too large."""
 
-    def apply(cfg, pot, hbar, vectors):
-        m1, m2 = cfg.masses
-        return APPLY(replace(cfg, masses=(m1, 1.1 * m2)), pot, hbar, vectors)
+    def apply(grid, masses, pot, hbar, vectors):
+        m1, m2 = masses
+        return APPLY(grid, (m1, 1.1 * m2), pot, hbar, vectors)
 
     monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", apply)
+
+
+def _spin_pair_with(monkeypatch, change):
+    """spin_pair_operators returns ``change(dot, tensor, hbar)`` in place of
+    (s1.s2, tensor term)."""
+    monkeypatch.setattr(
+        dynamics, "spin_pair_operators", lambda hbar=1.0: change(*SPIN_PAIR_OPERATORS(hbar), hbar)
+    )
 
 
 def asymmetric_tensor_term(monkeypatch):
     """The tensor term is built from s1z alone, which the swap does not fix."""
 
-    def operators(hbar=1.0):
-        dot, _ = SPIN_PAIR_OPERATORS(hbar)
+    def change(dot, tensor, hbar):
         sz = 0.5 * hbar * np.diag([1.0, -1.0])
         return dot, 3.0 * np.kron(sz, 0.5 * hbar * np.eye(2)) - dot
 
-    monkeypatch.setattr(dynamics, "spin_pair_operators", operators)
+    _spin_pair_with(monkeypatch, change)
+
+
+def unmirrored_tensor_entry(monkeypatch):
+    """The tensor term gains 1e-10 above its diagonal and nothing below, so
+    the Hamiltonian's spin blocks are not hermitian.  Evolution's own guard,
+    relative to the largest entry of H, still lets it run."""
+
+    def change(dot, tensor, hbar):
+        tensor = tensor.copy()
+        tensor[0, 3] += 1e-10
+        return dot, tensor
+
+    _spin_pair_with(monkeypatch, change)
+
+
+def scaled_spin_dot(monkeypatch):
+    """s1.s2 is 0.1% too large."""
+    _spin_pair_with(monkeypatch, lambda dot, tensor, hbar: (1.001 * dot, tensor))
+
+
+def damped_propagator(monkeypatch):
+    """Spectral evolution exponentiates energies E - 1e-6 i E, so the
+    propagator damps each mode by its energy and is not unitary."""
+
+    def eigh(h):
+        vals, vecs = EIGH(h)
+        return vals * (1.0 - 1e-6j), vecs
+
+    monkeypatch.setattr(dynamics, "eigh_phase_fixed", eigh)
 
 
 def potential_of_first_position(monkeypatch):
@@ -303,7 +346,7 @@ def hemisphere_missing_a_jump(monkeypatch):
 
 ROWS = [
     ("axioms", "mereology-monoid-parthood", associate_drops_an_atom),
-    ("axioms", "algebra-antisymmetry", one_sided_table_entry),
+    ("axioms", "algebra-antisymmetry", one_sided_structure_constant),
     ("axioms", "algebra-jacobi", doubled_rotation_bracket),
     *[
         ("axioms", f"spin-{kind}-j{j:g}", scaled_spin_j3)
@@ -327,6 +370,11 @@ ROWS = [
     ("symmetry", "slater-survival", scaled_antisymmetrizer),
     ("symmetry", "exchange-invariant-total-observable", rotated_second_spin_frame),
     ("symmetry", "exchange-invariance-symmetric-state", permutation_rows_off_by_one),
+    ("dynamics", "hamiltonian-hermiticity", unmirrored_tensor_entry),
+    ("dynamics", "singlet-triplet-split", scaled_spin_dot),
+    ("dynamics", "tensor-term-spectrum", asymmetric_tensor_term),
+    ("dynamics", "evolution-norm-drift", damped_propagator),
+    ("dynamics", "evolution-energy-drift", damped_propagator),
     ("dynamics", "weak-coupling-linearity", nonlinear_sample),
     ("dynamics", "weak-coupling-zero", wrong_second_mass),
     ("dynamics", "exchange-symmetry", asymmetric_tensor_term),
@@ -355,7 +403,7 @@ REASONS = {
 }
 
 # Suites whose every check id needs a row or a reason.
-COVERED_SUITES = ("axioms", "symmetry", "bell")
+COVERED_SUITES = ("axioms", "symmetry", "dynamics", "bell")
 
 
 def verdicts(suite: str) -> dict:
@@ -502,8 +550,8 @@ NAN_ROWS = [
      nan_on_call(symmetry, "exchange_expectation_check", 2)),
     ("dynamics", "weak-coupling-linearity",
      nan_on_call(dynamics, "_apply_product_hamiltonian", 2, lambda out: np.full_like(out, NAN))),
-    ("dynamics", "momentum-conservation",
-     nan_on_call(grids, "leg_product", 2, lambda out: np.full_like(out, NAN))),
+    # Flat index 1 of the first (dim, n_states) draw: a NaN in test state 1.
+    ("dynamics", "momentum-conservation", nan_on_call(grids.DomainMask, "random_states", 0, nan_at)),
     ("charge", "central-commutators", nan_on_call(charge, "verify_central", 0, nan_at)),
     ("charge", "gauge-invariance", nan_gauge_at_quarter_turn),
     ("charge", "sector-resolution", nan_on_call(charge, "sector_decomposition", 0, nan_second_sector)),
