@@ -8,8 +8,8 @@ relative coordinate (center of mass dropped).  The product-space checks
 Hamiltonian: they apply it to a few seeded vectors, the one-body kinetic
 terms along their own site axes and the pair potential and spin blocks
 pointwise.  The momentum-conservation check draws masked product states and
-applies the spinless two-body operators to each as an (n, n) array, one
-matrix product per leg.
+applies the spinless two-body operators to each as an (n, n) array, the
+momentum-diagonal ones by 2-d FFT.
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ class PotentialSpec:
             if entry is None:
                 continue
             if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                table = RadialTable.constant(float(entry), r_max)
+                try:
+                    table = RadialTable.constant(float(entry), r_max)
+                except OverflowError:  # an integer beyond the float range
+                    raise ValueError(f"potential entry {key!r} must be finite") from None
             elif isinstance(entry, dict) and set(entry) == {"r", "values"}:
                 r, values = np.asarray(entry["r"]), np.asarray(entry["values"])
                 if not all(np.issubdtype(a.dtype, np.number) for a in (r, values)):
@@ -128,9 +131,13 @@ def spin_pair_operators(hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, hbar: float) -> np.ndarray:
-    """4x4 spin interaction at each separation, stacked as (len(r), 4, 4)."""
-    dot, tensor = spin_pair_operators(hbar)
-    eye_spin = np.eye(4, dtype=np.complex128)
+    """4x4 spin interaction at each separation, stacked as (len(r), 4, 4).
+
+    Every entry of s1.s2 and of the tensor term is real (sy x sy included),
+    so the blocks are real.
+    """
+    dot, tensor = (op.real for op in spin_pair_operators(hbar))
+    eye_spin = np.eye(4)
 
     def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
         return pot.sample(table, r_values)[:, None, None] * op
@@ -142,7 +149,7 @@ def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """kron(spatial, I4) plus 4x4 ``blocks`` on the spatial diagonal, on
     (spatial x spin x spin), assembled blockwise in one array."""
     m = spatial.shape[0]
-    out = np.zeros((m, 4, m, 4), dtype=np.complex128)
+    out = np.zeros((m, 4, m, 4), dtype=np.result_type(spatial, blocks))
     for s in range(4):
         out[:, s, :, s] = spatial
     sites = np.arange(m)
@@ -249,7 +256,7 @@ def evolve(
     phases = np.exp(-1j * np.outer(times, vals) / hbar)
     states = (vecs @ (phases * coeffs[None, :]).T).T
     norms = np.linalg.norm(states, axis=1)
-    energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.entries, states))
+    energies = np.real(np.sum(states.conj() * (states @ h.entries.T), axis=1))
     return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
 
 
@@ -324,20 +331,25 @@ def momentum_conservation_residual(
 
     The bodies are taken spinless, so only the central potential ``pot.v``
     enters H; it depends only on the relative separation, which the
-    construction guarantees.  Each state is an (n, n) array, on which a
-    one-body operator acts by one matrix product along its own axis, so
-    nothing of size n^2 x n^2 is ever formed.
+    construction guarantees.  Each state is an (n, n) array.  Both kinetic
+    terms and P_total are diagonal in momentum, so each multiplies the state's
+    2-d FFT by its symbol, at O(n^2 log n) per state; nothing of size
+    n^2 x n^2, nor any n x n operator, is formed.
     """
     x = grids.position_values(grid)
     v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
-    t1, t2 = (grids.kinetic_operator(grid, m, hbar) for m in masses)
-    p = grids.momentum_operator(grid, hbar)
+    k = grids.momentum_values(grid, hbar)
+    kinetic = k[:, None] ** 2 / (2.0 * masses[0]) + k[None, :] ** 2 / (2.0 * masses[1])
+    total_momentum = k[:, None] + k[None, :]
+
+    def spectral(symbol, psi):
+        return np.fft.ifft2(symbol * np.fft.fft2(psi, norm="ortho"), norm="ortho")
 
     def apply_h(psi):
-        return t1 @ psi + psi @ t2.T + v * psi
+        return spectral(kinetic, psi) + v * psi
 
     def apply_p(psi):
-        return p @ psi + psi @ p.T
+        return spectral(total_momentum, psi)
 
     mask = grids.band_limited_mask(grid, band_fraction, envelope_frac)
     rng = np.random.default_rng(seed)

@@ -3,9 +3,10 @@ wavepacket code.
 
 One spatial dimension, ``n`` sites on a box of length ``L`` with positions
 ``x_k = (k - n//2) * L/n``, momenta realized spectrally through the unitary
-DFT.  Exact canonical commutators are impossible in finite dimensions, so
-every consumer of these operators restricts its claims to band-limited,
-interior-localized states: the :class:`DomainMask` of
+DFT: each spectral operator is a circulant, gathered from one inverse FFT of
+its symbol.  Exact canonical commutators are impossible in finite
+dimensions, so every consumer of these operators restricts its claims to
+band-limited, interior-localized states: the :class:`DomainMask` of
 :func:`band_limited_mask`.  The additive Galilei pair draws product test
 states from such masks and applies one-particle operators leg by leg with
 :func:`leg_product`, so no n^2 x n^2 matrix is formed.  It carries every
@@ -60,20 +61,30 @@ def momentum_values(grid: GridSpec, hbar: float = 1.0) -> np.ndarray:
     return hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_sites, d=grid.spacing)
 
 
-def _spectral_operator(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Dense hermitized F^H diag(values) F, with F the unitary DFT."""
-    f = np.fft.fft(np.eye(grid.n_sites, dtype=np.complex128), axis=0, norm="ortho")
-    op = f.conj().T @ (values[:, None] * f)
+def _spectral_operator(column: np.ndarray) -> np.ndarray:
+    """Hermitized F^H diag(v) F, with F the unitary DFT, from its first
+    column ``ifft(v)``.
+
+    The product is the circulant whose entry [j, l] is ``column[(j - l) % n]``,
+    so one index gather builds it in O(n^2).
+    """
+    n = column.size
+    sites = np.arange(n)
+    op = column[(sites[:, None] - sites[None, :]) % n]
     return 0.5 * (op + op.conj().T)
 
 
 def momentum_operator(grid: GridSpec, hbar: float = 1.0) -> np.ndarray:
     """Dense spectral-derivative momentum matrix (hermitized)."""
-    return _spectral_operator(grid, momentum_values(grid, hbar))
+    return _spectral_operator(np.fft.ifft(momentum_values(grid, hbar)))
 
 
 def kinetic_operator(grid: GridSpec, mass: float, hbar: float = 1.0) -> np.ndarray:
-    return _spectral_operator(grid, momentum_values(grid, hbar) ** 2 / (2.0 * mass))
+    """Dense spectral kinetic matrix (hermitized), real ``float64``."""
+    # k^2 / 2m is even in fftfreq order (k[-j] = -k[j], and the Nyquist entry
+    # of an even n is its own mirror), so the circulant's column is real up
+    # to roundoff, which the real part drops.
+    return _spectral_operator(np.fft.ifft(momentum_values(grid, hbar) ** 2 / (2.0 * mass)).real)
 
 
 def wrap_displacement(values: np.ndarray, length: float) -> np.ndarray:

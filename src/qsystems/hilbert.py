@@ -1,6 +1,8 @@
 """Finite-dimensional states and operators over explicit tensor factors.
 
-Everything is dense ``complex128``.  Values are immutable after construction
+Everything is dense.  States are ``complex128``; an operator keeps real
+entries as ``float64`` and complex ones as ``complex128``, so a real symmetric
+Hamiltonian reaches a real ``eigh``.  Values are immutable after construction
 (arrays are marked read-only).  Besides the value types there are basis
 states, the Pauli matrices, the lift of a one-factor operator into a product
 space, and a Hermitian eigendecomposition whose eigenvector basis is made
@@ -28,7 +30,8 @@ NORM_ATOL = 1e-12
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=np.complex128)
+    """A read-only ``complex128`` copy of complex input, ``float64`` of real."""
+    out = np.array(array, dtype=np.complex128 if np.iscomplexobj(array) else np.float64)
     out.setflags(write=False)
     return out
 
@@ -90,7 +93,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128)
+        mat = np.asarray(self.entries)
         d = self.space.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"operator shape {mat.shape} != ({d}, {d})")
@@ -133,14 +136,13 @@ def eigh_phase_fixed(matrix: np.ndarray, zero_tol: float = 1e-12):
     """Hermitian eigendecomposition with a deterministic basis.
 
     Eigenvalues ascend; each eigenvector is rescaled so its first component
-    with magnitude above ``zero_tol`` is real and positive.
+    with magnitude above ``zero_tol`` is real and positive.  A real symmetric
+    ``matrix`` has real eigenvectors, and the rescaling is a sign flip.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    vecs = np.array(vecs)
-    for col in range(vecs.shape[1]):
-        v = vecs[:, col]
-        idx = np.argmax(np.abs(v) > zero_tol)
-        pivot = v[idx]
-        if abs(pivot) > zero_tol:
-            vecs[:, col] = v * (pivot.conjugate() / abs(pivot))
-    return vals, vecs
+    pivots = vecs[np.argmax(np.abs(vecs) > zero_tol, axis=0), np.arange(vecs.shape[1])]
+    size = np.abs(pivots)
+    found = size > zero_tol  # a column with no component above zero_tol keeps its phase
+    scale = np.ones_like(pivots)
+    scale[found] = pivots[found].conj() / size[found]
+    return vals, vecs * scale

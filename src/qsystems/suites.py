@@ -22,11 +22,20 @@ from .report import CheckRecord, SuiteReport
 
 __all__ = ["SUITE_RUNNERS", "run_suite", "run_all"]
 
-# Config keys that have no default and may be given as a JSON object.
-_OPTIONAL_OBJECTS = {"dynamics.relative.potential"}
+# Config keys that have no default and may be given as a JSON object, each
+# with the parser that must accept it.
+_OPTIONAL_OBJECTS = {"dynamics.relative.potential": dynamics.PotentialSpec.from_config}
 
 # Config keys whose number must be positive.
-_POSITIVE_NUMBERS = {"axioms.hbar", "dynamics.hbar", "epr.hbar"}
+_POSITIVE_NUMBERS = {
+    "axioms.hbar",
+    "axioms.grid_length",
+    "dynamics.hbar",
+    "dynamics.relative.length",
+    "dynamics.relative.well_width",
+    "epr.hbar",
+    "epr.width",
+}
 
 # Config keys, besides every ``*_tolerance`` key, whose number must not be
 # negative.  A negative tolerance or margin would fail its check whatever the
@@ -163,7 +172,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
     Raises ValueError, naming the dotted path, for an unknown key, for a
     value whose JSON type differs from its default's (an integer may stand
     for a number, and every element of a list must match the default's first)
-    or for a value that breaks its key's rule in :func:`_check_value`.
+    or for a value that breaks its key's rule in :func:`_check_value` or that
+    its parser in ``_OPTIONAL_OBJECTS`` rejects.
     """
     if override is None:
         override = {}
@@ -174,6 +184,10 @@ def _merge(defaults: dict, override, path: str) -> dict:
         where = f"{path}.{key}"
         if where in _OPTIONAL_OBJECTS:
             _check_type(where, {}, value)  # any JSON object
+            try:
+                _OPTIONAL_OBJECTS[where](value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             out[key] = value
         elif key not in defaults:
             raise ValueError(f"unknown config key {where}")

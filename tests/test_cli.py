@@ -300,6 +300,14 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"symmetry": {"cases": [[2, 2], [3, 2], [2, 2]]}}, "symmetry.cases[2] repeats symmetry.cases[0]"),
         ({"axioms": {"spin_values": [0.5, 1.5, 1.5000001]}},
          "axioms.spin_values[2] repeats axioms.spin_values[1]"),
+        ({"dynamics": {"relative": {"well_width": 0.0}}}, "dynamics.relative.well_width must be positive"),
+        ({"dynamics": {"relative": {"length": 0.0}}}, "dynamics.relative.length must be positive"),
+        ({"epr": {"width": 0.0}}, "epr.width must be positive"),
+        ({"axioms": {"grid_length": -1.0}}, "axioms.grid_length must be positive"),
+        ({"dynamics": {"relative": {"potential": {"v": "x"}}}},
+         "dynamics.relative.potential: potential entry 'v' must be a number or {r, values}"),
+        ({"dynamics": {"relative": {"potential": {"v": 10 ** 400}}}},
+         "dynamics.relative.potential: potential entry 'v' must be finite"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):

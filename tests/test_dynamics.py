@@ -110,6 +110,8 @@ class TestBuild:
         h = build_hamiltonian(GRID, (1.0, 3.0), gaussian_well())
         assert h.space.factor_dims == (64, 2, 2)
         assert h.is_hermitian(1e-12)
+        assert h.entries.dtype == np.float64
+        assert np.array_equal(h.entries, h.entries.T)
 
     def test_product_hamiltonian_hermitian(self):
         eye = np.eye(16 * 16 * 4, dtype=np.complex128)
@@ -136,6 +138,8 @@ class TestEvolution:
         assert result.norm_drift <= 1e-10
         assert result.energy_drift <= 1e-9
         assert len(result.times) == 101
+        oracle = np.real(np.einsum("ti,ij,tj->t", result.states.conj(), h.entries, result.states))
+        np.testing.assert_allclose(result.energies, oracle, rtol=1e-12, atol=0.0)
 
     def test_rejects_non_hermitian_and_unnormalized(self):
         h = Operator(SpaceSpec((2, 2)), spin_hamiltonian(v2=1.0))
@@ -217,7 +221,11 @@ def test_momentum_conservation_matches_explicit_product_oracle():
         scale = max(np.linalg.norm(hp), np.linalg.norm(ph))
         expected.append(float(np.linalg.norm(hp - ph) / scale))
     assert min(expected) > 0.0
-    assert momentum_conservation_residual(grid, (1.0, 1.5), pot, n_states=4, seed=5).tolist() == expected
+    # The FFT form and the dense products differ by roundoff only.
+    np.testing.assert_allclose(
+        momentum_conservation_residual(grid, (1.0, 1.5), pot, n_states=4, seed=5),
+        expected, rtol=0.0, atol=1e-13,
+    )
 
 
 def kron_product_parts(grid, masses, pot, hbar=1.0):

@@ -189,6 +189,51 @@ def test_eigh_phase_convention_deterministic():
         assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
 
+def loop_phase_fixed(matrix, zero_tol=1e-12):
+    """Oracle: the per-column phase fix of eigh_phase_fixed, one column at a time."""
+    vals, vecs = np.linalg.eigh(matrix)
+    vecs = np.array(vecs)
+    for col in range(vecs.shape[1]):
+        v = vecs[:, col]
+        pivot = v[np.argmax(np.abs(v) > zero_tol)]
+        if abs(pivot) > zero_tol:
+            vecs[:, col] = v * (pivot.conjugate() / abs(pivot))
+    return vals, vecs
+
+
+def test_eigh_phase_fix_matches_column_loop_oracle():
+    # LAPACK returns real first components; coupling the first basis vector
+    # at 1e-13 puts them below zero_tol, so the pivots are complex.
+    weak = random_hermitian(6, seed=31)
+    weak[0, 1:] *= 1e-13
+    weak[1:, 0] *= 1e-13
+    weak[0, 0] = 10.0
+    for mat in (weak, random_hermitian(6, seed=32), random_hermitian(6, seed=32).real):
+        vals, vecs = eigh_phase_fixed(mat)
+        oracle_vals, oracle_vecs = loop_phase_fixed(mat)
+        assert np.array_equal(vals, oracle_vals)
+        # np.abs of a complex array and of a complex scalar may round apart by an ulp.
+        np.testing.assert_allclose(vecs, oracle_vecs, rtol=0.0, atol=4 * np.finfo(float).eps)
+
+
+def test_eigh_of_real_symmetric_is_real_with_positive_pivots():
+    mat = random_hermitian(6, seed=33).real
+    vals, vecs = eigh_phase_fixed(mat)
+    assert vecs.dtype == np.float64
+    pivots = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(6)]
+    assert np.all(pivots > 0)
+    complex_vals, complex_vecs = eigh_phase_fixed(mat.astype(np.complex128))
+    assert np.allclose(vals, complex_vals, atol=1e-12)
+    assert np.allclose(vecs, complex_vecs, atol=1e-12)
+
+
+def test_operator_keeps_real_entries_real():
+    assert Operator(QUBIT, np.eye(2, dtype=int)).entries.dtype == np.float64
+    assert Operator(QUBIT, np.eye(2)).entries.dtype == np.float64
+    assert Operator(QUBIT, np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
+    assert op(SZ).entries.dtype == np.complex128
+
+
 def test_expectation_matches_manual():
     # <a x b| A x 1 |a x b> = <a|A|a> for a normalized b
     a, b = rng_state(QUBIT, 44), rng_state(QUBIT, 45)
