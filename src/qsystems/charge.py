@@ -38,14 +38,12 @@ class ChargeModel:
     The spectrum must consist of integers (within tolerance) so that the
     gauge family exp(i*theta*Q) is 2*pi-periodic, and the charge must differ
     from the identity.  An optional vacuum index singles out the basis vector
-    required to be fixed by the gauge family and by any registered symmetry
-    unitaries.
+    required to be fixed by the gauge family.
     """
 
     space: SpaceSpec
     q_operator: Operator
     observables: tuple[Operator, ...] = ()
-    symmetry_unitaries: tuple[Operator, ...] = ()
     vacuum_index: int | None = None
 
     def __post_init__(self):
@@ -104,9 +102,8 @@ def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
     """Spectral projectors of the charge and the superselection diagnostics.
 
     Reports whether the neutral (charge-zero) sector is one-dimensional,
-    whether the designated vacuum vector is fixed by the gauge family and the
-    registered symmetry unitaries, and the largest cross-sector matrix
-    element of any registered observable.
+    whether the designated vacuum vector is fixed by the gauge family, and the
+    largest cross-sector matrix element of any registered observable.
     """
     vals, vecs = eigh_phase_fixed(model.q_operator.entries)
     rounded = np.round(vals).astype(int)
@@ -126,8 +123,10 @@ def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
     if model.vacuum_index is not None:
         vac = np.zeros(model.space.total_dim, dtype=np.complex128)
         vac[model.vacuum_index] = 1.0
-        unitaries = [gauge_transform(model, theta) for theta in np.linspace(0.0, 2.0 * np.pi, 9)]
-        moved = [u.entries @ vac - vac for u in [*unitaries, *model.symmetry_unitaries]]
+        moved = [
+            gauge_transform(model, theta).entries @ vac - vac
+            for theta in np.linspace(0.0, 2.0 * np.pi, 9)
+        ]
         vacuum_ok = bool(np.all(np.linalg.norm(moved, axis=1) <= 1e-10))
 
     blocks = [

@@ -152,9 +152,9 @@ class PairSharpnessReport:
     var_relative_momentum: float
 
 
-def commuting_pair_check(cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessReport:
+def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessReport:
     """How compatible the relative position and total momentum are on the pair
-    state.
+    state ``psi``, as :func:`build_epr_state` builds it from ``cfg``.
 
     Two residuals: the absolute norm of the commutator of the two observables
     applied to the unit pair state (the state is a simultaneous
@@ -166,7 +166,7 @@ def commuting_pair_check(cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessRepo
     construction, and the conjugate spread of order 1/w^2 sits entirely in
     the relative momentum.
     """
-    psi = _pair_grid(build_epr_state(cfg, hbar), cfg)
+    psi = _pair_grid(psi, cfg)
     d = relative_position_values(cfg)
     prob = np.abs(psi) ** 2
 

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
+    "MIN_SITES",
     "position_values",
     "momentum_values",
     "momentum_operator",
@@ -35,14 +36,17 @@ __all__ = [
 ]
 
 
+MIN_SITES = 8
+
+
 @dataclass(frozen=True)
 class GridSpec:
     n_sites: int
     length: float
 
     def __post_init__(self):
-        if self.n_sites < 8:
-            raise ValueError(f"need at least 8 sites, got {self.n_sites}")
+        if self.n_sites < MIN_SITES:
+            raise ValueError(f"need at least {MIN_SITES} sites, got {self.n_sites}")
         if self.length <= 0:
             raise ValueError("box length must be positive")
 

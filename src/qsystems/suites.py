@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, charge, dynamics, epr_bell, galilei, mereology, symmetry
-from .grids import GridSpec, wrap_displacement
+from .grids import MIN_SITES, GridSpec, wrap_displacement
 from .hilbert import Operator, SpaceSpec, StateVector, basis_state, lift, pauli_matrices
 from .report import CheckRecord, SuiteReport
 
@@ -34,6 +34,7 @@ _POSITIVE_NUMBERS = {
     "dynamics.relative.length",
     "dynamics.relative.well_width",
     "epr.hbar",
+    "epr.length",
     "epr.width",
 }
 
@@ -62,9 +63,20 @@ _COUNT_BOUNDS = {
     "bell.n_random_settings": 1000,
 }
 
-# Count keys whose least value is above 1: the Monte Carlo's normal error bar
-# needs this many samples per correlation.
-_COUNT_MINIMA = {"bell.n_samples": epr_bell.MIN_LHV_SAMPLES}
+# Count keys whose least value is above 1: a grid needs this many sites, and
+# the Monte Carlo's normal error bar this many samples per correlation.
+_COUNT_MINIMA = {
+    "axioms.grid_sites": MIN_SITES,
+    "dynamics.relative.n_sites": MIN_SITES,
+    "dynamics.weak_coupling.n_sites": MIN_SITES,
+    "dynamics.momentum.n_sites": MIN_SITES,
+    "epr.n_sites": MIN_SITES,
+    "bell.n_samples": epr_bell.MIN_LHV_SAMPLES,
+}
+
+# Each ``axioms.spin_values`` entry j builds dense (2j+1)-dimensional images;
+# j is bounded at ten times the largest shipped value, 1.5.
+_SPIN_BOUND = 15
 
 # Each ``symmetry.cases`` entry [n, d] builds dense d^n x d^n projectors from
 # n! * d^n scattered indices; both are bounded at ten times the largest shipped
@@ -164,6 +176,35 @@ def _check_value(path: str, value) -> None:
                 raise ValueError(
                     f"{path}[{i}] repeats {path}[{first}]: both add the ids of {label!r}"
                 )
+    if path == "axioms.spin_values":
+        for i, j in enumerate(value):
+            two_j = 2 * j
+            if abs(two_j - round(two_j)) > 1e-9 or not 1 <= round(two_j) <= 2 * _SPIN_BOUND:
+                raise ValueError(
+                    f"{path}[{i}] must be a positive half-integer of at most {_SPIN_BOUND}, got {j}"
+                )
+
+
+def _check_epr_geometry(section: dict) -> None:
+    """Raise ValueError, naming the key, unless :class:`epr_bell.EPRConfig`
+    accepts the merged ``epr`` section's widths and separation, and the wide
+    width exceeds the width.  Each width is tried at zero separation, so that
+    a failure names the key at fault."""
+    grid = {"n_sites": section["n_sites"], "length": float(section["length"])}
+    trials = {
+        "width": {"width": float(section["width"]), "separation": 0.0},
+        "wide_width": {"width": float(section["wide_width"]), "separation": 0.0},
+        "separation": {"width": float(section["width"]), "separation": float(section["separation"])},
+    }
+    for key, geometry in trials.items():
+        try:
+            epr_bell.EPRConfig(**grid, **geometry)
+        except ValueError as exc:
+            raise ValueError(f"epr.{key}: {exc}") from None
+    # momentum-narrowing compares the two envelopes: a wide one no wider than
+    # the other would fail it whatever the code computes.
+    if not section["wide_width"] > section["width"]:
+        raise ValueError("epr.wide_width must exceed epr.width")
 
 
 def _merge(defaults: dict, override, path: str) -> dict:
@@ -171,9 +212,10 @@ def _merge(defaults: dict, override, path: str) -> dict:
 
     Raises ValueError, naming the dotted path, for an unknown key, for a
     value whose JSON type differs from its default's (an integer may stand
-    for a number, and every element of a list must match the default's first)
-    or for a value that breaks its key's rule in :func:`_check_value` or that
-    its parser in ``_OPTIONAL_OBJECTS`` rejects.
+    for a number, and every element of a list must match the default's first),
+    for a value that breaks its key's rule in :func:`_check_value` or that
+    its parser in ``_OPTIONAL_OBJECTS`` rejects, or for an ``epr`` section
+    that :func:`_check_epr_geometry` rejects.
     """
     if override is None:
         override = {}
@@ -197,6 +239,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
             _check_type(where, defaults[key], value)
             _check_value(where, value)
             out[key] = value
+    if path == "epr":
+        _check_epr_geometry(out)
     return out
 
 
@@ -262,10 +306,10 @@ _EXHAUSTIVE_MAX_ATOMS = 8
 _TRIPLE_BLOCK_ROWS = 16
 
 
-def _random_individual(rng: np.random.Generator, pool: list[str]) -> mereology.Individual:
+def _random_individual(rng: np.random.Generator, pool: list[str]) -> frozenset[str]:
     size = int(rng.integers(0, len(pool) + 1))
     atoms = rng.choice(pool, size=size, replace=False) if size else []
-    return mereology.Individual(frozenset(str(a) for a in atoms))
+    return frozenset(str(a) for a in atoms)
 
 
 def _mereology_is_exhaustive(pool: list[str]) -> bool:
@@ -281,7 +325,7 @@ def _exhaustive_law_failures(pool: list[str]) -> int:
     (x, y, z) fails.  An association outside the model fails every triple
     that starts with its pair.
     """
-    individuals = sorted(mereology.composition(mereology.Individual(frozenset(pool))))
+    individuals = sorted(mereology.composition(frozenset(pool)), key=sorted)
     index = {ind: i for i, ind in enumerate(individuals)}.get
     associate, is_part_of = mereology.associate, mereology.is_part_of
     codes = np.array([[index(associate(x, y), -1) for y in individuals] for x in individuals])
@@ -683,7 +727,6 @@ def _build_charge_model(charges: list[int], n_observables: int, rng: np.random.G
         space=space,
         q_operator=q,
         observables=tuple(observables),
-        symmetry_unitaries=(),
         vacuum_index=vacuum_index,
     )
 
@@ -781,7 +824,7 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
     check("state-normalized", "the regularized pair state is a unit vector",
           abs(psi.norm() - 1.0), "norm_tolerance")
 
-    sharp = epr_bell.commuting_pair_check(pair_cfg, hbar)
+    sharp = epr_bell.commuting_pair_check(psi, pair_cfg, hbar)
     check("mean-separation", "the relative position averages to the configured separation",
           abs(sharp.mean_relative_position - pair_cfg.separation), "mean_tolerance",
           asdict(sharp))
@@ -800,7 +843,7 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
           "(variance at roundoff level)",
           sharp.var_total_momentum, 1e-20)
     wide_cfg = replace(pair_cfg, width=float(cfg["wide_width"]))
-    wide = epr_bell.commuting_pair_check(wide_cfg, hbar)
+    wide = epr_bell.commuting_pair_check(epr_bell.build_epr_state(wide_cfg, hbar), wide_cfg, hbar)
     check("momentum-narrowing",
           "a wider separation envelope narrows the conjugate relative-momentum "
           "spread (order hbar^2 / 4 w^2)",

@@ -168,7 +168,7 @@ def test_criterion_08_epr_inference():
         case = replace(cfg, separation=a)
         conditional = epr_bell.conditional_inference(case, x1)
         assert abs(conditional.mode - (x1 - a)) <= spacing + 1e-12
-    sharp = epr_bell.commuting_pair_check(cfg)
+    sharp = epr_bell.commuting_pair_check(epr_bell.build_epr_state(cfg), cfg)
     assert sharp.commutator_state_residual <= 1e-10
     _report(
         8,

@@ -308,6 +308,27 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
          "dynamics.relative.potential: potential entry 'v' must be a number or {r, values}"),
         ({"dynamics": {"relative": {"potential": {"v": 10 ** 400}}}},
          "dynamics.relative.potential: potential entry 'v' must be finite"),
+        ({"epr": {"length": 0.0}}, "epr.length must be positive"),
+        ({"axioms": {"grid_sites": 4}}, "axioms.grid_sites must be at least 8"),
+        ({"dynamics": {"relative": {"n_sites": 4}}}, "dynamics.relative.n_sites must be at least 8"),
+        ({"dynamics": {"weak_coupling": {"n_sites": 4}}},
+         "dynamics.weak_coupling.n_sites must be at least 8"),
+        ({"dynamics": {"momentum": {"n_sites": 4}}}, "dynamics.momentum.n_sites must be at least 8"),
+        ({"epr": {"n_sites": 4}}, "epr.n_sites must be at least 8"),
+        ({"axioms": {"spin_values": [0.3]}},
+         "axioms.spin_values[0] must be a positive half-integer of at most 15, got 0.3"),
+        ({"axioms": {"spin_values": [0.5, 0.0]}}, "axioms.spin_values[1] must be a positive half-integer"),
+        ({"axioms": {"spin_values": [15.5]}}, "axioms.spin_values[0] must be a positive half-integer"),
+        ({"axioms": {"spin_values": [5000]}}, "axioms.spin_values[0] must be a positive half-integer"),
+        ({"epr": {"width": 0.01}}, "epr.width: width 0.01 is below grid resolution"),
+        ({"epr": {"width": 5.0}}, "epr.width: width must be small against the box"),
+        ({"epr": {"wide_width": 5.0}}, "epr.wide_width: width must be small against the box"),
+        ({"epr": {"wide_width": 0.01}}, "epr.wide_width: width 0.01 is below grid resolution"),
+        ({"epr": {"wide_width": 0.0}}, "epr.wide_width: width must be positive"),
+        ({"epr": {"wide_width": 0.25}}, "epr.wide_width must exceed epr.width"),
+        ({"epr": {"separation": 100.0}}, "epr.separation: separation must fit in the box"),
+        ({"epr": {"length": 1.5, "width": 0.1, "wide_width": 0.15}},
+         "epr.separation: separation must fit in the box"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -342,6 +363,13 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("bell", {"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
         ("bell", {"bell": {"models": ["nope"]}}, "bell.models[0] must be one of"),
         ("symmetry", {"symmetry": {"cases": [[3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
+        ("epr", {"epr": {"length": 0.0}}, "epr.length must be positive"),
+        ("epr", {"epr": {"n_sites": 4}}, "epr.n_sites must be at least 8"),
+        ("epr", {"epr": {"width": 0.01}}, "epr.width: width 0.01 is below grid resolution"),
+        ("epr", {"epr": {"wide_width": 5.0}}, "epr.wide_width: width must be small against the box"),
+        ("epr", {"epr": {"wide_width": 0.2}}, "epr.wide_width must exceed epr.width"),
+        ("epr", {"epr": {"separation": -9.0}}, "epr.separation: separation must fit in the box"),
+        ("axioms", {"axioms": {"spin_values": [0.3]}}, "axioms.spin_values[0] must be a positive"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):

@@ -98,7 +98,7 @@ class TestEPRState:
     def test_mean_separation_and_momentum(self):
         p = 3 * 4.0 * math.pi / 16.0
         cfg = EPRConfig(separation=1.0, total_momentum=p)
-        rep = commuting_pair_check(cfg)
+        rep = commuting_pair_check(build_epr_state(cfg), cfg)
         assert rep.mean_relative_position == pytest.approx(1.0, abs=1e-9)
         assert rep.mean_total_momentum == pytest.approx(p, abs=1e-9)
 
@@ -113,15 +113,16 @@ class TestEPRState:
 class TestCommutingPair:
     def test_residuals_and_variances(self):
         cfg = EPRConfig()
-        rep = commuting_pair_check(cfg)
+        rep = commuting_pair_check(build_epr_state(cfg), cfg)
         assert rep.commutator_state_residual <= 1e-10
         assert rep.shift_commutator_residual <= 1e-14
         assert rep.var_relative_position == pytest.approx(cfg.width ** 2, rel=0.01)
         assert rep.var_total_momentum <= 1e-20
 
     def test_relative_momentum_reciprocal_scaling(self):
-        narrow = commuting_pair_check(EPRConfig(width=0.25))
-        wide = commuting_pair_check(EPRConfig(width=0.5))
+        narrow_cfg, wide_cfg = EPRConfig(width=0.25), EPRConfig(width=0.5)
+        narrow = commuting_pair_check(build_epr_state(narrow_cfg), narrow_cfg)
+        wide = commuting_pair_check(build_epr_state(wide_cfg), wide_cfg)
         assert narrow.var_relative_momentum == pytest.approx(1.0 / (4 * 0.25 ** 2), rel=0.01)
         assert wide.var_relative_momentum == pytest.approx(1.0 / (4 * 0.5 ** 2), rel=0.01)
         assert wide.var_relative_momentum < narrow.var_relative_momentum
@@ -401,7 +402,7 @@ def test_pair_check_drops_its_grid_temporaries():
     cfg = EPRConfig(n_sites=256, length=16.0, separation=1.0, width=0.25)
     tracemalloc.start()
     try:
-        commuting_pair_check(cfg)
+        commuting_pair_check(build_epr_state(cfg), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -420,3 +421,20 @@ def test_lhv_batches_do_not_overlap_in_memory():
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 2**20
+
+
+def test_epr_suite_builds_each_pair_state_once(monkeypatch):
+    # The pair state, the wide-envelope state, and one state per inference case.
+    from qsystems import epr_bell, suites
+
+    builds = []
+    original = epr_bell.build_epr_state
+
+    def counted(cfg, hbar=1.0):
+        builds.append(cfg.width)
+        return original(cfg, hbar)
+
+    monkeypatch.setattr(epr_bell, "build_epr_state", counted)
+    report = suites.run_epr({"n_sites": 128, "n_inference": 3})
+    assert report.to_dict()["pass"] is True
+    assert builds == [0.25, 0.5, 0.25, 0.25, 0.25]

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsystems import mereology, suites
-from qsystems.mereology import NULL, Individual, associate, composition, is_part_of
+from qsystems.mereology import NULL, associate, composition, is_part_of
 
-atoms = st.frozensets(st.sampled_from("abcdef"), max_size=6)
-individuals = atoms.map(Individual)
+individuals = st.frozensets(st.sampled_from("abcdef"), max_size=6)
 
 
-def ind(*names: str) -> Individual:
-    return Individual(frozenset(names))
+def ind(*names: str) -> frozenset[str]:
+    return frozenset(names)
 
 
 @given(individuals, individuals, individuals)
@@ -69,7 +68,7 @@ def test_composition_members_are_parts(x):
 
 
 def test_composition_refuses_huge_individuals():
-    big = Individual(frozenset(f"atom{i}" for i in range(20)))
+    big = frozenset(f"atom{i}" for i in range(20))
     with pytest.raises(ValueError):
         composition(big)
 
@@ -94,20 +93,20 @@ SMALL_POOL = list("abcdef")
 
 
 def _drop_atom_a(x, y):
-    return Individual((x.atoms | y.atoms) - {"a"})
+    return (x | y) - {"a"}
 
 
 def _not_idempotent(x, y):
-    return NULL if x == y and x.atoms else Individual(x.atoms | y.atoms)
+    return NULL if x == y and x else x | y
 
 
 def _leaves_the_model(x, y):
-    extra = {"z"} if len(x.atoms) == 2 else set()
-    return Individual(x.atoms | y.atoms | extra)
+    extra = {"z"} if len(x) == 2 else set()
+    return x | y | extra
 
 
 def _null_above_singletons(x, y):
-    return associate(x, y) == y or (len(x.atoms) == 1 and not y.atoms)
+    return associate(x, y) == y or (len(x) == 1 and not y)
 
 
 @pytest.mark.parametrize(
@@ -178,3 +177,53 @@ def test_law_check_is_given_the_number_of_triples_it_checks(pool, instances, mon
     }
     suites.run_axioms(cheap)
     assert seen == [instances]
+
+
+def _oracle_law_failures(pool):
+    """Failing triples by a plain loop over the finite model of ``pool``,
+    applying each law as ``suites._exhaustive_law_failures`` documents it: a
+    triple fails when a law instantiated at x, at (x, y) or at (x, y, z)
+    fails, and an association outside the model fails its pair."""
+    assoc, part = mereology.associate, mereology.is_part_of
+    model = composition(frozenset(pool))
+
+    def unary_bad(x):
+        return assoc(x, x) != x or assoc(x, NULL) != x or not part(x, x)
+
+    def pair_bad(x, y):
+        xy = assoc(x, y)
+        return (
+            xy not in model
+            or xy != assoc(y, x)
+            or not part(x, xy)
+            or (part(x, y) and part(y, x) and x != y)
+        )
+
+    def triple_bad(x, y, z):
+        return assoc(assoc(x, y), z) != assoc(x, assoc(y, z)) or (
+            part(x, y) and part(y, z) and not part(x, z)
+        )
+
+    return sum(
+        unary_bad(x) or pair_bad(x, y) or triple_bad(x, y, z)
+        for x in model
+        for y in model
+        for z in model
+    )
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        (None, None),
+        ("associate", _drop_atom_a),
+        ("associate", _not_idempotent),
+        ("associate", _leaves_the_model),
+        ("is_part_of", _null_above_singletons),
+    ],
+)
+@pytest.mark.parametrize("pool", [[], list("a"), list("ab"), list("abc"), list("abcd")])
+def test_exhaustive_law_check_matches_a_loop_oracle(name, broken, pool, monkeypatch):
+    if name:
+        monkeypatch.setattr(mereology, name, broken)
+    assert suites._exhaustive_law_failures(pool) == _oracle_law_failures(pool)

@@ -6,10 +6,10 @@ atoms), and the bell suite on 10^5 samples, 2 random settings and analyzer
 angles at which every model's Monte Carlo is sensitive to a misplaced jump;
 every check still passes there before injection.
 
-Rows cover every check of the axioms, symmetry, dynamics and bell suites.  A
-check of those four suites that no numerical defect can reach has a written
-reason in ``REASONS`` in place of a row, and a test keeps every check id of
-``tests/data/report_structure.json`` in one of the two.
+Rows cover every check of the axioms, symmetry, dynamics, charge and bell
+suites.  A check of those five suites that no numerical defect can reach has
+a written reason in ``REASONS`` in place of a row, and a test keeps every
+check id of ``tests/data/report_structure.json`` in one of the two.
 
 ``NAN_ROWS`` does the same for NaN: each row makes one measurement, not the
 first, of a check that reduces several NaN, and asserts that the check fails
@@ -30,6 +30,9 @@ from qsystems import charge, dynamics, epr_bell, galilei, grids, mereology, suit
 from qsystems.hilbert import Operator
 
 SAMPLE = dynamics.PotentialSpec.sample
+CHARGE_MODEL = suites._build_charge_model
+CHARGE_EIGH = charge.eigh_phase_fixed
+GAUGE = charge.gauge_transform
 APPLY = dynamics._apply_product_hamiltonian
 SPIN_PAIR_OPERATORS = dynamics.spin_pair_operators
 EIGH = dynamics.eigh_phase_fixed
@@ -56,9 +59,7 @@ CONFIGS = {"axioms": SMALL_AXIOMS, "bell": SMALL_BELL}
 
 def associate_drops_an_atom(monkeypatch):
     """Association loses the atom "d", so it is no longer idempotent."""
-    monkeypatch.setattr(
-        mereology, "associate", lambda x, y: mereology.Individual((x.atoms | y.atoms) - {"d"})
-    )
+    monkeypatch.setattr(mereology, "associate", lambda x, y: (x | y) - {"d"})
 
 
 def _structure_with(monkeypatch, *entries):
@@ -278,6 +279,65 @@ def potential_of_first_position(monkeypatch):
     monkeypatch.setattr(dynamics.PotentialSpec, "sample", sample)
 
 
+def _charge_model_with(monkeypatch, change):
+    """The charge suite runs on ``change(model, charges)`` in place of its model."""
+
+    def build(charges, *args):
+        return change(CHARGE_MODEL(charges, *args), charges)
+
+    monkeypatch.setattr(suites, "_build_charge_model", build)
+
+
+def cross_sector_observable(monkeypatch):
+    """The first observable couples the first charge-1 and charge-2 basis
+    vectors by 1e-3, so it does not commute with the charge."""
+
+    def change(model, charges):
+        a, b = charges.index(1), charges.index(2)
+        entries = model.observables[0].entries.copy()
+        entries[a, b] += 1e-3
+        entries[b, a] += 1e-3
+        leaky = Operator(model.space, entries)
+        return replace(model, observables=(leaky, *model.observables[1:]))
+
+    _charge_model_with(monkeypatch, change)
+
+
+def vacuum_one_vector_on(monkeypatch):
+    """The designated vacuum is the basis vector after the neutral one, a
+    charged vector that the gauge family turns."""
+    _charge_model_with(
+        monkeypatch, lambda model, charges: replace(model, vacuum_index=model.vacuum_index + 1)
+    )
+
+
+def half_angle_gauge(monkeypatch):
+    """The gauge family is exp(i theta Q / 2), whose period is 4 pi."""
+    monkeypatch.setattr(charge, "gauge_transform", lambda model, theta: GAUGE(model, theta / 2.0))
+
+
+def long_charge_eigenvectors(monkeypatch):
+    """The charge's eigenvectors come out 0.1% too long, so the sector
+    projectors sum to 1.002 times the identity."""
+
+    def eigh(matrix):
+        vals, vecs = CHARGE_EIGH(matrix)
+        return vals, 1.001 * vecs
+
+    monkeypatch.setattr(charge, "eigh_phase_fixed", eigh)
+
+
+def halved_charge_spectrum(monkeypatch):
+    """The charge's eigenvalues come out halved, so rounding puts the charges
+    -1, 0 and 1 in one sector with the neutral vector."""
+
+    def eigh(matrix):
+        vals, vecs = CHARGE_EIGH(matrix)
+        return vals / 2.0, vecs
+
+    monkeypatch.setattr(charge, "eigh_phase_fixed", eigh)
+
+
 def product_state_for_singlet(monkeypatch):
     """The "singlet" is the product state |01>, whose correlations
     -cos(a) cos(b) depend on the absolute analyzer angles."""
@@ -379,6 +439,14 @@ ROWS = [
     ("dynamics", "weak-coupling-zero", wrong_second_mass),
     ("dynamics", "exchange-symmetry", asymmetric_tensor_term),
     ("dynamics", "momentum-conservation", potential_of_first_position),
+    ("charge", "central-commutators", cross_sector_observable),
+    ("charge", "gauge-period", half_angle_gauge),
+    ("charge", "gauge-invariance", cross_sector_observable),
+    ("charge", "sector-resolution", long_charge_eigenvectors),
+    ("charge", "neutral-sector-unique", halved_charge_spectrum),
+    ("charge", "superselection-offdiagonal", cross_sector_observable),
+    ("charge", "vacuum-invariance", vacuum_one_vector_on),
+    ("charge", "relative-phase-invisibility", cross_sector_observable),
     ("bell", "chsh-quantum-optimal", product_state_for_singlet),
     ("bell", "chsh-quantum-tsirelson", chsh_sign_slip),
     ("bell", "correlation-cosine-law", analyzer_dial_wraps_at_pi),
@@ -403,7 +471,7 @@ REASONS = {
 }
 
 # Suites whose every check id needs a row or a reason.
-COVERED_SUITES = ("axioms", "symmetry", "dynamics", "bell")
+COVERED_SUITES = ("axioms", "symmetry", "dynamics", "charge", "bell")
 
 
 def verdicts(suite: str) -> dict:
