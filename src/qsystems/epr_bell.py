@@ -75,7 +75,9 @@ class EPRConfig:
     ``width`` is the standard deviation of the relative-separation
     distribution.  The total momentum is snapped to the nearest value whose
     per-particle half lies on the reciprocal lattice, so the constructed
-    state is an exact eigenvector of the discrete total momentum.
+    state is an exact eigenvector of the discrete total momentum.  The
+    moments of that momentum are exact only while the envelope's momentum
+    spread stays inside the lattice's band (:func:`_largest_momentum_mode`).
     """
 
     n_sites: int = 256
@@ -106,20 +108,58 @@ class EPRConfig:
         return unit * round(self.total_momentum / unit)
 
 
+# A relative-momentum step whose weight in the envelope's spectrum is below
+# this counts as empty: at 1e-30 the commutator and the total-momentum
+# variance of a pair state at the largest mode stay at roundoff.
+_ALIAS_WEIGHT = 1e-30
+
+
+def _largest_momentum_mode(cfg: EPRConfig) -> int:
+    """The largest per-particle momentum step |m| (the snapped total momentum
+    over 4 pi hbar / L) whose pair state keeps its total momentum on the
+    lattice, as the momentum checks need; the state itself is exact at any m.
+
+    Particle momenta sit at m + q and m - q lattice steps (of 2 pi hbar / L),
+    with q spread by the envelope with weight exp(-2 (2 pi w q / L)^2).  The
+    band holds the steps from -(n // 2) to (n - 1) // 2; a particle step past
+    it aliases to the other edge and moves the total by n steps.  One of the
+    two particles can leave the band from |q| = (n + 1) // 2 - |m| on, so
+    every such q must weigh less than ``_ALIAS_WEIGHT``.
+    """
+    reach = math.sqrt(math.log(1.0 / _ALIAS_WEIGHT) / 2.0) * cfg.length / (2.0 * math.pi * cfg.width)
+    return math.floor((cfg.n_sites + 1) // 2 - reach)
+
+
+def _epr_factors(cfg: EPRConfig, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of the unnormalized pair state: the envelope column
+    ``g[k] = exp(-wrap(k dx - a)^2 / 4 w^2)`` over the n site offsets, and
+    the n phases ``exp(i p x / 2 hbar)``.
+
+    Sites i and j sit ``(i - j) dx`` apart, up to a multiple of the box that
+    the wrap removes, so ``psi[i, j] = g[(i - j) % n] * phase[i] * phase[j]``.
+    """
+    grid = cfg.grid
+    offsets = np.arange(cfg.n_sites) * grid.spacing
+    envelope = np.exp(-(grids.wrap_displacement(offsets - cfg.separation, cfg.length) ** 2)
+                      / (4.0 * cfg.width ** 2))
+    phase = np.exp(1j * cfg.snapped_momentum(hbar) * grids.position_values(grid) / (2.0 * hbar))
+    return envelope, phase
+
+
 def build_epr_state(cfg: EPRConfig, hbar: float = 1.0) -> StateVector:
     """Normalized pair state g_w(x1 - x2 - a) * exp(i p (x1 + x2) / 2 hbar).
 
     The Gaussian argument is wrapped to the principal interval, so the
     relative-separation distribution has mean ``a`` and standard deviation
-    ``w`` regardless of where the box seam sits.
+    ``w`` regardless of where the box seam sits.  The state is a circulant
+    envelope times an outer product of phases, so it is gathered from the n
+    values of :func:`_epr_factors` and normalized by the norm of the array
+    built.
     """
-    grid = cfg.grid
-    x = grids.position_values(grid)
-    diff = grids.wrap_displacement(x[:, None] - x[None, :] - cfg.separation, cfg.length)
-    envelope = np.exp(-(diff ** 2) / (4.0 * cfg.width ** 2))
-    p = cfg.snapped_momentum(hbar)
-    phase = np.exp(1j * p * (x[:, None] + x[None, :]) / (2.0 * hbar))
-    psi = envelope * phase
+    envelope, phase = _epr_factors(cfg, hbar)
+    sites = np.arange(cfg.n_sites)
+    psi = envelope[(sites[:, None] - sites[None, :]) % cfg.n_sites] * phase[:, None]
+    psi *= phase[None, :]
     psi /= np.linalg.norm(psi)
     return StateVector(SpaceSpec((cfg.n_sites, cfg.n_sites)), psi.reshape(-1))
 
@@ -220,7 +260,8 @@ def conditional_inference(
 ) -> ConditionalDistribution:
     """Distribution over the partner position after reading off particle 1.
 
-    Slices the joint probability at the grid row nearest ``measured_x1`` and
+    Slices the joint probability of :func:`build_epr_state` at the grid row
+    nearest ``measured_x1``, computed from that one row alone, and
     normalizes.  The mode sits one grid spacing or less from
     ``measured_x1 - a`` (wrapped into the box); a slice carrying less than
     ``weight_floor`` of total probability is flagged as negligible instead of
@@ -228,10 +269,14 @@ def conditional_inference(
     """
     if abs(measured_x1) > cfg.length / 2.0:
         raise ValueError("measured position must lie inside the box")
-    psi = _pair_grid(build_epr_state(cfg, hbar), cfg)
+    # Row r of the state has |psi[r, j]|^2 = g[(r - j) % n]^2 / (n sum g^2):
+    # the phases have unit modulus, and each row of the circulant holds every
+    # g once.
+    envelope, _ = _epr_factors(cfg, hbar)
     x = grids.position_values(cfg.grid)
     row = int(np.argmin(np.abs(x - measured_x1)))
-    slice_prob = np.abs(psi[row, :]) ** 2
+    squared = envelope ** 2
+    slice_prob = squared[(row - np.arange(cfg.n_sites)) % cfg.n_sites] / (cfg.n_sites * squared.sum())
     weight = float(slice_prob.sum())
     negligible = weight < weight_floor
     if not negligible:

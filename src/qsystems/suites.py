@@ -33,6 +33,7 @@ _POSITIVE_NUMBERS = {
     "dynamics.hbar",
     "dynamics.relative.length",
     "dynamics.relative.well_width",
+    "dynamics.evolution.t_final",
     "epr.hbar",
     "epr.length",
     "epr.width",
@@ -77,6 +78,10 @@ _COUNT_MINIMA = {
 # Each ``axioms.spin_values`` entry j builds dense (2j+1)-dimensional images;
 # j is bounded at ten times the largest shipped value, 1.5.
 _SPIN_BOUND = 15
+
+# exp(2 pi i q) is the identity up to a roundoff of about 2 pi |q| ulp, so at
+# this bound on |q| gauge-period reads near 1e-12, against its 1e-10.
+_CHARGE_BOUND = 1000
 
 # Each ``symmetry.cases`` entry [n, d] builds dense d^n x d^n projectors from
 # n! * d^n scattered indices; both are bounded at ten times the largest shipped
@@ -159,6 +164,12 @@ def _check_value(path: str, value) -> None:
         missing = [q for q in (0, 1, 2) if q not in value]
         if missing:
             raise ValueError(f"{path} must contain 0, 1 and 2; missing {missing}")
+        # The neutral sector must be one-dimensional (neutral-sector-unique).
+        if value.count(0) > 1:
+            raise ValueError(f"{path} must contain 0 exactly once, got it {value.count(0)} times")
+        for i, q in enumerate(value):
+            if abs(q) > _CHARGE_BOUND:
+                raise ValueError(f"{path}[{i}] must be at most {_CHARGE_BOUND} in magnitude, got {q}")
     if path.endswith("masses") and (len(value) != 2 or not all(m > 0 for m in value)):
         raise ValueError(f"{path} must hold exactly two positive masses, got {value}")
     if path == "dynamics.weak_coupling.lambdas":
@@ -187,9 +198,10 @@ def _check_value(path: str, value) -> None:
 
 def _check_epr_geometry(section: dict) -> None:
     """Raise ValueError, naming the key, unless :class:`epr_bell.EPRConfig`
-    accepts the merged ``epr`` section's widths and separation, and the wide
-    width exceeds the width.  Each width is tried at zero separation, so that
-    a failure names the key at fault."""
+    accepts the merged ``epr`` section's widths and separation, the wide
+    width exceeds the width, and the momentum mode is within the largest
+    that the grid carries at the (narrower) width.  Each width is tried at
+    zero separation, so that a failure names the key at fault."""
     grid = {"n_sites": section["n_sites"], "length": float(section["length"])}
     trials = {
         "width": {"width": float(section["width"]), "separation": 0.0},
@@ -205,6 +217,14 @@ def _check_epr_geometry(section: dict) -> None:
     # the other would fail it whatever the code computes.
     if not section["wide_width"] > section["width"]:
         raise ValueError("epr.wide_width must exceed epr.width")
+    # Past this mode the pair state's momentum spread aliases across the
+    # band edge, and the momentum checks fail whatever the code computes.
+    largest = epr_bell._largest_momentum_mode(epr_bell.EPRConfig(**grid, width=float(section["width"])))
+    if abs(section["momentum_mode"]) > largest:
+        raise ValueError(
+            f"epr.momentum_mode must be at most {largest} in magnitude on {section['n_sites']} "
+            f"sites at width {section['width']:g}, got {section['momentum_mode']}"
+        )
 
 
 def _merge(defaults: dict, override, path: str) -> dict:
@@ -316,6 +336,50 @@ def _mereology_is_exhaustive(pool: list[str]) -> bool:
     return len(set(pool)) <= _EXHAUSTIVE_MAX_ATOMS
 
 
+def _triples_cannot_fail(assoc: np.ndarray, part: np.ndarray, generators: list[int]) -> bool:
+    """True only when ``assoc`` is associative and ``part`` transitive, shown
+    from the ``generators`` without visiting every triple; False when the
+    screen cannot show it, and every triple must be visited.
+
+    Light's test: when the generators generate the whole table, it is
+    associative exactly when ``(x g) y == x (g y)`` for every generator g and
+    every x and y (Clifford and Preston, *The Algebraic Theory of Semigroups*
+    I, 1961, section 1.2).  Generation is shown by the left-normed closure
+    ``x g``, a subset of what the generators generate.  Transitivity is
+    ``P.P <= P``, with the rows of P packed into bits and OR-reduced, so no
+    float product is formed.
+    """
+    reached = np.zeros(len(assoc), dtype=bool)
+    reached[generators] = True
+    size = 0
+    while size < np.count_nonzero(reached):
+        size = np.count_nonzero(reached)
+        reached[assoc[reached][:, generators]] = True
+    if not reached.all():
+        return False
+    if not np.array_equal(assoc[assoc[:, generators]], assoc[:, assoc[generators]]):
+        return False
+    rows = np.packbits(part, axis=1)
+    reach_in_two = np.bitwise_or.reduce(
+        np.broadcast_to(rows, (len(part), *rows.shape)), axis=1, where=part[:, :, None]
+    )
+    return bool(np.array_equal(reach_in_two | rows, rows))
+
+
+def _triple_failures(assoc: np.ndarray, part: np.ndarray, pair_bad: np.ndarray) -> int:
+    """Triples (x, y, z) whose pair (x, y) is sound but that break
+    associativity or the transitivity of parthood, in blocks of
+    ``_TRIPLE_BLOCK_ROWS`` rows of x."""
+    failures = 0
+    for start in range(0, len(assoc), _TRIPLE_BLOCK_ROWS):
+        rows = slice(start, start + _TRIPLE_BLOCK_ROWS)
+        triple_bad = assoc[assoc[rows]] != assoc[rows][:, assoc]  # (x|y)|z vs x|(y|z)
+        triple_bad |= part[rows, :, None] & part[None, :, :] & ~part[rows, None, :]
+        triple_bad &= ~pair_bad[rows, :, None]
+        failures += int(np.count_nonzero(triple_bad))
+    return failures
+
+
 def _exhaustive_law_failures(pool: list[str]) -> int:
     """Failing triples over the whole finite model of ``pool``.
 
@@ -324,6 +388,12 @@ def _exhaustive_law_failures(pool: list[str]) -> int:
     triple (x, y, z) fails when a law instantiated at x, at (x, y) or at
     (x, y, z) fails.  An association outside the model fails every triple
     that starts with its pair.
+
+    The triple laws are screened first by :func:`_triples_cannot_fail`, with
+    the null and the singleton individuals as generators.  When the screen
+    holds, no triple law fails and the count is that of the pairs; otherwise
+    :func:`_triple_failures` visits every triple.  Either way the count is
+    the one the triple pass alone would give.
     """
     individuals = sorted(mereology.composition(frozenset(pool)), key=sorted)
     index = {ind: i for i, ind in enumerate(individuals)}.get
@@ -345,13 +415,10 @@ def _exhaustive_law_failures(pool: list[str]) -> int:
         | unary_bad[:, None]
     )
     failures = n * int(np.count_nonzero(pair_bad))
-    for start in range(0, n, _TRIPLE_BLOCK_ROWS):
-        rows = slice(start, start + _TRIPLE_BLOCK_ROWS)
-        triple_bad = assoc[assoc[rows]] != assoc[rows][:, assoc]  # (x|y)|z vs x|(y|z)
-        triple_bad |= part[rows, :, None] & part[None, :, :] & ~part[rows, None, :]
-        triple_bad &= ~pair_bad[rows, :, None]
-        failures += int(np.count_nonzero(triple_bad))
-    return failures
+    generators = [i for i, ind in enumerate(individuals) if len(ind) <= 1]
+    if _triples_cannot_fail(assoc, part, generators):
+        return failures
+    return failures + _triple_failures(assoc, part, pair_bad)
 
 
 def _mereology_law_failures(rng: np.random.Generator, pool: list[str], instances: int) -> int:
@@ -501,7 +568,9 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
         check(f"projector-ranks-n{n}-d{d}",
               "projector ranks equal brute-force basis enumeration counts",
               rank_s == oracle_s and rank_a == oracle_a, detail=rank_details[f"n{n}d{d}"])
-        idempotency += [np.max(np.abs(m)) for m in (s @ s - s, a @ a - a, s @ a, a @ s)]
+        # One d^n x d^n product alive at a time, not four.
+        idempotency += [np.max(np.abs(s @ s - s)), np.max(np.abs(a @ a - a)),
+                        np.max(np.abs(s @ a)), np.max(np.abs(a @ s))]
         if n == 2:
             idempotency.append(np.max(np.abs(s + a - np.eye(s.shape[0]))))
         total = rank_s + rank_a

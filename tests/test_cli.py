@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsystems import suites
+from qsystems import epr_bell, suites
 from qsystems.cli import SUITE_NAMES, main
 
 FAST_BELL = {"bell": {"n_samples": 10_000, "n_random_settings": 2}}
@@ -226,6 +226,26 @@ def test_charge_list_missing_required_charges_reports_error(charges, missing, tm
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_sites", [128, 256])
+def test_largest_accepted_momentum_mode_passes_and_the_next_exits_2(n_sites, tmp_path, capsys):
+    largest = epr_bell._largest_momentum_mode(epr_bell.EPRConfig(n_sites=n_sites))
+    for mode in (largest, -largest):
+        cfg = write_config(tmp_path, {"epr": {"n_sites": n_sites, "momentum_mode": mode, "n_inference": 2}})
+        assert main(["epr", "--config", cfg]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"epr": {"n_sites": n_sites, "momentum_mode": largest + 1}})
+    assert main(["epr", "--config", cfg]) == 2
+    assert f"epr.momentum_mode must be at most {largest} in magnitude" in capsys.readouterr().err
+
+
+def test_largest_accepted_charge_keeps_the_gauge_period(tmp_path, capsys):
+    bound = suites._CHARGE_BOUND
+    cfg = write_config(tmp_path, {"charge": {"charges": [-bound, 0, 1, 2, bound]}})
+    assert main(["charge", "--config", cfg]) == 0
+    (record,) = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["id"] == "gauge-period"]
+    assert record["pass"] and record["value"] <= record["tolerance"] / 100
+
+
 def test_tolerance_scale_applies_to_conditional_inference_mode(capsys):
     def mode_tolerance(scale):
         assert main(["epr", "--tolerance-scale", scale]) == 0
@@ -329,6 +349,16 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"epr": {"separation": 100.0}}, "epr.separation: separation must fit in the box"),
         ({"epr": {"length": 1.5, "width": 0.1, "wide_width": 0.15}},
          "epr.separation: separation must fit in the box"),
+        ({"dynamics": {"evolution": {"t_final": 0.0}}}, "dynamics.evolution.t_final must be positive"),
+        ({"dynamics": {"evolution": {"t_final": -1.0}}}, "dynamics.evolution.t_final must be positive"),
+        ({"epr": {"momentum_mode": 1000000}},
+         "epr.momentum_mode must be at most 68 in magnitude on 256 sites at width 0.25, got 1000000"),
+        ({"epr": {"momentum_mode": -69}}, "epr.momentum_mode must be at most 68 in magnitude"),
+        ({"epr": {"n_sites": 128, "momentum_mode": 5}},
+         "epr.momentum_mode must be at most 4 in magnitude on 128 sites"),
+        ({"charge": {"charges": [0, 0, 1, 2]}}, "charge.charges must contain 0 exactly once, got it 2 times"),
+        ({"charge": {"charges": [0, 1, 2, 1001]}}, "charge.charges[3] must be at most 1000 in magnitude"),
+        ({"charge": {"charges": [-1001, 0, 1, 2]}}, "charge.charges[0] must be at most 1000 in magnitude"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qsystems import grids
 from qsystems.epr_bell import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -189,6 +190,85 @@ class TestConditionalInference:
     def test_outside_box_rejected(self):
         with pytest.raises(ValueError):
             conditional_inference(EPRConfig(), measured_x1=100.0)
+
+
+# Oracle: the dense builder that the factored one replaced, which evaluates
+# the wrapped envelope and the phase at every (x1, x2).
+def oracle_epr_grid(cfg, hbar=1.0):
+    x = grids.position_values(cfg.grid)
+    diff = grids.wrap_displacement(x[:, None] - x[None, :] - cfg.separation, cfg.length)
+    envelope = np.exp(-(diff ** 2) / (4.0 * cfg.width ** 2))
+    phase = np.exp(1j * cfg.snapped_momentum(hbar) * (x[:, None] + x[None, :]) / (2.0 * hbar))
+    psi = envelope * phase
+    return psi / np.linalg.norm(psi)
+
+
+def oracle_conditional(cfg, measured_x1, weight_floor=1e-12):
+    """(probabilities, mode, width, slice_weight, negligible) from the row of
+    the dense state nearest ``measured_x1``."""
+    x = grids.position_values(cfg.grid)
+    row = int(np.argmin(np.abs(x - measured_x1)))
+    prob = np.abs(oracle_epr_grid(cfg)[row, :]) ** 2
+    weight = float(prob.sum())
+    negligible = weight < weight_floor
+    if not negligible:
+        prob = prob / weight
+    mode = float(x[int(np.argmax(prob))])
+    deviations = grids.wrap_displacement(x - mode, cfg.length)
+    width = float("nan") if negligible else float(np.sqrt(np.sum(prob * deviations ** 2)))
+    return prob, mode, width, weight, negligible
+
+
+def _oracle_config(n, separation, mode):
+    # EPRConfig needs a width of two spacings within an eighth of the box, so
+    # 16 and 17 are its smallest even and odd grids.
+    length = 16.0
+    return EPRConfig(
+        n_sites=n,
+        length=length,
+        separation=separation,
+        total_momentum=mode * 4.0 * math.pi / length,
+        width=max(0.25, 2.0 * length / n),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+@pytest.mark.parametrize("separation", [1.0, -3.3, 7.97, -7.97, 8.0, -8.0])
+@pytest.mark.parametrize("mode", [0, 3, -5])
+def test_factored_state_matches_the_dense_oracle(n, separation, mode):
+    cfg = _oracle_config(n, separation, mode)
+    built = build_epr_state(cfg).amplitudes.reshape(n, n)
+    np.testing.assert_allclose(built, oracle_epr_grid(cfg), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 256])
+@pytest.mark.parametrize("separation", [1.3, -3.3, 7.97, -7.97])
+@pytest.mark.parametrize("mode", [0, 3, -5])
+def test_conditional_row_matches_the_dense_oracle(n, separation, mode):
+    # No separation here sits halfway between two sites, where the mode
+    # would be a tie that roundoff breaks.
+    cfg = _oracle_config(n, separation, mode)
+    for x1 in (-7.5, -0.3, 2.6, 7.9):
+        result = conditional_inference(cfg, x1)
+        prob, mode_x2, width, weight, negligible = oracle_conditional(cfg, x1)
+        assert result.mode == mode_x2
+        assert result.width == pytest.approx(width, rel=1e-12)
+        assert result.slice_weight == pytest.approx(weight, rel=1e-12)
+        assert not result.negligible and not negligible
+        np.testing.assert_allclose(result.probabilities, prob, rtol=0, atol=1e-15)
+
+
+def test_conditional_negligible_slice_matches_the_dense_oracle():
+    # Every row of the circulant carries 1/n of the probability, so a floor
+    # of 1 makes any slice negligible.
+    cfg = _oracle_config(64, 1.3, 3)
+    result = conditional_inference(cfg, 0.4, weight_floor=1.0)
+    prob, mode_x2, width, weight, negligible = oracle_conditional(cfg, 0.4, weight_floor=1.0)
+    assert result.negligible and negligible
+    assert result.mode == mode_x2
+    assert math.isnan(result.width) and math.isnan(width)
+    assert result.slice_weight == pytest.approx(weight, rel=1e-12)
+    np.testing.assert_allclose(result.probabilities, prob, rtol=0, atol=1e-15)
 
 
 class TestQuantumCHSH:
@@ -424,7 +504,8 @@ def test_lhv_batches_do_not_overlap_in_memory():
 
 
 def test_epr_suite_builds_each_pair_state_once(monkeypatch):
-    # The pair state, the wide-envelope state, and one state per inference case.
+    # The pair state and the wide-envelope state; each inference case reads
+    # one row from the envelope factors and builds no state.
     from qsystems import epr_bell, suites
 
     builds = []
@@ -437,4 +518,4 @@ def test_epr_suite_builds_each_pair_state_once(monkeypatch):
     monkeypatch.setattr(epr_bell, "build_epr_state", counted)
     report = suites.run_epr({"n_sites": 128, "n_inference": 3})
     assert report.to_dict()["pass"] is True
-    assert builds == [0.25, 0.5, 0.25, 0.25, 0.25]
+    assert builds == [0.25, 0.5]

@@ -109,6 +109,12 @@ def _null_above_singletons(x, y):
     return associate(x, y) == y or (len(x) == 1 and not y)
 
 
+def _singletons_meet_in_null(x, y):
+    """Two distinct singletons associate to the null individual, so the null
+    and the singletons generate only themselves."""
+    return NULL if len(x) == len(y) == 1 and x != y else x | y
+
+
 @pytest.mark.parametrize(
     "name, broken",
     [
@@ -220,6 +226,7 @@ def _oracle_law_failures(pool):
         ("associate", _not_idempotent),
         ("associate", _leaves_the_model),
         ("is_part_of", _null_above_singletons),
+        ("associate", _singletons_meet_in_null),
     ],
 )
 @pytest.mark.parametrize("pool", [[], list("a"), list("ab"), list("abc"), list("abcd")])
@@ -227,3 +234,65 @@ def test_exhaustive_law_check_matches_a_loop_oracle(name, broken, pool, monkeypa
     if name:
         monkeypatch.setattr(mereology, name, broken)
     assert suites._exhaustive_law_failures(pool) == _oracle_law_failures(pool)
+
+
+LIBRARIES = [
+    (None, None),
+    ("associate", _drop_atom_a),
+    ("associate", _not_idempotent),
+    ("associate", _leaves_the_model),
+    ("is_part_of", _null_above_singletons),
+    ("associate", _singletons_meet_in_null),
+]
+
+
+@pytest.mark.parametrize("name, broken", LIBRARIES)
+def test_screened_count_matches_the_block_pass_over_eight_atoms(name, broken, monkeypatch):
+    # The loop oracle is too slow for 256**3 triples; the block pass, which
+    # the loop oracle pins on the smaller pools, stands in for it.
+    if name:
+        monkeypatch.setattr(mereology, name, broken)
+    pool = list("abcdefgh")
+    screened = suites._exhaustive_law_failures(pool)
+    monkeypatch.setattr(suites, "_triples_cannot_fail", lambda *args: False)
+    assert screened == suites._exhaustive_law_failures(pool)
+
+
+def test_correct_library_returns_from_the_screen_without_the_block_pass(monkeypatch):
+    def block_pass(*args):
+        raise AssertionError("the block pass ran on a library the screen clears")
+
+    monkeypatch.setattr(suites, "_triple_failures", block_pass)
+    assert suites._exhaustive_law_failures(list("abcdefgh")) == 0
+
+
+@pytest.mark.parametrize("name, broken", LIBRARIES[1:])
+def test_every_broken_library_falls_back_to_the_block_pass(name, broken, monkeypatch):
+    # Each mutant breaks one part of the screen: generation (_drop_atom_a,
+    # _leaves_the_model, _singletons_meet_in_null), Light's test
+    # (_not_idempotent) or transitivity (_null_above_singletons).
+    monkeypatch.setattr(mereology, name, broken)
+    calls = []
+    block_pass = suites._triple_failures
+
+    def counted(*args):
+        calls.append(1)
+        return block_pass(*args)
+
+    monkeypatch.setattr(suites, "_triple_failures", counted)
+    suites._exhaustive_law_failures(list("abcd"))
+    assert calls == [1]
+
+
+def test_screen_needs_the_generators_to_generate_the_table():
+    # Null, a, b and w: a y = a and b y = b for every y, and w swaps a and
+    # b (w a = b, w b = a).  Light's test holds at the generators null, a and
+    # b, but they generate only themselves, and (w w) a = b while w (w a) = a.
+    assoc = np.array([[0, 1, 2, 3], [1, 1, 1, 1], [2, 2, 2, 2], [3, 2, 1, 3]], dtype=np.uint8)
+    part = np.eye(4, dtype=bool)
+    generators = [0, 1, 2]
+    assert all(
+        np.array_equal(assoc[assoc[:, g]], assoc[:, assoc[g]]) for g in generators
+    )
+    assert not suites._triples_cannot_fail(assoc, part, generators)
+    assert suites._triple_failures(assoc, part, np.zeros((4, 4), dtype=bool)) > 0

@@ -2,14 +2,15 @@
 check, runs that check's suite runner at its defaults, and asserts that the
 check fails.  A check that no defect can flip would pass vacuously.  The
 axioms suite runs on a small config (a 64-site grid, 4 test states and 4
-atoms), and the bell suite on 10^5 samples, 2 random settings and analyzer
-angles at which every model's Monte Carlo is sensitive to a misplaced jump;
-every check still passes there before injection.
+atoms), the epr suite on 128 sites and 3 inference cases, and the bell suite
+on 10^5 samples, 2 random settings and analyzer angles at which every
+model's Monte Carlo is sensitive to a misplaced jump; every check still
+passes there before injection.
 
-Rows cover every check of the axioms, symmetry, dynamics, charge and bell
-suites.  A check of those five suites that no numerical defect can reach has
-a written reason in ``REASONS`` in place of a row, and a test keeps every
-check id of ``tests/data/report_structure.json`` in one of the two.
+Rows cover every check of all six suites.  A check that no numerical defect
+can reach has a written reason in ``REASONS`` in place of a row, and a test
+keeps every check id of ``tests/data/report_structure.json`` in one of the
+two.
 
 ``NAN_ROWS`` does the same for NaN: each row makes one measurement, not the
 first, of a check that reduces several NaN, and asserts that the check fails
@@ -48,13 +49,18 @@ ADDITIVE_GRID_PAIR = galilei.verify_additive_grid_pair
 
 ANALYZER = epr_bell.analyzer_operator
 SIGN_COSINE = epr_bell.sign_cosine_model
+EPR_FACTORS = epr_bell._epr_factors
+EPR_STATE = epr_bell.build_epr_state
+CONDITIONAL = epr_bell.conditional_inference
+SNAPPED = epr_bell.EPRConfig.snapped_momentum
 
 SMALL_AXIOMS = {"grid_sites": 64, "n_test_states": 4, "atom_pool": ["a", "b", "c", "d"]}
 # At these angles the four A-B angle differences do not cancel in S, so a jump
 # table shifted by 0.05 rad moves every model's exact S by about 0.13, over
 # 20 standard errors of its 10^5-sample estimate.
 SMALL_BELL = {"angles": [0.5, 1.1, 0.1, 0.9], "n_samples": 100_000, "n_random_settings": 2}
-CONFIGS = {"axioms": SMALL_AXIOMS, "bell": SMALL_BELL}
+SMALL_EPR = {"n_sites": 128, "n_inference": 3}
+CONFIGS = {"axioms": SMALL_AXIOMS, "epr": SMALL_EPR, "bell": SMALL_BELL}
 
 
 def associate_drops_an_atom(monkeypatch):
@@ -338,6 +344,99 @@ def halved_charge_spectrum(monkeypatch):
     monkeypatch.setattr(charge, "eigh_phase_fixed", eigh)
 
 
+def _epr_factors_with(monkeypatch, change):
+    """The pair state and the inference read ``change(envelope, phase, cfg)``
+    in place of the envelope column and the phases."""
+    monkeypatch.setattr(
+        epr_bell, "_epr_factors", lambda cfg, hbar=1.0: change(*EPR_FACTORS(cfg, hbar), cfg)
+    )
+
+
+def _pushed_phase(phase, cfg, steps):
+    """``phase`` with each particle's momentum ``steps`` lattice steps on."""
+    x = grids.position_values(cfg.grid)
+    return phase * np.exp(2j * np.pi * steps * x / cfg.length)
+
+
+def stale_normalization(monkeypatch):
+    """The built pair state comes out 0.1% long, as if divided by a stale norm."""
+
+    def build(cfg, hbar=1.0):
+        psi = EPR_STATE(cfg, hbar)
+        return replace(psi, amplitudes=1.001 * psi.amplitudes)
+
+    monkeypatch.setattr(epr_bell, "build_epr_state", build)
+
+
+def envelope_shifted_one_site(monkeypatch):
+    """The envelope column is rolled one site, so the separation is one
+    spacing off."""
+    _epr_factors_with(monkeypatch, lambda g, phase, cfg: (np.roll(g, 1), phase))
+
+
+def phase_one_step_on(monkeypatch):
+    """Each particle's phase runs one lattice step faster than the snapped
+    momentum: still a total-momentum eigenvector, at the wrong value."""
+    _epr_factors_with(monkeypatch, lambda g, phase, cfg: (g, _pushed_phase(phase, cfg, 1)))
+
+
+def phase_past_the_band(monkeypatch):
+    """Each particle's phase runs half the lattice faster, so the envelope's
+    momentum spread wraps past the band edge."""
+    _epr_factors_with(
+        monkeypatch, lambda g, phase, cfg: (g, _pushed_phase(phase, cfg, cfg.n_sites // 2))
+    )
+
+
+def relative_position_unwrapped(monkeypatch):
+    """The relative position is x1 - x2, not wrapped at the box seam."""
+
+    def values(cfg):
+        x = grids.position_values(cfg.grid)
+        return x[:, None] - x[None, :]
+
+    monkeypatch.setattr(epr_bell, "relative_position_values", values)
+
+
+def envelope_ten_percent_wide(monkeypatch):
+    """The envelope is built at 1.1 times the configured width."""
+    monkeypatch.setattr(
+        epr_bell, "_epr_factors",
+        lambda cfg, hbar=1.0: EPR_FACTORS(replace(cfg, width=1.1 * cfg.width), hbar),
+    )
+
+
+def unsnapped_momentum(monkeypatch):
+    """The total momentum sits 1e-3 off the reciprocal lattice, so the phase
+    does not close around the box."""
+    monkeypatch.setattr(
+        epr_bell.EPRConfig, "snapped_momentum", lambda self, hbar=1.0: SNAPPED(self, hbar) + 1e-3
+    )
+
+
+def width_read_from_the_default(monkeypatch):
+    """The builder reads the width of a default EPRConfig, so the wide
+    envelope is no wider."""
+    monkeypatch.setattr(
+        epr_bell, "build_epr_state",
+        lambda cfg, hbar=1.0: EPR_STATE(replace(cfg, width=epr_bell.EPRConfig.width), hbar),
+    )
+
+
+def inference_of_the_mirrored_separation(monkeypatch):
+    """The inference slices the state of separation -a."""
+    monkeypatch.setattr(
+        epr_bell, "conditional_inference",
+        lambda cfg, x1, hbar=1.0: CONDITIONAL(replace(cfg, separation=-cfg.separation), x1, hbar),
+    )
+
+
+def square_root_envelope(monkeypatch):
+    """The envelope column is the square root of the Gaussian, so every
+    distribution read from it is sqrt(2) times too wide."""
+    _epr_factors_with(monkeypatch, lambda g, phase, cfg: (np.sqrt(g), phase))
+
+
 def product_state_for_singlet(monkeypatch):
     """The "singlet" is the product state |01>, whose correlations
     -cos(a) cos(b) depend on the absolute analyzer angles."""
@@ -447,6 +546,16 @@ ROWS = [
     ("charge", "superselection-offdiagonal", cross_sector_observable),
     ("charge", "vacuum-invariance", vacuum_one_vector_on),
     ("charge", "relative-phase-invisibility", cross_sector_observable),
+    ("epr", "state-normalized", stale_normalization),
+    ("epr", "mean-separation", envelope_shifted_one_site),
+    ("epr", "mean-total-momentum", phase_one_step_on),
+    ("epr", "commuting-pair", phase_past_the_band),
+    ("epr", "shift-commutator", relative_position_unwrapped),
+    ("epr", "variance-relative-position", envelope_ten_percent_wide),
+    ("epr", "total-momentum-sharp", unsnapped_momentum),
+    ("epr", "momentum-narrowing", width_read_from_the_default),
+    ("epr", "conditional-inference-mode", inference_of_the_mirrored_separation),
+    ("epr", "conditional-inference-width", square_root_envelope),
     ("bell", "chsh-quantum-optimal", product_state_for_singlet),
     ("bell", "chsh-quantum-tsirelson", chsh_sign_slip),
     ("bell", "correlation-cosine-law", analyzer_dial_wraps_at_pi),
@@ -471,7 +580,7 @@ REASONS = {
 }
 
 # Suites whose every check id needs a row or a reason.
-COVERED_SUITES = ("axioms", "symmetry", "dynamics", "charge", "bell")
+COVERED_SUITES = ("axioms", "symmetry", "dynamics", "charge", "epr", "bell")
 
 
 def verdicts(suite: str) -> dict:
