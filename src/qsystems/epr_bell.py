@@ -19,13 +19,14 @@ import numpy as np
 
 from . import grids
 from .grids import GridSpec
-from .hilbert import SpaceSpec, StateVector, pauli_matrices
+from .hilbert import SpaceSpec, StateVector, norm, pauli_matrices
 
 __all__ = [
     "EPRConfig",
     "build_epr_state",
     "relative_position_values",
     "total_momentum_apply",
+    "momentum_moments",
     "PairSharpnessReport",
     "commuting_pair_check",
     "ConditionalDistribution",
@@ -160,7 +161,7 @@ def build_epr_state(cfg: EPRConfig, hbar: float = 1.0) -> StateVector:
     sites = np.arange(cfg.n_sites)
     psi = envelope[(sites[:, None] - sites[None, :]) % cfg.n_sites] * phase[:, None]
     psi *= phase[None, :]
-    psi /= np.linalg.norm(psi)
+    psi /= norm(psi)
     return StateVector(SpaceSpec((cfg.n_sites, cfg.n_sites)), psi.reshape(-1))
 
 
@@ -179,6 +180,20 @@ def total_momentum_apply(psi_grid: np.ndarray, cfg: EPRConfig, hbar: float = 1.0
 
 def _pair_grid(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
     return psi.amplitudes.reshape(cfg.n_sites, cfg.n_sites)
+
+
+def momentum_moments(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) -> tuple[float, float, float]:
+    """The mean and variance of the total momentum and the variance of the
+    relative momentum on the pair state ``psi``, read from its one 2-d FFT."""
+    k = grids.momentum_values(cfg.grid, hbar)
+    ksum = k[:, None] + k[None, :]
+    krel = 0.5 * (k[:, None] - k[None, :])
+    prob_k = np.abs(np.fft.fft2(_pair_grid(psi, cfg), norm="ortho")) ** 2
+    mean_p = float(np.sum(prob_k * ksum))
+    var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
+    mean_rel = float(np.sum(prob_k * krel))
+    var_rel = float(np.sum(prob_k * (krel - mean_rel) ** 2))
+    return mean_p, var_p, var_rel
 
 
 @dataclass(frozen=True)
@@ -206,6 +221,7 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) ->
     construction, and the conjugate spread of order 1/w^2 sits entirely in
     the relative momentum.
     """
+    mean_p, var_p, var_rel = momentum_moments(psi, cfg, hbar)
     psi = _pair_grid(psi, cfg)
     d = relative_position_values(cfg)
     prob = np.abs(psi) ** 2
@@ -214,25 +230,15 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) ->
     var_d = float(np.sum(prob * (d - mean_d) ** 2))
     del prob  # each (n, n) temporary goes after its last use, to keep the peak low
 
-    k = grids.momentum_values(cfg.grid, hbar)
-    ksum = k[:, None] + k[None, :]
-    krel = 0.5 * (k[:, None] - k[None, :])
-    prob_k = np.abs(np.fft.fft2(psi, norm="ortho")) ** 2
-    mean_p = float(np.sum(prob_k * ksum))
-    var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
-    mean_rel = float(np.sum(prob_k * krel))
-    var_rel = float(np.sum(prob_k * (krel - mean_rel) ** 2))
-    del ksum, krel, prob_k
-
     p_psi = total_momentum_apply(psi, cfg, hbar)
     commutator = d * p_psi - total_momentum_apply(d * psi, cfg, hbar)
-    state_residual = float(np.linalg.norm(commutator))
+    state_residual = norm(commutator)
     del p_psi, commutator
 
     shifted = np.roll(psi, 1, axis=(0, 1))
     shift_comm = d * shifted - np.roll(d * psi, 1, axis=(0, 1))
-    shift_scale = np.linalg.norm(d * shifted)
-    shift_residual = float(np.linalg.norm(shift_comm) / shift_scale) if shift_scale > 0 else 0.0
+    shift_scale = norm(d * shifted)
+    shift_residual = norm(shift_comm) / shift_scale if shift_scale > 0 else 0.0
 
     return PairSharpnessReport(
         commutator_state_residual=state_residual,

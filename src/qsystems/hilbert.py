@@ -5,12 +5,14 @@ entries as ``float64`` and complex ones as ``complex128``, so a real symmetric
 Hamiltonian reaches a real ``eigh``.  Values are immutable after construction
 (arrays are marked read-only).  Besides the value types there are basis
 states, the Pauli matrices, the lift of a one-factor operator into a product
-space, and a Hermitian eigendecomposition whose eigenvector basis is made
-deterministic by a fixed phase convention.
+space, a norm whose bits do not depend on the BLAS thread count, and a
+Hermitian eigendecomposition whose eigenvector basis is made deterministic by
+a fixed phase convention.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "eigh_phase_fixed",
     "pauli_matrices",
     "basis_state",
+    "norm",
 ]
 
 HERMITIAN_ATOL = 1e-12
@@ -34,6 +37,13 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=np.complex128 if np.iscomplexobj(array) else np.float64)
     out.setflags(write=False)
     return out
+
+
+def norm(array: np.ndarray) -> float:
+    """The 2-norm of ``array``: the root of numpy's pairwise sums of re^2 and
+    of im^2, added as ``np.linalg.norm`` adds its two BLAS dot products.  The
+    dot products' last bits depend on the BLAS thread count; these do not."""
+    return math.sqrt(float(np.sum(array.real ** 2)) + float(np.sum(array.imag ** 2)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return norm(self.amplitudes)
 
     def is_normalized(self, atol: float = NORM_ATOL) -> bool:
         return abs(self.norm() - 1.0) <= atol

@@ -67,13 +67,22 @@ _COUNT_BOUNDS = {
 # Count keys whose least value is above 1: a grid needs this many sites, and
 # the Monte Carlo's normal error bar this many samples per correlation.
 _COUNT_MINIMA = {
-    "axioms.grid_sites": MIN_SITES,
+    # The band-limited grid checks of the shipped axioms config pass on seeds
+    # 0-9 from 49 sites; at 48 they read 6.8 times their tolerance.
+    "axioms.grid_sites": 49,
     "dynamics.relative.n_sites": MIN_SITES,
     "dynamics.weak_coupling.n_sites": MIN_SITES,
-    "dynamics.momentum.n_sites": MIN_SITES,
-    "epr.n_sites": MIN_SITES,
+    # momentum-conservation of the shipped dynamics config first passes on
+    # seeds 0-9 at 51 sites; at 50 it reads 4.4 times its tolerance.
+    "dynamics.momentum.n_sites": 51,
+    # A width of at least two spacings, 2L/n, and at most L/8, with a wide
+    # width above it, needs n > 16.
+    "epr.n_sites": 17,
     "bell.n_samples": epr_bell.MIN_LHV_SAMPLES,
 }
+
+# An individual is one uint64 mask, one bit per distinct atom of the pool.
+_POOL_ATOMS_BOUND = 64
 
 # Each ``axioms.spin_values`` entry j builds dense (2j+1)-dimensional images;
 # j is bounded at ten times the largest shipped value, 1.5.
@@ -157,6 +166,10 @@ def _check_value(path: str, value) -> None:
                 raise ValueError(
                     f"{path}[{i}] must be one of {', '.join(epr_bell.SHIPPED_LHV_MODELS)}, got {name!r}"
                 )
+    if path == "axioms.atom_pool" and len(set(value)) > _POOL_ATOMS_BOUND:
+        raise ValueError(
+            f"{path} must hold at most {_POOL_ATOMS_BOUND} distinct atoms, got {len(set(value))}"
+        )
     if path == "bell.angles" and len(value) != 4:
         raise ValueError(f"{path} must hold four angles, got {len(value)}")
     if path == "charge.charges":
@@ -319,17 +332,14 @@ _AXIOMS_DEFAULTS = {
 
 # Pools of up to this many distinct atoms are checked over every triple of
 # their finite model: 2**8 = 256 individuals index a uint8 table, and the
-# 256**3 triples cost less than 10**4 sampled ones.  Larger pools are sampled.
+# screen settles the 256**3 triples in about 6 ms.  Larger pools are sampled.
 _EXHAUSTIVE_MAX_ATOMS = 8
 # Rows of x per block of (x, y, z) triples: every per-block temporary has
 # 16 * 256**2 one-byte entries (1 MB) over an 8-atom pool.
 _TRIPLE_BLOCK_ROWS = 16
-
-
-def _random_individual(rng: np.random.Generator, pool: list[str]) -> frozenset[str]:
-    size = int(rng.integers(0, len(pool) + 1))
-    atoms = rng.choice(pool, size=size, replace=False) if size else []
-    return frozenset(str(a) for a in atoms)
+# Sampled triples per draw: a block's largest temporary, its (3, block, atoms)
+# membership keys, stays at 25 MB over a 64-atom pool.
+_SAMPLE_BLOCK = 2 ** 14
 
 
 def _mereology_is_exhaustive(pool: list[str]) -> bool:
@@ -383,11 +393,13 @@ def _triple_failures(assoc: np.ndarray, part: np.ndarray, pair_bad: np.ndarray) 
 def _exhaustive_law_failures(pool: list[str]) -> int:
     """Failing triples over the whole finite model of ``pool``.
 
-    The association and parthood tables come from one library call per
-    ordered pair of individuals; numpy then checks every law on them.  A
+    The individuals are the masks 0 .. 2**k - 1 over the pool's k distinct
+    atoms, so each is its own table index.  The association and parthood
+    tables come from one library call each, on the column ``ids[:, None]``
+    and the row ``ids[None, :]``; numpy then checks every law on them.  A
     triple (x, y, z) fails when a law instantiated at x, at (x, y) or at
-    (x, y, z) fails.  An association outside the model fails every triple
-    that starts with its pair.
+    (x, y, z) fails.  An association outside the model (a code of 2**k or
+    more) fails every triple that starts with its pair.
 
     The triple laws are screened first by :func:`_triples_cannot_fail`, with
     the null and the singleton individuals as generators.  When the screen
@@ -395,18 +407,15 @@ def _exhaustive_law_failures(pool: list[str]) -> int:
     :func:`_triple_failures` visits every triple.  Either way the count is
     the one the triple pass alone would give.
     """
-    individuals = sorted(mereology.composition(frozenset(pool)), key=sorted)
-    index = {ind: i for i, ind in enumerate(individuals)}.get
-    associate, is_part_of = mereology.associate, mereology.is_part_of
-    codes = np.array([[index(associate(x, y), -1) for y in individuals] for x in individuals])
-    part = np.array([[is_part_of(x, y) for y in individuals] for x in individuals], dtype=bool)
-    closed = codes >= 0
+    k = len(set(pool))
+    ids = mereology.composition((1 << k) - 1)
+    n = len(ids)
+    codes = mereology.associate(ids[:, None], ids[None, :])
+    part = np.asarray(mereology.is_part_of(ids[:, None], ids[None, :]), dtype=bool)
+    closed = codes < n
     assoc = np.where(closed, codes, 0).astype(np.uint8)
 
-    n = len(individuals)
-    ids = np.arange(n)
-    null = index(mereology.NULL)
-    unary_bad = (assoc[ids, ids] != ids) | (assoc[:, null] != ids) | ~part[ids, ids]
+    unary_bad = (assoc[ids, ids] != ids) | (assoc[:, mereology.NULL] != ids) | ~part[ids, ids]
     pair_bad = (
         ~closed
         | (assoc != assoc.T)
@@ -415,10 +424,45 @@ def _exhaustive_law_failures(pool: list[str]) -> int:
         | unary_bad[:, None]
     )
     failures = n * int(np.count_nonzero(pair_bad))
-    generators = [i for i, ind in enumerate(individuals) if len(ind) <= 1]
+    generators = [0] + [1 << i for i in range(k)]
     if _triples_cannot_fail(assoc, part, generators):
         return failures
     return failures + _triple_failures(assoc, part, pair_bad)
+
+
+def _sampled_law_failures(rng: np.random.Generator, atoms: int, instances: int) -> int:
+    """Failing triples among ``instances`` random (x, y, z) over a pool of
+    ``atoms`` distinct atoms, drawn from ``rng`` in blocks of
+    ``_SAMPLE_BLOCK``.
+
+    An atom belongs to an individual when its uniform key falls below the
+    individual's uniform threshold t.  Given t the size is binomial(atoms, t),
+    so over t it is uniform in 0 .. atoms, and given the size every set of
+    atoms is equally likely.  Every law is one array expression over the
+    block.
+    """
+    assoc, part = mereology.associate, mereology.is_part_of
+    weights = np.uint64(1) << np.arange(atoms, dtype=np.uint64)
+    failures = 0
+    for start in range(0, instances, _SAMPLE_BLOCK):
+        count = min(_SAMPLE_BLOCK, instances - start)
+        members = rng.random((3, count, atoms)) < rng.random((3, count, 1))
+        x, y, z = members @ weights
+        # Antisymmetry, exercised on a guaranteed two-way pair half the time.
+        w = np.where(rng.integers(0, 2, size=count) == 1, assoc(x, y), x)
+        ok = (
+            (assoc(assoc(x, y), z) == assoc(x, assoc(y, z)))
+            & (assoc(x, y) == assoc(y, x))
+            & (assoc(x, x) == x)
+            & (assoc(x, mereology.NULL) == x)
+            & part(x, x)
+            & part(x, assoc(x, y))
+            & part(x, assoc(assoc(x, y), z))
+            & ~(part(x, y) & part(y, x) & (x != y))
+            & ~(part(x, w) & part(w, x) & (w != x))
+        )
+        failures += count - int(np.count_nonzero(ok))
+    return failures
 
 
 def _mereology_law_failures(rng: np.random.Generator, pool: list[str], instances: int) -> int:
@@ -430,31 +474,7 @@ def _mereology_law_failures(rng: np.random.Generator, pool: list[str], instances
     """
     if _mereology_is_exhaustive(pool):
         return _exhaustive_law_failures(pool)
-    failures = 0
-    assoc = mereology.associate
-    part = mereology.is_part_of
-    for _ in range(instances):
-        x = _random_individual(rng, pool)
-        y = _random_individual(rng, pool)
-        z = _random_individual(rng, pool)
-        ok = (
-            assoc(assoc(x, y), z) == assoc(x, assoc(y, z))
-            and assoc(x, y) == assoc(y, x)
-            and assoc(x, x) == x
-            and assoc(x, mereology.NULL) == x
-            and part(x, x)
-            and part(x, assoc(x, y))
-            and part(x, assoc(assoc(x, y), z))
-        )
-        # Antisymmetry, exercised on a guaranteed two-way pair half the time.
-        if part(x, y) and part(y, x) and x != y:
-            ok = False
-        w = assoc(x, y) if rng.integers(2) else x
-        if part(x, w) and part(w, x) and w != x:
-            ok = False
-        if not ok:
-            failures += 1
-    return failures
+    return _sampled_law_failures(rng, len(set(pool)), instances)
 
 
 def _law_residuals(detail: dict) -> list[float]:
@@ -912,14 +932,16 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
           "(variance at roundoff level)",
           sharp.var_total_momentum, 1e-20)
     wide_cfg = replace(pair_cfg, width=float(cfg["wide_width"]))
-    wide = epr_bell.commuting_pair_check(epr_bell.build_epr_state(wide_cfg, hbar), wide_cfg, hbar)
+    *_, wide_var_relative_momentum = epr_bell.momentum_moments(
+        epr_bell.build_epr_state(wide_cfg, hbar), wide_cfg, hbar
+    )
     check("momentum-narrowing",
           "a wider separation envelope narrows the conjugate relative-momentum "
           "spread (order hbar^2 / 4 w^2)",
-          wide.var_relative_momentum < sharp.var_relative_momentum,
+          wide_var_relative_momentum < sharp.var_relative_momentum,
           detail={
               "var_relative_momentum_narrow_envelope": sharp.var_relative_momentum,
-              "var_relative_momentum_wide_envelope": wide.var_relative_momentum,
+              "var_relative_momentum_wide_envelope": wide_var_relative_momentum,
               "reciprocal_prediction_narrow": hbar ** 2 / (4.0 * pair_cfg.width ** 2),
               "reciprocal_prediction_wide": hbar ** 2 / (4.0 * wide_cfg.width ** 2),
           })

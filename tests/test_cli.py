@@ -329,12 +329,12 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"dynamics": {"relative": {"potential": {"v": 10 ** 400}}}},
          "dynamics.relative.potential: potential entry 'v' must be finite"),
         ({"epr": {"length": 0.0}}, "epr.length must be positive"),
-        ({"axioms": {"grid_sites": 4}}, "axioms.grid_sites must be at least 8"),
+        ({"axioms": {"grid_sites": 4}}, "axioms.grid_sites must be at least 49"),
         ({"dynamics": {"relative": {"n_sites": 4}}}, "dynamics.relative.n_sites must be at least 8"),
         ({"dynamics": {"weak_coupling": {"n_sites": 4}}},
          "dynamics.weak_coupling.n_sites must be at least 8"),
-        ({"dynamics": {"momentum": {"n_sites": 4}}}, "dynamics.momentum.n_sites must be at least 8"),
-        ({"epr": {"n_sites": 4}}, "epr.n_sites must be at least 8"),
+        ({"dynamics": {"momentum": {"n_sites": 4}}}, "dynamics.momentum.n_sites must be at least 51"),
+        ({"epr": {"n_sites": 4}}, "epr.n_sites must be at least 17"),
         ({"axioms": {"spin_values": [0.3]}},
          "axioms.spin_values[0] must be a positive half-integer of at most 15, got 0.3"),
         ({"axioms": {"spin_values": [0.5, 0.0]}}, "axioms.spin_values[1] must be a positive half-integer"),
@@ -359,6 +359,11 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"charge": {"charges": [0, 0, 1, 2]}}, "charge.charges must contain 0 exactly once, got it 2 times"),
         ({"charge": {"charges": [0, 1, 2, 1001]}}, "charge.charges[3] must be at most 1000 in magnitude"),
         ({"charge": {"charges": [-1001, 0, 1, 2]}}, "charge.charges[0] must be at most 1000 in magnitude"),
+        ({"axioms": {"atom_pool": [f"a{i}" for i in range(65)]}},
+         "axioms.atom_pool must hold at most 64 distinct atoms, got 65"),
+        ({"axioms": {"grid_sites": 48}}, "axioms.grid_sites must be at least 49"),
+        ({"dynamics": {"momentum": {"n_sites": 50}}}, "dynamics.momentum.n_sites must be at least 51"),
+        ({"epr": {"n_sites": 16}}, "epr.n_sites must be at least 17"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -394,12 +399,14 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("bell", {"bell": {"models": ["nope"]}}, "bell.models[0] must be one of"),
         ("symmetry", {"symmetry": {"cases": [[3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
         ("epr", {"epr": {"length": 0.0}}, "epr.length must be positive"),
-        ("epr", {"epr": {"n_sites": 4}}, "epr.n_sites must be at least 8"),
+        ("epr", {"epr": {"n_sites": 4}}, "epr.n_sites must be at least 17"),
         ("epr", {"epr": {"width": 0.01}}, "epr.width: width 0.01 is below grid resolution"),
         ("epr", {"epr": {"wide_width": 5.0}}, "epr.wide_width: width must be small against the box"),
         ("epr", {"epr": {"wide_width": 0.2}}, "epr.wide_width must exceed epr.width"),
         ("epr", {"epr": {"separation": -9.0}}, "epr.separation: separation must fit in the box"),
         ("axioms", {"axioms": {"spin_values": [0.3]}}, "axioms.spin_values[0] must be a positive"),
+        ("axioms", {"axioms": {"atom_pool": [str(i) for i in range(100)]}},
+         "axioms.atom_pool must hold at most 64 distinct atoms, got 100"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -23,6 +26,7 @@ from qsystems.epr_bell import (
     correlation_lhv_exact,
     correlation_quantum,
     double_frequency_model,
+    momentum_moments,
     narrow_window_model,
     relative_position_values,
     sign_cosine_model,
@@ -519,3 +523,56 @@ def test_epr_suite_builds_each_pair_state_once(monkeypatch):
     report = suites.run_epr({"n_sites": 128, "n_inference": 3})
     assert report.to_dict()["pass"] is True
     assert builds == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("width", [0.25, 0.5])
+def test_momentum_moments_are_the_pair_checks_bit_for_bit(width):
+    cfg = EPRConfig(n_sites=128, width=width)
+    psi = build_epr_state(cfg)
+    full = commuting_pair_check(psi, cfg)
+    assert momentum_moments(psi, cfg) == (
+        full.mean_total_momentum, full.var_total_momentum, full.var_relative_momentum
+    )
+
+
+def test_epr_suite_runs_one_pair_check_and_reads_only_the_wide_moments(monkeypatch):
+    from qsystems import epr_bell, suites
+
+    checked = []
+    original = epr_bell.commuting_pair_check
+
+    def counted(psi, cfg, hbar=1.0):
+        checked.append(cfg.width)
+        return original(psi, cfg, hbar)
+
+    monkeypatch.setattr(epr_bell, "commuting_pair_check", counted)
+    report = suites.run_epr({"n_sites": 128, "n_inference": 2})
+    defaults = suites._EPR_DEFAULTS
+    assert checked == [defaults["width"]]
+    momentum = defaults["momentum_mode"] * 4.0 * math.pi / defaults["length"]
+    wide_cfg = EPRConfig(n_sites=128, width=defaults["wide_width"], total_momentum=momentum)
+    wide = original(build_epr_state(wide_cfg), wide_cfg)
+    narrowing = next(c for c in report.checks if c.check_id == "momentum-narrowing")
+    assert narrowing.detail["var_relative_momentum_wide_envelope"] == wide.var_relative_momentum
+
+
+def test_epr_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Every reduction the epr checks report is numpy's own, never a BLAS dot
+    # product, whose rounding depends on how many threads split it.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        out = tmp_path / f"epr-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "qsystems.cli", "epr", "--format", "json", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,14 +8,27 @@ from hypothesis import given, strategies as st
 from qsystems import mereology, suites
 from qsystems.mereology import NULL, associate, composition, is_part_of
 
-individuals = st.frozensets(st.sampled_from("abcdef"), max_size=6)
+POOL = "abcdef"
+
+# An individual over a pool of up to 64 atoms is any uint64 mask.
+masks = st.integers(0, 2 ** 64 - 1).map(np.uint64)
+mask_arrays = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=16).map(
+    lambda values: np.array(values, dtype=np.uint64)
+)
 
 
-def ind(*names: str) -> frozenset[str]:
-    return frozenset(names)
+def ind(*names: str) -> np.uint64:
+    """The individual made of the named atoms of ``POOL``."""
+    return np.uint64(sum(1 << POOL.index(name) for name in set(names)))
 
 
-@given(individuals, individuals, individuals)
+def _size(x):
+    """The number of atoms of each individual, without ``np.bitwise_count``."""
+    as_bytes = np.asarray(x, dtype="<u8")[..., None].view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1).sum(axis=-1)
+
+
+@given(masks, masks, masks)
 def test_association_monoid_laws(x, y, z):
     assert associate(associate(x, y), z) == associate(x, associate(y, z))
     assert associate(x, y) == associate(y, x)
@@ -21,7 +37,7 @@ def test_association_monoid_laws(x, y, z):
     assert associate(NULL, x) == x
 
 
-@given(individuals, individuals, individuals)
+@given(masks, masks, masks)
 def test_parthood_partial_order(x, y, z):
     assert is_part_of(x, x)
     if is_part_of(x, y) and is_part_of(y, x):
@@ -30,10 +46,19 @@ def test_parthood_partial_order(x, y, z):
         assert is_part_of(x, z)
 
 
-@given(individuals, individuals)
+@given(masks, masks)
 def test_parts_of_associations(x, y):
     assert is_part_of(x, associate(x, y))
     assert is_part_of(NULL, x)
+
+
+@given(mask_arrays, st.randoms(use_true_random=False))
+def test_library_acts_on_arrays_as_on_each_individual(xs, random):
+    ys = np.array(random.sample(list(xs), len(xs)), dtype=np.uint64)
+    joined, parts = associate(xs, ys), is_part_of(xs, ys)
+    assert joined.dtype == np.uint64 and parts.dtype == bool
+    for x, y, xy, p in zip(xs, ys, joined, parts):
+        assert associate(x, y) == xy and is_part_of(x, y) == p
 
 
 def test_part_of_examples():
@@ -45,32 +70,41 @@ def test_part_of_examples():
     assert not is_part_of(ac, ab)
 
 
+def _parts(x) -> set[int]:
+    return set(composition(x).tolist())
+
+
 def test_simple_composed_classification():
     # A simple individual has no parts but null and itself; a composed one has more.
-    assert composition(NULL) == frozenset({NULL})
-    assert composition(ind("a")) == frozenset({NULL, ind("a")})
-    assert len(composition(ind("a", "b"))) > 2
+    assert _parts(NULL) == {NULL}
+    assert _parts(ind("a")) == {NULL, ind("a")}
+    assert len(_parts(ind("a", "b"))) > 2
 
 
 def test_composition_enumerates_all_parts():
     ab = ind("a", "b")
-    assert composition(ab) == frozenset(
-        {NULL, ind("a"), ind("b"), ab}
-    )
-    assert composition(NULL) == frozenset({NULL})
-    assert composition(ind("a")) == frozenset({NULL, ind("a")})
+    assert _parts(ab) == {NULL, ind("a"), ind("b"), ab}
+    assert _parts(NULL) == {NULL}
+    assert _parts(ind("a")) == {NULL, ind("a")}
+    # The parts come in increasing order, so the whole model indexes itself.
+    assert composition(ind("a", "c", "f")).tolist() == [0, 1, 4, 5, 32, 33, 36, 37]
+    np.testing.assert_array_equal(composition((1 << 8) - 1), np.arange(256))
 
 
-@given(individuals)
+@given(masks)
 def test_composition_members_are_parts(x):
-    for part in composition(x):
-        assert is_part_of(part, x)
+    # Keep at most 10 atoms of x, so the enumeration stays small.
+    x = int(x) & int(np.uint64(0x8040_2010_0804_0201) | np.uint64(0b11))
+    parts = composition(x)
+    assert parts.dtype == np.uint64 and len(parts) == 2 ** _size(x)
+    assert np.all(is_part_of(parts, np.uint64(x)))
 
 
 def test_composition_refuses_huge_individuals():
-    big = frozenset(f"atom{i}" for i in range(20))
     with pytest.raises(ValueError):
-        composition(big)
+        composition((1 << 20) - 1)
+    with pytest.raises(ValueError):
+        composition(np.uint64(2 ** 64 - 1))
 
 
 def test_thing_identity_notions():
@@ -81,38 +115,68 @@ def test_thing_identity_notions():
 
 
 def test_physical_sum_joins_members_and_links():
-    xy, uv = ind("x", "y"), ind("u", "v")
+    xy, uv = ind("e", "f"), ind("c", "d")
     joined = associate(xy, uv)
-    assert joined == ind("x", "y", "u", "v")
+    assert joined == ind("e", "f", "c", "d")
     assert is_part_of(xy, joined) and is_part_of(uv, joined)
-    assert composition(xy) | composition(uv) <= composition(joined)
+    assert _parts(xy) | _parts(uv) <= _parts(joined)
+
+
+def _frozenset_tables(pool):
+    """Association and parthood tables of the frozenset model of ``pool``
+    (union and inclusion), each individual at the index of its mask over the
+    sorted distinct atoms."""
+    atoms = sorted(set(pool))
+    individuals = [
+        frozenset(combo) for r in range(len(atoms) + 1) for combo in itertools.combinations(atoms, r)
+    ]
+
+    def mask(x):
+        return sum(1 << atoms.index(atom) for atom in x)
+
+    n = len(individuals)
+    assoc, part = np.zeros((n, n), dtype=np.uint64), np.zeros((n, n), dtype=bool)
+    for x in individuals:
+        for y in individuals:
+            assoc[mask(x), mask(y)] = mask(x | y)
+            part[mask(x), mask(y)] = x <= y
+    return assoc, part
+
+
+def test_bit_masks_give_the_frozenset_tables_over_five_atoms():
+    assoc, part = _frozenset_tables(list("edcba"))
+    ids = composition((1 << 5) - 1)
+    np.testing.assert_array_equal(associate(ids[:, None], ids[None, :]), assoc)
+    np.testing.assert_array_equal(is_part_of(ids[:, None], ids[None, :]), part)
+
 
 # --- the axioms suite's law check over the finite model --------------------
 
 SMALL_POOL = list("abcdef")
+# A bit no pool of fewer than 64 atoms uses.
+OUTSIDE = np.uint64(1 << 63)
 
 
 def _drop_atom_a(x, y):
-    return (x | y) - {"a"}
+    return (x | y) & ~np.uint64(1)
 
 
 def _not_idempotent(x, y):
-    return NULL if x == y and x else x | y
+    return np.where((x == y) & (x != NULL), np.uint64(NULL), x | y)
 
 
 def _leaves_the_model(x, y):
-    extra = {"z"} if len(x) == 2 else set()
-    return x | y | extra
+    return x | y | np.where(_size(x) == 2, OUTSIDE, np.uint64(0))
 
 
 def _null_above_singletons(x, y):
-    return associate(x, y) == y or (len(x) == 1 and not y)
+    return (associate(x, y) == y) | ((_size(x) == 1) & (y == NULL))
 
 
 def _singletons_meet_in_null(x, y):
     """Two distinct singletons associate to the null individual, so the null
     and the singletons generate only themselves."""
-    return NULL if len(x) == len(y) == 1 and x != y else x | y
+    return np.where((_size(x) == 1) & (_size(y) == 1) & (x != y), np.uint64(NULL), x | y)
 
 
 @pytest.mark.parametrize(
@@ -122,17 +186,43 @@ def _singletons_meet_in_null(x, y):
         ("associate", _not_idempotent),
         ("associate", _leaves_the_model),
         ("is_part_of", _null_above_singletons),
+        ("associate", _singletons_meet_in_null),
     ],
 )
-@pytest.mark.parametrize("pool", [SMALL_POOL, list("abcdefghi")])
+@pytest.mark.parametrize("pool", [SMALL_POOL, list("abcdefghi"), list("abcdefghijkl")])
 def test_law_check_catches_broken_model(name, broken, pool, monkeypatch):
     monkeypatch.setattr(mereology, name, broken)
     assert suites._mereology_law_failures(np.random.default_rng(0), pool, 2000) > 0
 
 
-@pytest.mark.parametrize("pool", [list("abcdefgh"), list("abcdefghi")])
+@pytest.mark.parametrize(
+    "pool", [list("abcdefgh"), list("abcdefghi"), [f"atom{i}" for i in range(64)]]
+)
 def test_law_check_passes_correct_model(pool):
     assert suites._mereology_law_failures(np.random.default_rng(0), pool, 2000) == 0
+
+
+def test_sampled_individuals_take_every_size_equally_often(monkeypatch):
+    # Each individual's size is uniform in 0 .. atoms, as the laws at the null
+    # and at the singletons need: a coin per atom would almost never draw them.
+    seen = []
+
+    def recording(x, y):
+        seen.append(np.asarray(x))
+        return x | y
+
+    monkeypatch.setattr(mereology, "associate", recording)
+    suites._sampled_law_failures(np.random.default_rng(0), 12, 13_000)
+    counts = np.bincount(_size(seen[0]), minlength=13)
+    assert counts.sum() == 13_000 and np.all(np.abs(counts - 1000) < 5 * np.sqrt(1000))
+
+
+def test_sampled_law_check_counts_every_triple_of_every_block(monkeypatch):
+    # Association that always leaves the model breaks idempotence at every
+    # triple, so the count is the number of triples checked: 700 + 700 + 600.
+    monkeypatch.setattr(suites, "_SAMPLE_BLOCK", 700)
+    monkeypatch.setattr(mereology, "associate", lambda x, y: x | y | OUTSIDE)
+    assert suites._sampled_law_failures(np.random.default_rng(0), 9, 2000) == 2000
 
 
 def test_exhaustive_law_check_draws_nothing_from_rng():
@@ -140,6 +230,10 @@ def test_exhaustive_law_check_draws_nothing_from_rng():
     before = rng.bit_generator.state
     assert suites._mereology_law_failures(rng, SMALL_POOL, 2000) == 0
     assert rng.bit_generator.state == before
+
+
+# grid_sites at its least value keeps these axioms runs cheap.
+CHEAP_GRID_SITES = suites._COUNT_MINIMA["axioms.grid_sites"]
 
 
 @pytest.mark.parametrize(
@@ -151,7 +245,7 @@ def test_axioms_report_names_the_law_check_path(pool, exhaustive, instances):
         "atom_pool": pool,
         "mereology_instances": 300,
         "spin_values": [0.5],
-        "grid_sites": 16,
+        "grid_sites": CHEAP_GRID_SITES,
         "n_test_states": 2,
     }
     record = suites.run_axioms(cheap).checks[0]
@@ -178,7 +272,7 @@ def test_law_check_is_given_the_number_of_triples_it_checks(pool, instances, mon
         "atom_pool": pool,
         "mereology_instances": 300,
         "spin_values": [0.5],
-        "grid_sites": 16,
+        "grid_sites": CHEAP_GRID_SITES,
         "n_test_states": 2,
     }
     suites.run_axioms(cheap)
@@ -189,9 +283,17 @@ def _oracle_law_failures(pool):
     """Failing triples by a plain loop over the finite model of ``pool``,
     applying each law as ``suites._exhaustive_law_failures`` documents it: a
     triple fails when a law instantiated at x, at (x, y) or at (x, y, z)
-    fails, and an association outside the model fails its pair."""
-    assoc, part = mereology.associate, mereology.is_part_of
-    model = composition(frozenset(pool))
+    fails, and an association outside the model fails its pair.  The library
+    is called on one pair of ``uint64`` masks at a time."""
+    model = range(2 ** len(set(pool)))
+
+    @functools.cache
+    def assoc(x, y):
+        return int(mereology.associate(np.uint64(x), np.uint64(y)))
+
+    @functools.cache
+    def part(x, y):
+        return bool(mereology.is_part_of(np.uint64(x), np.uint64(y)))
 
     def unary_bad(x):
         return assoc(x, x) != x or assoc(x, NULL) != x or not part(x, x)

@@ -64,8 +64,9 @@ CONFIGS = {"axioms": SMALL_AXIOMS, "epr": SMALL_EPR, "bell": SMALL_BELL}
 
 
 def associate_drops_an_atom(monkeypatch):
-    """Association loses the atom "d", so it is no longer idempotent."""
-    monkeypatch.setattr(mereology, "associate", lambda x, y: (x | y) - {"d"})
+    """Association loses the atom "d", bit 3 of the masks over a, b, c, d,
+    so it is no longer idempotent."""
+    monkeypatch.setattr(mereology, "associate", lambda x, y: (x | y) & ~np.uint64(1 << 3))
 
 
 def _structure_with(monkeypatch, *entries):

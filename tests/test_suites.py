@@ -65,6 +65,23 @@ class TestMerge:
                 assert suites._CASE_DIM_BOUND >= 10 * d ** n
                 assert suites._CASE_INDEX_BOUND >= 10 * math.factorial(n) * d ** n
 
+    def test_every_shipped_size_is_at_least_its_least_value(self):
+        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+        configs = [DEFAULTS, *(w["config"] for w in workloads["workloads"].values())]
+        for where, least in suites._COUNT_MINIMA.items():
+            for config in configs:
+                value = config
+                for key in where.split("."):
+                    value = value.get(key, {})
+                assert value == {} or value >= least, where
+
+    def test_atom_pool_bound_counts_distinct_atoms(self):
+        atoms = [f"a{i}" for i in range(64)]
+        cfg = suites._merge(DEFAULTS["axioms"], {"atom_pool": atoms + atoms[:3]}, "axioms")
+        assert len(cfg["atom_pool"]) == 67
+        with pytest.raises(ValueError, match=r"axioms\.atom_pool must hold at most 64 distinct atoms, got 65"):
+            suites._merge(DEFAULTS["axioms"], {"atom_pool": atoms + ["z"]}, "axioms")
+
     def test_optional_potential_must_be_an_object(self):
         cfg = suites._merge(
             DEFAULTS["dynamics"], {"relative": {"potential": {"v": 1.0}}}, "dynamics"
@@ -178,6 +195,25 @@ class TestVerdictPolicy:
         with pytest.raises(ValueError, match=r"probe/nothing measured nothing"):
             check("nothing", "law", empty, "tight")
         assert report.checks == []
+
+
+@pytest.mark.parametrize(
+    "runner, section, ids",
+    [
+        (suites.run_axioms, {"grid_sites": 49, "spin_values": [0.5]},
+         {"grid-position-momentum", "grid-brackets", "additive-pair-relations"}),
+        (suites.run_dynamics, {"momentum": {"n_sites": 51}}, {"momentum-conservation"}),
+        # Two spacings of a 17-site box are 1.88, under its eighth, 2.
+        (suites.run_epr,
+         {"n_sites": 17, "width": 1.9, "wide_width": 2.0, "separation": 0.0, "momentum_mode": 0,
+          "n_inference": 2},
+         None),
+    ],
+)
+def test_each_least_size_admits_a_passing_run(runner, section, ids):
+    report = runner(section)
+    checks = [c for c in report.checks if ids is None or c.check_id in ids]
+    assert checks and all(c.passed for c in checks), [c.check_id for c in checks if not c.passed]
 
 
 def test_as_builtin_maps_non_finite_floats_to_null():
