@@ -1,24 +1,24 @@
 """Permutation action on equal-factor tensor spaces.
 
-Unitary factor-permutation operators, symmetrizer/antisymmetrizer projector
-pairs, exchange invariance of expectation values, and the exclusion property
-of the antisymmetric sector.
+A permutation of n factors is a tuple of images, ``image[i]`` the slot that
+factor ``i`` moves to, or an ``(m, n)`` integer array of m such tuples.  It
+acts on a product space as an index map; from it come the unitary
+factor-permutation operators, the real symmetrizer and antisymmetrizer, exchange
+invariance of expectation values, and the exclusion property of the
+antisymmetric sector.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import Operator, SpaceSpec, StateVector
 
 __all__ = [
-    "Permutation",
     "permutation_operator",
-    "ProjectorPair",
     "build_projectors",
     "exchange_expectation_check",
     "pauli_exclusion_check",
@@ -28,112 +28,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0..n-1}; ``image[i]`` is where slot ``i`` is sent."""
+def _permutation_rows(images, dims: tuple[int, ...]) -> np.ndarray:
+    """Row index of the single 1 in each column of each permutation operator.
 
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise ValueError(f"{self.image} is not a permutation of 0..{n - 1}")
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    @property
-    def parity(self) -> int:
-        """+1 for even, -1 for odd, via cycle decomposition."""
-        seen = [False] * self.size
-        sign = 1
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            length = 0
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = self.image[node]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self . other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise ValueError("permutation sizes differ")
-        return Permutation(tuple(self.image[other.image[i]] for i in range(self.size)))
-
-
-def _permutation_rows(perm: Permutation, dims: tuple[int, ...]) -> np.ndarray:
-    """Row index of the single 1 in each column of the permutation operator.
-
-    Column multi-index ``c`` is sent to the row multi-index ``s`` with
-    ``s[perm(t)] = c[t]``, so ``U @ v`` is ``v`` scattered to these rows and
-    ``U[:, j]`` is the basis vector at ``rows[j]``.
+    ``images`` is one image tuple, giving one row per column, or an
+    ``(m, n)`` array of them, giving ``m`` such rows.  Column multi-index
+    ``c`` is sent to the row multi-index ``s`` with ``s[image[t]] = c[t]``,
+    so ``U @ v`` is ``v`` scattered to these rows and ``U[:, j]`` is the
+    basis vector at ``rows[j]``.  Raises ValueError unless every image tuple
+    is a bijection that moves each factor onto one of equal dimension.
     """
-    if perm.size != len(dims):
-        raise ValueError(f"permutation of size {perm.size} on {len(dims)} factors")
-    for i, target in enumerate(perm.image):
-        if dims[i] != dims[target]:
-            raise ValueError(
-                f"factor {i} (dim {dims[i]}) cannot move to slot {target} (dim {dims[target]})"
-            )
-    # Axis perm(t) of the row grid becomes axis t of the column grid.
-    return np.arange(math.prod(dims)).reshape(dims).transpose(perm.image).reshape(-1)
+    images = np.asarray(images)
+    n = len(dims)
+    if images.ndim == 0 or images.shape[-1] != n:
+        raise ValueError(f"permutation {images.tolist()} does not act on {n} factors")
+    if (np.sort(images, axis=-1) != np.arange(n)).any():
+        raise ValueError(f"{images.tolist()} is not a permutation of 0..{n - 1}")
+    sizes = np.array(dims)
+    moved = sizes[images] != sizes
+    if moved.any():
+        k, i = np.argwhere(moved.reshape(-1, n))[0]
+        target = images.reshape(-1, n)[k, i]
+        raise ValueError(
+            f"factor {i} (dim {dims[i]}) cannot move to slot {target} (dim {dims[target]})"
+        )
+    # Row-major offset of each slot, and each column's multi-index, one row
+    # per factor; factor t lands in slot image[t].
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(n)])
+    digits = np.arange(math.prod(dims)) // strides[:, None] % sizes[:, None]
+    return strides[images] @ digits
 
 
-def permutation_operator(perm: Permutation, space: SpaceSpec) -> Operator:
-    """Unitary that relocates the vector in factor ``i`` to factor ``perm(i)``.
+def permutation_operator(image, space: SpaceSpec) -> Operator:
+    """Unitary that relocates the vector in factor ``i`` to factor ``image[i]``.
 
     The map is a homomorphism: composing operators matches composing
     permutations.  Factor dimensions must be compatible with the relocation
     (equal factors in the identical-components use; mixed dimensions are
     accepted when the permutation maps like onto like).
     """
-    rows = _permutation_rows(perm, space.factor_dims)
-    d = space.total_dim
-    u = np.zeros((d, d), dtype=np.complex128)
-    u[rows, np.arange(d)] = 1.0
+    rows = _permutation_rows(image, space.factor_dims)
+    u = np.zeros((rows.size, rows.size))
+    u[rows, np.arange(rows.size)] = 1.0
     return Operator(space, u)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorPair:
-    """Symmetrizer and antisymmetrizer on n equal factors of dimension d."""
-
-    space: SpaceSpec
-    symmetrizer: Operator
-    antisymmetrizer: Operator
-
-
-def build_projectors(n: int, d: int) -> ProjectorPair:
-    """Group-average projectors S = mean(U_P) and A = mean(sgn(P) U_P)."""
+def build_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group averages S = mean(U_P) and A = mean(sgn(P) U_P) on n factors of
+    dimension d, as real ``d^n x d^n`` arrays, from all n! index maps at once."""
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 factors of dimension d >= 1")
-    space = SpaceSpec((d,) * n)
-    dim = space.total_dim
-    perms = [Permutation(image) for image in itertools.permutations(range(n))]
+    dim = d ** n
+    images = np.array(list(itertools.permutations(range(n))))
     # Flat position r*dim + c of the 1 in column c of each permutation operator.
-    entries = np.concatenate(
-        [_permutation_rows(p, space.factor_dims) * dim + np.arange(dim) for p in perms]
-    )
-    signs = np.repeat([float(p.parity) for p in perms], dim)
-    sym = np.bincount(entries, minlength=dim * dim).astype(np.complex128).reshape(dim, dim)
-    asym = np.bincount(entries, signs, minlength=dim * dim).astype(np.complex128).reshape(dim, dim)
-    norm = math.factorial(n)
-    return ProjectorPair(
-        space=space,
-        symmetrizer=Operator(space, sym / norm),
-        antisymmetrizer=Operator(space, asym / norm),
-    )
+    entries = _permutation_rows(images, (d,) * n) * dim
+    entries += np.arange(dim)
+    i, j = np.triu_indices(n, 1)
+    signs = np.where(np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2, -1.0, 1.0)
+    # Times 1/n!, not / n!: a real division moves the (6, 2) symmetrizer by
+    # 1 ulp from the reported bits.
+    scale = 1.0 / math.factorial(n)
+    entries = entries.reshape(-1)
+    sym = np.bincount(entries, minlength=dim * dim).reshape(dim, dim) * scale
+    asym = np.bincount(entries, np.repeat(signs, dim), minlength=dim * dim).reshape(dim, dim) * scale
+    return sym, asym
 
 
-def exchange_expectation_check(obs: Operator, psi: StateVector, perm: Permutation) -> float:
-    """|<psi|A|psi> - <U psi|A|U psi>| for the permutation operator U.
+def exchange_expectation_check(obs: Operator, psi: StateVector, image) -> float:
+    """|<psi|A|psi> - <U psi|A|U psi>| for the permutation operator U of ``image``.
 
     Zero is the indistinguishability law for permutation-invariant
     observables; an observable that singles out a factor will break it,
@@ -141,7 +103,7 @@ def exchange_expectation_check(obs: Operator, psi: StateVector, perm: Permutatio
     """
     amps = psi.normalized().amplitudes
     permuted = np.empty_like(amps)
-    permuted[_permutation_rows(perm, psi.space.factor_dims)] = amps  # U @ amps
+    permuted[_permutation_rows(image, psi.space.factor_dims)] = amps  # U @ amps
     before = float(np.real(np.vdot(amps, obs.entries @ amps)))
     after = float(np.real(np.vdot(permuted, obs.entries @ permuted)))
     return abs(before - after)
@@ -160,8 +122,8 @@ def pauli_exclusion_check(single_states: list[StateVector]) -> float:
     product = np.ones(1, dtype=np.complex128)
     for state in single_states:
         product = np.kron(product, state.normalized().amplitudes)
-    projected = build_projectors(len(single_states), d).antisymmetrizer.entries @ product
-    return float(np.linalg.norm(projected))
+    _, antisymmetrizer = build_projectors(len(single_states), d)
+    return float(np.linalg.norm(antisymmetrizer @ product))
 
 
 def count_symmetric_basis(n: int, d: int) -> int:
@@ -174,7 +136,6 @@ def count_antisymmetric_basis(n: int, d: int) -> int:
     return sum(1 for _ in itertools.combinations(range(d), n))
 
 
-def projector_rank(op: Operator, threshold: float = 0.5) -> int:
+def projector_rank(projector: np.ndarray, threshold: float = 0.5) -> int:
     """Rank of an (approximate) orthogonal projector by eigenvalue count."""
-    eigs = np.linalg.eigvalsh(op.entries)
-    return int(np.sum(eigs > threshold))
+    return int(np.sum(np.linalg.eigvalsh(projector) > threshold))

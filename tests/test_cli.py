@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -238,6 +241,25 @@ def test_largest_accepted_momentum_mode_passes_and_the_next_exits_2(n_sites, tmp
     assert f"epr.momentum_mode must be at most {largest} in magnitude" in capsys.readouterr().err
 
 
+# At width 0.25 the envelope reaches 1e-13 of its peak on the box seam at a
+# separation of 5.264, and at separation 1 from width 0.6398.
+@pytest.mark.parametrize(
+    "key, largest, following",
+    [("separation", 5.26, 5.27), ("separation", -5.26, -5.27), ("width", 0.63, 0.64)],
+)
+def test_largest_accepted_seam_geometry_passes_and_the_next_exits_2(
+    key, largest, following, tmp_path, capsys
+):
+    section = {"wide_width": 1.0, "n_inference": 2}
+    cfg = write_config(tmp_path, {"epr": {**section, key: largest}})
+    assert main(["epr", "--config", cfg]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"epr": {**section, key: following}})
+    assert main(["epr", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"epr.{key} {following:g}" in err and "box seam" in err
+
+
 def test_largest_accepted_charge_keeps_the_gauge_period(tmp_path, capsys):
     bound = suites._CHARGE_BOUND
     cfg = write_config(tmp_path, {"charge": {"charges": [-bound, 0, 1, 2, bound]}})
@@ -334,7 +356,7 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"dynamics": {"weak_coupling": {"n_sites": 4}}},
          "dynamics.weak_coupling.n_sites must be at least 8"),
         ({"dynamics": {"momentum": {"n_sites": 4}}}, "dynamics.momentum.n_sites must be at least 51"),
-        ({"epr": {"n_sites": 4}}, "epr.n_sites must be at least 17"),
+        ({"epr": {"n_sites": 4}}, "epr.n_sites must be at least 44"),
         ({"axioms": {"spin_values": [0.3]}},
          "axioms.spin_values[0] must be a positive half-integer of at most 15, got 0.3"),
         ({"axioms": {"spin_values": [0.5, 0.0]}}, "axioms.spin_values[1] must be a positive half-integer"),
@@ -363,7 +385,10 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
          "axioms.atom_pool must hold at most 64 distinct atoms, got 65"),
         ({"axioms": {"grid_sites": 48}}, "axioms.grid_sites must be at least 49"),
         ({"dynamics": {"momentum": {"n_sites": 50}}}, "dynamics.momentum.n_sites must be at least 51"),
-        ({"epr": {"n_sites": 16}}, "epr.n_sites must be at least 17"),
+        ({"epr": {"n_sites": 43}}, "epr.n_sites must be at least 44"),
+        ({"epr": {"separation": 6.0}},
+         "epr.width 0.25 and epr.separation 6 leave the pair envelope at 1.1e-07 of its peak"),
+        ({"epr": {"width": 0.7, "wide_width": 1.0}}, "epr.width 0.7 and epr.separation 1 leave"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -399,7 +424,7 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("bell", {"bell": {"models": ["nope"]}}, "bell.models[0] must be one of"),
         ("symmetry", {"symmetry": {"cases": [[3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
         ("epr", {"epr": {"length": 0.0}}, "epr.length must be positive"),
-        ("epr", {"epr": {"n_sites": 4}}, "epr.n_sites must be at least 17"),
+        ("epr", {"epr": {"n_sites": 4}}, "epr.n_sites must be at least 44"),
         ("epr", {"epr": {"width": 0.01}}, "epr.width: width 0.01 is below grid resolution"),
         ("epr", {"epr": {"wide_width": 5.0}}, "epr.wide_width: width must be small against the box"),
         ("epr", {"epr": {"wide_width": 0.2}}, "epr.wide_width must exceed epr.width"),
@@ -407,6 +432,8 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("axioms", {"axioms": {"spin_values": [0.3]}}, "axioms.spin_values[0] must be a positive"),
         ("axioms", {"axioms": {"atom_pool": [str(i) for i in range(100)]}},
          "axioms.atom_pool must hold at most 64 distinct atoms, got 100"),
+        ("epr", {"epr": {"separation": 7.0}}, "epr.separation 7 leave the pair envelope"),
+        ("epr", {"epr": {"width": 0.7, "wide_width": 1.0}}, "epr.width 0.7 and epr.separation 1"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):
@@ -569,3 +596,33 @@ def test_non_finite_results_fail_and_stay_strict_json(tmp_path):
         assert record["non_finite"] is True
         assert record["value"] is None
     assert all("non_finite" not in c for c in doc["checks"] if c["pass"])
+
+
+# Spectral evolution's drifts come from a BLAS product of eigenvectors; every
+# other value the report holds is rounded the same at any thread count.
+THREAD_DEPENDENT = {("dynamics", "evolution-norm-drift"), ("dynamics", "evolution-energy-drift")}
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        out = tmp_path / f"all-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "qsystems.cli", "all", "--format", "json", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        doc = json.loads(out.read_text())
+        for suite in doc["suites"]:
+            suite["checks"] = [
+                c for c in suite["checks"] if (suite["suite"], c["id"]) not in THREAD_DEPENDENT
+            ]
+        reports.append(json.dumps(doc, sort_keys=True))
+    assert reports[0] == reports[1]

@@ -16,7 +16,7 @@ from qsystems.dynamics import (
 )
 from qsystems.grids import GridSpec
 from qsystems.hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed, pauli_matrices
-from qsystems.symmetry import Permutation, permutation_operator
+from qsystems.symmetry import permutation_operator
 
 GRID = GridSpec(64, 16.0)
 SMALL = GridSpec(16, 16.0)
@@ -274,7 +274,7 @@ def asymmetric_spin_pair_operators(hbar=1.0):
 def test_exchange_residual_matches_dense_commutator(n_sites, monkeypatch):
     grid = GridSpec(n_sites, 16.0)
     pot = gaussian_well()
-    u = permutation_operator(Permutation((1, 0, 3, 2)), SpaceSpec((n_sites, n_sites, 2, 2))).entries
+    u = permutation_operator((1, 0, 3, 2), SpaceSpec((n_sites, n_sites, 2, 2))).entries
     vectors = dynamics._seeded_vectors(grid, 3).reshape(-1, 4)
 
     def dense_residual():

@@ -1,8 +1,5 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -554,25 +551,3 @@ def test_epr_suite_runs_one_pair_check_and_reads_only_the_wide_moments(monkeypat
     wide = original(build_epr_state(wide_cfg), wide_cfg)
     narrowing = next(c for c in report.checks if c.check_id == "momentum-narrowing")
     assert narrowing.detail["var_relative_momentum_wide_envelope"] == wide.var_relative_momentum
-
-
-def test_epr_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Every reduction the epr checks report is numpy's own, never a BLAS dot
-    # product, whose rounding depends on how many threads split it.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    reports = []
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "MKL_NUM_THREADS": threads,
-        }
-        out = tmp_path / f"epr-{threads}.json"
-        subprocess.run(
-            [sys.executable, "-m", "qsystems.cli", "epr", "--format", "json", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]

@@ -142,12 +142,7 @@ def antisymmetric_count_off_by_one(monkeypatch):
 def _projectors_with(monkeypatch, change):
     """build_projectors returns ``change(S, A)`` in place of (S, A)."""
 
-    def build(n, d):
-        pair = PROJECTORS(n, d)
-        s, a = change(pair.symmetrizer.entries, pair.antisymmetrizer.entries)
-        return symmetry.ProjectorPair(pair.space, Operator(pair.space, s), Operator(pair.space, a))
-
-    monkeypatch.setattr(symmetry, "build_projectors", build)
+    monkeypatch.setattr(symmetry, "build_projectors", lambda n, d: change(*PROJECTORS(n, d)))
 
 
 def scaled_symmetrizer(monkeypatch):
@@ -168,10 +163,10 @@ def rank_counts_every_eigenvalue(monkeypatch):
 def inverse_image_permutation_operator(monkeypatch):
     """U(p) is built from the inverse image, which reverses products."""
 
-    def operator(perm, space):
-        return PERMUTATION_OPERATOR(symmetry.Permutation(tuple(np.argsort(perm.image).tolist())), space)
-
-    monkeypatch.setattr(symmetry, "permutation_operator", operator)
+    monkeypatch.setattr(
+        symmetry, "permutation_operator",
+        lambda image, space: PERMUTATION_OPERATOR(np.argsort(image), space),
+    )
 
 
 def exclusion_with_symmetrizer(monkeypatch):
@@ -199,9 +194,9 @@ def rotated_second_spin_frame(monkeypatch):
 def permutation_rows_off_by_one(monkeypatch):
     """Every column of a permutation operator lands one row too far down."""
 
-    def rows(perm, dims):
-        out = PERMUTATION_ROWS(perm, dims)
-        return (out + 1) % out.size
+    def rows(images, dims):
+        out = PERMUTATION_ROWS(images, dims)
+        return (out + 1) % out.shape[-1]
 
     monkeypatch.setattr(symmetry, "_permutation_rows", rows)
 
@@ -594,6 +589,17 @@ def test_injected_defect_fails_its_check(suite, check_id, inject, monkeypatch):
     assert verdicts(suite)[check_id] is False
 
 
+def test_shifted_jump_table_fails_sampling_consistency_at_the_shipped_angles(monkeypatch):
+    # At the canonical angles the four terms' errors cancel in S, whose exact
+    # value stays -2.0; the term-by-term z-scores still read 11.4 and 12.2.
+    _shipped_model_with(monkeypatch, "sign-cosine", shifted_jumps_a)
+    checks = suites.run_suite("bell", {"n_samples": 100_000, "n_random_settings": 2}).checks
+    record = next(c for c in checks if c.check_id == "lhv-sampling-consistency-sign-cosine")
+    assert suites._BELL_DEFAULTS["angles"] == [0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0]
+    assert (record.passed, record.non_finite) == (False, False)
+    assert record.value > 10.0
+
+
 def test_every_check_of_a_covered_suite_has_a_control_or_a_reason():
     path = Path(__file__).parent / "data" / "report_structure.json"
     structure = {(entry["suite"], entry["id"]) for entry in json.loads(path.read_text())}
@@ -642,11 +648,11 @@ def nan_second_law(detail):
     return {**detail, "checks": laws}
 
 
-def nan_symmetrizer_entry(pair):
-    """A projector pair whose symmetrizer has a NaN above the diagonal, which
-    the rank's eigensolver (lower triangle) does not read."""
-    s = nan_at(pair.symmetrizer.entries)
-    return symmetry.ProjectorPair(pair.space, Operator(pair.space, s), pair.antisymmetrizer)
+def nan_symmetrizer_entry(projectors):
+    """Projectors whose symmetrizer has a NaN above the diagonal, which the
+    rank's eigensolver (lower triangle) does not read."""
+    s, a = projectors
+    return nan_at(s), a
 
 
 def nan_operator_entry(op):

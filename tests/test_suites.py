@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsystems import suites
+from qsystems import dynamics, suites
+from qsystems.grids import GridSpec
 from qsystems.report import SuiteReport, as_builtin
 
 ROOT = Path(__file__).parents[1]
@@ -203,9 +204,10 @@ class TestVerdictPolicy:
         (suites.run_axioms, {"grid_sites": 49, "spin_values": [0.5]},
          {"grid-position-momentum", "grid-brackets", "additive-pair-relations"}),
         (suites.run_dynamics, {"momentum": {"n_sites": 51}}, {"momentum-conservation"}),
-        # Two spacings of a 17-site box are 1.88, under its eighth, 2.
+        # Two spacings of a 44-site box are 0.727; at width 0.73 the envelope reads 9e-14
+        # of its peak on the box seam at zero separation.
         (suites.run_epr,
-         {"n_sites": 17, "width": 1.9, "wide_width": 2.0, "separation": 0.0, "momentum_mode": 0,
+         {"n_sites": 44, "width": 0.73, "wide_width": 2.0, "separation": 0.0, "momentum_mode": 0,
           "n_inference": 2},
          None),
     ],
@@ -214,6 +216,34 @@ def test_each_least_size_admits_a_passing_run(runner, section, ids):
     report = runner(section)
     checks = [c for c in report.checks if ids is None or c.check_id in ids]
     assert checks and all(c.passed for c in checks), [c.check_id for c in checks if not c.passed]
+
+
+@pytest.mark.parametrize("n_sites", [65, 70, 110])
+def test_momentum_conservation_holds_between_the_table_nodes(n_sites):
+    # These lattices put distances between the nodes of the shipped tables;
+    # with 257 nodes, seed 0 read 1.1e-6, 3.2e-6 and 1.5e-6 here, against 1e-6.
+    cfg = DEFAULTS["dynamics"]
+    rel = cfg["relative"]
+    pot = suites._gaussian_well_tables(
+        rel["length"], rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"]
+    )
+    residuals = dynamics.momentum_conservation_residual(
+        GridSpec(n_sites, rel["length"]), cfg["momentum"]["masses"], pot, seed=0
+    )
+    assert np.max(residuals) <= cfg["momentum_tolerance"] / 10
+
+
+# At pi/1000 the narrow window's exact arc sum reads -1.0000000000000002.
+@pytest.mark.parametrize("angle", [0.0, math.pi / 1000])
+def test_sampling_consistency_holds_on_deterministic_correlations(angle):
+    # At equal angles every model answers A = -B, so each sampled term is
+    # exactly -1 with zero variance: no division by zero, and no failure.
+    report = suites.run_bell({"angles": [angle] * 4, "n_random_settings": 1})
+    records = [c for c in report.checks if c.check_id.startswith("lhv-sampling-consistency-")]
+    assert len(records) == 3
+    for record in records:
+        assert record.passed and record.value == 0.0, record.check_id
+        assert list(record.detail["correlations_sampled"]) == [-1.0] * 4
 
 
 def test_as_builtin_maps_non_finite_floats_to_null():
