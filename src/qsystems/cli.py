@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .epr_bell import SHIPPED_LHV_MODELS
 from .report import combined_report_dict, render_text
-from .suites import SUITE_RUNNERS, run_all, run_suite
+from .suites import SUITE_RUNNERS, _check_sections, run_all, run_suite
 
 SUITE_NAMES = tuple(SUITE_RUNNERS)
 
@@ -79,13 +79,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    for name, section in doc.items():
-        if name not in SUITE_NAMES:
-            raise ValueError(f"unknown config section {name!r}")
-        if not isinstance(section, dict):
-            raise ValueError(f"section {name!r} must be a JSON object")
+    _check_sections(doc)
     return doc
 
 

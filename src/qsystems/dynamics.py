@@ -9,7 +9,7 @@ Hamiltonian: they apply it to a few seeded vectors, the one-body kinetic
 terms along their own site axes and the pair potential and spin blocks
 pointwise.  The momentum-conservation check draws masked product states and
 applies the spinless two-body operators to each as an (n, n) array, the
-momentum-diagonal ones by 2-d FFT.
+momentum-diagonal ones by 2-d FFT.  Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 HERMITICITY_ATOL = 1e-12
+# Masked product states on which momentum_conservation_residual measures.
+_MOMENTUM_STATES = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,26 +119,26 @@ class PotentialSpec:
         return table(r)
 
 
-def spin_pair_operators(hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def spin_pair_operators() -> tuple[np.ndarray, np.ndarray]:
     """(s1.s2, 3*s1z*s2z - s1.s2) on the two-spin space, as 4x4 arrays.
 
     The spatial axis is identified with the spin z axis, so along a single
     spatial dimension the tensor combination reduces to the z form (the unit
     separation vector enters squared).
     """
-    sx, sy, sz = (0.5 * hbar * m for m in pauli_matrices())
+    sx, sy, sz = (0.5 * m for m in pauli_matrices())
     dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     tensor = 3.0 * np.kron(sz, sz) - dot
     return dot, tensor
 
 
-def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, hbar: float) -> np.ndarray:
+def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray) -> np.ndarray:
     """4x4 spin interaction at each separation, stacked as (len(r), 4, 4).
 
     Every entry of s1.s2 and of the tensor term is real (sy x sy included),
     so the blocks are real.
     """
-    dot, tensor = (op.real for op in spin_pair_operators(hbar))
+    dot, tensor = (op.real for op in spin_pair_operators())
     eye_spin = np.eye(4)
 
     def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
@@ -157,50 +159,46 @@ def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out.reshape(4 * m, 4 * m)
 
 
-def build_hamiltonian(
-    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, hbar: float = 1.0
-) -> Operator:
+def build_hamiltonian(grid: GridSpec, masses: Sequence[float], pot: PotentialSpec) -> Operator:
     """Hermitian Hamiltonian of two spin-1/2 bodies of ``masses``: kinetic +
     central + spin-spin terms, posed in the relative coordinate with reduced
     mass on ``grid``, on space (n, 2, 2)."""
     m1, m2 = masses
     mu = m1 * m2 / (m1 + m2)
-    kinetic = grids.kinetic_operator(grid, mu, hbar)
+    kinetic = grids.kinetic_operator(grid, mu)
     r = np.abs(grids.position_values(grid))
     central = np.diag(pot.sample(pot.v, r))
-    h = _spin_lift(kinetic + central, _spin_blocks(pot, r, hbar))
+    h = _spin_lift(kinetic + central, _spin_blocks(pot, r))
     return Operator(SpaceSpec((grid.n_sites, 2, 2)), h)
 
 
 def _apply_product_hamiltonian(
-    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, hbar: float, vectors: np.ndarray
+    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, vectors: np.ndarray
 ) -> np.ndarray:
     """The two-body product-space Hamiltonian applied to ``vectors`` (columns
     last), each viewed as (site 1, site 2, spin 1 x spin 2): T1 acts along
     site axis 0, T2 along site axis 1, and V(x1, x2) and the 4x4 spin blocks
     pointwise."""
     n = grid.n_sites
-    t1, t2 = (grids.kinetic_operator(grid, m, hbar) for m in masses)
+    t1, t2 = (grids.kinetic_operator(grid, m) for m in masses)
     x = grids.position_values(grid)
     dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
     psi = vectors.reshape(n, n, 4, vectors.shape[-1])
     out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
     out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
     out += pot.sample(pot.v, dist)[:, :, None, None] * psi
-    blocks = _spin_blocks(pot, dist.reshape(-1), hbar)
+    blocks = _spin_blocks(pot, dist.reshape(-1))
     out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
     return out.reshape(vectors.shape)
 
 
-def _one_body_sum(
-    grid: GridSpec, masses: Sequence[float], hbar: float, vectors: np.ndarray
-) -> np.ndarray:
+def _one_body_sum(grid: GridSpec, masses: Sequence[float], vectors: np.ndarray) -> np.ndarray:
     """(H1 x 1 + 1 x H2) applied to :func:`_seeded_vectors`-shaped ``vectors``,
     each H_i body i's kinetic operator, times the identity on its spin, on
     body i's (site, spin) legs."""
     total = np.zeros_like(vectors)
     for body, mass in enumerate(masses):
-        h = np.kron(grids.kinetic_operator(grid, mass, hbar), np.eye(2, dtype=np.complex128))
+        h = np.kron(grids.kinetic_operator(grid, mass), np.eye(2, dtype=np.complex128))
         moved = np.moveaxis(vectors, (body, body + 2), (0, 1))
         applied = (h @ moved.reshape(h.shape[0], -1)).reshape(moved.shape)
         total += np.moveaxis(applied, (0, 1), (body, body + 2))
@@ -238,12 +236,10 @@ class EvolutionResult:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
-def evolve(
-    psi0: StateVector, h: Operator, t_final: float, n_steps: int, hbar: float = 1.0
-) -> EvolutionResult:
+def evolve(psi0: StateVector, h: Operator, t_final: float, n_steps: int) -> EvolutionResult:
     """Evolve by exact spectral exponentiation, sampling n_steps+1 times.
 
-    The propagator is exp(-i H t / hbar) built from one eigendecomposition,
+    The propagator is exp(-i H t) built from one eigendecomposition,
     so norm and energy records double as unitarity diagnostics.
     """
     if not h.is_hermitian(HERMITICITY_ATOL * max(1.0, float(np.abs(h.entries).max()))):
@@ -253,7 +249,7 @@ def evolve(
     vals, vecs = eigh_phase_fixed(h.entries)
     coeffs = vecs.conj().T @ psi0.amplitudes
     times = np.linspace(0.0, float(t_final), int(n_steps) + 1)
-    phases = np.exp(-1j * np.outer(times, vals) / hbar)
+    phases = np.exp(-1j * np.outer(times, vals))
     states = (vecs @ (phases * coeffs[None, :]).T).T
     norms = np.linalg.norm(states, axis=1)
     energies = np.real(np.sum(states.conj() * (states @ h.entries.T), axis=1))
@@ -265,7 +261,6 @@ def weak_coupling_check(
     masses: Sequence[float],
     pot: PotentialSpec,
     lambda_values: Sequence[float],
-    hbar: float = 1.0,
     seed: int = 0,
 ) -> dict:
     """Deviation from the sum of free one-body Hamiltonians is linear in the
@@ -281,12 +276,12 @@ def weak_coupling_check(
     """
     lambdas = [float(v) for v in lambda_values]
     vectors = _seeded_vectors(grid, seed)
-    free = _apply_product_hamiltonian(grid, masses, _scaled(pot, 0.0), hbar, vectors)
-    expected = _one_body_sum(grid, masses, hbar, vectors)
+    free = _apply_product_hamiltonian(grid, masses, _scaled(pot, 0.0), vectors)
+    expected = _one_body_sum(grid, masses, vectors)
     zero_residual = float(np.linalg.norm(free - expected) / np.linalg.norm(expected))
     deviations = [
         float(np.linalg.norm(
-            _apply_product_hamiltonian(grid, masses, _scaled(pot, lam), hbar, vectors) - free
+            _apply_product_hamiltonian(grid, masses, _scaled(pot, lam), vectors) - free
         ))
         for lam in lambdas
     ]
@@ -302,7 +297,7 @@ def weak_coupling_check(
 
 
 def exchange_symmetry_residual(
-    grid: GridSpec, mass: float, pot: PotentialSpec, hbar: float = 1.0, seed: int = 0
+    grid: GridSpec, mass: float, pot: PotentialSpec, seed: int = 0
 ) -> float:
     """Relative norm ||H(Uv) - U(Hv)|| / ||Hv|| of [H, U_swap] applied to four
     seeded product-space vectors v, for two identical bodies of ``mass``.
@@ -312,22 +307,16 @@ def exchange_symmetry_residual(
     """
     masses = (mass, mass)
     vectors = _seeded_vectors(grid, seed)
-    hv = _apply_product_hamiltonian(grid, masses, pot, hbar, vectors)
-    huv = _apply_product_hamiltonian(grid, masses, pot, hbar, vectors.transpose(1, 0, 3, 2, 4))
+    hv = _apply_product_hamiltonian(grid, masses, pot, vectors)
+    huv = _apply_product_hamiltonian(grid, masses, pot, vectors.transpose(1, 0, 3, 2, 4))
     return float(np.linalg.norm(huv - hv.transpose(1, 0, 3, 2, 4)) / np.linalg.norm(hv))
 
 
 def momentum_conservation_residual(
-    grid: GridSpec,
-    masses: Sequence[float],
-    pot: PotentialSpec,
-    hbar: float = 1.0,
-    n_states: int = 10,
-    seed: int = 0,
-    band_fraction: float = 1.0 / 3.0,
-    envelope_frac: float = 1.0 / 16.0,
+    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, seed: int = 0
 ) -> np.ndarray:
-    """Relative norm of [H, P_total] applied to each masked product state.
+    """Relative norm of [H, P_total] applied to each of ``_MOMENTUM_STATES``
+    masked product states.
 
     The bodies are taken spinless, so only the central potential ``pot.v``
     enters H; it depends only on the relative separation, which the
@@ -338,7 +327,7 @@ def momentum_conservation_residual(
     """
     x = grids.position_values(grid)
     v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
-    k = grids.momentum_values(grid, hbar)
+    k = grids.momentum_values(grid)
     kinetic = k[:, None] ** 2 / (2.0 * masses[0]) + k[None, :] ** 2 / (2.0 * masses[1])
     total_momentum = k[:, None] + k[None, :]
 
@@ -351,12 +340,12 @@ def momentum_conservation_residual(
     def apply_p(psi):
         return spectral(total_momentum, psi)
 
-    mask = grids.band_limited_mask(grid, band_fraction, envelope_frac)
+    mask = grids.band_limited_mask(grid)
     rng = np.random.default_rng(seed)
-    sa = mask.random_states(n_states, rng)
-    sb = mask.random_states(n_states, rng)
-    residuals = np.zeros(n_states)
-    for col in range(n_states):
+    sa = mask.random_states(_MOMENTUM_STATES, rng)
+    sb = mask.random_states(_MOMENTUM_STATES, rng)
+    residuals = np.zeros(_MOMENTUM_STATES)
+    for col in range(_MOMENTUM_STATES):
         psi = np.outer(sa[:, col], sb[:, col])
         hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
         scale = np.maximum(np.linalg.norm(hp), np.linalg.norm(ph))

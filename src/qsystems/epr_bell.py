@@ -6,7 +6,7 @@ The pair state carries a Gaussian of width ``w`` in the relative coordinate
 (a normalizable stand-in for a sharp separation) times a plane wave in the
 center of mass.  The CHSH machinery is purely spin-1/2: correlations are
 computed by explicit 4x4 algebra, classical models by exact arc integration
-over the hidden variable and by seeded Monte Carlo.
+over the hidden variable and by seeded Monte Carlo.  Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -74,17 +74,17 @@ class EPRConfig:
     momentum.
 
     ``width`` is the standard deviation of the relative-separation
-    distribution.  The total momentum is snapped to the nearest value whose
-    per-particle half lies on the reciprocal lattice, so the constructed
-    state is an exact eigenvector of the discrete total momentum.  The
-    moments of that momentum are exact only while the envelope's momentum
-    spread stays inside the lattice's band (:func:`_largest_momentum_mode`).
+    distribution.  The total momentum is ``momentum_mode`` steps of 4 pi / L,
+    so each particle's half lies on the reciprocal lattice and the constructed
+    state is an exact eigenvector of the discrete total momentum.  The moments
+    of that momentum are exact only while the envelope's momentum spread stays
+    inside the lattice's band (:func:`_largest_momentum_mode`).
     """
 
     n_sites: int = 256
     length: float = 16.0
     separation: float = 1.0
-    total_momentum: float = 0.0
+    momentum_mode: int = 0
     width: float = 0.25
 
     def __post_init__(self):
@@ -104,9 +104,9 @@ class EPRConfig:
     def grid(self) -> GridSpec:
         return GridSpec(n_sites=self.n_sites, length=self.length)
 
-    def snapped_momentum(self, hbar: float = 1.0) -> float:
-        unit = 4.0 * math.pi * hbar / self.length
-        return unit * round(self.total_momentum / unit)
+    @property
+    def total_momentum(self) -> float:
+        return (4.0 * math.pi / self.length) * self.momentum_mode
 
 
 # A relative-momentum step whose weight in the envelope's spectrum is below
@@ -116,11 +116,11 @@ _ALIAS_WEIGHT = 1e-30
 
 
 def _largest_momentum_mode(cfg: EPRConfig) -> int:
-    """The largest per-particle momentum step |m| (the snapped total momentum
-    over 4 pi hbar / L) whose pair state keeps its total momentum on the
-    lattice, as the momentum checks need; the state itself is exact at any m.
+    """The largest momentum mode |m| (the total momentum over 4 pi / L) whose
+    pair state keeps its total momentum on the lattice, as the momentum checks
+    need; the state itself is exact at any m.
 
-    Particle momenta sit at m + q and m - q lattice steps (of 2 pi hbar / L),
+    Particle momenta sit at m + q and m - q lattice steps (of 2 pi / L),
     with q spread by the envelope with weight exp(-2 (2 pi w q / L)^2).  The
     band holds the steps from -(n // 2) to (n - 1) // 2; a particle step past
     it aliases to the other edge and moves the total by n steps.  One of the
@@ -131,10 +131,10 @@ def _largest_momentum_mode(cfg: EPRConfig) -> int:
     return math.floor((cfg.n_sites + 1) // 2 - reach)
 
 
-def _epr_factors(cfg: EPRConfig, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _epr_factors(cfg: EPRConfig) -> tuple[np.ndarray, np.ndarray]:
     """The two factors of the unnormalized pair state: the envelope column
     ``g[k] = exp(-wrap(k dx - a)^2 / 4 w^2)`` over the n site offsets, and
-    the n phases ``exp(i p x / 2 hbar)``.
+    the n phases ``exp(i p x / 2)``.
 
     Sites i and j sit ``(i - j) dx`` apart, up to a multiple of the box that
     the wrap removes, so ``psi[i, j] = g[(i - j) % n] * phase[i] * phase[j]``.
@@ -143,12 +143,12 @@ def _epr_factors(cfg: EPRConfig, hbar: float = 1.0) -> tuple[np.ndarray, np.ndar
     offsets = np.arange(cfg.n_sites) * grid.spacing
     envelope = np.exp(-(grids.wrap_displacement(offsets - cfg.separation, cfg.length) ** 2)
                       / (4.0 * cfg.width ** 2))
-    phase = np.exp(1j * cfg.snapped_momentum(hbar) * grids.position_values(grid) / (2.0 * hbar))
+    phase = np.exp(1j * cfg.total_momentum * grids.position_values(grid) / 2.0)
     return envelope, phase
 
 
-def build_epr_state(cfg: EPRConfig, hbar: float = 1.0) -> StateVector:
-    """Normalized pair state g_w(x1 - x2 - a) * exp(i p (x1 + x2) / 2 hbar).
+def build_epr_state(cfg: EPRConfig) -> StateVector:
+    """Normalized pair state g_w(x1 - x2 - a) * exp(i p (x1 + x2) / 2).
 
     The Gaussian argument is wrapped to the principal interval, so the
     relative-separation distribution has mean ``a`` and standard deviation
@@ -157,7 +157,7 @@ def build_epr_state(cfg: EPRConfig, hbar: float = 1.0) -> StateVector:
     values of :func:`_epr_factors` and normalized by the norm of the array
     built.
     """
-    envelope, phase = _epr_factors(cfg, hbar)
+    envelope, phase = _epr_factors(cfg)
     sites = np.arange(cfg.n_sites)
     psi = envelope[(sites[:, None] - sites[None, :]) % cfg.n_sites] * phase[:, None]
     psi *= phase[None, :]
@@ -171,9 +171,9 @@ def relative_position_values(cfg: EPRConfig) -> np.ndarray:
     return grids.wrap_displacement(x[:, None] - x[None, :], cfg.length)
 
 
-def total_momentum_apply(psi_grid: np.ndarray, cfg: EPRConfig, hbar: float = 1.0) -> np.ndarray:
+def total_momentum_apply(psi_grid: np.ndarray, cfg: EPRConfig) -> np.ndarray:
     """Apply the total momentum spectrally to an (n, n) pair wavefunction."""
-    k = grids.momentum_values(cfg.grid, hbar)
+    k = grids.momentum_values(cfg.grid)
     ksum = k[:, None] + k[None, :]
     return np.fft.ifft2(ksum * np.fft.fft2(psi_grid, norm="ortho"), norm="ortho")
 
@@ -182,10 +182,10 @@ def _pair_grid(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
     return psi.amplitudes.reshape(cfg.n_sites, cfg.n_sites)
 
 
-def momentum_moments(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) -> tuple[float, float, float]:
+def momentum_moments(psi: StateVector, cfg: EPRConfig) -> tuple[float, float, float]:
     """The mean and variance of the total momentum and the variance of the
     relative momentum on the pair state ``psi``, read from its one 2-d FFT."""
-    k = grids.momentum_values(cfg.grid, hbar)
+    k = grids.momentum_values(cfg.grid)
     ksum = k[:, None] + k[None, :]
     krel = 0.5 * (k[:, None] - k[None, :])
     prob_k = np.abs(np.fft.fft2(_pair_grid(psi, cfg), norm="ortho")) ** 2
@@ -207,7 +207,7 @@ class PairSharpnessReport:
     var_relative_momentum: float
 
 
-def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) -> PairSharpnessReport:
+def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessReport:
     """How compatible the relative position and total momentum are on the pair
     state ``psi``, as :func:`build_epr_state` builds it from ``cfg``.
 
@@ -221,7 +221,7 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) ->
     construction, and the conjugate spread of order 1/w^2 sits entirely in
     the relative momentum.
     """
-    mean_p, var_p, var_rel = momentum_moments(psi, cfg, hbar)
+    mean_p, var_p, var_rel = momentum_moments(psi, cfg)
     psi = _pair_grid(psi, cfg)
     d = relative_position_values(cfg)
     prob = np.abs(psi) ** 2
@@ -230,8 +230,8 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig, hbar: float = 1.0) ->
     var_d = float(np.sum(prob * (d - mean_d) ** 2))
     del prob  # each (n, n) temporary goes after its last use, to keep the peak low
 
-    p_psi = total_momentum_apply(psi, cfg, hbar)
-    commutator = d * p_psi - total_momentum_apply(d * psi, cfg, hbar)
+    p_psi = total_momentum_apply(psi, cfg)
+    commutator = d * p_psi - total_momentum_apply(d * psi, cfg)
     state_residual = norm(commutator)
     del p_psi, commutator
 
@@ -257,47 +257,31 @@ class ConditionalDistribution:
     probabilities: np.ndarray
     mode: float
     width: float
-    slice_weight: float
-    negligible: bool
 
 
-def conditional_inference(
-    cfg: EPRConfig, measured_x1: float, hbar: float = 1.0, weight_floor: float = 1e-12
-) -> ConditionalDistribution:
+def conditional_inference(cfg: EPRConfig, measured_x1: float) -> ConditionalDistribution:
     """Distribution over the partner position after reading off particle 1.
 
     Slices the joint probability of :func:`build_epr_state` at the grid row
     nearest ``measured_x1``, computed from that one row alone, and
     normalizes.  The mode sits one grid spacing or less from
-    ``measured_x1 - a`` (wrapped into the box); a slice carrying less than
-    ``weight_floor`` of total probability is flagged as negligible instead of
-    trusted.
+    ``measured_x1 - a`` (wrapped into the box).
     """
     if abs(measured_x1) > cfg.length / 2.0:
         raise ValueError("measured position must lie inside the box")
     # Row r of the state has |psi[r, j]|^2 = g[(r - j) % n]^2 / (n sum g^2):
     # the phases have unit modulus, and each row of the circulant holds every
-    # g once.
-    envelope, _ = _epr_factors(cfg, hbar)
+    # g once, so every row carries 1/n of the probability.
+    envelope, _ = _epr_factors(cfg)
     x = grids.position_values(cfg.grid)
     row = int(np.argmin(np.abs(x - measured_x1)))
     squared = envelope ** 2
     slice_prob = squared[(row - np.arange(cfg.n_sites)) % cfg.n_sites] / (cfg.n_sites * squared.sum())
-    weight = float(slice_prob.sum())
-    negligible = weight < weight_floor
-    if not negligible:
-        slice_prob = slice_prob / weight
+    slice_prob = slice_prob / float(slice_prob.sum())
     mode = float(x[int(np.argmax(slice_prob))])
     deviations = grids.wrap_displacement(x - mode, cfg.length)
-    width = float(np.sqrt(np.sum(slice_prob * deviations ** 2))) if not negligible else float("nan")
-    return ConditionalDistribution(
-        x2_values=x,
-        probabilities=slice_prob,
-        mode=mode,
-        width=width,
-        slice_weight=weight,
-        negligible=negligible,
-    )
+    width = float(np.sqrt(np.sum(slice_prob * deviations ** 2)))
+    return ConditionalDistribution(x2_values=x, probabilities=slice_prob, mode=mode, width=width)
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +300,19 @@ class CHSHSettings:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
+
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """The four (a, b) settings of the correlations of S, in the order
+        that :func:`_chsh_sum` combines them."""
+        a, ap, b, bp = self.as_tuple()
+        return ((a, b), (a, bp), (ap, b), (ap, bp))
+
+
+def _chsh_sum(correlations) -> float:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from the four correlations of
+    :meth:`CHSHSettings.terms`."""
+    e0, e1, e2, e3 = correlations
+    return e0 - e1 + e2 + e3
 
 
 def singlet_state() -> np.ndarray:
@@ -340,14 +337,8 @@ def correlation_quantum(angle_a: float, angle_b: float) -> float:
 
 
 def chsh_quantum(settings: CHSHSettings) -> float:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') on the singlet (signed)."""
-    a, ap, b, bp = settings.as_tuple()
-    return (
-        correlation_quantum(a, b)
-        - correlation_quantum(a, bp)
-        + correlation_quantum(ap, b)
-        + correlation_quantum(ap, bp)
-    )
+    """S on the singlet (signed)."""
+    return _chsh_sum([correlation_quantum(a, b) for a, b in settings.terms()])
 
 
 # --------------------------------------------------------------------------
@@ -406,15 +397,20 @@ def sign_cosine_model() -> LHVModel:
     )
 
 
-def narrow_window_model(half_width: float = np.pi / 3.0) -> LHVModel:
+# The narrow-window model answers +1 within this angle of its setting.
+_WINDOW_HALF_WIDTH = np.pi / 3.0
+
+
+def narrow_window_model() -> LHVModel:
     """Window responses: +1 only when the hidden variable falls within
-    ``half_width`` of the setting; biased marginals, still local."""
+    ``_WINDOW_HALF_WIDTH`` of the setting; biased marginals, still local."""
+    w = _WINDOW_HALF_WIDTH
     return LHVModel(
         name="narrow-window",
-        response_a=lambda a, lam: _on_arcs(lam, [a - half_width], 2.0 * half_width),
-        response_b=lambda b, lam: ~_on_arcs(lam, [b - half_width], 2.0 * half_width),
-        jumps_a=lambda a: np.mod([a - half_width, a + half_width], 2.0 * np.pi),
-        jumps_b=lambda b: np.mod([b - half_width, b + half_width], 2.0 * np.pi),
+        response_a=lambda a, lam: _on_arcs(lam, [a - w], 2.0 * w),
+        response_b=lambda b, lam: ~_on_arcs(lam, [b - w], 2.0 * w),
+        jumps_a=lambda a: np.mod([a - w, a + w], 2.0 * np.pi),
+        jumps_b=lambda b: np.mod([b - w, b + w], 2.0 * np.pi),
     )
 
 
@@ -462,13 +458,7 @@ def correlation_lhv_exact(model: LHVModel, angle_a: float, angle_b: float) -> fl
 
 
 def chsh_lhv_exact(model: LHVModel, settings: CHSHSettings) -> float:
-    a, ap, b, bp = settings.as_tuple()
-    return (
-        correlation_lhv_exact(model, a, b)
-        - correlation_lhv_exact(model, a, bp)
-        + correlation_lhv_exact(model, ap, b)
-        + correlation_lhv_exact(model, ap, bp)
-    )
+    return _chsh_sum([correlation_lhv_exact(model, a, b) for a, b in settings.terms()])
 
 
 @dataclass(frozen=True)
@@ -494,12 +484,9 @@ def chsh_lhv(
     if n_samples < MIN_LHV_SAMPLES:
         raise ValueError(f"use at least {MIN_LHV_SAMPLES} samples per correlation")
     rng = np.random.default_rng(seed)
-    a, ap, b, bp = settings.as_tuple()
-    signs = (1.0, -1.0, 1.0, 1.0)
-    pairs = ((a, b), (a, bp), (ap, b), (ap, bp))
     estimates = []
     variance = 0.0
-    for sa, sb in pairs:
+    for sa, sb in settings.terms():
         agree = 0
         for start in range(0, n_samples, _LHV_CHUNK):
             lam = rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
@@ -507,9 +494,8 @@ def chsh_lhv(
         mean = (2 * agree - n_samples) / n_samples
         estimates.append(mean)
         variance += (1.0 - mean * mean) / (n_samples - 1)
-    s_value = sum(sign * est for sign, est in zip(signs, estimates))
     return LHVEstimate(
-        s_value=float(s_value),
+        s_value=float(_chsh_sum(estimates)),
         stderr=float(np.sqrt(variance)),
         correlations=tuple(estimates),
         n_samples=n_samples,

@@ -8,7 +8,8 @@ arithmetic, with no floating point at all.  The numeric layer builds dense
 matrix representations (spin, periodic grid, additive composites) and
 measures how well each one reproduces the bracket table, restricted to the
 subspace on which the representation makes its claims.  A representation
-holds images of exactly the generators it asserts.  Grid masks and the
+holds images of exactly the generators it asserts.  Units have hbar = 1; the
+law texts keep ``ihbar`` to show where it enters.  Grid masks and the
 leg-by-leg two-particle products live in :mod:`qsystems.grids`.
 """
 
@@ -36,6 +37,12 @@ __all__ = [
     "position_momentum_residuals",
     "verify_additive_grid_pair",
 ]
+
+# The largest composite space that :func:`build_additive_rep` builds densely.
+_MAX_DENSE_DIM = 4096
+# How far an image may be from hermitian, and the mass image below zero,
+# before :meth:`AlgebraRep.validate` rejects the representation.
+_VALIDATE_ATOL = 1e-10
 
 LABELS = ("H", "P1", "P2", "P3", "K1", "K2", "K3", "J1", "J2", "J3", "M")
 
@@ -110,7 +117,6 @@ class AlgebraRep:
 
     space: SpaceSpec
     images: dict[str, np.ndarray]
-    hbar: float
     mass: float
     mask: DomainMask | None = None
     name: str = "rep"
@@ -131,12 +137,12 @@ class AlgebraRep:
     def image(self, label: str) -> np.ndarray:
         return self.images[label]
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
         for lab, mat in self.images.items():
-            if np.max(np.abs(mat - mat.conj().T)) > atol:
+            if np.max(np.abs(mat - mat.conj().T)) > _VALIDATE_ATOL:
                 raise ValueError(f"image of {lab} is not hermitian")
         m_eigs = np.linalg.eigvalsh(self.images["M"])
-        if m_eigs.min() < -atol:
+        if m_eigs.min() < -_VALIDATE_ATOL:
             raise ValueError("mass image has a negative eigenvalue")
 
 
@@ -144,13 +150,13 @@ def _zeros(d: int) -> np.ndarray:
     return np.zeros((d, d), dtype=np.complex128)
 
 
-def build_spin_rep(j, hbar: float = 1.0, mass: float = 1.0) -> AlgebraRep:
+def build_spin_rep(j, mass: float = 1.0) -> AlgebraRep:
     """Rotation-sector representation of dimension 2j+1.
 
     Parameters
     ----------
     j : half-integer spin (1/2, 1, 3/2, ...).
-    hbar, mass : scale of the angular momenta and the central mass value.
+    mass : the central mass value.
 
     Only the rotation subalgebra together with the central mass is realized
     and asserted; the representation has no boost, momentum or energy image.
@@ -163,18 +169,17 @@ def build_spin_rep(j, hbar: float = 1.0, mass: float = 1.0) -> AlgebraRep:
     jv = two_j / 2.0
     dim = two_j + 1
     m_values = jv - np.arange(dim)
-    jz = hbar * np.diag(m_values).astype(np.complex128)
+    jz = np.diag(m_values).astype(np.complex128)
     jplus = _zeros(dim)
     for i in range(1, dim):
         m = m_values[i]
-        jplus[i - 1, i] = hbar * np.sqrt(jv * (jv + 1) - m * (m + 1))
+        jplus[i - 1, i] = np.sqrt(jv * (jv + 1) - m * (m + 1))
     jminus = jplus.conj().T
     jx = 0.5 * (jplus + jminus)
     jy = -0.5j * (jplus - jminus)
     return AlgebraRep(
         space=SpaceSpec.single(dim),
         images={"J1": jx, "J2": jy, "J3": jz, "M": mass * np.eye(dim, dtype=np.complex128)},
-        hbar=hbar,
         mass=mass,
         mask=None,
         name=f"spin(j={jv:g})",
@@ -190,20 +195,13 @@ def casimir_squared(rep: AlgebraRep) -> np.ndarray:
     return total
 
 
-def build_grid_rep(
-    n_sites: int,
-    length: float,
-    mass: float,
-    hbar: float = 1.0,
-    band_fraction: float = 1.0 / 3.0,
-    envelope_frac: float = 1.0 / 16.0,
-) -> AlgebraRep:
+def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:
     """One-dimensional periodic-grid representation of the free subalgebra.
 
     Position is diagonal, momentum is the spectral derivative, boosts are
     mass times position, the energy is kinetic.  The canonical pair cannot
     satisfy its bracket exactly in finite dimensions (the trace of a
-    commutator vanishes, the trace of i*hbar*M does not), so the bracket
+    commutator vanishes, the trace of i*M does not), so the bracket
     claims are restricted to the returned band-limited interior mask.
 
     The single spatial axis realizes H, P1, K1, M, the only images the
@@ -216,19 +214,18 @@ def build_grid_rep(
     return AlgebraRep(
         space=SpaceSpec.single(n_sites),
         images={
-            "H": grids.kinetic_operator(grid, mass, hbar),
-            "P1": grids.momentum_operator(grid, hbar),
+            "H": grids.kinetic_operator(grid, mass),
+            "P1": grids.momentum_operator(grid),
             "K1": mass * pos,
             "M": mass * np.eye(n_sites, dtype=np.complex128),
         },
-        hbar=hbar,
         mass=mass,
-        mask=grids.band_limited_mask(grid, band_fraction, envelope_frac),
+        mask=grids.band_limited_mask(grid),
         name=f"grid(n={n_sites}, L={length:g}, m={mass:g})",
     )
 
 
-def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -> AlgebraRep:
+def build_additive_rep(parts: Sequence[AlgebraRep]) -> AlgebraRep:
     """Composite representation: tensor-product space, summed lifted generators.
 
     The composite carries the generators that every part carries.  Each
@@ -240,14 +237,11 @@ def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -
     """
     if not parts:
         raise ValueError("need at least one part")
-    hbar = parts[0].hbar
-    if any(p.hbar != hbar for p in parts):
-        raise ValueError("parts disagree on hbar")
     dims = [p.space.total_dim for p in parts]
     total_dim = int(np.prod(dims))
-    if total_dim > max_dense_dim:
+    if total_dim > _MAX_DENSE_DIM:
         raise ValueError(
-            f"dense additive rep of dim {total_dim} exceeds bound {max_dense_dim}"
+            f"dense additive rep of dim {total_dim} exceeds bound {_MAX_DENSE_DIM}"
         )
     factor_dims = tuple(itertools.chain.from_iterable(p.space.factor_dims for p in parts))
     space = SpaceSpec(factor_dims)
@@ -263,7 +257,6 @@ def build_additive_rep(parts: Sequence[AlgebraRep], max_dense_dim: int = 4096) -
     return AlgebraRep(
         space=space,
         images=images,
-        hbar=hbar,
         mass=float(sum(p.mass for p in parts)),
         name="additive(" + ", ".join(p.name for p in parts) + ")",
     )
@@ -289,7 +282,7 @@ def _expected_image(rep: AlgebraRep, a: str, b: str) -> np.ndarray:
     """Image of [a, b] according to the structure constants: (i*hbar) * sum c * image."""
     total = _zeros(rep.space.total_dim)
     for label, coeff in _bracket_terms(a, b):
-        total = total + (1j * rep.hbar * float(coeff)) * rep.image(label)
+        total = total + (1j * float(coeff)) * rep.image(label)
     return total
 
 
@@ -345,8 +338,8 @@ def position_momentum_residuals(
     states = rep.mask.random_states(n_states, rng)
     x = rep.image("K1") / rep.mass
     p = rep.image("P1")
-    delta = x @ (p @ states) - p @ (x @ states) - 1j * rep.hbar * states
-    return np.linalg.norm(delta, axis=0) / rep.hbar
+    delta = x @ (p @ states) - p @ (x @ states) - 1j * states
+    return np.linalg.norm(delta, axis=0)
 
 
 def _factored_norms(*terms: tuple[complex, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -384,9 +377,6 @@ def verify_additive_grid_pair(
     for part in (part_a, part_b):
         if part.mask is None:
             raise ValueError(f"{part.name} has no domain mask")
-    if part_a.hbar != part_b.hbar:
-        raise ValueError("parts disagree on hbar")
-    hbar = part_a.hbar
     rng = np.random.default_rng(seed)
     states_a = part_a.mask.random_states(n_states, rng)
     states_b = part_b.mask.random_states(n_states, rng)
@@ -428,15 +418,15 @@ def verify_additive_grid_pair(
     def comm(f: str, g: str) -> list:
         return [(1, act(f, g)), (-1, act(g, f))]
 
-    record("[K,P] = ihbar*M (totals)", comm("K", "P"), 1j * hbar * (m_a + m_b))
-    record("[K,H] = ihbar*P (totals)", comm("K", "H"), 1j * hbar, act("P"))
+    record("[K,P] = ihbar*M (totals)", comm("K", "P"), 1j * (m_a + m_b))
+    record("[K,H] = ihbar*P (totals)", comm("K", "H"), 1j, act("P"))
     record("[P,H] = 0 (totals)", comm("P", "H"))
     for tag, m_r in (("a", m_a), ("b", m_b)):
         x_r, p_r = "X" + tag, "P" + tag
-        record("[P_total, X_part] = -ihbar", comm("P", x_r), -1j * hbar)
+        record("[P_total, X_part] = -ihbar", comm("P", x_r), -1j)
         record("[P_total, P_part] = 0", comm("P", p_r))
         record("[K_total, X_part] = 0", comm("K", x_r))
-        record("[K_total, P_part] = ihbar*m_part", comm("K", p_r), 1j * hbar * m_r)
+        record("[K_total, P_part] = ihbar*m_part", comm("K", p_r), 1j * m_r)
     record("M_total = (m_a + m_b)*identity", [(1, act("M"))], m_a + m_b)
     record("cross-part generators commute", comm("Ka", "Pb"))
 

@@ -38,6 +38,13 @@ __all__ = [
 
 MIN_SITES = 8
 
+# The masked subspace of :func:`band_limited_mask`: the lowest third of the
+# momentum modes under a gaussian envelope of a sixteenth of the box, kept to
+# the singular values above this cut of the largest.
+_BAND_FRACTION = 1.0 / 3.0
+_ENVELOPE_FRAC = 1.0 / 16.0
+_SVD_CUT = 1e-4
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -60,9 +67,9 @@ def position_values(grid: GridSpec) -> np.ndarray:
     return (np.arange(n) - n // 2) * grid.spacing
 
 
-def momentum_values(grid: GridSpec, hbar: float = 1.0) -> np.ndarray:
-    """fftfreq-ordered momentum eigenvalues hbar * k."""
-    return hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_sites, d=grid.spacing)
+def momentum_values(grid: GridSpec) -> np.ndarray:
+    """fftfreq-ordered momentum eigenvalues k (units with hbar = 1)."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n_sites, d=grid.spacing)
 
 
 def _spectral_operator(column: np.ndarray) -> np.ndarray:
@@ -78,17 +85,17 @@ def _spectral_operator(column: np.ndarray) -> np.ndarray:
     return 0.5 * (op + op.conj().T)
 
 
-def momentum_operator(grid: GridSpec, hbar: float = 1.0) -> np.ndarray:
+def momentum_operator(grid: GridSpec) -> np.ndarray:
     """Dense spectral-derivative momentum matrix (hermitized)."""
-    return _spectral_operator(np.fft.ifft(momentum_values(grid, hbar)))
+    return _spectral_operator(np.fft.ifft(momentum_values(grid)))
 
 
-def kinetic_operator(grid: GridSpec, mass: float, hbar: float = 1.0) -> np.ndarray:
+def kinetic_operator(grid: GridSpec, mass: float) -> np.ndarray:
     """Dense spectral kinetic matrix (hermitized), real ``float64``."""
     # k^2 / 2m is even in fftfreq order (k[-j] = -k[j], and the Nyquist entry
     # of an even n is its own mirror), so the circulant's column is real up
     # to roundoff, which the real part drops.
-    return _spectral_operator(np.fft.ifft(momentum_values(grid, hbar) ** 2 / (2.0 * mass)).real)
+    return _spectral_operator(np.fft.ifft(momentum_values(grid) ** 2 / (2.0 * mass)).real)
 
 
 def wrap_displacement(values: np.ndarray, length: float) -> np.ndarray:
@@ -126,15 +133,13 @@ class DomainMask:
         return states / np.linalg.norm(states, axis=0, keepdims=True)
 
 
-def band_limited_mask(
-    grid: GridSpec, band_fraction: float, envelope_frac: float, svd_cut: float = 1e-4
-) -> DomainMask:
+def band_limited_mask(grid: GridSpec) -> DomainMask:
     """Band-limited, interior-localized states: a gaussian envelope at the box
-    center times the plane waves of the lowest ``band_fraction`` of modes."""
+    center times the plane waves of the lowest ``_BAND_FRACTION`` of modes."""
     n = grid.n_sites
-    max_mode = int(np.floor(n * band_fraction / 2))
+    max_mode = int(np.floor(n * _BAND_FRACTION / 2))
     x = position_values(grid)
-    sigma = grid.length * envelope_frac
+    sigma = grid.length * _ENVELOPE_FRAC
     envelope = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
     columns = []
     for mode in range(-max_mode, max_mode + 1):
@@ -145,11 +150,11 @@ def band_limited_mask(
     # part of the span, or the orthonormalization amplifies roundoff into
     # spurious high-frequency content.
     u, s, _ = np.linalg.svd(raw, full_matrices=False)
-    basis = u[:, s >= svd_cut * s[0]]
+    basis = u[:, s >= _SVD_CUT * s[0]]
     description = (
-        f"well-conditioned span (cutoff {svd_cut:g}) of gaussian envelope "
+        f"well-conditioned span (cutoff {_SVD_CUT:g}) of gaussian envelope "
         f"sigma={sigma:g} at box center times plane waves with |mode| <= {max_mode} "
-        f"of {n} (lowest {band_fraction:.0%} of momentum modes); dim {basis.shape[1]}"
+        f"of {n} (lowest {_BAND_FRACTION:.0%} of momentum modes); dim {basis.shape[1]}"
     )
     return DomainMask(basis=basis, description=description)
 

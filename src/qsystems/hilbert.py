@@ -30,6 +30,8 @@ __all__ = [
 
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-12
+# A component below this magnitude cannot fix an eigenvector's phase.
+_PHASE_PIVOT_TOL = 1e-12
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -142,17 +144,17 @@ def lift(op: Operator, which_factor: int, space: SpaceSpec) -> Operator:
     return Operator(space, out)
 
 
-def eigh_phase_fixed(matrix: np.ndarray, zero_tol: float = 1e-12):
+def eigh_phase_fixed(matrix: np.ndarray):
     """Hermitian eigendecomposition with a deterministic basis.
 
     Eigenvalues ascend; each eigenvector is rescaled so its first component
-    with magnitude above ``zero_tol`` is real and positive.  A real symmetric
+    with magnitude above ``_PHASE_PIVOT_TOL`` is real and positive.  A real symmetric
     ``matrix`` has real eigenvectors, and the rescaling is a sign flip.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    pivots = vecs[np.argmax(np.abs(vecs) > zero_tol, axis=0), np.arange(vecs.shape[1])]
+    pivots = vecs[np.argmax(np.abs(vecs) > _PHASE_PIVOT_TOL, axis=0), np.arange(vecs.shape[1])]
     size = np.abs(pivots)
-    found = size > zero_tol  # a column with no component above zero_tol keeps its phase
+    found = size > _PHASE_PIVOT_TOL  # a column with no such component keeps its phase
     scale = np.ones_like(pivots)
     scale[found] = pivots[found].conj() / size[found]
     return vals, vecs * scale

@@ -28,13 +28,10 @@ _OPTIONAL_OBJECTS = {"dynamics.relative.potential": dynamics.PotentialSpec.from_
 
 # Config keys whose number must be positive.
 _POSITIVE_NUMBERS = {
-    "axioms.hbar",
     "axioms.grid_length",
-    "dynamics.hbar",
     "dynamics.relative.length",
     "dynamics.relative.well_width",
     "dynamics.evolution.t_final",
-    "epr.hbar",
     "epr.length",
     "epr.width",
 }
@@ -341,7 +338,6 @@ _AXIOMS_DEFAULTS = {
     "grid_masses": [1.0, 1.5],
     "grid_tolerance": 1e-6,
     "n_test_states": 20,
-    "hbar": 1.0,
 }
 
 
@@ -499,7 +495,6 @@ def _law_residuals(detail: dict) -> list[float]:
 
 def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_AXIOMS_DEFAULTS, config, "axioms")
-    hbar = float(cfg["hbar"])
     report = SuiteReport("axioms", seed=seed, config=cfg, tool_version=__version__)
     check = _checks(report, tolerance_scale)
     rng = np.random.default_rng(seed)
@@ -522,20 +517,20 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
           len(jacobi_failures))
 
     for j in cfg["spin_values"]:
-        rep = galilei.build_spin_rep(j, hbar=hbar)
+        rep = galilei.build_spin_rep(j)
         rep.validate()
         brackets = galilei.verify_rep(rep)
         check(f"spin-brackets-j{j:g}",
               "rotation brackets [J_i,J_j] = ihbar*eps_ijk*J_k and centrality of M",
               _law_residuals(brackets), "spin_tolerance", brackets)
         jv = float(j)
-        expected = hbar * hbar * jv * (jv + 1.0) * np.eye(rep.space.total_dim)
+        expected = jv * (jv + 1.0) * np.eye(rep.space.total_dim)
         check(f"spin-casimir-j{j:g}", "J^2 = hbar^2 j(j+1) * identity",
               np.max(np.abs(galilei.casimir_squared(rep) - expected)), "spin_tolerance")
 
     n_states = int(cfg["n_test_states"])
     rep_a, rep_b = (
-        galilei.build_grid_rep(int(cfg["grid_sites"]), float(cfg["grid_length"]), float(m), hbar)
+        galilei.build_grid_rep(int(cfg["grid_sites"]), float(cfg["grid_length"]), float(m))
         for m in cfg["grid_masses"]
     )
     rep_a.validate()
@@ -552,13 +547,13 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
           _law_residuals(pair), "grid_tolerance", pair)
 
     total = galilei.build_additive_rep(
-        [galilei.build_spin_rep(0.5, hbar=hbar, mass=m) for m in (1.0, 1.5)]
+        [galilei.build_spin_rep(0.5, mass=m) for m in (1.0, 1.5)]
     )
     check("additive-spin-mass", "total mass image is the sum of part masses",
           np.max(np.abs(total.image("M") - 2.5 * np.eye(4))), "spin_tolerance")
     j3_eigs = np.sort(np.linalg.eigvalsh(total.image("J3")))
     check("additive-spin-j3-spectrum", "two spin-1/2 parts: total J3 spectrum {-hbar, 0, 0, +hbar}",
-          np.max(np.abs(j3_eigs - hbar * np.array([-1.0, 0.0, 0.0, 1.0]))), "spin_tolerance")
+          np.max(np.abs(j3_eigs - np.array([-1.0, 0.0, 0.0, 1.0]))), "spin_tolerance")
     return report
 
 
@@ -679,7 +674,6 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
 # --------------------------------------------------------------------------
 
 _DYNAMICS_DEFAULTS = {
-    "hbar": 1.0,
     "relative": {
         "n_sites": 64,
         "length": 16.0,
@@ -725,7 +719,6 @@ def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, 
 
 def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_DYNAMICS_DEFAULTS, config, "dynamics")
-    hbar = float(cfg["hbar"])
     report = SuiteReport("dynamics", seed=seed, config=cfg, tool_version=__version__)
     check = _checks(report, tolerance_scale)
     rng = np.random.default_rng(seed)
@@ -742,17 +735,17 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
             float(rel["v2_scale"]),
             float(rel["v3_scale"]),
         )
-    h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot, hbar)
+    h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot)
     check("hamiltonian-hermiticity", "kinetic + central + spin-spin Hamiltonian is hermitian",
           np.max(np.abs(h.entries - h.entries.conj().T)), "hermiticity_tolerance")
 
     # The spin operators that the Hamiltonian's spin-spin terms are built from.
-    dot, tensor = dynamics.spin_pair_operators(hbar)
+    dot, tensor = dynamics.spin_pair_operators()
     eigs = np.sort(np.linalg.eigvalsh(dot))
     check("singlet-triplet-split", "s1.s2 spectrum: -3 hbar^2/4 once, +hbar^2/4 threefold",
-          np.max(np.abs(eigs - (hbar ** 2) * np.array([-0.75, 0.25, 0.25, 0.25]))),
+          np.max(np.abs(eigs - np.array([-0.75, 0.25, 0.25, 0.25]))),
           "spin_spectrum_tolerance")
-    sx, sy, sz = (0.5 * hbar * m for m in pauli_matrices())
+    sx, sy, sz = (0.5 * m for m in pauli_matrices())
     oracle_dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     oracle = np.sort(np.linalg.eigvalsh(3.0 * np.kron(sz, sz) - oracle_dot))
     check("tensor-term-spectrum", "3(s1.n)(s2.n) - s1.s2 spectrum matches the explicit 4x4 oracle",
@@ -763,7 +756,7 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     dim = h.space.total_dim
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi0 = StateVector(h.space, raw).normalized()
-    result = dynamics.evolve(psi0, h, float(evo["t_final"]), int(evo["n_steps"]), hbar)
+    result = dynamics.evolve(psi0, h, float(evo["t_final"]), int(evo["n_steps"]))
     check("evolution-norm-drift", "spectral propagation keeps the norm constant",
           result.norm_drift, "norm_drift_tolerance",
           {"times": result.times, "norms": result.norms, "energies": result.energies})
@@ -773,7 +766,7 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     weak = cfg["weak_coupling"]
     weak_grid = GridSpec(int(weak["n_sites"]), length)
     coupling = dynamics.weak_coupling_check(
-        weak_grid, weak["masses"], pot, [float(v) for v in weak["lambdas"]], hbar, seed=seed
+        weak_grid, weak["masses"], pot, [float(v) for v in weak["lambdas"]], seed=seed
     )
     check("weak-coupling-zero",
           "at zero coupling the product Hamiltonian acts on seeded vectors as the "
@@ -783,14 +776,14 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
           coupling["linearity_spread"], "linearity_tolerance")
 
     check("exchange-symmetry", "[H, U_swap] vanishes for identical bodies",
-          dynamics.exchange_symmetry_residual(weak_grid, 1.0, pot, hbar, seed),
+          dynamics.exchange_symmetry_residual(weak_grid, 1.0, pot, seed),
           "exchange_tolerance")
 
     mom = cfg["momentum"]
     check("momentum-conservation",
           "[H, P_total] vanishes on masked states for separation-only potentials",
           dynamics.momentum_conservation_residual(
-              GridSpec(int(mom["n_sites"]), length), mom["masses"], pot, hbar, seed=seed
+              GridSpec(int(mom["n_sites"]), length), mom["masses"], pot, seed=seed
           ),
           "momentum_tolerance")
     return report
@@ -901,7 +894,6 @@ _EPR_DEFAULTS = {
     "width": 0.25,
     "wide_width": 0.5,
     "n_inference": 10,
-    "hbar": 1.0,
     "norm_tolerance": 1e-10,
     "mean_tolerance": 1e-6,
     "commutator_tolerance": 1e-10,
@@ -913,29 +905,27 @@ _EPR_DEFAULTS = {
 def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
     cfg = _merge(_EPR_DEFAULTS, config, "epr")
     n_inference = int(cfg["n_inference"])
-    hbar = float(cfg["hbar"])
     report = SuiteReport("epr", seed=seed, config=cfg, tool_version=__version__)
     check = _checks(report, tolerance_scale)
     rng = np.random.default_rng(seed)
     length = float(cfg["length"])
-    momentum = float(cfg["momentum_mode"]) * 4.0 * math.pi * hbar / length
     pair_cfg = epr_bell.EPRConfig(
         n_sites=int(cfg["n_sites"]),
         length=length,
         separation=float(cfg["separation"]),
-        total_momentum=momentum,
+        momentum_mode=int(cfg["momentum_mode"]),
         width=float(cfg["width"]),
     )
-    psi = epr_bell.build_epr_state(pair_cfg, hbar)
+    psi = epr_bell.build_epr_state(pair_cfg)
     check("state-normalized", "the regularized pair state is a unit vector",
           abs(psi.norm() - 1.0), "norm_tolerance")
 
-    sharp = epr_bell.commuting_pair_check(psi, pair_cfg, hbar)
+    sharp = epr_bell.commuting_pair_check(psi, pair_cfg)
     check("mean-separation", "the relative position averages to the configured separation",
           abs(sharp.mean_relative_position - pair_cfg.separation), "mean_tolerance",
           asdict(sharp))
     check("mean-total-momentum", "the total momentum averages to the configured (snapped) value",
-          abs(sharp.mean_total_momentum - pair_cfg.snapped_momentum(hbar)), "mean_tolerance")
+          abs(sharp.mean_total_momentum - pair_cfg.total_momentum), "mean_tolerance")
     check("commuting-pair", "relative position and total momentum commute on the pair state",
           sharp.commutator_state_residual, "commutator_tolerance")
     check("shift-commutator", "relative position commutes exactly with simultaneous translation",
@@ -950,7 +940,7 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
           sharp.var_total_momentum, 1e-20)
     wide_cfg = replace(pair_cfg, width=float(cfg["wide_width"]))
     *_, wide_var_relative_momentum = epr_bell.momentum_moments(
-        epr_bell.build_epr_state(wide_cfg, hbar), wide_cfg, hbar
+        epr_bell.build_epr_state(wide_cfg), wide_cfg
     )
     check("momentum-narrowing",
           "a wider separation envelope narrows the conjugate relative-momentum "
@@ -959,8 +949,8 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
           detail={
               "var_relative_momentum_narrow_envelope": sharp.var_relative_momentum,
               "var_relative_momentum_wide_envelope": wide_var_relative_momentum,
-              "reciprocal_prediction_narrow": hbar ** 2 / (4.0 * pair_cfg.width ** 2),
-              "reciprocal_prediction_wide": hbar ** 2 / (4.0 * wide_cfg.width ** 2),
+              "reciprocal_prediction_narrow": 1.0 / (4.0 * pair_cfg.width ** 2),
+              "reciprocal_prediction_wide": 1.0 / (4.0 * wide_cfg.width ** 2),
           })
 
     spacing = pair_cfg.grid.spacing
@@ -970,7 +960,7 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
         a = float(rng.uniform(-length / 4.0, length / 4.0))
         x1 = float(rng.uniform(-length / 8.0, length / 8.0))
         case = replace(pair_cfg, separation=a)
-        conditional = epr_bell.conditional_inference(case, x1, hbar)
+        conditional = epr_bell.conditional_inference(case, x1)
         target = float(wrap_displacement(np.array([x1 - a]), length)[0])
         mode_errors.append(abs(wrap_displacement(np.array([conditional.mode - target]), length)[0]))
         width_errors.append(abs(conditional.width - case.width) / case.width)
@@ -1024,8 +1014,6 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
     check("chsh-rotation-invariance", "a common analyzer offset leaves S unchanged",
           [abs(epr_bell.chsh_quantum(r) - s_quantum) for r in rotated], "quantum_tolerance")
 
-    a, ap, b, bp = settings.as_tuple()
-    pairs = ((a, b), (a, bp), (ap, b), (ap, bp))  # the four terms of S, in chsh_lhv's order
     trial_settings = [settings, optimal]
     for _ in range(int(cfg["n_random_settings"])):
         trial_settings.append(
@@ -1046,7 +1034,8 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         # A correlation lies in [-1, 1], which an arc sum can round past; its
         # binomial standard error is zero only at +-1, where any sampled
         # difference is a failure.
-        exact = np.clip([epr_bell.correlation_lhv_exact(model, *pair) for pair in pairs], -1.0, 1.0)
+        exact = np.clip([epr_bell.correlation_lhv_exact(model, *pair) for pair in settings.terms()],
+                        -1.0, 1.0)
         deviation = np.abs(np.array(estimate.correlations) - exact)
         spread = np.sqrt((1.0 - exact ** 2) / estimate.n_samples)
         z_scores = np.divide(deviation, spread, out=np.where(deviation > 0.0, np.inf, 0.0),
@@ -1098,8 +1087,21 @@ def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_sc
     return runner(config, seed=seed, tolerance_scale=tolerance_scale)
 
 
+def _check_sections(config) -> None:
+    """Raise ValueError unless ``config`` is a JSON object of suite sections,
+    each a JSON object."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    for name, section in config.items():
+        if name not in SUITE_RUNNERS:
+            raise ValueError(f"unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ValueError(f"section {name!r} must be a JSON object")
+
+
 def run_all(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> list[SuiteReport]:
-    config = config or {}
+    config = {} if config is None else config
+    _check_sections(config)
     # Every section is merged, and so validated, before any suite runs.  A
     # runner merges its merged section again, which returns an equal dict.
     sections = {name: _merge(_DEFAULTS[name], config.get(name), name) for name in SUITE_RUNNERS}

@@ -27,6 +27,10 @@ __all__ = [
     "projector_rank",
 ]
 
+# An eigenvalue of an (approximate) orthogonal projector counts towards its
+# rank above this midpoint between 0 and 1.
+_RANK_THRESHOLD = 0.5
+
 
 def _permutation_rows(images, dims: tuple[int, ...]) -> np.ndarray:
     """Row index of the single 1 in each column of each permutation operator.
@@ -136,6 +140,6 @@ def count_antisymmetric_basis(n: int, d: int) -> int:
     return sum(1 for _ in itertools.combinations(range(d), n))
 
 
-def projector_rank(projector: np.ndarray, threshold: float = 0.5) -> int:
+def projector_rank(projector: np.ndarray) -> int:
     """Rank of an (approximate) orthogonal projector by eigenvalue count."""
-    return int(np.sum(np.linalg.eigvalsh(projector) > threshold))
+    return int(np.sum(np.linalg.eigvalsh(projector) > _RANK_THRESHOLD))

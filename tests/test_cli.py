@@ -302,7 +302,7 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc, path",
     [
-        ({"epr": {"hbar": 0}}, "epr.hbar must be positive"),
+        ({"epr": {"hbar": 1.0}}, "epr.hbar"),
         ({"bell": {"n_sample": 9}}, "bell.n_sample"),
         ({"symmetry": {"n_random": 10 ** 300}}, "symmetry.n_random must be at most 1000"),
         ({"bell": {"models": []}}, "bell.models must not be empty"),
@@ -414,10 +414,10 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("epr", {"epr": {"length": 10 ** 400}}, "epr.length must be finite"),
         ("epr", {"epr": {"n_sites": -(10 ** 400)}}, "epr.n_sites must be finite"),
         ("axioms", {"axioms": {"grid_masses": [1.0, 10 ** 400]}}, "axioms.grid_masses[1] must be"),
-        ("axioms", {"axioms": {"hbar": 0}}, "axioms.hbar must be positive"),
-        ("dynamics", {"dynamics": {"hbar": 0}}, "dynamics.hbar must be positive"),
-        ("epr", {"epr": {"hbar": -1.0}}, "epr.hbar must be positive"),
-        ("all", {"axioms": {"hbar": 0.0}}, "axioms.hbar must be positive"),
+        ("axioms", {"axioms": {"hbar": 1.0}}, "axioms.hbar"),
+        ("dynamics", {"dynamics": {"hbar": 1.0}}, "dynamics.hbar"),
+        ("epr", {"epr": {"hbar": 1.0}}, "epr.hbar"),
+        ("all", {"axioms": {"hbar": 1.0}}, "axioms.hbar"),
         ("bell", {"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
         ("bell", {"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
         ("bell", {"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
@@ -477,7 +477,7 @@ def _draw_path(draw, keep):
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
     kind = draw(st.sampled_from(
-        ["unknown", "mistyped", "non-finite", "overflow", "hbar", "negative", "count"]
+        ["unknown", "mistyped", "non-finite", "overflow", "positive", "negative", "count"]
     ))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
@@ -495,7 +495,7 @@ def invalid_sections(draw):
     elif kind == "overflow":
         suite, where, _ = _draw_path(draw, lambda d: type(d) in (int, float))
         value = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 400))
-    elif kind == "hbar":
+    elif kind == "positive":
         where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))

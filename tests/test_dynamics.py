@@ -53,10 +53,10 @@ class TestTables:
         assert pot.v1 is None and pot.v3 is None
 
 
-def spin_hamiltonian(v2=0.0, v3=0.0, hbar=1.0):
+def spin_hamiltonian(v2=0.0, v3=0.0):
     """The spin-spin interaction of constant couplings v2 and v3, from the
     operators that build the relative Hamiltonian's spin blocks."""
-    dot, tensor = spin_pair_operators(hbar)
+    dot, tensor = spin_pair_operators()
     return v2 * dot + v3 * tensor
 
 
@@ -80,7 +80,7 @@ class TestBuild:
         # The spinless momentum check reads the central potential only.
         pot = gaussian_well()
         residuals = [
-            momentum_conservation_residual(GRID, (1.0, 1.5), p, n_states=3, seed=1).tolist()
+            momentum_conservation_residual(GRID, (1.0, 1.5), p, seed=1).tolist()
             for p in (pot, PotentialSpec(v=pot.v))
         ]
         assert residuals[0] == residuals[1]
@@ -115,7 +115,7 @@ class TestBuild:
 
     def test_product_hamiltonian_hermitian(self):
         eye = np.eye(16 * 16 * 4, dtype=np.complex128)
-        h = dynamics._apply_product_hamiltonian(SMALL, (1.0, 1.5), gaussian_well(), 1.0, eye)
+        h = dynamics._apply_product_hamiltonian(SMALL, (1.0, 1.5), gaussian_well(), eye)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
@@ -161,8 +161,8 @@ class TestWeakCoupling:
     def test_perturbed_free_part_fails_zero_coupling(self, spin_terms, monkeypatch):
         apply = dynamics._apply_product_hamiltonian
 
-        def perturbed(grid, masses, pot, hbar, vectors):
-            out = apply(grid, masses, pot, hbar, vectors)
+        def perturbed(grid, masses, pot, vectors):
+            out = apply(grid, masses, pot, vectors)
             out.reshape(-1, 4)[5] += 1e-8 * vectors.reshape(-1, 4)[3]  # H[5, 3] += 1e-8
             return out
 
@@ -213,9 +213,10 @@ def test_momentum_conservation_matches_explicit_product_oracle():
 
     mask = galilei.build_grid_rep(32, 16.0, 1.0).mask
     rng = np.random.default_rng(5)
-    sa, sb = mask.random_states(4, rng), mask.random_states(4, rng)
+    n_states = dynamics._MOMENTUM_STATES
+    sa, sb = mask.random_states(n_states, rng), mask.random_states(n_states, rng)
     expected = []
-    for col in range(4):
+    for col in range(n_states):
         psi = np.outer(sa[:, col], sb[:, col])
         hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
         scale = max(np.linalg.norm(hp), np.linalg.norm(ph))
@@ -223,19 +224,19 @@ def test_momentum_conservation_matches_explicit_product_oracle():
     assert min(expected) > 0.0
     # The FFT form and the dense products differ by roundoff only.
     np.testing.assert_allclose(
-        momentum_conservation_residual(grid, (1.0, 1.5), pot, n_states=4, seed=5),
+        momentum_conservation_residual(grid, (1.0, 1.5), pot, seed=5),
         expected, rtol=0.0, atol=1e-13,
     )
 
 
-def kron_product_parts(grid, masses, pot, hbar=1.0):
+def kron_product_parts(grid, masses, pot):
     """Oracle: the product-space parts built from dense Kronecker products."""
     eye_n = np.eye(grid.n_sites, dtype=np.complex128)
-    t1 = grids.kinetic_operator(grid, masses[0], hbar)
-    t2 = grids.kinetic_operator(grid, masses[1], hbar)
+    t1 = grids.kinetic_operator(grid, masses[0])
+    t2 = grids.kinetic_operator(grid, masses[1])
     x = grids.position_values(grid)
     dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length).reshape(-1)
-    dot, tensor = dynamics.spin_pair_operators(hbar)
+    dot, tensor = dynamics.spin_pair_operators()
     eye_spin = np.eye(4, dtype=np.complex128)
     kinetic = np.kron(np.kron(t1, eye_n) + np.kron(eye_n, t2), eye_spin)
     interaction = (
@@ -259,15 +260,15 @@ def test_product_parts_match_kron_oracle(spin_terms):
         grid = GridSpec(n_sites, 16.0)
         vectors = dynamics._seeded_vectors(grid, 4).reshape(-1, 4)
         expected = sum(kron_product_parts(grid, (1.0, 1.3), pot)) @ vectors
-        actual = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pot, 1.0, vectors)
+        actual = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pot, vectors)
         assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def asymmetric_spin_pair_operators(hbar=1.0):
+def asymmetric_spin_pair_operators():
     """s1.s2 and a tensor term built from s1z alone, which the swap does not fix."""
-    dot, _ = spin_pair_operators(hbar)
-    sz = 0.5 * hbar * np.diag([1.0, -1.0])
-    return dot, 3.0 * np.kron(sz, 0.5 * hbar * np.eye(2)) - dot
+    dot, _ = spin_pair_operators()
+    sz = 0.5 * np.diag([1.0, -1.0])
+    return dot, 3.0 * np.kron(sz, 0.5 * np.eye(2)) - dot
 
 
 @pytest.mark.parametrize("n_sites", [8, 12])

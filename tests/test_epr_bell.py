@@ -2,11 +2,12 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qsystems import grids
+from qsystems import epr_bell, grids
 from qsystems.epr_bell import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -77,10 +78,15 @@ class TestEPRConfig:
             EPRConfig(separation=9.0)
 
     def test_momentum_snapping(self):
-        cfg = EPRConfig(total_momentum=2.3)
-        unit = 4.0 * math.pi / 16.0
-        assert cfg.snapped_momentum() == pytest.approx(unit * round(2.3 / unit))
-        assert EPRConfig(total_momentum=0.0).snapped_momentum() == 0.0
+        # The total momentum is momentum_mode steps of 4 pi / L: bit for bit
+        # the mode's float momentum snapped back onto that lattice.
+        for length in (8.0, 13.7, 16.0, 32.0):
+            unit = 4.0 * math.pi / length
+            cfg = EPRConfig(length=length)
+            for mode in range(-5000, 5001):
+                snapped = unit * round(float(mode) * 4.0 * math.pi / length / unit)
+                assert replace(cfg, momentum_mode=mode).total_momentum == snapped
+        assert EPRConfig().total_momentum == 0.0
 
 
 class TestEPRState:
@@ -89,7 +95,7 @@ class TestEPRState:
         assert abs(psi.norm() - 1.0) <= 1e-10
 
     def test_zero_separation_concentrates_on_diagonal(self):
-        cfg = EPRConfig(separation=0.0, total_momentum=0.0)
+        cfg = EPRConfig(separation=0.0, momentum_mode=0)
         grid = build_epr_state(cfg).amplitudes.reshape(cfg.n_sites, cfg.n_sites)
         prob = np.abs(grid) ** 2
         diag_mass = np.trace(prob)
@@ -99,13 +105,13 @@ class TestEPRState:
 
     def test_mean_separation_and_momentum(self):
         p = 3 * 4.0 * math.pi / 16.0
-        cfg = EPRConfig(separation=1.0, total_momentum=p)
+        cfg = EPRConfig(separation=1.0, momentum_mode=3)
         rep = commuting_pair_check(build_epr_state(cfg), cfg)
         assert rep.mean_relative_position == pytest.approx(1.0, abs=1e-9)
         assert rep.mean_total_momentum == pytest.approx(p, abs=1e-9)
 
     def test_translation_invariance_at_zero_momentum(self):
-        cfg = EPRConfig(total_momentum=0.0)
+        cfg = EPRConfig(momentum_mode=0)
         grid = build_epr_state(cfg).amplitudes.reshape(cfg.n_sites, cfg.n_sites)
         shifted = np.roll(grid, 1, axis=(0, 1))
         overlap = abs(np.vdot(grid.reshape(-1), shifted.reshape(-1)))
@@ -158,7 +164,7 @@ def test_commuting_pair_simultaneously_sharp_dense():
     # level; the pair state is a momentum eigenvector at that resolution.
     mean_p, residual_p = mean_and_residual(p_op)
     assert residual_p <= 1e-6
-    assert mean_p == pytest.approx(cfg.snapped_momentum(), abs=1e-9)
+    assert mean_p == pytest.approx(cfg.total_momentum, abs=1e-9)
     mean_x, residual_x = mean_and_residual(xrel)
     assert residual_x <= cfg.width
     assert mean_x == pytest.approx(cfg.separation, abs=cfg.width)
@@ -171,7 +177,6 @@ class TestConditionalInference:
         cfg = EPRConfig(separation=1.0)
         result = conditional_inference(cfg, measured_x1=0.3)
         assert abs(result.mode - (-0.7)) <= cfg.grid.spacing
-        assert not result.negligible
 
     def test_zero_separation_mode_tracks_measurement(self):
         cfg = EPRConfig(separation=0.0)
@@ -195,29 +200,27 @@ class TestConditionalInference:
 
 # Oracle: the dense builder that the factored one replaced, which evaluates
 # the wrapped envelope and the phase at every (x1, x2).
-def oracle_epr_grid(cfg, hbar=1.0):
+def oracle_epr_grid(cfg):
     x = grids.position_values(cfg.grid)
     diff = grids.wrap_displacement(x[:, None] - x[None, :] - cfg.separation, cfg.length)
     envelope = np.exp(-(diff ** 2) / (4.0 * cfg.width ** 2))
-    phase = np.exp(1j * cfg.snapped_momentum(hbar) * (x[:, None] + x[None, :]) / (2.0 * hbar))
+    phase = np.exp(1j * cfg.total_momentum * (x[:, None] + x[None, :]) / 2.0)
     psi = envelope * phase
     return psi / np.linalg.norm(psi)
 
 
-def oracle_conditional(cfg, measured_x1, weight_floor=1e-12):
-    """(probabilities, mode, width, slice_weight, negligible) from the row of
-    the dense state nearest ``measured_x1``."""
+def oracle_conditional(cfg, measured_x1):
+    """(probabilities, mode, width, slice weight) from the row of the dense
+    state nearest ``measured_x1``."""
     x = grids.position_values(cfg.grid)
     row = int(np.argmin(np.abs(x - measured_x1)))
     prob = np.abs(oracle_epr_grid(cfg)[row, :]) ** 2
     weight = float(prob.sum())
-    negligible = weight < weight_floor
-    if not negligible:
-        prob = prob / weight
+    prob = prob / weight
     mode = float(x[int(np.argmax(prob))])
     deviations = grids.wrap_displacement(x - mode, cfg.length)
-    width = float("nan") if negligible else float(np.sqrt(np.sum(prob * deviations ** 2)))
-    return prob, mode, width, weight, negligible
+    width = float(np.sqrt(np.sum(prob * deviations ** 2)))
+    return prob, mode, width, weight
 
 
 def _oracle_config(n, separation, mode):
@@ -228,7 +231,7 @@ def _oracle_config(n, separation, mode):
         n_sites=n,
         length=length,
         separation=separation,
-        total_momentum=mode * 4.0 * math.pi / length,
+        momentum_mode=mode,
         width=max(0.25, 2.0 * length / n),
     )
 
@@ -251,25 +254,13 @@ def test_conditional_row_matches_the_dense_oracle(n, separation, mode):
     cfg = _oracle_config(n, separation, mode)
     for x1 in (-7.5, -0.3, 2.6, 7.9):
         result = conditional_inference(cfg, x1)
-        prob, mode_x2, width, weight, negligible = oracle_conditional(cfg, x1)
+        prob, mode_x2, width, weight = oracle_conditional(cfg, x1)
         assert result.mode == mode_x2
         assert result.width == pytest.approx(width, rel=1e-12)
-        assert result.slice_weight == pytest.approx(weight, rel=1e-12)
-        assert not result.negligible and not negligible
+        # Every row of the circulant carries 1/n of the probability, so no
+        # slice is negligible.
+        assert weight == pytest.approx(1.0 / n, rel=1e-12)
         np.testing.assert_allclose(result.probabilities, prob, rtol=0, atol=1e-15)
-
-
-def test_conditional_negligible_slice_matches_the_dense_oracle():
-    # Every row of the circulant carries 1/n of the probability, so a floor
-    # of 1 makes any slice negligible.
-    cfg = _oracle_config(64, 1.3, 3)
-    result = conditional_inference(cfg, 0.4, weight_floor=1.0)
-    prob, mode_x2, width, weight, negligible = oracle_conditional(cfg, 0.4, weight_floor=1.0)
-    assert result.negligible and negligible
-    assert result.mode == mode_x2
-    assert math.isnan(result.width) and math.isnan(width)
-    assert result.slice_weight == pytest.approx(weight, rel=1e-12)
-    np.testing.assert_allclose(result.probabilities, prob, rtol=0, atol=1e-15)
 
 
 class TestQuantumCHSH:
@@ -314,6 +305,24 @@ class TestQuantumCHSH:
         for delta in (0.3, 1.1, 4.5):
             shifted = CHSHSettings(*(angle + delta for angle in OPTIMAL.as_tuple()))
             assert chsh_quantum(shifted) == pytest.approx(base, abs=1e-10)
+
+
+def test_chsh_terms_combine_as_the_written_out_sum_bit_for_bit():
+    # S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), spelled out as the quantum
+    # and the exact local values once were, and as sum(sign * E).
+    rng = np.random.default_rng(0)
+    model = sign_cosine_model()
+    for angles in rng.uniform(0.0, 2.0 * math.pi, size=(50, 4)).tolist():
+        a, ap, b, bp = angles
+        settings = CHSHSettings(*angles)
+        assert settings.terms() == ((a, b), (a, bp), (ap, b), (ap, bp))
+        e = correlation_quantum
+        assert chsh_quantum(settings) == e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
+        e = partial(correlation_lhv_exact, model)
+        assert chsh_lhv_exact(model, settings) == e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
+    draws = rng.uniform(-1.0, 1.0, size=(100_000, 4))
+    signed = sum(sign * column for sign, column in zip((1.0, -1.0, 1.0, 1.0), draws.T))
+    np.testing.assert_array_equal(epr_bell._chsh_sum(draws.T), signed)
 
 
 class TestLHVModels:
@@ -512,9 +521,9 @@ def test_epr_suite_builds_each_pair_state_once(monkeypatch):
     builds = []
     original = epr_bell.build_epr_state
 
-    def counted(cfg, hbar=1.0):
+    def counted(cfg):
         builds.append(cfg.width)
-        return original(cfg, hbar)
+        return original(cfg)
 
     monkeypatch.setattr(epr_bell, "build_epr_state", counted)
     report = suites.run_epr({"n_sites": 128, "n_inference": 3})
@@ -538,16 +547,17 @@ def test_epr_suite_runs_one_pair_check_and_reads_only_the_wide_moments(monkeypat
     checked = []
     original = epr_bell.commuting_pair_check
 
-    def counted(psi, cfg, hbar=1.0):
+    def counted(psi, cfg):
         checked.append(cfg.width)
-        return original(psi, cfg, hbar)
+        return original(psi, cfg)
 
     monkeypatch.setattr(epr_bell, "commuting_pair_check", counted)
     report = suites.run_epr({"n_sites": 128, "n_inference": 2})
     defaults = suites._EPR_DEFAULTS
     assert checked == [defaults["width"]]
-    momentum = defaults["momentum_mode"] * 4.0 * math.pi / defaults["length"]
-    wide_cfg = EPRConfig(n_sites=128, width=defaults["wide_width"], total_momentum=momentum)
+    wide_cfg = EPRConfig(
+        n_sites=128, width=defaults["wide_width"], momentum_mode=defaults["momentum_mode"]
+    )
     wide = original(build_epr_state(wide_cfg), wide_cfg)
     narrowing = next(c for c in report.checks if c.check_id == "momentum-narrowing")
     assert narrowing.detail["var_relative_momentum_wide_envelope"] == wide.var_relative_momentum

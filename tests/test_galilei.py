@@ -112,10 +112,10 @@ class TestSpinReps:
         assert np.max(np.abs(comm - 1j * rep.image("J3"))) <= 1e-15
 
     def test_spin_one_j3_spectrum(self):
-        rep = build_spin_rep(1.0, hbar=2.0)
+        rep = build_spin_rep(1.0)
         # explicit 3x3 eigensolve oracle
         eigs = np.sort(np.linalg.eigvalsh(rep.image("J3")))
-        assert np.allclose(eigs, [-2.0, 0.0, 2.0], atol=1e-12)
+        assert np.allclose(eigs, [-1.0, 0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
     def test_casimir_scalar(self, j):
@@ -208,10 +208,6 @@ class TestAdditive:
         with pytest.raises(ValueError):
             build_additive_rep([big, big])
 
-    def test_hbar_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_additive_rep([build_spin_rep(0.5, hbar=1.0), build_spin_rep(0.5, hbar=2.0)])
-
     def test_small_grid_pair_dense_agrees_with_matrix_free(self):
         # A 32-site grid is too coarse for tight bracket tolerances, but the
         # dense composite and the leg-by-leg application must agree exactly.
@@ -248,7 +244,7 @@ class TestAdditive:
 
 def unmemoized_pair_residuals(part_a, part_b, n_states, seed):
     """Oracle: every leg applied as a dense matmul, each product recomputed."""
-    hbar, m_a, m_b = part_a.hbar, part_a.mass, part_b.mass
+    m_a, m_b = part_a.mass, part_b.mass
     rng = np.random.default_rng(seed)
     states_a = part_a.mask.random_states(n_states, rng)
     states_b = part_b.mask.random_states(n_states, rng)
@@ -287,17 +283,17 @@ def unmemoized_pair_residuals(part_a, part_b, n_states, seed):
         psi = np.outer(states_a[:, col], states_b[:, col])
         p, k, h = total("P"), total("K"), total("H")
         found = [
-            bracket("[K,P] = ihbar*M (totals)", comm(k, p, psi), 1j * hbar * (m_a + m_b) * psi),
-            bracket("[K,H] = ihbar*P (totals)", comm(k, h, psi), 1j * hbar * p(psi)),
+            bracket("[K,P] = ihbar*M (totals)", comm(k, p, psi), 1j * (m_a + m_b) * psi),
+            bracket("[K,H] = ihbar*P (totals)", comm(k, h, psi), 1j * p(psi)),
             ("[P,H] = 0 (totals)", rel(comm(p, h, psi), p(h(psi)))),
         ]
         for tag, m_r in (("a", m_a), ("b", m_b)):
             x_r, p_r = part_op(tag, "X"), part_op(tag, "P")
             found += [
-                bracket("[P_total, X_part] = -ihbar", comm(p, x_r, psi), -1j * hbar * psi),
+                bracket("[P_total, X_part] = -ihbar", comm(p, x_r, psi), -1j * psi),
                 ("[P_total, P_part] = 0", rel(comm(p, p_r, psi), p(p_r(psi)))),
                 ("[K_total, X_part] = 0", rel(comm(k, x_r, psi), k(x_r(psi)))),
-                bracket("[K_total, P_part] = ihbar*m_part", comm(k, p_r, psi), 1j * hbar * m_r * psi),
+                bracket("[K_total, P_part] = ihbar*m_part", comm(k, p_r, psi), 1j * m_r * psi),
             ]
         found.append(bracket("M_total = (m_a + m_b)*identity", total("M")(psi), (m_a + m_b) * psi))
         k_a, p_b = part_op("a", "K"), part_op("b", "P")
@@ -339,7 +335,7 @@ def test_rep_rejects_labels_outside_or_out_of_order():
     for labels in (("J1", "J2", "J3", "Q"), ("J2", "J1", "J3", "M"), ("M", "J1", "J2", "J3")):
         images = dict(zip(labels, rep.images.values()))
         with pytest.raises(ValueError, match="order"):
-            galilei.AlgebraRep(space=rep.space, images=images, hbar=1.0, mass=1.0)
+            galilei.AlgebraRep(space=rep.space, images=images, mass=1.0)
 
 
 def test_reps_hold_only_asserted_images():

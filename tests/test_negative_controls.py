@@ -40,7 +40,6 @@ EIGH = dynamics.eigh_phase_fixed
 PROJECTORS = symmetry.build_projectors
 PERMUTATION_OPERATOR = symmetry.permutation_operator
 PERMUTATION_ROWS = symmetry._permutation_rows
-PROJECTOR_RANK = symmetry.projector_rank
 ANTISYMMETRIC_COUNT = symmetry.count_antisymmetric_basis
 ADDITIVE_REP = galilei.build_additive_rep
 SPIN_REP = galilei.build_spin_rep
@@ -52,7 +51,7 @@ SIGN_COSINE = epr_bell.sign_cosine_model
 EPR_FACTORS = epr_bell._epr_factors
 EPR_STATE = epr_bell.build_epr_state
 CONDITIONAL = epr_bell.conditional_inference
-SNAPPED = epr_bell.EPRConfig.snapped_momentum
+TOTAL_MOMENTUM = epr_bell.EPRConfig.total_momentum
 
 SMALL_AXIOMS = {"grid_sites": 64, "n_test_states": 4, "atom_pool": ["a", "b", "c", "d"]}
 # At these angles the four A-B angle differences do not cancel in S, so a jump
@@ -157,7 +156,7 @@ def leaky_antisymmetrizer(monkeypatch):
 
 def rank_counts_every_eigenvalue(monkeypatch):
     """The projector rank counts the zero eigenvalues too."""
-    monkeypatch.setattr(symmetry, "projector_rank", lambda op: PROJECTOR_RANK(op, threshold=-0.5))
+    monkeypatch.setattr(symmetry, "_RANK_THRESHOLD", -0.5)
 
 
 def inverse_image_permutation_operator(monkeypatch):
@@ -214,27 +213,25 @@ def nonlinear_sample(monkeypatch):
 def wrong_second_mass(monkeypatch):
     """The product-space Hamiltonian takes body 2's mass 10% too large."""
 
-    def apply(grid, masses, pot, hbar, vectors):
+    def apply(grid, masses, pot, vectors):
         m1, m2 = masses
-        return APPLY(grid, (m1, 1.1 * m2), pot, hbar, vectors)
+        return APPLY(grid, (m1, 1.1 * m2), pot, vectors)
 
     monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", apply)
 
 
 def _spin_pair_with(monkeypatch, change):
-    """spin_pair_operators returns ``change(dot, tensor, hbar)`` in place of
+    """spin_pair_operators returns ``change(dot, tensor)`` in place of
     (s1.s2, tensor term)."""
-    monkeypatch.setattr(
-        dynamics, "spin_pair_operators", lambda hbar=1.0: change(*SPIN_PAIR_OPERATORS(hbar), hbar)
-    )
+    monkeypatch.setattr(dynamics, "spin_pair_operators", lambda: change(*SPIN_PAIR_OPERATORS()))
 
 
 def asymmetric_tensor_term(monkeypatch):
     """The tensor term is built from s1z alone, which the swap does not fix."""
 
-    def change(dot, tensor, hbar):
-        sz = 0.5 * hbar * np.diag([1.0, -1.0])
-        return dot, 3.0 * np.kron(sz, 0.5 * hbar * np.eye(2)) - dot
+    def change(dot, tensor):
+        sz = 0.5 * np.diag([1.0, -1.0])
+        return dot, 3.0 * np.kron(sz, 0.5 * np.eye(2)) - dot
 
     _spin_pair_with(monkeypatch, change)
 
@@ -244,7 +241,7 @@ def unmirrored_tensor_entry(monkeypatch):
     the Hamiltonian's spin blocks are not hermitian.  Evolution's own guard,
     relative to the largest entry of H, still lets it run."""
 
-    def change(dot, tensor, hbar):
+    def change(dot, tensor):
         tensor = tensor.copy()
         tensor[0, 3] += 1e-10
         return dot, tensor
@@ -254,7 +251,7 @@ def unmirrored_tensor_entry(monkeypatch):
 
 def scaled_spin_dot(monkeypatch):
     """s1.s2 is 0.1% too large."""
-    _spin_pair_with(monkeypatch, lambda dot, tensor, hbar: (1.001 * dot, tensor))
+    _spin_pair_with(monkeypatch, lambda dot, tensor: (1.001 * dot, tensor))
 
 
 def damped_propagator(monkeypatch):
@@ -344,7 +341,7 @@ def _epr_factors_with(monkeypatch, change):
     """The pair state and the inference read ``change(envelope, phase, cfg)``
     in place of the envelope column and the phases."""
     monkeypatch.setattr(
-        epr_bell, "_epr_factors", lambda cfg, hbar=1.0: change(*EPR_FACTORS(cfg, hbar), cfg)
+        epr_bell, "_epr_factors", lambda cfg: change(*EPR_FACTORS(cfg), cfg)
     )
 
 
@@ -357,8 +354,8 @@ def _pushed_phase(phase, cfg, steps):
 def stale_normalization(monkeypatch):
     """The built pair state comes out 0.1% long, as if divided by a stale norm."""
 
-    def build(cfg, hbar=1.0):
-        psi = EPR_STATE(cfg, hbar)
+    def build(cfg):
+        psi = EPR_STATE(cfg)
         return replace(psi, amplitudes=1.001 * psi.amplitudes)
 
     monkeypatch.setattr(epr_bell, "build_epr_state", build)
@@ -398,16 +395,15 @@ def envelope_ten_percent_wide(monkeypatch):
     """The envelope is built at 1.1 times the configured width."""
     monkeypatch.setattr(
         epr_bell, "_epr_factors",
-        lambda cfg, hbar=1.0: EPR_FACTORS(replace(cfg, width=1.1 * cfg.width), hbar),
+        lambda cfg: EPR_FACTORS(replace(cfg, width=1.1 * cfg.width)),
     )
 
 
 def unsnapped_momentum(monkeypatch):
     """The total momentum sits 1e-3 off the reciprocal lattice, so the phase
     does not close around the box."""
-    monkeypatch.setattr(
-        epr_bell.EPRConfig, "snapped_momentum", lambda self, hbar=1.0: SNAPPED(self, hbar) + 1e-3
-    )
+    shifted = property(lambda self: TOTAL_MOMENTUM.fget(self) + 1e-3)
+    monkeypatch.setattr(epr_bell.EPRConfig, "total_momentum", shifted)
 
 
 def width_read_from_the_default(monkeypatch):
@@ -415,7 +411,7 @@ def width_read_from_the_default(monkeypatch):
     envelope is no wider."""
     monkeypatch.setattr(
         epr_bell, "build_epr_state",
-        lambda cfg, hbar=1.0: EPR_STATE(replace(cfg, width=epr_bell.EPRConfig.width), hbar),
+        lambda cfg: EPR_STATE(replace(cfg, width=epr_bell.EPRConfig.width)),
     )
 
 
@@ -423,7 +419,7 @@ def inference_of_the_mirrored_separation(monkeypatch):
     """The inference slices the state of separation -a."""
     monkeypatch.setattr(
         epr_bell, "conditional_inference",
-        lambda cfg, x1, hbar=1.0: CONDITIONAL(replace(cfg, separation=-cfg.separation), x1, hbar),
+        lambda cfg, x1: CONDITIONAL(replace(cfg, separation=-cfg.separation), x1),
     )
 
 

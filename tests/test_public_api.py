@@ -6,6 +6,11 @@ top-level statement that defines it.  Re-exports in ``__init__.py`` do not
 count as a use.  Likewise every public method and property of an exported
 class must be loaded as an attribute outside its own definition.  A name
 that only its own tests reach is dead API: delete it rather than export it.
+
+In the same spirit, every parameter with a default is passed, by keyword or
+by position, by some call in ``src/qsystems`` that names its function.  A
+default that no caller overrides is a setting with one value: make it a
+module constant.
 """
 
 import ast
@@ -13,8 +18,14 @@ from pathlib import Path
 
 import pytest
 
+from qsystems.suites import SUITE_RUNNERS
+
 PACKAGE = Path(__file__).parents[1] / "src" / "qsystems"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Functions that the package never calls by name: the suite runners, reached
+# through SUITE_RUNNERS, and the console entry point.
+DISPATCHED = {f"suites.{runner.__name__}" for runner in SUITE_RUNNERS.values()} | {"cli.main"}
 
 
 def _defined_names(stmt: ast.stmt) -> set[str]:
@@ -121,3 +132,85 @@ def test_self_reference_is_not_a_use(source, unused, tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(source, encoding="utf-8")
     assert _unused_exports([probe]) == unused
+
+
+def _functions(node: ast.AST, prefix: str = "", in_class: bool = False):
+    """(qualified name, definition, implicit leading arguments) of every
+    function below ``node``: a method's ``self`` or ``cls`` is implicit."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            yield prefix + child.name, child, int(in_class and not static)
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def _defaulted(fn: ast.FunctionDef, implicit: int):
+    """(call position or None, name) of each parameter of ``fn`` with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield i - implicit, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call: ast.Call, name: str, position: int | None, param: str) -> bool:
+    """Whether ``call`` names the function ``name`` and passes ``param``."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if called != name:
+        return False
+    unpacked = any(isinstance(a, ast.Starred) for a in call.args)
+    if unpacked or any(k.arg is None for k in call.keywords):
+        return True  # an unpacked argument list may pass anything
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg == param for k in call.keywords)
+
+
+def _unpassed_defaults(modules=MODULES, exempt=DISPATCHED) -> list[str]:
+    """``module.function(parameter)`` for every defaulted parameter that no
+    call naming its function passes."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unpassed = []
+    for path, tree in trees.items():
+        for qualname, fn, implicit in _functions(tree):
+            if f"{path.stem}.{qualname}" in exempt:
+                continue
+            for position, param in _defaulted(fn, implicit):
+                if not any(_passes(call, fn.name, position, param) for call in calls):
+                    unpassed.append(f"{path.stem}.{qualname}({param})")
+    return unpassed
+
+
+def test_every_default_is_passed_by_some_call_inside_the_package():
+    assert _unpassed_defaults() == []
+
+
+@pytest.mark.parametrize(
+    "source, unpassed",
+    [
+        ("def f(a, b=1):\n    return a\nf(0)\n", ["probe.f(b)"]),
+        ("def f(a, b=1):\n    return a\nf(0, 2)\n", []),
+        ("def f(a, b=1, *, c=2):\n    return a\nf(0, c=3)\nf(0, b=3)\n", []),
+        ("def f(a, *, c=2):\n    return a\nf(0)\n", ["probe.f(c)"]),
+        ("def f(a, b=1):\n    return a\nf(*[0, 2])\n", []),
+        ("def f(a=1):\n    return a\n", ["probe.f(a)"]),
+        ("def run(a=1):\n    return a\n", []),
+        ("class C:\n    def m(self, x=1):\n        return x\nC().m(2)\n", []),
+        ("class C:\n    def m(self, x=1, y=2):\n        return x\nC().m(2)\n", ["probe.C.m(y)"]),
+        ("def f():\n    def g(x=1):\n        return x\n    return g()\n", ["probe.f.g(x)"]),
+    ],
+    ids=["unpassed", "positional", "keyword", "keyword-only", "unpacked", "never-called",
+         "exempt", "method", "method-offset", "nested"],
+)
+def test_default_probe_counts_positional_keyword_and_method_calls(source, unpassed, tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(source, encoding="utf-8")
+    assert _unpassed_defaults([probe], exempt={"probe.run"}) == unpassed

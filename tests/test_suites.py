@@ -95,6 +95,25 @@ class TestMerge:
             suites._merge(DEFAULTS["axioms"], {"potential": {}}, "axioms")
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"axiom": {"grid_sites": 64}}, "unknown config section 'axiom'"),
+        ([1], "config must be a JSON object"),
+        ({"axioms": [1]}, "section 'axioms' must be a JSON object"),
+        ({"bell": None}, "section 'bell' must be a JSON object"),
+    ],
+)
+def test_run_all_rejects_a_bad_section_before_any_suite_runs(config, message, monkeypatch):
+    def runner(*args, **kwargs):
+        raise AssertionError("a suite ran on a config with a bad section")
+
+    for name in suites.SUITE_RUNNERS:
+        monkeypatch.setitem(suites.SUITE_RUNNERS, name, runner)
+    with pytest.raises(ValueError, match=message):
+        suites.run_all(config)
+
+
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
