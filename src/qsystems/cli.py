@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .epr_bell import SHIPPED_LHV_MODELS
 from .report import combined_report_dict, render_text
 from .suites import SUITE_RUNNERS, _check_sections, run_all, run_suite
 
@@ -31,6 +30,17 @@ def _tolerance_scale(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """The --seed value: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsystems",
@@ -44,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="write the report here")
         p.add_argument("--format", choices=("text", "json"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument(
             "--tolerance-scale",
             type=_tolerance_scale,
@@ -53,25 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     for name in SUITE_NAMES:
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        add_common(p)
-        if name == "bell":
-            p.add_argument(
-                "--angles",
-                type=str,
-                default=None,
-                help="four comma-separated analyzer angles: alpha,alpha',beta,beta'",
-            )
-            p.add_argument(
-                "--model",
-                type=str,
-                default=None,
-                choices=tuple(SHIPPED_LHV_MODELS),
-                help="run only this hidden-variable model",
-            )
-            p.add_argument("--samples", type=int, default=None, help="Monte-Carlo samples")
-    p_all = sub.add_parser("all", help="run every suite")
-    add_common(p_all)
+        add_common(sub.add_parser(name, help=f"run the {name} suite"))
+    add_common(sub.add_parser("all", help="run every suite"))
     return parser
 
 
@@ -107,16 +100,9 @@ def main(argv: list[str] | None = None) -> int:
             reports = run_all(config, seed=args.seed, tolerance_scale=args.tolerance_scale)
             doc = combined_report_dict(reports, seed=args.seed, tool_version=__version__)
         else:
-            section = dict(config.get(args.command, {}))
-            if args.command == "bell":
-                if args.angles is not None:
-                    section["angles"] = [float(v) for v in args.angles.split(",")]
-                if args.model is not None:
-                    section["models"] = [args.model]
-                if args.samples is not None:
-                    section["n_samples"] = args.samples
             doc = run_suite(
-                args.command, section, seed=args.seed, tolerance_scale=args.tolerance_scale
+                args.command, config.get(args.command), seed=args.seed,
+                tolerance_scale=args.tolerance_scale,
             ).to_dict()
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -127,7 +113,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         rendered = render_text(doc)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if doc["pass"] else 1

@@ -62,56 +62,21 @@ class RadialTable:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def constant(cls, value: float, r_max: float = 1.0) -> "RadialTable":
-        return cls(np.array([0.0, r_max]), np.array([value, value]))
-
     def __call__(self, r) -> np.ndarray:
         return np.interp(np.asarray(r, dtype=np.float64), self.r, self.values)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Radial potentials: central v, plus the spin-channel triple v1, v2, v3.
+    """Radial potentials: central v, and the spin channels v2 and v3.
 
-    ``v1`` shifts the spin potential, ``v2`` multiplies s1.s2, ``v3``
-    multiplies the tensor combination 3(s1.n)(s2.n) - s1.s2.  Missing tables
-    mean zero.
+    ``v2`` multiplies s1.s2, ``v3`` multiplies the tensor combination
+    3(s1.n)(s2.n) - s1.s2.  Missing tables mean zero.
     """
 
     v: RadialTable | None = None
-    v1: RadialTable | None = None
     v2: RadialTable | None = None
     v3: RadialTable | None = None
-
-    @classmethod
-    def from_config(cls, doc: dict, r_max: float = 1.0) -> "PotentialSpec":
-        """Build from a config mapping; entries are constants or {r, values}
-        with numeric arrays.  Anything else raises ValueError."""
-        keys = ("v", "v1", "v2", "v3")
-        unknown = sorted(set(doc) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown potential entries {unknown}; expected {list(keys)}")
-        tables = dict.fromkeys(keys)
-        for key, entry in doc.items():
-            if entry is None:
-                continue
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                try:
-                    table = RadialTable.constant(float(entry), r_max)
-                except OverflowError:  # an integer beyond the float range
-                    raise ValueError(f"potential entry {key!r} must be finite") from None
-            elif isinstance(entry, dict) and set(entry) == {"r", "values"}:
-                r, values = np.asarray(entry["r"]), np.asarray(entry["values"])
-                if not all(np.issubdtype(a.dtype, np.number) for a in (r, values)):
-                    raise ValueError(f"potential entry {key!r} needs numeric r and values")
-                table = RadialTable(r, values)
-            else:
-                raise ValueError(f"potential entry {key!r} must be a number or {{r, values}}")
-            if not (np.all(np.isfinite(table.r)) and np.all(np.isfinite(table.values))):
-                raise ValueError(f"potential entry {key!r} must be finite")
-            tables[key] = table
-        return cls(**tables)
 
     def sample(self, table: RadialTable | None, r: np.ndarray) -> np.ndarray:
         if table is None:
@@ -139,12 +104,11 @@ def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray) -> np.ndarray:
     so the blocks are real.
     """
     dot, tensor = (op.real for op in spin_pair_operators())
-    eye_spin = np.eye(4)
 
     def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
         return pot.sample(table, r_values)[:, None, None] * op
 
-    return channel(pot.v1, eye_spin) + channel(pot.v2, dot) + channel(pot.v3, tensor)
+    return channel(pot.v2, dot) + channel(pot.v3, tensor)
 
 
 def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -207,7 +171,7 @@ def _one_body_sum(grid: GridSpec, masses: Sequence[float], vectors: np.ndarray) 
 
 def _scaled(pot: PotentialSpec, lam: float) -> PotentialSpec:
     """``pot`` with every table's values multiplied by the coupling ``lam``."""
-    tables = (pot.v, pot.v1, pot.v2, pot.v3)
+    tables = (pot.v, pot.v2, pot.v3)
     return PotentialSpec(*(None if t is None else RadialTable(t.r, lam * t.values) for t in tables))
 
 

@@ -171,11 +171,15 @@ def relative_position_values(cfg: EPRConfig) -> np.ndarray:
     return grids.wrap_displacement(x[:, None] - x[None, :], cfg.length)
 
 
+def _total_momentum(cfg: EPRConfig) -> np.ndarray:
+    """The total momentum k1 + k2 at each point of the (n, n) momentum grid."""
+    k = grids.momentum_values(cfg.grid)
+    return k[:, None] + k[None, :]
+
+
 def total_momentum_apply(psi_grid: np.ndarray, cfg: EPRConfig) -> np.ndarray:
     """Apply the total momentum spectrally to an (n, n) pair wavefunction."""
-    k = grids.momentum_values(cfg.grid)
-    ksum = k[:, None] + k[None, :]
-    return np.fft.ifft2(ksum * np.fft.fft2(psi_grid, norm="ortho"), norm="ortho")
+    return np.fft.ifft2(_total_momentum(cfg) * np.fft.fft2(psi_grid, norm="ortho"), norm="ortho")
 
 
 def _pair_grid(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
@@ -185,10 +189,15 @@ def _pair_grid(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
 def momentum_moments(psi: StateVector, cfg: EPRConfig) -> tuple[float, float, float]:
     """The mean and variance of the total momentum and the variance of the
     relative momentum on the pair state ``psi``, read from its one 2-d FFT."""
+    return _spectral_moments(np.fft.fft2(_pair_grid(psi, cfg), norm="ortho"), cfg)
+
+
+def _spectral_moments(spectrum: np.ndarray, cfg: EPRConfig) -> tuple[float, float, float]:
+    """:func:`momentum_moments` from the pair state's unitary 2-d FFT."""
     k = grids.momentum_values(cfg.grid)
-    ksum = k[:, None] + k[None, :]
+    ksum = _total_momentum(cfg)
     krel = 0.5 * (k[:, None] - k[None, :])
-    prob_k = np.abs(np.fft.fft2(_pair_grid(psi, cfg), norm="ortho")) ** 2
+    prob_k = np.abs(spectrum) ** 2
     mean_p = float(np.sum(prob_k * ksum))
     var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
     mean_rel = float(np.sum(prob_k * krel))
@@ -219,10 +228,14 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessRepor
     momentum).  Alongside, the first two moments: the relative position is
     sharp to the regularization width, the total momentum is exactly sharp by
     construction, and the conjugate spread of order 1/w^2 sits entirely in
-    the relative momentum.
+    the relative momentum.  The moments and ``P_total psi`` share one 2-d FFT
+    of the state.
     """
-    mean_p, var_p, var_rel = momentum_moments(psi, cfg)
     psi = _pair_grid(psi, cfg)
+    spectrum = np.fft.fft2(psi, norm="ortho")
+    mean_p, var_p, var_rel = _spectral_moments(spectrum, cfg)
+    p_psi = np.fft.ifft2(_total_momentum(cfg) * spectrum, norm="ortho")
+    del spectrum
     d = relative_position_values(cfg)
     prob = np.abs(psi) ** 2
 
@@ -230,7 +243,6 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessRepor
     var_d = float(np.sum(prob * (d - mean_d) ** 2))
     del prob  # each (n, n) temporary goes after its last use, to keep the peak low
 
-    p_psi = total_momentum_apply(psi, cfg)
     commutator = d * p_psi - total_momentum_apply(d * psi, cfg)
     state_residual = norm(commutator)
     del p_psi, commutator

@@ -22,10 +22,6 @@ from .report import CheckRecord, SuiteReport
 
 __all__ = ["SUITE_RUNNERS", "run_suite", "run_all"]
 
-# Config keys that have no default and may be given as a JSON object, each
-# with the parser that must accept it.
-_OPTIONAL_OBJECTS = {"dynamics.relative.potential": dynamics.PotentialSpec.from_config}
-
 # Config keys whose number must be positive.
 _POSITIVE_NUMBERS = {
     "axioms.grid_length",
@@ -35,11 +31,6 @@ _POSITIVE_NUMBERS = {
     "epr.length",
     "epr.width",
 }
-
-# Config keys, besides every ``*_tolerance`` key, whose number must not be
-# negative.  A negative tolerance or margin would fail its check whatever the
-# code computes; zero is legal and demands an exact result.
-_NON_NEGATIVE_NUMBERS = {"bell.mc_sigmas"}
 
 # Integer size and count keys, each at least 1 and at most its bound.  A count
 # of 0 would pass a check over no samples, and a huge one would never finish;
@@ -141,8 +132,6 @@ def _check_value(path: str, value) -> None:
     """Raise ValueError, naming ``path``, unless ``value`` keeps its key's rule."""
     if path in _POSITIVE_NUMBERS and not value > 0:
         raise ValueError(f"{path} must be positive")
-    if (path.endswith("_tolerance") or path in _NON_NEGATIVE_NUMBERS) and value < 0:
-        raise ValueError(f"{path} must not be negative")
     if path in _COUNT_BOUNDS and value < _COUNT_MINIMA.get(path, 1):
         raise ValueError(f"{path} must be at least {_COUNT_MINIMA.get(path, 1)}")
     if path in _COUNT_BOUNDS and value > _COUNT_BOUNDS[path]:
@@ -258,9 +247,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
     Raises ValueError, naming the dotted path, for an unknown key, for a
     value whose JSON type differs from its default's (an integer may stand
     for a number, and every element of a list must match the default's first),
-    for a value that breaks its key's rule in :func:`_check_value` or that
-    its parser in ``_OPTIONAL_OBJECTS`` rejects, or for an ``epr`` section
-    that :func:`_check_epr_geometry` rejects.
+    for a value that breaks its key's rule in :func:`_check_value`, or for an
+    ``epr`` section that :func:`_check_epr_geometry` rejects.
     """
     if override is None:
         override = {}
@@ -269,14 +257,7 @@ def _merge(defaults: dict, override, path: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():
         where = f"{path}.{key}"
-        if where in _OPTIONAL_OBJECTS:
-            _check_type(where, {}, value)  # any JSON object
-            try:
-                _OPTIONAL_OBJECTS[where](value)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            out[key] = value
-        elif key not in defaults:
+        if key not in defaults:
             raise ValueError(f"unknown config key {where}")
         elif isinstance(defaults[key], dict):
             out[key] = _merge(defaults[key], value, where)
@@ -293,11 +274,11 @@ def _checks(report: SuiteReport, tolerance_scale: float):
     """The suite's one verdict policy, as the function ``check``.
 
     ``check(id, law, value, tolerance, detail)`` adds a record.  With a
-    tolerance (a config key of the report's config, or a number, scaled by
-    ``tolerance_scale``), ``value`` is one residual or a sequence of them, and
-    the record holds their maximum, NaN included: it passes when that is at
-    most the tolerance.  A residual or tolerance that is NaN or infinite fails
-    and is marked ``non_finite``, and an empty sequence measured nothing, which
+    tolerance (a number fixed at the check, scaled by ``tolerance_scale``),
+    ``value`` is one residual or a sequence of them, and the record holds
+    their maximum, NaN included: it passes when that is at most the
+    tolerance.  A residual or tolerance that is NaN or infinite fails and is
+    marked ``non_finite``, and an empty sequence measured nothing, which
     raises ValueError.  With no tolerance, a count passes when it is 0 and a
     flag when it is true.
     """
@@ -314,8 +295,6 @@ def _checks(report: SuiteReport, tolerance_scale: float):
         residuals = np.asarray(value, dtype=np.float64)
         if residuals.size == 0:
             raise ValueError(f"{report.suite}/{check_id} measured nothing: no residual to compare")
-        if isinstance(tolerance, str):
-            tolerance = report.config[tolerance]
         value, tolerance = float(np.max(residuals)), float(tolerance) * tolerance_scale
         finite = bool(np.all(np.isfinite(residuals))) and math.isfinite(tolerance)
         passed = finite and value <= tolerance
@@ -332,13 +311,18 @@ _AXIOMS_DEFAULTS = {
     "mereology_instances": 10_000,
     "atom_pool": ["a", "b", "c", "d", "e", "f", "g", "h"],
     "spin_values": [0.5, 1.0, 1.5],
-    "spin_tolerance": 1e-12,
     "grid_sites": 128,
     "grid_length": 16.0,
     "grid_masses": [1.0, 1.5],
-    "grid_tolerance": 1e-6,
     "n_test_states": 20,
 }
+
+# The spin images are small dense matrices, so their laws hold to roundoff.
+_SPIN_TOL = 1e-12
+# The grid laws hold on the band-limited, interior-localized subspace only up
+# to the mask's truncation; the least grid size in _COUNT_MINIMA is measured
+# against this tolerance.
+_GRID_TOL = 1e-6
 
 
 # Pools of up to this many distinct atoms are checked over every triple of
@@ -522,11 +506,11 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
         brackets = galilei.verify_rep(rep)
         check(f"spin-brackets-j{j:g}",
               "rotation brackets [J_i,J_j] = ihbar*eps_ijk*J_k and centrality of M",
-              _law_residuals(brackets), "spin_tolerance", brackets)
+              _law_residuals(brackets), _SPIN_TOL, brackets)
         jv = float(j)
         expected = jv * (jv + 1.0) * np.eye(rep.space.total_dim)
         check(f"spin-casimir-j{j:g}", "J^2 = hbar^2 j(j+1) * identity",
-              np.max(np.abs(galilei.casimir_squared(rep) - expected)), "spin_tolerance")
+              np.max(np.abs(galilei.casimir_squared(rep) - expected)), _SPIN_TOL)
 
     n_states = int(cfg["n_test_states"])
     rep_a, rep_b = (
@@ -536,24 +520,24 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
     rep_a.validate()
     xp_residuals = galilei.position_momentum_residuals(rep_a, n_states=n_states, seed=seed)
     check("grid-position-momentum", "([X,P] - ihbar) applied to band-limited interior states",
-          xp_residuals, "grid_tolerance", {"n_states": n_states, "residuals": xp_residuals})
+          xp_residuals, _GRID_TOL, {"n_states": n_states, "residuals": xp_residuals})
     brackets = galilei.verify_rep(rep_a)
     check("grid-brackets", "free-subalgebra brackets on the masked subspace",
-          _law_residuals(brackets), "grid_tolerance", brackets)
+          _law_residuals(brackets), _GRID_TOL, brackets)
     pair = galilei.verify_additive_grid_pair(rep_a, rep_b, n_states=n_states, seed=seed)
     check("additive-pair-relations",
           "two-particle additivity: total P, K, H, M relations and mixed "
           "total-vs-part brackets on masked product states",
-          _law_residuals(pair), "grid_tolerance", pair)
+          _law_residuals(pair), _GRID_TOL, pair)
 
     total = galilei.build_additive_rep(
         [galilei.build_spin_rep(0.5, mass=m) for m in (1.0, 1.5)]
     )
     check("additive-spin-mass", "total mass image is the sum of part masses",
-          np.max(np.abs(total.image("M") - 2.5 * np.eye(4))), "spin_tolerance")
+          np.max(np.abs(total.image("M") - 2.5 * np.eye(4))), _SPIN_TOL)
     j3_eigs = np.sort(np.linalg.eigvalsh(total.image("J3")))
     check("additive-spin-j3-spectrum", "two spin-1/2 parts: total J3 spectrum {-hbar, 0, 0, +hbar}",
-          np.max(np.abs(j3_eigs - np.array([-1.0, 0.0, 0.0, 1.0]))), "spin_tolerance")
+          np.max(np.abs(j3_eigs - np.array([-1.0, 0.0, 0.0, 1.0]))), _SPIN_TOL)
     return report
 
 
@@ -563,10 +547,6 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
 
 _SYMMETRY_DEFAULTS = {
     "cases": [[2, 2], [2, 3], [3, 2], [3, 3], [4, 2]],
-    "projector_tolerance": 1e-12,
-    "exclusion_tolerance": 1e-12,
-    "homomorphism_tolerance": 1e-12,
-    "exchange_tolerance": 1e-10,
     "n_random": 8,
 }
 
@@ -616,9 +596,9 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
                 overlaps.append(abs(np.vdot(psi_s / norm_s, psi_a / norm_a)))
     check("projector-idempotency-orthogonality",
           "S and A are idempotent, mutually orthogonal, and complete for n=2",
-          idempotency, "projector_tolerance")
+          idempotency, 1e-12)
     check("sector-orthogonality", "random symmetric and antisymmetric states are orthogonal",
-          overlaps, "projector_tolerance")
+          overlaps, 1e-12)
     check("sector-sum-dimension", "rank(S) + rank(A) <= d^n with equality exactly when n = 2",
           rank_sum_ok, detail=rank_details)
 
@@ -632,7 +612,7 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
             u_q = symmetry.permutation_operator(q, space).entries
             homomorphism.append(np.max(np.abs(u_pq - u_p @ u_q)))
     check("permutation-homomorphism", "U(p.q) = U(p) U(q) over random permutation pairs",
-          homomorphism, "homomorphism_tolerance")
+          homomorphism, 1e-12)
 
     qubit = SpaceSpec.single(2)
     phi_raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -643,11 +623,11 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     triple_norm = symmetry.pauli_exclusion_check([phi, phi, chi])
     check("pauli-exclusion-duplicates",
           "antisymmetrized products with a repeated single-component state vanish",
-          [pair_norm, triple_norm], "exclusion_tolerance",
+          [pair_norm, triple_norm], 1e-12,
           {"pair_norm": pair_norm, "triple_norm": triple_norm})
     slater_norm = symmetry.pauli_exclusion_check([basis_state(qubit, 0), basis_state(qubit, 1)])
     check("slater-survival", "antisymmetrized product of orthogonal states has norm 1/sqrt(2)",
-          abs(slater_norm - 1.0 / math.sqrt(2.0)), "exclusion_tolerance")
+          abs(slater_norm - 1.0 / math.sqrt(2.0)), 1e-12)
 
     two_spins = galilei.build_additive_rep([galilei.build_spin_rep(0.5)] * 2)
     j_square = Operator(SpaceSpec((2, 2)), galilei.casimir_squared(two_spins))
@@ -659,13 +639,13 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
         exchange.append(symmetry.exchange_expectation_check(j_square, psi, swap))
     check("exchange-invariant-total-observable",
           "expectation of the total J^2 is unchanged under component exchange",
-          exchange, "exchange_tolerance")
+          exchange, 1e-10)
     sym_state = StateVector(SpaceSpec((2, 2)), np.array([0, 1, 1, 0]) / math.sqrt(2.0))
     _, _, sz = pauli_matrices()
     one_sided = lift(Operator(qubit, sz), 0, SpaceSpec((2, 2)))
     check("exchange-invariance-symmetric-state",
           "one-sided observable still balances on an exchange-symmetric state",
-          symmetry.exchange_expectation_check(one_sided, sym_state, swap), "exchange_tolerance")
+          symmetry.exchange_expectation_check(one_sided, sym_state, swap), 1e-10)
     return report
 
 
@@ -686,20 +666,7 @@ _DYNAMICS_DEFAULTS = {
     "evolution": {"t_final": 2.0, "n_steps": 100},
     "weak_coupling": {"n_sites": 16, "masses": [1.0, 1.3], "lambdas": [0.125, 0.25, 0.5, 1.0]},
     "momentum": {"n_sites": 64, "masses": [1.0, 1.5]},
-    "hermiticity_tolerance": 1e-12,
-    "spin_spectrum_tolerance": 1e-12,
-    "norm_drift_tolerance": 1e-10,
-    "energy_drift_tolerance": 1e-9,
-    "linearity_tolerance": 1e-6,
-    "exchange_tolerance": 1e-10,
-    "momentum_tolerance": 1e-6,
 }
-
-
-# Relative residual of the zero-coupling product Hamiltonian against the
-# one-body Hamiltonians applied on their own legs: rounding only, summed in
-# another order.
-_ZERO_COUPLING_RTOL = 1e-12
 
 
 def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, v3: float):
@@ -711,7 +678,6 @@ def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, 
     shape = np.exp(-(r ** 2) / (2.0 * width ** 2))
     return dynamics.PotentialSpec(
         v=dynamics.RadialTable(r, -depth * shape),
-        v1=None,
         v2=dynamics.RadialTable(r, v2 * shape),
         v3=dynamics.RadialTable(r, v3 * shape),
     )
@@ -725,32 +691,27 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
 
     rel = cfg["relative"]
     length = float(rel["length"])
-    if rel.get("potential"):
-        pot = dynamics.PotentialSpec.from_config(rel["potential"], r_max=length / 2.0)
-    else:
-        pot = _gaussian_well_tables(
-            length,
-            float(rel["well_depth"]),
-            float(rel["well_width"]),
-            float(rel["v2_scale"]),
-            float(rel["v3_scale"]),
-        )
+    pot = _gaussian_well_tables(
+        length,
+        float(rel["well_depth"]),
+        float(rel["well_width"]),
+        float(rel["v2_scale"]),
+        float(rel["v3_scale"]),
+    )
     h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot)
     check("hamiltonian-hermiticity", "kinetic + central + spin-spin Hamiltonian is hermitian",
-          np.max(np.abs(h.entries - h.entries.conj().T)), "hermiticity_tolerance")
+          np.max(np.abs(h.entries - h.entries.conj().T)), 1e-12)
 
     # The spin operators that the Hamiltonian's spin-spin terms are built from.
     dot, tensor = dynamics.spin_pair_operators()
     eigs = np.sort(np.linalg.eigvalsh(dot))
     check("singlet-triplet-split", "s1.s2 spectrum: -3 hbar^2/4 once, +hbar^2/4 threefold",
-          np.max(np.abs(eigs - np.array([-0.75, 0.25, 0.25, 0.25]))),
-          "spin_spectrum_tolerance")
+          np.max(np.abs(eigs - np.array([-0.75, 0.25, 0.25, 0.25]))), 1e-12)
     sx, sy, sz = (0.5 * m for m in pauli_matrices())
     oracle_dot = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     oracle = np.sort(np.linalg.eigvalsh(3.0 * np.kron(sz, sz) - oracle_dot))
     check("tensor-term-spectrum", "3(s1.n)(s2.n) - s1.s2 spectrum matches the explicit 4x4 oracle",
-          np.max(np.abs(np.sort(np.linalg.eigvalsh(tensor)) - oracle)),
-          "spin_spectrum_tolerance")
+          np.max(np.abs(np.sort(np.linalg.eigvalsh(tensor)) - oracle)), 1e-12)
 
     evo = cfg["evolution"]
     dim = h.space.total_dim
@@ -758,34 +719,34 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     psi0 = StateVector(h.space, raw).normalized()
     result = dynamics.evolve(psi0, h, float(evo["t_final"]), int(evo["n_steps"]))
     check("evolution-norm-drift", "spectral propagation keeps the norm constant",
-          result.norm_drift, "norm_drift_tolerance",
+          result.norm_drift, 1e-10,
           {"times": result.times, "norms": result.norms, "energies": result.energies})
     check("evolution-energy-drift", "spectral propagation keeps the energy constant",
-          result.energy_drift, "energy_drift_tolerance")
+          result.energy_drift, 1e-9)
 
     weak = cfg["weak_coupling"]
     weak_grid = GridSpec(int(weak["n_sites"]), length)
     coupling = dynamics.weak_coupling_check(
         weak_grid, weak["masses"], pot, [float(v) for v in weak["lambdas"]], seed=seed
     )
+    # A relative residual of two sums of the same terms in another order:
+    # rounding only.
     check("weak-coupling-zero",
           "at zero coupling the product Hamiltonian acts on seeded vectors as the "
           "one-body kinetic terms applied along their own site axes",
-          coupling["zero_coupling_residual"], _ZERO_COUPLING_RTOL, coupling)
+          coupling["zero_coupling_residual"], 1e-12, coupling)
     check("weak-coupling-linearity", "deviation norm divided by the coupling is a single constant",
-          coupling["linearity_spread"], "linearity_tolerance")
+          coupling["linearity_spread"], 1e-6)
 
     check("exchange-symmetry", "[H, U_swap] vanishes for identical bodies",
-          dynamics.exchange_symmetry_residual(weak_grid, 1.0, pot, seed),
-          "exchange_tolerance")
+          dynamics.exchange_symmetry_residual(weak_grid, 1.0, pot, seed), 1e-10)
 
     mom = cfg["momentum"]
     check("momentum-conservation",
           "[H, P_total] vanishes on masked states for separation-only potentials",
           dynamics.momentum_conservation_residual(
               GridSpec(int(mom["n_sites"]), length), mom["masses"], pot, seed=seed
-          ),
-          "momentum_tolerance")
+          ), 1e-6)
     return report
 
 
@@ -797,10 +758,6 @@ _CHARGE_DEFAULTS = {
     "charges": [-1, 0, 1, 1, 2, 2],
     "n_observables": 3,
     "n_phases": 16,
-    "central_tolerance": 1e-10,
-    "projector_tolerance": 1e-12,
-    "offdiagonal_tolerance": 1e-12,
-    "phase_tolerance": 1e-10,
 }
 
 
@@ -841,10 +798,10 @@ def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float
 
     central = charge.verify_central(model)
     check("central-commutators", "the charge commutes with every registered observable",
-          central, "central_tolerance", {"residuals": central})
+          central, 1e-10, {"residuals": central})
     period = charge.gauge_transform(model, 2.0 * math.pi)
     check("gauge-period", "integer spectrum makes exp(2*pi*i*Q) the identity",
-          np.max(np.abs(period.entries - np.eye(dim))), "central_tolerance")
+          np.max(np.abs(period.entries - np.eye(dim))), 1e-10)
     moved = []
     for theta in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         u = charge.gauge_transform(model, float(theta))
@@ -852,7 +809,7 @@ def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float
             conj = u.entries.conj().T @ obs.entries @ u.entries
             moved.append(np.max(np.abs(conj - obs.entries)))
     check("gauge-invariance", "first-kind gauge conjugation fixes every registered observable",
-          moved, "central_tolerance")
+          moved, 1e-10)
 
     decomp = charge.sector_decomposition(model)
     resolution = sum(s.projector for s in decomp.sectors) - np.eye(dim)
@@ -861,12 +818,12 @@ def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float
         for sa, sb in itertools.combinations(decomp.sectors, 2)
     ]
     check("sector-resolution", "charge sector projectors resolve the identity and are orthogonal",
-          [np.max(np.abs(resolution)), *overlaps], "projector_tolerance")
+          [np.max(np.abs(resolution)), *overlaps], 1e-12)
     check("neutral-sector-unique", "the charge-zero sector is one-dimensional",
           decomp.neutral_unique, detail=decomp.to_dict())
     check("superselection-offdiagonal",
           "registered observables have no matrix elements between sectors",
-          decomp.offdiagonal_residual, "offdiagonal_tolerance")
+          decomp.offdiagonal_residual, 1e-12)
     check("vacuum-invariance", "the designated neutral vector is fixed by the gauge family",
           bool(decomp.vacuum_invariant))
 
@@ -878,7 +835,7 @@ def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float
     )
     check("relative-phase-invisibility",
           "expectations are independent of the phase between charge sectors",
-          spread, "phase_tolerance")
+          spread, 1e-10)
     return report
 
 
@@ -894,11 +851,6 @@ _EPR_DEFAULTS = {
     "width": 0.25,
     "wide_width": 0.5,
     "n_inference": 10,
-    "norm_tolerance": 1e-10,
-    "mean_tolerance": 1e-6,
-    "commutator_tolerance": 1e-10,
-    "width_rtol": 0.2,
-    "variance_rtol": 0.05,
 }
 
 
@@ -918,22 +870,22 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
     )
     psi = epr_bell.build_epr_state(pair_cfg)
     check("state-normalized", "the regularized pair state is a unit vector",
-          abs(psi.norm() - 1.0), "norm_tolerance")
+          abs(psi.norm() - 1.0), 1e-10)
 
     sharp = epr_bell.commuting_pair_check(psi, pair_cfg)
     check("mean-separation", "the relative position averages to the configured separation",
-          abs(sharp.mean_relative_position - pair_cfg.separation), "mean_tolerance",
+          abs(sharp.mean_relative_position - pair_cfg.separation), 1e-6,
           asdict(sharp))
     check("mean-total-momentum", "the total momentum averages to the configured (snapped) value",
-          abs(sharp.mean_total_momentum - pair_cfg.total_momentum), "mean_tolerance")
+          abs(sharp.mean_total_momentum - pair_cfg.total_momentum), 1e-6)
     check("commuting-pair", "relative position and total momentum commute on the pair state",
-          sharp.commutator_state_residual, "commutator_tolerance")
+          sharp.commutator_state_residual, 1e-10)
     check("shift-commutator", "relative position commutes exactly with simultaneous translation",
           sharp.shift_commutator_residual, 1e-14)
     width_sq = pair_cfg.width ** 2
     check("variance-relative-position",
           "relative-position variance equals the regularization width squared",
-          abs(sharp.var_relative_position - width_sq) / width_sq, "variance_rtol")
+          abs(sharp.var_relative_position - width_sq) / width_sq, 0.05)
     check("total-momentum-sharp",
           "the pair state is an exact eigenvector of the total momentum "
           "(variance at roundoff level)",
@@ -970,7 +922,7 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
           mode_errors, spacing + 1e-9, {"n_cases": n_inference, "grid_spacing": spacing})
     check("conditional-inference-width",
           "the conditional distribution's width matches the regularization width",
-          width_errors, "width_rtol")
+          width_errors, 0.2)
     return report
 
 
@@ -983,9 +935,6 @@ _BELL_DEFAULTS = {
     "n_samples": 100_000,
     "models": ["sign-cosine", "narrow-window", "double-frequency"],
     "n_random_settings": 5,
-    "mc_sigmas": 5.0,
-    "quantum_tolerance": 1e-10,
-    "lhv_tolerance": 1e-6,
 }
 
 
@@ -998,21 +947,21 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
 
     optimal = epr_bell.CHSHSettings()
     check("chsh-quantum-optimal", "|S| at the canonical settings equals 2*sqrt(2)",
-          abs(abs(epr_bell.chsh_quantum(optimal)) - epr_bell.QUANTUM_BOUND), "quantum_tolerance")
+          abs(abs(epr_bell.chsh_quantum(optimal)) - epr_bell.QUANTUM_BOUND), 1e-10)
     s_quantum = epr_bell.chsh_quantum(settings)
     check("chsh-quantum-tsirelson", "|S| at the configured settings stays within 2*sqrt(2)",
-          np.maximum(abs(s_quantum) - epr_bell.QUANTUM_BOUND, 0.0), "quantum_tolerance",
+          np.maximum(abs(s_quantum) - epr_bell.QUANTUM_BOUND, 0.0), 1e-10,
           {"S_quantum": s_quantum})
     grid = np.linspace(0.0, 2.0 * math.pi, 13)
     check("correlation-cosine-law", "singlet correlation E(a,b) equals -cos(a-b)",
           [abs(epr_bell.correlation_quantum(a, b) + math.cos(a - b)) for a in grid for b in grid],
-          "quantum_tolerance")
+          1e-10)
     rotated = (
         epr_bell.CHSHSettings(*(angle + delta for angle in settings.as_tuple()))
         for delta in np.linspace(0.0, 2.0 * math.pi, 7)
     )
     check("chsh-rotation-invariance", "a common analyzer offset leaves S unchanged",
-          [abs(epr_bell.chsh_quantum(r) - s_quantum) for r in rotated], "quantum_tolerance")
+          [abs(epr_bell.chsh_quantum(r) - s_quantum) for r in rotated], 1e-10)
 
     trial_settings = [settings, optimal]
     for _ in range(int(cfg["n_random_settings"])):
@@ -1025,7 +974,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         magnitudes = np.abs([epr_bell.chsh_lhv_exact(model, s) for s in trial_settings])
         check(f"lhv-classical-bound-{name}",
               "exact hidden-variable CHSH magnitude stays within the classical bound 2",
-              np.maximum(magnitudes - epr_bell.CLASSICAL_BOUND, 0.0), "lhv_tolerance",
+              np.maximum(magnitudes - epr_bell.CLASSICAL_BOUND, 0.0), 1e-6,
               {"worst_magnitude": np.max(magnitudes)})
         estimate = epr_bell.chsh_lhv(model, settings, int(cfg["n_samples"]), seed)
         if first is None:
@@ -1033,7 +982,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         # Term by term, since the errors of a misplaced jump can cancel in S.
         # A correlation lies in [-1, 1], which an arc sum can round past; its
         # binomial standard error is zero only at +-1, where any sampled
-        # difference is a failure.
+        # difference is a failure.  The law's mc_sigmas is 5 standard errors.
         exact = np.clip([epr_bell.correlation_lhv_exact(model, *pair) for pair in settings.terms()],
                         -1.0, 1.0)
         deviation = np.abs(np.array(estimate.correlations) - exact)
@@ -1043,7 +992,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         check(f"lhv-sampling-consistency-{name}",
               "each seeded Monte-Carlo correlation of S agrees with its exact arc "
               "integral within mc_sigmas standard errors",
-              z_scores, "mc_sigmas",
+              z_scores, 5.0,
               {
                   "correlations_sampled": estimate.correlations,
                   "correlations_exact": exact,

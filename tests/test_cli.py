@@ -72,21 +72,9 @@ def test_text_format_renders_status_lines(capsys):
 
 def test_bell_subcommand_with_angles_and_seed(tmp_path):
     out = tmp_path / "bell.json"
-    rc = main(
-        [
-            "bell",
-            "--angles",
-            "0,1.5707963267948966,0.7853981633974483,2.356194490192345",
-            "--seed",
-            "7",
-            "--samples",
-            "10000",
-            "--model",
-            "sign-cosine",
-            "--out",
-            str(out),
-        ]
-    )
+    angles = [0.0, 1.5707963267948966, 0.7853981633974483, 2.356194490192345]
+    cfg = write_config(tmp_path, {"bell": {"angles": angles, "n_samples": 10_000, "models": ["sign-cosine"]}})
+    rc = main(["bell", "--config", cfg, "--seed", "7", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     schema_check = next(c for c in doc["checks"] if c["id"] == "bell-report-schema")
@@ -94,7 +82,7 @@ def test_bell_subcommand_with_angles_and_seed(tmp_path):
 
 
 def test_tolerance_scale_can_force_failures(tmp_path, capsys):
-    rc = main(["bell", "--tolerance-scale", "1e-30", "--samples", "10000"])
+    rc = main(["bell", "--config", write_config(tmp_path, FAST_BELL), "--tolerance-scale", "1e-30"])
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
@@ -103,8 +91,7 @@ def test_tolerance_scale_can_force_failures(tmp_path, capsys):
 def test_zero_tolerances_stay_legal(tmp_path, capsys):
     # Zero demands an exact result: it fails the sampled checks, but it is not
     # a config error.
-    cfg = write_config(tmp_path, {"bell": {"n_samples": 10_000, "mc_sigmas": 0,
-                                           "lhv_tolerance": 0, "quantum_tolerance": 0}})
+    cfg = write_config(tmp_path, FAST_BELL)
     assert main(["bell", "--config", cfg, "--tolerance-scale", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
@@ -115,23 +102,6 @@ def test_config_section_overrides_defaults(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["charges"] == [0, 1, 2, 3]
-
-
-def test_dynamics_accepts_tabulated_potentials(tmp_path, capsys):
-    r = [0.125 * k for k in range(65)]
-    table = {"r": r, "values": [-2.0 * 2.718281828459045 ** (-(x * x) / 4.5) for x in r]}
-    cfg = write_config(
-        tmp_path,
-        {"dynamics": {"relative": {"n_sites": 32, "length": 16.0, "masses": [1.0, 1.0],
-                                   "well_depth": 2.0, "well_width": 1.5,
-                                   "v2_scale": 0.8, "v3_scale": 0.5,
-                                   "potential": {"v": table, "v2": 0.5}}}},
-    )
-    rc = main(["dynamics", "--config", cfg])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["pass"] is True
-    assert doc["config"]["relative"]["potential"]["v2"] == 0.5
 
 
 def test_identical_invocations_byte_identical(tmp_path):
@@ -154,13 +124,6 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "qsystems" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("angles", ["0,1.5707963", "0,1,2,3,4"])
-def test_bell_angles_need_exactly_four(angles, capsys):
-    rc = main(["bell", "--angles", angles, "--samples", "10000"])
-    assert rc == 2
-    assert "four" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("angles", [[0.0, 1.5707963], [0.0, 1.0, 2.0, 3.0, 4.0]])
@@ -268,6 +231,18 @@ def test_largest_accepted_charge_keeps_the_gauge_period(tmp_path, capsys):
     assert record["pass"] and record["value"] <= record["tolerance"] / 100
 
 
+def test_tolerance_scale_applies_to_every_tolerance():
+    def tolerances(scale):
+        reports = suites.run_all(FAST_BELL, tolerance_scale=scale)
+        return [(r.suite, c.check_id, c.tolerance) for r in reports for c in r.checks]
+
+    one, two = tolerances(1.0), tolerances(2.0)
+    assert [key[:2] for key in one] == [key[:2] for key in two]
+    assert any(t is None for *_, t in one) and any(t is not None for *_, t in one)
+    for (*_, t1), (*_, t2) in zip(one, two):
+        assert t2 is None if t1 is None else t2 == 2 * t1
+
+
 def test_tolerance_scale_applies_to_conditional_inference_mode(capsys):
     def mode_tolerance(scale):
         assert main(["epr", "--tolerance-scale", scale]) == 0
@@ -289,6 +264,48 @@ def test_tolerance_scale_applies_to_monte_carlo_margin(tmp_path, capsys):
     one, two = margins("1"), margins("2")
     assert len(one) == 3
     assert two == [2 * m for m in one]
+
+
+# The keys that set a check's tolerance and the free-form potential object,
+# each at its last accepted value: every tolerance is now a constant of its
+# check, and the well's own keys set the potential.
+REMOVED_KEYS = {
+    "axioms.spin_tolerance": 1e-12,
+    "axioms.grid_tolerance": 1e-6,
+    "symmetry.projector_tolerance": 1e-12,
+    "symmetry.exclusion_tolerance": 1e-12,
+    "symmetry.homomorphism_tolerance": 1e-12,
+    "symmetry.exchange_tolerance": 1e-10,
+    "dynamics.hermiticity_tolerance": 1e-12,
+    "dynamics.spin_spectrum_tolerance": 1e-12,
+    "dynamics.norm_drift_tolerance": 1e-10,
+    "dynamics.energy_drift_tolerance": 1e-9,
+    "dynamics.linearity_tolerance": 1e-6,
+    "dynamics.exchange_tolerance": 1e-10,
+    "dynamics.momentum_tolerance": 1e-6,
+    "dynamics.relative.potential": {"v": 1.0},
+    "charge.central_tolerance": 1e-10,
+    "charge.projector_tolerance": 1e-12,
+    "charge.offdiagonal_tolerance": 1e-12,
+    "charge.phase_tolerance": 1e-10,
+    "epr.norm_tolerance": 1e-10,
+    "epr.mean_tolerance": 1e-6,
+    "epr.commutator_tolerance": 1e-10,
+    "epr.width_rtol": 0.2,
+    "epr.variance_rtol": 0.05,
+    "bell.mc_sigmas": 5.0,
+    "bell.quantum_tolerance": 1e-10,
+    "bell.lhv_tolerance": 1e-6,
+}
+
+
+@pytest.mark.parametrize("where", sorted(REMOVED_KEYS))
+def test_removed_key_exits_2_as_unknown(where, tmp_path, capsys):
+    doc = REMOVED_KEYS[where]
+    for key in reversed(where.split(".")):
+        doc = {key: doc}
+    assert main([where.split(".")[0], "--config", write_config(tmp_path, doc)]) == 2
+    assert f"unknown config key {where}" in capsys.readouterr().err
 
 
 def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
@@ -318,9 +335,9 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"symmetry": {"cases": [[2, 51]]}}, "symmetry.cases[0] must have n, d and d^n at most 2560"),
         ({"symmetry": {"cases": [[11, 2]]}}, "symmetry.cases[0] must have n! * d^n at most"),
         ({"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
-        ({"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
-        ({"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
-        ({"charge": {"phase_tolerance": -1e-300}}, "charge.phase_tolerance must not be negative"),
+        ({"bell": {"mc_sigmas": 5.0}}, "bell.mc_sigmas"),
+        ({"epr": {"width_rtol": 0.2}}, "epr.width_rtol"),
+        ({"charge": {"central_tolerance": 1e-10}}, "charge.central_tolerance"),
         ({"bell": {"models": ["sign-cosine", "nope"]}},
          "bell.models[1] must be one of sign-cosine, narrow-window, double-frequency, got 'nope'"),
         ({"symmetry": {"cases": [[2, 2], [3, 1]]}},
@@ -346,10 +363,8 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"dynamics": {"relative": {"length": 0.0}}}, "dynamics.relative.length must be positive"),
         ({"epr": {"width": 0.0}}, "epr.width must be positive"),
         ({"axioms": {"grid_length": -1.0}}, "axioms.grid_length must be positive"),
-        ({"dynamics": {"relative": {"potential": {"v": "x"}}}},
-         "dynamics.relative.potential: potential entry 'v' must be a number or {r, values}"),
-        ({"dynamics": {"relative": {"potential": {"v": 10 ** 400}}}},
-         "dynamics.relative.potential: potential entry 'v' must be finite"),
+        ({"dynamics": {"relative": {"potential": {"v": "x"}}}}, "dynamics.relative.potential"),
+        ({"dynamics": {"relative": {"potential": {"v": 10 ** 400}}}}, "dynamics.relative.potential"),
         ({"epr": {"length": 0.0}}, "epr.length must be positive"),
         ({"axioms": {"grid_sites": 4}}, "axioms.grid_sites must be at least 49"),
         ({"dynamics": {"relative": {"n_sites": 4}}}, "dynamics.relative.n_sites must be at least 8"),
@@ -418,8 +433,8 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
         ("dynamics", {"dynamics": {"hbar": 1.0}}, "dynamics.hbar"),
         ("epr", {"epr": {"hbar": 1.0}}, "epr.hbar"),
         ("all", {"axioms": {"hbar": 1.0}}, "axioms.hbar"),
-        ("bell", {"bell": {"mc_sigmas": -1}}, "bell.mc_sigmas must not be negative"),
-        ("bell", {"bell": {"lhv_tolerance": -1}}, "bell.lhv_tolerance must not be negative"),
+        ("bell", {"bell": {"mc_sigmas": 5.0}}, "bell.mc_sigmas"),
+        ("bell", {"bell": {"lhv_tolerance": 1e-6}}, "bell.lhv_tolerance"),
         ("bell", {"bell": {"n_samples": 100}}, "bell.n_samples must be at least 10000"),
         ("bell", {"bell": {"models": ["nope"]}}, "bell.models[0] must be one of"),
         ("symmetry", {"symmetry": {"cases": [[3, 1]]}}, "symmetry.cases[0] must be [n, d]"),
@@ -463,12 +478,6 @@ for _suite in SUITE_NAMES:
     _PATHS += [(_suite, where, d) for where, d in [(_suite, _defaults), *_paths(_defaults, _suite)]]
 
 
-# Every tolerance key, and the other keys that must not be negative.
-_NON_NEGATIVE_PATHS = sorted(
-    {where for _, where, _ in _PATHS if where.endswith("_tolerance")} | suites._NON_NEGATIVE_NUMBERS
-)
-
-
 def _draw_path(draw, keep):
     return draw(st.sampled_from([entry for entry in _PATHS if keep(entry[2])]))
 
@@ -477,7 +486,7 @@ def _draw_path(draw, keep):
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
     kind = draw(st.sampled_from(
-        ["unknown", "mistyped", "non-finite", "overflow", "positive", "negative", "count"]
+        ["unknown", "mistyped", "non-finite", "overflow", "positive", "count"]
     ))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
@@ -499,10 +508,6 @@ def invalid_sections(draw):
         where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
-    elif kind == "negative":
-        where = draw(st.sampled_from(_NON_NEGATIVE_PATHS))
-        suite = where.split(".")[0]
-        value = draw(st.floats(max_value=-5e-324, allow_infinity=False) | st.integers(max_value=-1))
     else:
         where = draw(st.sampled_from(sorted(suites._COUNT_BOUNDS)))
         suite = where.split(".")[0]
@@ -533,10 +538,10 @@ def test_main_rejects_every_invalid_section_with_exit_2(case):
 
 @st.composite
 def invalid_flags(draw):
-    """(argv, named) with one invalid --tolerance-scale or --samples value."""
+    """(argv, named) with one invalid --tolerance-scale or --seed value."""
     command = draw(st.sampled_from([*SUITE_NAMES, "all"]))
-    if command == "bell" and draw(st.booleans()):
-        return ["bell", "--samples", str(draw(st.integers(max_value=9_999)))], "bell.n_samples"
+    if draw(st.booleans()):
+        return [command, f"--seed={draw(st.integers(max_value=-1))}"], "--seed"
     scale = draw(st.one_of(
         st.floats(max_value=-5e-324).map(repr),
         st.sampled_from(["nan", "inf", "-inf", "", "1,5", "x"]),
@@ -549,7 +554,12 @@ def invalid_flags(draw):
 @example((["bell", "--tolerance-scale=-1"], "--tolerance-scale"))
 @example((["bell", "--tolerance-scale", "nan"], "--tolerance-scale"))
 @example((["all", "--tolerance-scale", "inf"], "--tolerance-scale"))
-@example((["bell", "--samples", "100"], "bell.n_samples"))
+@example((["charge", "--seed", "-1"], "argument --seed: must not be negative, got -1"))
+@example((["bell", "--angles", "0,1,2,3"], "unrecognized arguments: --angles"))
+@example((["bell", "--model", "sign-cosine"], "unrecognized arguments: --model"))
+@example((["bell", "--samples", "10000"], "unrecognized arguments: --samples"))
+@example((["charge", "--out", "/nonexistent/report.json"], "error: cannot write report: "))
+@example((["charge", "--out", "."], "error: cannot write report: "))
 def test_main_rejects_every_invalid_flag_value_with_exit_2(case):
     argv, named = case
     out, err = io.StringIO(), io.StringIO()
@@ -567,7 +577,7 @@ def test_malformed_potential_reports_error(potential, tmp_path, capsys):
     rc = main(["dynamics", "--config", cfg])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "potential" in err
+    assert "unknown config key dynamics.relative.potential" in err
     assert "Traceback" not in err
 
 

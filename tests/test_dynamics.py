@@ -44,14 +44,6 @@ class TestTables:
         with pytest.raises(ValueError):
             RadialTable(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
-    def test_potential_from_config(self):
-        pot = PotentialSpec.from_config(
-            {"v2": 1.5, "v": {"r": [0.0, 1.0], "values": [3.0, 0.0]}}
-        )
-        assert pot.v(0.0) == pytest.approx(3.0)
-        assert pot.v2(10.0) == pytest.approx(1.5)
-        assert pot.v1 is None and pot.v3 is None
-
 
 def spin_hamiltonian(v2=0.0, v3=0.0):
     """The spin-spin interaction of constant couplings v2 and v3, from the
@@ -241,7 +233,6 @@ def kron_product_parts(grid, masses, pot):
     kinetic = np.kron(np.kron(t1, eye_n) + np.kron(eye_n, t2), eye_spin)
     interaction = (
         np.kron(np.diag(pot.sample(pot.v, dist)), eye_spin)
-        + np.kron(np.diag(pot.sample(pot.v1, dist)), eye_spin)
         + np.kron(np.diag(pot.sample(pot.v2, dist)), dot)
         + np.kron(np.diag(pot.sample(pot.v3, dist)), tensor)
     )
@@ -250,12 +241,7 @@ def kron_product_parts(grid, masses, pot):
 
 @pytest.mark.parametrize("spin_terms", [False, True])
 def test_product_parts_match_kron_oracle(spin_terms):
-    pot = gaussian_well()
-    if spin_terms:
-        r = pot.v.r
-        pot = PotentialSpec(v=pot.v, v1=RadialTable(r, 0.3 * np.exp(-r)), v2=pot.v2, v3=pot.v3)
-    else:
-        pot = PotentialSpec(v=pot.v)
+    pot = gaussian_well() if spin_terms else PotentialSpec(v=gaussian_well().v)
     for n_sites in (8, 12):
         grid = GridSpec(n_sites, 16.0)
         vectors = dynamics._seeded_vectors(grid, 4).reshape(-1, 4)
