@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,10 +32,17 @@ def _tolerance_scale(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """The --seed value: an integer, at least 0."""
+    """The --seed value: an integer, at least 0, of no more digits than int()
+    converts (``sys.get_int_max_str_digits()``)."""
     try:
         value = int(text)
     except ValueError:
+        # A base-10 literal as int() reads one (\d is any Unicode decimal
+        # digit): int() refused a well-formed one for its length.
+        if re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", text):
+            digits = sum(c.isdecimal() for c in text)
+            limit = sys.get_int_max_str_digits()
+            raise argparse.ArgumentTypeError(f"too many digits: {digits}, at most {limit}") from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text}")

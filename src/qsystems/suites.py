@@ -876,7 +876,8 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
     check("mean-separation", "the relative position averages to the configured separation",
           abs(sharp.mean_relative_position - pair_cfg.separation), 1e-6,
           asdict(sharp))
-    check("mean-total-momentum", "the total momentum averages to the configured (snapped) value",
+    check("mean-total-momentum",
+          "the total momentum averages to 4pi/L * epr.momentum_mode, L = epr.length",
           abs(sharp.mean_total_momentum - pair_cfg.total_momentum), 1e-6)
     check("commuting-pair", "relative position and total momentum commute on the pair state",
           sharp.commutator_state_residual, 1e-10)
@@ -982,7 +983,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         # Term by term, since the errors of a misplaced jump can cancel in S.
         # A correlation lies in [-1, 1], which an arc sum can round past; its
         # binomial standard error is zero only at +-1, where any sampled
-        # difference is a failure.  The law's mc_sigmas is 5 standard errors.
+        # difference is a failure.  The tolerance, 5, counts standard errors.
         exact = np.clip([epr_bell.correlation_lhv_exact(model, *pair) for pair in settings.terms()],
                         -1.0, 1.0)
         deviation = np.abs(np.array(estimate.correlations) - exact)
@@ -991,7 +992,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
                              where=spread > 0.0)
         check(f"lhv-sampling-consistency-{name}",
               "each seeded Monte-Carlo correlation of S agrees with its exact arc "
-              "integral within mc_sigmas standard errors",
+              "integral within 5 standard errors",
               z_scores, 5.0,
               {
                   "correlations_sampled": estimate.correlations,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsystems import dynamics, galilei, grids
+from qsystems import dynamics, galilei, grids, suites
 from qsystems.dynamics import (
     PotentialSpec,
     RadialTable,
@@ -141,6 +141,129 @@ class TestEvolution:
         lop = Operator(h.space, np.triu(np.ones((4, 4))))
         with pytest.raises(ValueError):
             evolve(bad.normalized(), lop, 1.0, 10)
+
+
+def shipped_hamiltonian(n_sites):
+    """The dynamics suite's relative Hamiltonian at its default well, on
+    ``n_sites`` sites."""
+    rel = suites._DYNAMICS_DEFAULTS["relative"]
+    pot = suites._gaussian_well_tables(
+        rel["length"], rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"]
+    )
+    return build_hamiltonian(GridSpec(n_sites, rel["length"]), rel["masses"], pot)
+
+
+def with_spin_coupling(h, a, b, value):
+    """``h`` plus ``value`` between spin indices a and b at every site, mirrored."""
+    n = h.space.factor_dims[0]
+    entries = h.entries.copy().reshape(n, 4, n, 4)
+    entries[np.arange(n), a, np.arange(n), b] += value
+    entries[np.arange(n), b, np.arange(n), a] += value
+    return Operator(h.space, entries.reshape(4 * n, 4 * n))
+
+
+def random_coupled_hamiltonian(n_sites, seed):
+    """A random real symmetric operator on (n_sites, 2, 2): every spin index
+    couples to every other, so H is one block."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4 * n_sites, 4 * n_sites))
+    return Operator(SpaceSpec((n_sites, 2, 2)), a + a.T)
+
+
+def random_state(space, seed):
+    rng = np.random.default_rng(seed)
+    dim = space.total_dim
+    return StateVector(space, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).normalized()
+
+
+def dense_evolution(psi0, h, t_final, n_steps):
+    """Oracle: propagation by one eigendecomposition of the whole H."""
+    vals, vecs = np.linalg.eigh(h.entries)
+    times = np.linspace(0.0, t_final, n_steps + 1)
+    coeffs = vecs.conj().T @ psi0.amplitudes
+    states = (np.exp(-1j * np.outer(times, vals)) * coeffs) @ vecs.T
+    norms = np.linalg.norm(states, axis=1)
+    energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.entries, states))
+    return states, norms, energies
+
+
+def eigh_block_sizes(monkeypatch, h):
+    """Sizes of the matrices that evolve hands to the eigensolver, in order."""
+    sizes = []
+    eigh = dynamics.eigh_phase_fixed
+
+    def recording(matrix):
+        assert matrix.shape[0] == matrix.shape[1]
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(dynamics, "eigh_phase_fixed", recording)
+    evolve(random_state(h.space, 0), h, 1.0, 4)
+    return sizes
+
+
+HAMILTONIANS = {
+    "shipped-16": lambda: shipped_hamiltonian(16),
+    "shipped-64": lambda: shipped_hamiltonian(64),
+    "random-one-block": lambda: random_coupled_hamiltonian(16, 3),
+    # The tensor entry between up-up and down-down, mirrored, joins those two.
+    "up-up-down-down": lambda: with_spin_coupling(shipped_hamiltonian(32), 0, 3, 0.25),
+    # Up-up to up-down and down-up to down-down join all four spin indices
+    # through the chain up-up, up-down, down-up, down-down.
+    "spin-chain": lambda: with_spin_coupling(
+        with_spin_coupling(shipped_hamiltonian(16), 0, 1, 0.25), 2, 3, 0.25
+    ),
+}
+
+
+def unmirrored_tensor_entry():
+    """The shipped H with 1e-11 from down-down to up-up and nothing back: not
+    hermitian, though within evolution's guard relative to its largest entry."""
+    h = shipped_hamiltonian(64)
+    entries = h.entries.copy().reshape(64, 4, 64, 4)
+    entries[np.arange(64), 0, np.arange(64), 3] += 1e-11
+    return Operator(h.space, entries.reshape(256, 256))
+
+
+class TestSectorEvolution:
+    @pytest.mark.parametrize("name", sorted(HAMILTONIANS))
+    def test_matches_dense_propagation(self, name):
+        h = HAMILTONIANS[name]()
+        psi0 = random_state(h.space, 7)
+        result = evolve(psi0, h, t_final=2.0, n_steps=40)
+        states, norms, energies = dense_evolution(psi0, h, 2.0, 40)
+        np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.norms, norms, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.energies, energies, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_sites", [16, 64])
+    def test_shipped_hamiltonian_splits_by_total_spin(self, n_sites, monkeypatch):
+        h = shipped_hamiltonian(n_sites)
+        assert eigh_block_sizes(monkeypatch, h) == [n_sites, 2 * n_sites, n_sites]
+
+    @pytest.mark.parametrize(
+        "make, sizes",
+        [
+            (HAMILTONIANS["random-one-block"], [64]),
+            (HAMILTONIANS["up-up-down-down"], [64, 64]),
+            (HAMILTONIANS["spin-chain"], [64]),
+            (unmirrored_tensor_entry, [128, 128]),
+            (lambda: Operator(SpaceSpec((6,)), random_coupled_hamiltonian(2, 1).entries[:6, :6]), [6]),
+        ],
+        ids=["random-one-block", "up-up-down-down", "spin-chain", "unmirrored-tensor-entry", "single-factor"],
+    )
+    def test_blocks_follow_the_coupling_pattern(self, make, sizes, monkeypatch):
+        assert eigh_block_sizes(monkeypatch, make()) == sizes
+
+    def test_state_in_one_block_stays_there(self):
+        h = shipped_hamiltonian(16)
+        amps = random_state(h.space, 5).amplitudes.reshape(16, 4).copy()
+        amps[:, [0, 3]] = 0.0  # only up-down and down-up: total S_z = 0
+        psi0 = StateVector(h.space, amps).normalized()
+        result = evolve(psi0, h, t_final=3.0, n_steps=30)
+        spins = result.states.reshape(-1, 16, 4)
+        assert np.all(spins[:, :, [0, 3]] == 0.0)
+        assert np.max(np.abs(np.linalg.norm(spins[:, :, [1, 2]], axis=(1, 2)) - 1.0)) <= 1e-12
 
 
 class TestWeakCoupling:
