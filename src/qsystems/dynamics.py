@@ -247,7 +247,10 @@ def evolve(psi0: StateVector, h: Operator, t_final: float, n_steps: int) -> Evol
         phases = np.exp(-1j * np.outer(times, vals))
         states[:, ix] = (vecs @ (phases * coeffs[None, :]).T).T
     norms = np.linalg.norm(states, axis=1)
-    energies = np.real(np.sum(states.conj() * (states @ h.entries.T), axis=1))
+    # H psi from the real and the imaginary parts of the states, which keeps
+    # a real H real in its two products.
+    h_psi = states.real @ h.entries.T + 1j * (states.imag @ h.entries.T)
+    energies = np.sum(states.real * h_psi.real + states.imag * h_psi.imag, axis=1)
     return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
 
 

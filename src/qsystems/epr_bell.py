@@ -5,8 +5,9 @@ CHSH value, and local hidden-variable models for the classical bound.
 The pair state carries a Gaussian of width ``w`` in the relative coordinate
 (a normalizable stand-in for a sharp separation) times a plane wave in the
 center of mass.  The CHSH machinery is purely spin-1/2: correlations are
-computed by explicit 4x4 algebra, classical models by exact arc integration
-over the hidden variable and by seeded Monte Carlo.  Units have hbar = 1.
+contracted with the singlet for a stack of analyzer pairs at once, classical
+models by exact arc integration over the hidden variable and by seeded Monte
+Carlo.  Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import grids
 from .grids import GridSpec
-from .hilbert import SpaceSpec, StateVector, norm, pauli_matrices
+from .hilbert import SpaceSpec, StateVector, norm
 
 __all__ = [
     "EPRConfig",
@@ -313,11 +314,12 @@ class CHSHSettings:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
 
-    def terms(self) -> tuple[tuple[float, float], ...]:
-        """The four (a, b) settings of the correlations of S, in the order
-        that :func:`_chsh_sum` combines them."""
+    def terms(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The A angles and the B angles of the four correlations of S,
+        (a, a, a', a') and (b, b', b, b'), in the order that
+        :func:`_chsh_sum` combines them."""
         a, ap, b, bp = self.as_tuple()
-        return ((a, b), (a, bp), (ap, b), (ap, bp))
+        return (a, a, ap, ap), (b, bp, b, bp)
 
 
 def _chsh_sum(correlations) -> float:
@@ -335,22 +337,35 @@ def singlet_state() -> np.ndarray:
     return psi
 
 
-def analyzer_operator(theta: float) -> np.ndarray:
-    """Spin measurement along the unit vector at angle theta in the x-z plane."""
-    sx, _, sz = pauli_matrices()
-    return math.cos(theta) * sz + math.sin(theta) * sx
+def analyzer_operator(theta):
+    """Spin measurement along the unit vector at angle theta in the x-z plane,
+    cos(theta) sigma_z + sin(theta) sigma_x, a real matrix; an array of angles
+    gives the stack of operators, shape ``theta.shape + (2, 2)``."""
+    theta = np.asarray(theta)
+    cos, sin = np.cos(theta), np.sin(theta)
+    out = np.empty(theta.shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = cos, sin, sin, -cos
+    return out
+
+
+def _singlet_correlations(angles_a, angles_b) -> np.ndarray:
+    """<singlet| (n_a.sigma) x (n_b.sigma) |singlet> for each pair of the
+    broadcast angle arrays: the stacked analyzers contracted with the state,
+    read as the 2x2 amplitude matrix psi[i, j] of |i j>, in one einsum.  Each
+    pair's value is the same at any batch size."""
+    psi = singlet_state().reshape(2, 2)
+    ops_a, ops_b = analyzer_operator(angles_a), analyzer_operator(angles_b)
+    return np.einsum("ij,...ik,...jl,kl->...", psi.conj(), ops_a, ops_b, psi).real
 
 
 def correlation_quantum(angle_a: float, angle_b: float) -> float:
-    """<singlet| (n_a.sigma) x (n_b.sigma) |singlet>, by direct 4x4 algebra."""
-    psi = singlet_state()
-    op = np.kron(analyzer_operator(angle_a), analyzer_operator(angle_b))
-    return float(np.real(np.vdot(psi, op @ psi)))
+    """<singlet| (n_a.sigma) x (n_b.sigma) |singlet> at one pair of angles."""
+    return float(_singlet_correlations(angle_a, angle_b))
 
 
 def chsh_quantum(settings: CHSHSettings) -> float:
-    """S on the singlet (signed)."""
-    return _chsh_sum([correlation_quantum(a, b) for a, b in settings.terms()])
+    """S on the singlet (signed), its four correlations in one batch."""
+    return float(_chsh_sum(_singlet_correlations(*np.array(settings.terms()))))
 
 
 # --------------------------------------------------------------------------
@@ -447,30 +462,31 @@ SHIPPED_LHV_MODELS = {
 }
 
 
-def correlation_lhv_exact(model: LHVModel, angle_a: float, angle_b: float) -> float:
-    """E(a,b) for the model by exact piecewise-constant arc integration."""
-    jumps = np.concatenate(
-        (
-            np.atleast_1d(model.jumps_a(angle_a)),
-            np.atleast_1d(model.jumps_b(angle_b)),
-            [0.0, 2.0 * np.pi],
-        )
-    )
-    edges = np.unique(np.mod(jumps, 2.0 * np.pi))
-    if edges[-1] < 2.0 * np.pi:
-        edges = np.append(edges, 2.0 * np.pi)
-    total = 0.0
-    for t0, t1 in zip(edges[:-1], edges[1:]):
-        if t1 <= t0:
-            continue
-        mid = np.array([(t0 + t1) / 2.0])
-        agree = model.response_a(angle_a, mid)[0] == model.response_b(angle_b, mid)[0]
-        total += (1.0 if agree else -1.0) * (t1 - t0)
-    return total / (2.0 * np.pi)
+def correlation_lhv_exact(model: LHVModel, angles_a, angles_b) -> np.ndarray:
+    """E(a, b) of the model for each pair of ``angles_a`` and ``angles_b``
+    (sequences of equal length), by exact piecewise-constant arc integration.
+
+    Per pair, the jump angles of both sides, 0 and 2 pi, sorted, cut the
+    circle into arcs; the responses are evaluated at every arc midpoint in one
+    call per side, A before B, and the signed arc lengths are summed in circle
+    order.  A repeated angle makes an arc of zero length, which adds nothing.
+    """
+    two_pi = 2.0 * np.pi
+    out = np.empty(len(angles_a))
+    for t, (a, b) in enumerate(zip(angles_a, angles_b)):
+        jumps = np.concatenate((np.atleast_1d(model.jumps_a(a)), np.atleast_1d(model.jumps_b(b))))
+        edges = np.sort(np.concatenate((np.mod(jumps, two_pi), [0.0, two_pi])))
+        widths = np.diff(edges)
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        agree = model.response_a(a, mids) == model.response_b(b, mids)
+        # A running sum adds the arcs one by one in circle order, where
+        # np.sum would add them pairwise.
+        out[t] = np.cumsum(np.where(agree, widths, -widths))[-1] / two_pi
+    return out
 
 
 def chsh_lhv_exact(model: LHVModel, settings: CHSHSettings) -> float:
-    return _chsh_sum([correlation_lhv_exact(model, a, b) for a, b in settings.terms()])
+    return float(_chsh_sum(correlation_lhv_exact(model, *settings.terms())))
 
 
 @dataclass(frozen=True)
@@ -482,35 +498,51 @@ class LHVEstimate:
     seed: int
 
 
+def _agreement_counts(model: LHVModel, settings: CHSHSettings, lam: np.ndarray) -> list[int]:
+    """On how many hidden variables of ``lam`` each term's two outcomes agree,
+    in the order of :meth:`CHSHSettings.terms`: A(a), A(a'), B(b) and B(b')
+    are each evaluated once."""
+    a, ap, b, bp = settings.as_tuple()
+    out_a, out_ap = model.response_a(a, lam), model.response_a(ap, lam)
+    out_b, out_bp = model.response_b(b, lam), model.response_b(bp, lam)
+    pairs = ((out_a, out_b), (out_a, out_bp), (out_ap, out_b), (out_ap, out_bp))
+    return [int(np.count_nonzero(x == y)) for x, y in pairs]
+
+
 def chsh_lhv(
     model: LHVModel, settings: CHSHSettings, n_samples: int, seed: int
 ) -> LHVEstimate:
     """Monte-Carlo CHSH estimate for a local model; reproducible given the seed.
 
-    Each of the four correlations draws its own ``n_samples`` hidden variables
-    from one seeded generator, in blocks of ``_LHV_CHUNK``, and counts the
-    samples on which the two outcomes agree: E = (2 agree - n) / n.  Outcomes
-    are +/-1, so each term's sample variance is n (1 - E^2) / (n - 1), and
-    the standard error is sqrt(sum (1 - E_i^2) / (n - 1)).
+    The hidden variable of a local model does not depend on the analyzer
+    settings, so one draw of ``n_samples`` values serves all four
+    correlations.  In blocks of ``_LHV_CHUNK`` draws from one seeded
+    generator, each of A(a), A(a'), B(b) and B(b') is evaluated once, and the
+    samples on which each term's two outcomes agree are counted: E = (2 agree
+    - n) / n.  On each draw the four +/-1 products combine to S = +/-2, so S
+    is read from the integer counts, (2 (a0 - a1 + a2 + a3) - 2 n) / n, and
+    its ddof=1 standard error is sqrt((4 - S^2) / (n - 1)).  A model that
+    saturates the bound on every draw reads S = +/-2.0 with error 0.0.
     """
     if n_samples < MIN_LHV_SAMPLES:
         raise ValueError(f"use at least {MIN_LHV_SAMPLES} samples per correlation")
     rng = np.random.default_rng(seed)
-    estimates = []
-    variance = 0.0
-    for sa, sb in settings.terms():
-        agree = 0
-        for start in range(0, n_samples, _LHV_CHUNK):
-            lam = rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
-            agree += int(np.count_nonzero(model.response_a(sa, lam) == model.response_b(sb, lam)))
-        mean = (2 * agree - n_samples) / n_samples
-        estimates.append(mean)
-        variance += (1.0 - mean * mean) / (n_samples - 1)
+    agree = [0, 0, 0, 0]
+    for start in range(0, n_samples, _LHV_CHUNK):
+        # Passed unnamed, each block of draws is freed before the next is drawn.
+        counts = _agreement_counts(
+            model, settings, rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
+        )
+        agree = [k + c for k, c in zip(agree, counts)]
+    # a0 - a1 + a2 + a3 is twice the number of draws whose S is +2.
+    plus = _chsh_sum(agree) // 2
+    n = n_samples
     return LHVEstimate(
-        s_value=float(_chsh_sum(estimates)),
-        stderr=float(np.sqrt(variance)),
-        correlations=tuple(estimates),
-        n_samples=n_samples,
+        s_value=(4 * plus - 2 * n) / n,
+        # (4 - S^2) / (n - 1) in integers, free of the cancellation near |S| = 2
+        stderr=math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
+        correlations=tuple((2 * k - n) / n for k in agree),
+        n_samples=n,
         seed=seed,
     )
 

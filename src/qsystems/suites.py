@@ -972,7 +972,11 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
     first = None
     for name in cfg["models"]:
         model = epr_bell.SHIPPED_LHV_MODELS[name]()
-        magnitudes = np.abs([epr_bell.chsh_lhv_exact(model, s) for s in trial_settings])
+        # The configured terms are integrated once, for their S here and for
+        # the z-scores below; every other trial setting through its exact S.
+        exact = epr_bell.correlation_lhv_exact(model, *settings.terms())
+        magnitudes = np.abs([epr_bell._chsh_sum(exact),
+                             *(epr_bell.chsh_lhv_exact(model, s) for s in trial_settings[1:])])
         check(f"lhv-classical-bound-{name}",
               "exact hidden-variable CHSH magnitude stays within the classical bound 2",
               np.maximum(magnitudes - epr_bell.CLASSICAL_BOUND, 0.0), 1e-6,
@@ -984,8 +988,7 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
         # A correlation lies in [-1, 1], which an arc sum can round past; its
         # binomial standard error is zero only at +-1, where any sampled
         # difference is a failure.  The tolerance, 5, counts standard errors.
-        exact = np.clip([epr_bell.correlation_lhv_exact(model, *pair) for pair in settings.terms()],
-                        -1.0, 1.0)
+        exact = np.clip(exact, -1.0, 1.0)
         deviation = np.abs(np.array(estimate.correlations) - exact)
         spread = np.sqrt((1.0 - exact ** 2) / estimate.n_samples)
         z_scores = np.divide(deviation, spread, out=np.where(deviation > 0.0, np.inf, 0.0),

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from qsystems import epr_bell, grids
+from qsystems.hilbert import pauli_matrices
+from test_negative_controls import hemisphere_missing_a_jump, shifted_jumps_a
 from qsystems.epr_bell import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
     CHSHSettings,
     EPRConfig,
     SHIPPED_LHV_MODELS,
+    analyzer_operator,
     bell_report,
     build_epr_state,
     chsh_lhv,
@@ -49,21 +52,52 @@ COS_RESPONSES = {
 
 
 def oracle_chsh_lhv(name, settings, n_samples, seed):
-    """(S, stderr, correlations) from one full-length draw per correlation,
-    ``products.mean()`` and ``products.var(ddof=1)``."""
+    """(S, stderr, correlations) from one full-length draw of the hidden
+    variable shared by the four products: each correlation is its
+    ``products.mean()``, S the mean of the per-draw S and the stderr from
+    that per-draw S's ``var(ddof=1)``."""
     response = COS_RESPONSES[name]
-    rng = np.random.default_rng(seed)
+    lam = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=n_samples)
     a, ap, b, bp = settings.as_tuple()
-    signs = (1.0, -1.0, 1.0, 1.0)
-    estimates = []
-    variance = 0.0
-    for sa, sb in ((a, b), (a, bp), (ap, b), (ap, bp)):
-        lam = rng.uniform(0.0, 2.0 * np.pi, size=n_samples)
-        products = response(sa, lam) * -response(sb, lam)
-        estimates.append(float(products.mean()))
-        variance += float(products.var(ddof=1)) / n_samples
-    s_value = sum(sign * est for sign, est in zip(signs, estimates))
-    return s_value, float(np.sqrt(variance)), tuple(estimates)
+    products = [response(sa, lam) * -response(sb, lam) for sa, sb in ((a, b), (a, bp), (ap, b), (ap, bp))]
+    per_draw = products[0] - products[1] + products[2] + products[3]
+    correlations = tuple(float(p.mean()) for p in products)
+    return float(per_draw.mean()), float(np.sqrt(per_draw.var(ddof=1) / n_samples)), correlations
+
+
+# Oracles: the scalar forms that the batched singlet and arc integrals replaced.
+def oracle_correlation_quantum(angle_a, angle_b):
+    """<singlet| (n_a.sigma) x (n_b.sigma) |singlet> through the 4x4 kron."""
+    psi = singlet_state()
+    op = np.kron(analyzer_operator(angle_a), analyzer_operator(angle_b))
+    return float(np.real(np.vdot(psi, op @ psi)))
+
+
+def oracle_correlation_lhv_exact(model, angle_a, angle_b):
+    """E(a,b) by a Python loop over the arcs between sorted jump angles."""
+    jumps = np.concatenate(
+        (
+            np.atleast_1d(model.jumps_a(angle_a)),
+            np.atleast_1d(model.jumps_b(angle_b)),
+            [0.0, 2.0 * np.pi],
+        )
+    )
+    edges = np.unique(np.mod(jumps, 2.0 * np.pi))
+    if edges[-1] < 2.0 * np.pi:
+        edges = np.append(edges, 2.0 * np.pi)
+    total = 0.0
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        if t1 <= t0:
+            continue
+        mid = np.array([(t0 + t1) / 2.0])
+        agree = model.response_a(angle_a, mid)[0] == model.response_b(angle_b, mid)[0]
+        total += (1.0 if agree else -1.0) * (t1 - t0)
+    return total / (2.0 * np.pi)
+
+
+def exact_correlation(model, angle_a, angle_b):
+    """One pair's value of the batched :func:`correlation_lhv_exact`."""
+    return float(correlation_lhv_exact(model, [angle_a], [angle_b])[0])
 
 
 class TestEPRConfig:
@@ -265,14 +299,35 @@ def test_conditional_row_matches_the_dense_oracle(n, separation, mode):
 
 class TestQuantumCHSH:
     def test_aligned_analyzers_anticorrelate(self):
-        # 4x4 expectation oracle
-        psi = singlet_state()
-        from qsystems.epr_bell import analyzer_operator
-
-        op = np.kron(analyzer_operator(0.0), analyzer_operator(0.0))
-        oracle = np.real(np.vdot(psi, op @ psi))
+        oracle = oracle_correlation_quantum(0.0, 0.0)
         assert correlation_quantum(0.0, 0.0) == pytest.approx(oracle)
         assert oracle == pytest.approx(-1.0, abs=1e-12)
+
+    def test_analyzer_stack_matches_the_pauli_form(self):
+        sx, _, sz = pauli_matrices()
+        angles = np.random.default_rng(4).uniform(-10.0, 10.0, size=(5, 7))
+        stack = analyzer_operator(angles)
+        assert stack.shape == (5, 7, 2, 2)
+        for theta, op in zip(angles.ravel(), stack.reshape(-1, 2, 2)):
+            np.testing.assert_array_equal(op, math.cos(theta) * sz.real + math.sin(theta) * sx.real)
+            assert np.array_equal(analyzer_operator(theta), op)
+
+    def test_batched_correlations_match_the_kron_oracle(self):
+        # 200 random pairs, the 13 x 13 grid of correlation-cosine-law, and
+        # aligned and opposite analyzers: the einsum on the state agrees with
+        # the 4x4 kron to 1e-15, and a pair's value does not depend on the
+        # batch it sits in.
+        rng = np.random.default_rng(8)
+        grid = np.linspace(0.0, 2.0 * math.pi, 13)
+        angles_a = np.concatenate((rng.uniform(0.0, 2.0 * math.pi, 200), np.repeat(grid, 13), [0.7, 0.7]))
+        angles_b = np.concatenate((rng.uniform(0.0, 2.0 * math.pi, 200), np.tile(grid, 13), [0.7, 0.7 + math.pi]))
+        batched = epr_bell._singlet_correlations(angles_a, angles_b)
+        oracle = [oracle_correlation_quantum(a, b) for a, b in zip(angles_a, angles_b)]
+        np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(batched, [correlation_quantum(a, b) for a, b in zip(angles_a, angles_b)])
+        np.testing.assert_array_equal(
+            epr_bell._singlet_correlations(grid[:, None], grid[None, :]).ravel(), batched[200:369]
+        )
 
     def test_correlation_is_minus_cosine(self):
         for a in np.linspace(0, 2 * math.pi, 9):
@@ -315,10 +370,10 @@ def test_chsh_terms_combine_as_the_written_out_sum_bit_for_bit():
     for angles in rng.uniform(0.0, 2.0 * math.pi, size=(50, 4)).tolist():
         a, ap, b, bp = angles
         settings = CHSHSettings(*angles)
-        assert settings.terms() == ((a, b), (a, bp), (ap, b), (ap, bp))
+        assert settings.terms() == ((a, a, ap, ap), (b, bp, b, bp))
         e = correlation_quantum
         assert chsh_quantum(settings) == e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
-        e = partial(correlation_lhv_exact, model)
+        e = partial(exact_correlation, model)
         assert chsh_lhv_exact(model, settings) == e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
     draws = rng.uniform(-1.0, 1.0, size=(100_000, 4))
     signed = sum(sign * column for sign, column in zip((1.0, -1.0, 1.0, 1.0), draws.T))
@@ -358,7 +413,7 @@ class TestLHVModels:
         model = sign_cosine_model()
         for delta in (0.0, 0.4, math.pi / 4, math.pi / 2, 2.5):
             expected = -(1.0 - 2.0 * delta / math.pi)
-            assert correlation_lhv_exact(model, 0.3, 0.3 + delta) == pytest.approx(
+            assert exact_correlation(model, 0.3, 0.3 + delta) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -369,7 +424,7 @@ class TestLHVModels:
             model = factory()
             agree = model.response_a(0.7, lam) == model.response_b(1.9, lam)
             sampled = 2.0 * float(np.mean(agree)) - 1.0
-            exact = correlation_lhv_exact(model, 0.7, 1.9)
+            exact = exact_correlation(model, 0.7, 1.9)
             assert exact == pytest.approx(sampled, abs=1e-4)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
@@ -379,6 +434,42 @@ class TestLHVModels:
         for _ in range(40):
             settings = CHSHSettings(*rng.uniform(0, 2 * math.pi, size=4).tolist())
             assert abs(chsh_lhv_exact(model, settings)) <= CLASSICAL_BOUND + 1e-6
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_batched_arcs_match_the_arc_loop_bit_for_bit(self, name):
+        # 200 random pairs, pairs whose A and B jumps coincide (a = b, a = b
+        # + pi, a jump at 0), and the CHSH terms at aligned settings.
+        model = SHIPPED_LHV_MODELS[name]()
+        rng = np.random.default_rng(21)
+        angles_a = rng.uniform(0.0, 2.0 * math.pi, 200).tolist()
+        angles_b = rng.uniform(0.0, 2.0 * math.pi, 200).tolist()
+        for a in (0.0, 0.4, math.pi / 2, math.pi, 3.0, 2.0 * math.pi):
+            angles_a += [a, a, a]
+            angles_b += [a, a + math.pi, -a]
+        aligned_a, aligned_b = CHSHSettings(0.0, 0.0, 0.0, 0.0).terms()
+        angles_a += list(aligned_a)
+        angles_b += list(aligned_b)
+        batched = correlation_lhv_exact(model, angles_a, angles_b)
+        oracle = [oracle_correlation_lhv_exact(model, a, b) for a, b in zip(angles_a, angles_b)]
+        np.testing.assert_array_equal(batched, oracle)
+        assert chsh_lhv_exact(model, CHSHSettings(0.0, 0.0, 0.0, 0.0)) == -2.0
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_batched_arcs_match_the_arc_loop_on_a_shifted_jump_table(self, name):
+        # The shifted A table of the negative controls: the arcs no longer
+        # sit where the responses flip, and both forms read it alike.
+        model = shifted_jumps_a(SHIPPED_LHV_MODELS[name]())
+        angles = np.random.default_rng(22).uniform(0.0, 2.0 * math.pi, size=(2, 200))
+        oracle = [oracle_correlation_lhv_exact(model, a, b) for a, b in angles.T]
+        np.testing.assert_array_equal(correlation_lhv_exact(model, *angles), oracle)
+
+    def test_batched_arcs_match_the_arc_loop_on_a_missing_jump(self, monkeypatch):
+        hemisphere_missing_a_jump(monkeypatch)
+        model = epr_bell.sign_cosine_model()
+        angles = np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, size=(2, 200))
+        oracle = [oracle_correlation_lhv_exact(model, a, b) for a, b in angles.T]
+        np.testing.assert_array_equal(correlation_lhv_exact(model, *angles), oracle)
+        assert abs(chsh_lhv_exact(model, OPTIMAL)) == pytest.approx(3.0, abs=1e-12)
 
     def test_sign_cosine_saturates_at_optimal(self):
         assert abs(chsh_lhv_exact(sign_cosine_model(), OPTIMAL)) == pytest.approx(
@@ -426,12 +517,49 @@ class TestLHVSampling:
         exact = chsh_lhv_exact(model, OPTIMAL)
         assert abs(estimate.s_value - exact) <= 5.0 * estimate.stderr
 
+    def test_saturated_model_reads_minus_two_with_no_error(self):
+        # Every draw of the hemisphere model at the canonical settings gives
+        # S = -2, so the counts give S = -2.0 and the stderr 0.0 exactly.
+        for seed in range(5):
+            estimate = chsh_lhv(sign_cosine_model(), OPTIMAL, 100_003, seed=seed)
+            assert (estimate.s_value, estimate.stderr) == (-2.0, 0.0)
+
+    def test_one_draw_serves_the_four_terms(self, monkeypatch):
+        # n_samples hidden variables per call, in blocks of at most
+        # _LHV_CHUNK, and each of the four responses evaluated once per block.
+        drawn, evaluated = [], []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, low, high, size):
+                drawn.append(size)
+                return self.rng.uniform(low, high, size=size)
+
+        def counted(response):
+            def answer(setting, lam):
+                evaluated.append(lam.size)
+                return response(setting, lam)
+            return answer
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        model = narrow_window_model()
+        model = replace(model, response_a=counted(model.response_a), response_b=counted(model.response_b))
+        chsh_lhv(model, OPTIMAL, 200_001, seed=6)
+        assert sum(drawn) == 200_001
+        assert max(drawn) == epr_bell._LHV_CHUNK
+        assert sorted(evaluated) == sorted(4 * drawn)
+
     def test_variance_halves_when_samples_double(self):
-        # repeated-seed statistics: Var(S_hat) scales as 1/n
+        # repeated-seed statistics: Var(S_hat) scales as 1/n, at settings
+        # where the hemisphere model is not saturated (exact S = -1.236)
         model = sign_cosine_model()
-        small = [chsh_lhv(model, OPTIMAL, 10_000, seed=s).s_value for s in range(160)]
+        settings = CHSHSettings(0.5, 1.1, 0.1, 0.9)
+        small = [chsh_lhv(model, settings, 10_000, seed=s).s_value for s in range(160)]
         large = [
-            chsh_lhv(model, OPTIMAL, 20_000, seed=s).s_value for s in range(160, 320)
+            chsh_lhv(model, settings, 20_000, seed=s).s_value for s in range(160, 320)
         ]
         ratio = np.var(large, ddof=1) / np.var(small, ddof=1)
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
@@ -484,6 +612,25 @@ def test_bell_suite_runs_the_monte_carlo_once_per_model(monkeypatch):
     report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 2}, seed=3)
     assert report.to_dict()["pass"] is True
     assert sorted(calls) == sorted(m().name for m in epr_bell.SHIPPED_LHV_MODELS.values())
+
+
+def test_the_benchmark_harness_finds_the_monte_carlo_and_every_bell_check():
+    # perfbench/layers.py times epr_bell.chsh_lhv and counts its n_samples
+    # argument; perfbench/workloads.json lists the bell check ids a run must
+    # report.
+    import inspect
+    import json
+    from pathlib import Path
+
+    from qsystems import suites
+
+    assert "n_samples" in inspect.signature(epr_bell.chsh_lhv).parameters
+    workloads = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8")
+    )
+    listed = [c for c in workloads["workloads"]["default"]["expected_checks"] if c.startswith("bell/")]
+    report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 1}, seed=0)
+    assert [f"bell/{c.check_id}" for c in report.checks] == listed
 
 
 def test_pair_check_drops_its_grid_temporaries():
