@@ -266,7 +266,6 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessRepor
 
 @dataclass(frozen=True, eq=False)
 class ConditionalDistribution:
-    x2_values: np.ndarray
     probabilities: np.ndarray
     mode: float
     width: float
@@ -294,7 +293,7 @@ def conditional_inference(cfg: EPRConfig, measured_x1: float) -> ConditionalDist
     mode = float(x[int(np.argmax(slice_prob))])
     deviations = grids.wrap_displacement(x - mode, cfg.length)
     width = float(np.sqrt(np.sum(slice_prob * deviations ** 2)))
-    return ConditionalDistribution(x2_values=x, probabilities=slice_prob, mode=mode, width=width)
+    return ConditionalDistribution(probabilities=slice_prob, mode=mode, width=width)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def analyzer_operator(theta):
     return out
 
 
-def _singlet_correlations(angles_a, angles_b) -> np.ndarray:
+def correlation_quantum(angles_a, angles_b) -> np.ndarray:
     """<singlet| (n_a.sigma) x (n_b.sigma) |singlet> for each pair of the
     broadcast angle arrays: the stacked analyzers contracted with the state,
     read as the 2x2 amplitude matrix psi[i, j] of |i j>, in one einsum.  Each
@@ -358,14 +357,9 @@ def _singlet_correlations(angles_a, angles_b) -> np.ndarray:
     return np.einsum("ij,...ik,...jl,kl->...", psi.conj(), ops_a, ops_b, psi).real
 
 
-def correlation_quantum(angle_a: float, angle_b: float) -> float:
-    """<singlet| (n_a.sigma) x (n_b.sigma) |singlet> at one pair of angles."""
-    return float(_singlet_correlations(angle_a, angle_b))
-
-
 def chsh_quantum(settings: CHSHSettings) -> float:
     """S on the singlet (signed), its four correlations in one batch."""
-    return float(_chsh_sum(_singlet_correlations(*np.array(settings.terms()))))
+    return float(_chsh_sum(correlation_quantum(*np.array(settings.terms()))))
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Verification suites behind the command-line subcommands.
 
-Every suite merges its config section over its defaults, builds its fixtures
-from an explicit seed, measures each law at a pinned tolerance (scaled by
-``tolerance_scale`` for exploratory runs), and returns a
-:class:`~qsystems.report.SuiteReport`.  Each check is one call to the
-``check`` made by :func:`_checks`, which applies the one verdict policy.
+:func:`run_suite` merges one config section over its suite's defaults, and
+:func:`run_all` merges every section before the first suite runs; either way
+each section is merged once.  A suite's body, ``run_<suite>``, then builds its
+fixtures from the seeded generator, measures each law at a pinned tolerance
+(scaled by ``tolerance_scale`` for exploratory runs), and records it in the
+:class:`~qsystems.report.SuiteReport` that :func:`_run` returns.  Each check is
+one call to the ``check`` made by :func:`_checks`, which applies the one
+verdict policy.
 """
 
 from __future__ import annotations
@@ -32,48 +35,39 @@ _POSITIVE_NUMBERS = {
     "epr.width",
 }
 
-# Integer size and count keys, each at least 1 and at most its bound.  A count
-# of 0 would pass a check over no samples, and a huge one would never finish;
-# each bound is at least ten times the largest value the shipped configs use.
-_COUNT_BOUNDS = {
-    "axioms.mereology_instances": 1_000_000,
-    "axioms.grid_sites": 4096,
-    "axioms.n_test_states": 1000,
-    "symmetry.n_random": 1000,
-    "dynamics.relative.n_sites": 2048,
-    "dynamics.evolution.n_steps": 100_000,
-    "dynamics.weak_coupling.n_sites": 256,
-    "dynamics.momentum.n_sites": 4096,
-    "charge.n_observables": 100,
-    "charge.n_phases": 1000,
-    "epr.n_sites": 16_384,
-    "epr.n_inference": 1000,
-    "bell.n_samples": 10_000_000,
-    "bell.n_random_settings": 1000,
-}
-
 # The pair envelope, wrapped on the periodic box, is cut at the seam L/2 - |a|
 # from its centre; the pair checks read 25-65 times its amplitude there, so
 # at this bound ``commuting-pair`` stays below 1e-11, against its 1e-10.
 _SEAM_AMPLITUDE = 1e-13
 
-# Count keys whose least value is above 1: a grid needs this many sites, and
-# the Monte Carlo's normal error bar this many samples per correlation.
-_COUNT_MINIMA = {
+# Integer size and count keys, each mapped to its (least, most) value.  A count
+# of 0 would pass a check over no samples, and a huge one would never finish;
+# each most value is at least ten times the largest value the shipped configs
+# use.  A least value above 1 is the sites a grid needs, or the samples per
+# correlation that the Monte Carlo's normal error bar needs.
+_COUNT_RANGES = {
+    "axioms.mereology_instances": (1, 1_000_000),
     # The band-limited grid checks of the shipped axioms config pass on seeds
     # 0-9 from 49 sites; at 48 they read 6.8 times their tolerance.
-    "axioms.grid_sites": 49,
-    "dynamics.relative.n_sites": MIN_SITES,
-    "dynamics.weak_coupling.n_sites": MIN_SITES,
+    "axioms.grid_sites": (49, 4096),
+    "axioms.n_test_states": (1, 1000),
+    "symmetry.n_random": (1, 1000),
+    "dynamics.relative.n_sites": (MIN_SITES, 2048),
+    "dynamics.evolution.n_steps": (1, 100_000),
+    "dynamics.weak_coupling.n_sites": (MIN_SITES, 256),
     # momentum-conservation of the shipped dynamics config first passes on
     # seeds 0-9 at 51 sites, and at every size up to 300; at 50 it reads 1.4
     # times its tolerance.
-    "dynamics.momentum.n_sites": 51,
+    "dynamics.momentum.n_sites": (51, 4096),
+    "charge.n_observables": (1, 100),
+    "charge.n_phases": (1, 1000),
     # A width of at least two spacings, 2L/n, whose envelope stays below
     # _SEAM_AMPLITUDE on the seam even at zero separation, w <= L / (4
     # sqrt(ln(1 / _SEAM_AMPLITUDE))), needs n >= 44, whatever the box.
-    "epr.n_sites": math.ceil(8.0 * math.sqrt(math.log(1.0 / _SEAM_AMPLITUDE))),
-    "bell.n_samples": epr_bell.MIN_LHV_SAMPLES,
+    "epr.n_sites": (math.ceil(8.0 * math.sqrt(math.log(1.0 / _SEAM_AMPLITUDE))), 16_384),
+    "epr.n_inference": (1, 1000),
+    "bell.n_samples": (epr_bell.MIN_LHV_SAMPLES, 10_000_000),
+    "bell.n_random_settings": (1, 1000),
 }
 
 # An individual is one uint64 mask, one bit per distinct atom of the pool.
@@ -132,10 +126,12 @@ def _check_value(path: str, value) -> None:
     """Raise ValueError, naming ``path``, unless ``value`` keeps its key's rule."""
     if path in _POSITIVE_NUMBERS and not value > 0:
         raise ValueError(f"{path} must be positive")
-    if path in _COUNT_BOUNDS and value < _COUNT_MINIMA.get(path, 1):
-        raise ValueError(f"{path} must be at least {_COUNT_MINIMA.get(path, 1)}")
-    if path in _COUNT_BOUNDS and value > _COUNT_BOUNDS[path]:
-        raise ValueError(f"{path} must be at most {_COUNT_BOUNDS[path]}")
+    if path in _COUNT_RANGES:
+        least, most = _COUNT_RANGES[path]
+        if value < least:
+            raise ValueError(f"{path} must be at least {least}")
+        if value > most:
+            raise ValueError(f"{path} must be at most {most}")
     if path in ("symmetry.cases", "bell.models") and not value:
         raise ValueError(f"{path} must not be empty")
     if path == "symmetry.cases":
@@ -320,7 +316,7 @@ _AXIOMS_DEFAULTS = {
 # The spin images are small dense matrices, so their laws hold to roundoff.
 _SPIN_TOL = 1e-12
 # The grid laws hold on the band-limited, interior-localized subspace only up
-# to the mask's truncation; the least grid size in _COUNT_MINIMA is measured
+# to the mask's truncation; the least grid size in _COUNT_RANGES is measured
 # against this tolerance.
 _GRID_TOL = 1e-6
 
@@ -477,12 +473,7 @@ def _law_residuals(detail: dict) -> list[float]:
     return [law["residual"] for law in detail["checks"]]
 
 
-def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_AXIOMS_DEFAULTS, config, "axioms")
-    report = SuiteReport("axioms", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
-
+def run_axioms(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     pool = list(cfg["atom_pool"])
     exhaustive = _mereology_is_exhaustive(pool)
     # The number of triples checked: every one of the finite model, or the samples.
@@ -538,7 +529,6 @@ def run_axioms(config: dict | None = None, seed: int = 0, tolerance_scale: float
     j3_eigs = np.sort(np.linalg.eigvalsh(total.image("J3")))
     check("additive-spin-j3-spectrum", "two spin-1/2 parts: total J3 spectrum {-hbar, 0, 0, +hbar}",
           np.max(np.abs(j3_eigs - np.array([-1.0, 0.0, 0.0, 1.0]))), _SPIN_TOL)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -551,11 +541,7 @@ _SYMMETRY_DEFAULTS = {
 }
 
 
-def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_SYMMETRY_DEFAULTS, config, "symmetry")
-    report = SuiteReport("symmetry", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
+def run_symmetry(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     n_random = int(cfg["n_random"])
 
     idempotency = []
@@ -646,7 +632,6 @@ def run_symmetry(config: dict | None = None, seed: int = 0, tolerance_scale: flo
     check("exchange-invariance-symmetric-state",
           "one-sided observable still balances on an exchange-symmetric state",
           symmetry.exchange_expectation_check(one_sided, sym_state, swap), 1e-10)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -683,12 +668,7 @@ def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, 
     )
 
 
-def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_DYNAMICS_DEFAULTS, config, "dynamics")
-    report = SuiteReport("dynamics", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
-
+def run_dynamics(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     rel = cfg["relative"]
     length = float(rel["length"])
     pot = _gaussian_well_tables(
@@ -747,7 +727,6 @@ def run_dynamics(config: dict | None = None, seed: int = 0, tolerance_scale: flo
           dynamics.momentum_conservation_residual(
               GridSpec(int(mom["n_sites"]), length), mom["masses"], pot, seed=seed
           ), 1e-6)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -787,12 +766,8 @@ def _build_charge_model(charges: list[int], n_observables: int, rng: np.random.G
     )
 
 
-def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_CHARGE_DEFAULTS, config, "charge")
+def run_charge(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     charges = cfg["charges"]
-    report = SuiteReport("charge", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
     model = _build_charge_model(charges, int(cfg["n_observables"]), rng)
     dim = model.space.total_dim
 
@@ -836,7 +811,6 @@ def run_charge(config: dict | None = None, seed: int = 0, tolerance_scale: float
     check("relative-phase-invisibility",
           "expectations are independent of the phase between charge sectors",
           spread, 1e-10)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -854,12 +828,8 @@ _EPR_DEFAULTS = {
 }
 
 
-def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_EPR_DEFAULTS, config, "epr")
+def run_epr(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     n_inference = int(cfg["n_inference"])
-    report = SuiteReport("epr", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
     length = float(cfg["length"])
     pair_cfg = epr_bell.EPRConfig(
         n_sites=int(cfg["n_sites"]),
@@ -924,7 +894,6 @@ def run_epr(config: dict | None = None, seed: int = 0, tolerance_scale: float = 
     check("conditional-inference-width",
           "the conditional distribution's width matches the regularization width",
           width_errors, 0.2)
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -939,11 +908,7 @@ _BELL_DEFAULTS = {
 }
 
 
-def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    cfg = _merge(_BELL_DEFAULTS, config, "bell")
-    report = SuiteReport("bell", seed=seed, config=cfg, tool_version=__version__)
-    check = _checks(report, tolerance_scale)
-    rng = np.random.default_rng(seed)
+def run_bell(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     settings = epr_bell.CHSHSettings(*[float(a) for a in cfg["angles"]])
 
     optimal = epr_bell.CHSHSettings()
@@ -954,9 +919,9 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
           np.maximum(abs(s_quantum) - epr_bell.QUANTUM_BOUND, 0.0), 1e-10,
           {"S_quantum": s_quantum})
     grid = np.linspace(0.0, 2.0 * math.pi, 13)
+    a, b = grid[:, None], grid[None, :]
     check("correlation-cosine-law", "singlet correlation E(a,b) equals -cos(a-b)",
-          [abs(epr_bell.correlation_quantum(a, b) + math.cos(a - b)) for a in grid for b in grid],
-          1e-10)
+          np.abs(epr_bell.correlation_quantum(a, b) + np.cos(a - b)), 1e-10)
     rotated = (
         epr_bell.CHSHSettings(*(angle + delta for angle in settings.as_tuple()))
         for delta in np.linspace(0.0, 2.0 * math.pi, 7)
@@ -1012,13 +977,13 @@ def run_bell(config: dict | None = None, seed: int = 0, tolerance_scale: float =
     required = {"S_quantum", "S_lhv", "stderr_lhv", "bound_classical", "bound_quantum", "verdict"}
     check("bell-report-schema", "the side-by-side record carries every documented field",
           required <= set(doc), detail=doc)
-    return report
 
 
 # --------------------------------------------------------------------------
 # dispatch
 # --------------------------------------------------------------------------
 
+# Each suite's body, which :func:`_run` calls as ``runner(cfg, check, rng, seed)``.
 SUITE_RUNNERS = {
     "axioms": run_axioms,
     "symmetry": run_symmetry,
@@ -1033,11 +998,19 @@ _DEFAULTS = dict(axioms=_AXIOMS_DEFAULTS, symmetry=_SYMMETRY_DEFAULTS, dynamics=
                  charge=_CHARGE_DEFAULTS, epr=_EPR_DEFAULTS, bell=_BELL_DEFAULTS)
 
 
+def _run(name: str, cfg: dict, seed: int, tolerance_scale: float) -> SuiteReport:
+    """Run suite ``name`` on its merged section ``cfg``: its body, reached
+    through ``SUITE_RUNNERS``, gets the report's ``check`` and a generator
+    seeded with ``seed``."""
+    report = SuiteReport(name, seed=seed, config=cfg, tool_version=__version__)
+    SUITE_RUNNERS[name](cfg, _checks(report, tolerance_scale), np.random.default_rng(seed), seed)
+    return report
+
+
 def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
-    runner = SUITE_RUNNERS.get(name)
-    if runner is None:
+    if name not in SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
-    return runner(config, seed=seed, tolerance_scale=tolerance_scale)
+    return _run(name, _merge(_DEFAULTS[name], config, name), seed, tolerance_scale)
 
 
 def _check_sections(config) -> None:
@@ -1055,10 +1028,6 @@ def _check_sections(config) -> None:
 def run_all(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> list[SuiteReport]:
     config = {} if config is None else config
     _check_sections(config)
-    # Every section is merged, and so validated, before any suite runs.  A
-    # runner merges its merged section again, which returns an equal dict.
+    # Every section is merged, and so validated, before any suite runs.
     sections = {name: _merge(_DEFAULTS[name], config.get(name), name) for name in SUITE_RUNNERS}
-    return [
-        SUITE_RUNNERS[name](section, seed=seed, tolerance_scale=tolerance_scale)
-        for name, section in sections.items()
-    ]
+    return [_run(name, section, seed, tolerance_scale) for name, section in sections.items()]

@@ -31,6 +31,12 @@ __all__ = [
 # rank above this midpoint between 0 and 1.
 _RANK_THRESHOLD = 0.5
 
+# Index-map entries per block of build_projectors: a block's index and weight
+# arrays take 0.5 MiB each.  All 5040 maps of the (7, 2) case at once took
+# 5 MiB each, and whether those landed on the C heap or in fresh pages moved
+# the process's peak memory by 5 MB from one launch path to another.
+_INDEX_BLOCK = 2 ** 16
+
 
 def _permutation_rows(images, dims: tuple[int, ...]) -> np.ndarray:
     """Row index of the single 1 in each column of each permutation operator.
@@ -79,23 +85,29 @@ def permutation_operator(image, space: SpaceSpec) -> Operator:
 
 def build_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Group averages S = mean(U_P) and A = mean(sgn(P) U_P) on n factors of
-    dimension d, as real ``d^n x d^n`` arrays, from all n! index maps at once."""
+    dimension d, as real ``d^n x d^n`` arrays, from the n! index maps in
+    blocks of about ``_INDEX_BLOCK`` entries.  The blocks add integer counts,
+    so the result does not depend on them."""
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 factors of dimension d >= 1")
     dim = d ** n
     images = np.array(list(itertools.permutations(range(n))))
-    # Flat position r*dim + c of the 1 in column c of each permutation operator.
-    entries = _permutation_rows(images, (d,) * n) * dim
-    entries += np.arange(dim)
     i, j = np.triu_indices(n, 1)
     signs = np.where(np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2, -1.0, 1.0)
+    sym, asym = np.zeros(dim * dim), np.zeros(dim * dim)
+    step = max(1, _INDEX_BLOCK // dim)
+    for start in range(0, len(images), step):
+        block = slice(start, start + step)
+        # Flat position r*dim + c of the 1 in column c of each permutation operator.
+        entries = (_permutation_rows(images[block], (d,) * n) * dim + np.arange(dim)).reshape(-1)
+        sym += np.bincount(entries, minlength=dim * dim)
+        asym += np.bincount(entries, np.repeat(signs[block], dim), minlength=dim * dim)
     # Times 1/n!, not / n!: a real division moves the (6, 2) symmetrizer by
     # 1 ulp from the reported bits.
     scale = 1.0 / math.factorial(n)
-    entries = entries.reshape(-1)
-    sym = np.bincount(entries, minlength=dim * dim).reshape(dim, dim) * scale
-    asym = np.bincount(entries, np.repeat(signs, dim), minlength=dim * dim).reshape(dim, dim) * scale
-    return sym, asym
+    sym *= scale
+    asym *= scale
+    return sym.reshape(dim, dim), asym.reshape(dim, dim)
 
 
 def exchange_expectation_check(obs: Operator, psi: StateVector, image) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qsystems import epr_bell, suites
 from qsystems.cli import SUITE_NAMES, _seed, main
@@ -509,10 +509,9 @@ def invalid_sections(draw):
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
     else:
-        where = draw(st.sampled_from(sorted(suites._COUNT_BOUNDS)))
+        where = draw(st.sampled_from(sorted(suites._COUNT_RANGES)))
         suite = where.split(".")[0]
-        bound = suites._COUNT_BOUNDS[where]
-        least = suites._COUNT_MINIMA.get(where, 1)
+        least, bound = suites._COUNT_RANGES[where]
         value = draw(st.integers(max_value=least - 1) | st.integers(bound + 1, 10 ** 300))
     doc = value
     for key in reversed(where.split(".")):
@@ -534,6 +533,101 @@ def test_main_rejects_every_invalid_section_with_exit_2(case):
     assert where in err.getvalue()
     assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+def _pair(low, high):
+    return st.lists(st.floats(low, high), min_size=2, max_size=2)
+
+
+def _keys(required: dict, **optional):
+    """A section with every ``required`` key set and each ``optional`` one
+    drawn or left at its default."""
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@st.composite
+def _epr_sections(draw):
+    """An epr section whose geometry mostly keeps the rules of
+    ``suites._check_epr_geometry``: a width of two spacings to L/22, whose
+    envelope on the box seam stays below 1e-13 at zero separation, and a
+    separation that keeps it there."""
+    n_sites, length = draw(st.integers(44, 128)), draw(st.floats(8.0, 24.0))
+    width = draw(st.floats(2.0 * length / n_sites, length / 22.0))
+    reach = max(length / 2.0 - 11.0 * width, 0.0)  # 0 up to roundoff at width L/22
+    return {
+        "n_sites": n_sites, "length": length, "width": width,
+        "wide_width": draw(st.floats(width, length / 8.0, exclude_min=True)),
+        "separation": draw(st.floats(-reach, reach)),
+        "momentum_mode": draw(st.integers(-4, 4)),
+        "n_inference": draw(st.integers(1, 3)),
+    }
+
+
+# Every size and count is set near its least value, so that a whole `all` run
+# takes tens of ms; every other key is drawn or left at its default.
+_VALID_SECTIONS = {
+    "axioms": _keys(
+        {"mereology_instances": st.integers(1, 300), "grid_sites": st.integers(49, 64),
+         "n_test_states": st.integers(1, 3)},
+        atom_pool=st.lists(st.sampled_from("abcdefghijk"), min_size=1, max_size=10),
+        spin_values=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), max_size=2, unique=True),
+        grid_length=st.floats(4.0, 32.0), grid_masses=_pair(0.5, 3.0)),
+    # A case with d >= n keeps sector-orthogonality measuring: without one it
+    # measures nothing and exits 2 (test_check_that_measures_nothing_reports_error).
+    "symmetry": _keys(
+        {"n_random": st.integers(1, 3)},
+        cases=st.lists(st.sampled_from([[2, 2], [2, 3], [3, 2], [3, 3], [4, 2], [2, 4]]),
+                       min_size=1, max_size=3, unique_by=tuple).filter(
+            lambda cases: any(d >= n for n, d in cases))),
+    "dynamics": st.fixed_dictionaries({
+        "relative": _keys(
+            {"n_sites": st.integers(8, 24)},
+            length=st.floats(4.0, 32.0), masses=_pair(0.5, 2.0), well_depth=st.floats(-4.0, 4.0),
+            well_width=st.floats(0.3, 3.0), v2_scale=st.floats(-1.0, 1.0), v3_scale=st.floats(-1.0, 1.0)),
+        "evolution": _keys({"n_steps": st.integers(1, 20)}, t_final=st.floats(0.1, 4.0)),
+        "weak_coupling": _keys(
+            {"n_sites": st.integers(8, 12)},
+            masses=_pair(0.5, 2.0), lambdas=st.lists(st.floats(0.01, 2.0), min_size=2, max_size=4)),
+        "momentum": _keys({"n_sites": st.integers(51, 64)}, masses=_pair(0.5, 2.0)),
+    }),
+    "charge": _keys(
+        {"n_observables": st.integers(1, 3), "n_phases": st.integers(1, 8)},
+        charges=st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3, 4, 5]), max_size=3).flatmap(
+            lambda extra: st.permutations([0, 1, 2, *extra]))),
+    "epr": _epr_sections(),
+    "bell": _keys(
+        {"n_samples": st.integers(10_000, 20_000), "n_random_settings": st.integers(1, 3)},
+        angles=st.lists(st.floats(-7.0, 7.0), min_size=4, max_size=4),
+        models=st.lists(st.sampled_from(sorted(epr_bell.SHIPPED_LHV_MODELS)), min_size=1, unique=True)),
+}
+
+
+@st.composite
+def valid_configs(draw):
+    """(config, merged sections) of a small config that every merge accepts."""
+    config = {name: draw(section) for name, section in _VALID_SECTIONS.items()}
+    try:
+        merged = {name: suites._merge(suites._DEFAULTS[name], config[name], name) for name in config}
+    except ValueError:  # an epr geometry that a rule rejects, mostly the momentum mode
+        assume(False)
+    return config, merged
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs(), st.integers(0, 3))
+def test_main_runs_every_valid_config_to_a_verdict(case, seed):
+    config, merged = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            rc = main(["all", "--config", str(path), "--seed", str(seed)])
+    assert rc in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    doc = json.loads(out.getvalue())
+    assert doc["pass"] is (rc == 0)
+    assert {suite["suite"]: suite["config"] for suite in doc["suites"]} == merged
 
 
 @st.composite

@@ -321,12 +321,12 @@ class TestQuantumCHSH:
         grid = np.linspace(0.0, 2.0 * math.pi, 13)
         angles_a = np.concatenate((rng.uniform(0.0, 2.0 * math.pi, 200), np.repeat(grid, 13), [0.7, 0.7]))
         angles_b = np.concatenate((rng.uniform(0.0, 2.0 * math.pi, 200), np.tile(grid, 13), [0.7, 0.7 + math.pi]))
-        batched = epr_bell._singlet_correlations(angles_a, angles_b)
+        batched = epr_bell.correlation_quantum(angles_a, angles_b)
         oracle = [oracle_correlation_quantum(a, b) for a, b in zip(angles_a, angles_b)]
         np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(batched, [correlation_quantum(a, b) for a, b in zip(angles_a, angles_b)])
         np.testing.assert_array_equal(
-            epr_bell._singlet_correlations(grid[:, None], grid[None, :]).ravel(), batched[200:369]
+            epr_bell.correlation_quantum(grid[:, None], grid[None, :]).ravel(), batched[200:369]
         )
 
     def test_correlation_is_minus_cosine(self):
@@ -609,7 +609,7 @@ def test_bell_suite_runs_the_monte_carlo_once_per_model(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(epr_bell, "chsh_lhv", counted)
-    report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 2}, seed=3)
+    report = suites.run_suite("bell", {"n_samples": 10_000, "n_random_settings": 2}, seed=3)
     assert report.to_dict()["pass"] is True
     assert sorted(calls) == sorted(m().name for m in epr_bell.SHIPPED_LHV_MODELS.values())
 
@@ -629,7 +629,7 @@ def test_the_benchmark_harness_finds_the_monte_carlo_and_every_bell_check():
         (Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8")
     )
     listed = [c for c in workloads["workloads"]["default"]["expected_checks"] if c.startswith("bell/")]
-    report = suites.run_bell({"n_samples": 10_000, "n_random_settings": 1}, seed=0)
+    report = suites.run_suite("bell", {"n_samples": 10_000, "n_random_settings": 1}, seed=0)
     assert [f"bell/{c.check_id}" for c in report.checks] == listed
 
 
@@ -673,7 +673,7 @@ def test_epr_suite_builds_each_pair_state_once(monkeypatch):
         return original(cfg)
 
     monkeypatch.setattr(epr_bell, "build_epr_state", counted)
-    report = suites.run_epr({"n_sites": 128, "n_inference": 3})
+    report = suites.run_suite("epr", {"n_sites": 128, "n_inference": 3})
     assert report.to_dict()["pass"] is True
     assert builds == [0.25, 0.5]
 
@@ -699,7 +699,7 @@ def test_epr_suite_runs_one_pair_check_and_reads_only_the_wide_moments(monkeypat
         return original(psi, cfg)
 
     monkeypatch.setattr(epr_bell, "commuting_pair_check", counted)
-    report = suites.run_epr({"n_sites": 128, "n_inference": 2})
+    report = suites.run_suite("epr", {"n_sites": 128, "n_inference": 2})
     defaults = suites._EPR_DEFAULTS
     assert checked == [defaults["width"]]
     wide_cfg = EPRConfig(

@@ -233,7 +233,7 @@ def test_exhaustive_law_check_draws_nothing_from_rng():
 
 
 # grid_sites at its least value keeps these axioms runs cheap.
-CHEAP_GRID_SITES = suites._COUNT_MINIMA["axioms.grid_sites"]
+CHEAP_GRID_SITES = suites._COUNT_RANGES["axioms.grid_sites"][0]
 
 
 @pytest.mark.parametrize(
@@ -248,7 +248,7 @@ def test_axioms_report_names_the_law_check_path(pool, exhaustive, instances):
         "grid_sites": CHEAP_GRID_SITES,
         "n_test_states": 2,
     }
-    record = suites.run_axioms(cheap).checks[0]
+    record = suites.run_suite("axioms", cheap).checks[0]
     assert record.check_id == "mereology-monoid-parthood"
     assert record.passed and record.value == 0
     assert record.detail == {"instances": instances, "exhaustive": exhaustive}
@@ -275,7 +275,7 @@ def test_law_check_is_given_the_number_of_triples_it_checks(pool, instances, mon
         "grid_sites": CHEAP_GRID_SITES,
         "n_test_states": 2,
     }
-    suites.run_axioms(cheap)
+    suites.run_suite("axioms", cheap)
     assert seen == [instances]
 
 

@@ -686,11 +686,15 @@ def nan_gauge_at_quarter_turn(monkeypatch):
 
 
 def nan_correlation_off_the_grid_origin(monkeypatch):
-    grid = np.linspace(0.0, 2.0 * math.pi, 13)
+    """The 13 x 13 grid of correlations reads NaN at entry [2, 5]; the
+    correlations of S, a batch of four, are untouched."""
     correlation = epr_bell.correlation_quantum
 
-    def spoiled(a, b):
-        return NAN if (a, b) == (grid[2], grid[5]) else correlation(a, b)
+    def spoiled(angles_a, angles_b):
+        out = correlation(angles_a, angles_b)
+        if out.shape == (13, 13):
+            out[2, 5] = NAN
+        return out
 
     monkeypatch.setattr(epr_bell, "correlation_quantum", spoiled)
 

@@ -9,6 +9,7 @@ After a deliberate change to a check, rewrite it with
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ class TestMerge:
         workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
         configs = [DEFAULTS, json.loads(example[: example.index("```")])]
         configs += [w["config"] for w in workloads["workloads"].values()]
-        for where, bound in suites._COUNT_BOUNDS.items():
+        for where, (_, bound) in suites._COUNT_RANGES.items():
             for config in configs:
                 value = config
                 for key in where.split("."):
@@ -69,7 +70,7 @@ class TestMerge:
     def test_every_shipped_size_is_at_least_its_least_value(self):
         workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
         configs = [DEFAULTS, *(w["config"] for w in workloads["workloads"].values())]
-        for where, least in suites._COUNT_MINIMA.items():
+        for where, (least, _) in suites._COUNT_RANGES.items():
             for config in configs:
                 value = config
                 for key in where.split("."):
@@ -101,6 +102,54 @@ def test_run_all_rejects_a_bad_section_before_any_suite_runs(config, message, mo
         monkeypatch.setitem(suites.SUITE_RUNNERS, name, runner)
     with pytest.raises(ValueError, match=message):
         suites.run_all(config)
+
+
+def test_run_all_merges_each_section_once_and_dispatches_through_the_runner_table(monkeypatch):
+    # perfbench/layers.py times each suite by wrapping suites.run_<name> wherever
+    # it is bound, SUITE_RUNNERS included, so every run must go through that
+    # table; and run_all validates every section by merging it, once.
+    for name, runner in suites.SUITE_RUNNERS.items():
+        assert runner is getattr(suites, f"run_{name}")
+    merged, reached = [], {}
+    merge = suites._merge
+
+    def counted_merge(defaults, override, path):
+        merged.append(path)
+        return merge(defaults, override, path)
+
+    def recorded(name, runner):
+        def run(section, *args, **kwargs):
+            reached[name] = section
+            return runner(section, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(suites, "_merge", counted_merge)
+    for name, runner in list(suites.SUITE_RUNNERS.items()):
+        monkeypatch.setitem(suites.SUITE_RUNNERS, name, recorded(name, runner))
+    config = {"axioms": {"grid_sites": 49, "n_test_states": 1, "spin_values": [0.5]},
+              "symmetry": {"cases": [[2, 2]], "n_random": 1},
+              "dynamics": {"relative": {"n_sites": 8}, "evolution": {"n_steps": 2}},
+              "epr": {"n_sites": 128, "n_inference": 1},
+              "bell": {"n_samples": 10_000, "n_random_settings": 1}}
+    reports = suites.run_all(config)
+    assert [path for path in merged if "." not in path] == list(suites.SUITE_RUNNERS)
+    assert [report.suite for report in reports] == list(reached) == list(suites.SUITE_RUNNERS)
+    for report in reports:
+        assert reached[report.suite] is report.config
+        assert report.config == merge(DEFAULTS[report.suite], config.get(report.suite), report.suite)
+
+
+def test_readme_least_values_are_the_count_table_least_values():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| Key | Least value | Why |"):]
+    documented = {}
+    for row in table[: table.index("\n\n")].splitlines()[2:]:
+        keys, least, _ = (cell.strip() for cell in row.strip("|").split("|"))
+        for key in re.findall(r"`([^`]+)`", keys):
+            documented[key] = int(least)
+    assert documented == {
+        where: least for where, (least, _) in suites._COUNT_RANGES.items() if least > 1
+    }
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -221,7 +270,7 @@ class TestVerdictPolicy:
     ],
 )
 def test_each_least_size_admits_a_passing_run(runner, section, ids):
-    report = runner(section)
+    report = suites.run_suite(runner.__name__.removeprefix("run_"), section)
     checks = [c for c in report.checks if ids is None or c.check_id in ids]
     assert checks and all(c.passed for c in checks), [c.check_id for c in checks if not c.passed]
 
@@ -246,7 +295,7 @@ def test_momentum_conservation_holds_between_the_table_nodes(n_sites):
 def test_sampling_consistency_holds_on_deterministic_correlations(angle):
     # At equal angles every model answers A = -B, so each sampled term is
     # exactly -1 with zero variance: no division by zero, and no failure.
-    report = suites.run_bell({"angles": [angle] * 4, "n_random_settings": 1})
+    report = suites.run_suite("bell", {"angles": [angle] * 4, "n_random_settings": 1})
     records = [c for c in report.checks if c.check_id.startswith("lhv-sampling-consistency-")]
     assert len(records) == 3
     for record in records:
