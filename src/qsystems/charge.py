@@ -50,7 +50,7 @@ class ChargeModel:
         q = self.q_operator
         if q.space != self.space:
             raise ValueError("charge operator lives on the wrong space")
-        if not q.is_hermitian(1e-10):
+        if not np.max(np.abs(q.entries - q.entries.conj().T)) <= 1e-10:
             raise ValueError("charge operator must be hermitian")
         eigs = np.linalg.eigvalsh(q.entries)
         if np.max(np.abs(eigs - np.round(eigs))) > INTEGER_SPECTRUM_ATOL:

@@ -167,9 +167,10 @@ def build_epr_state(cfg: EPRConfig) -> StateVector:
 
 
 def relative_position_values(cfg: EPRConfig) -> np.ndarray:
-    """Diagonal of the wrapped relative-position observable, as an (n, n) array."""
-    x = grids.position_values(cfg.grid)
-    return grids.wrap_displacement(x[:, None] - x[None, :], cfg.length)
+    """Diagonal of the wrapped relative-position observable, as an (n, n) array: the
+    site offset (i - j) mod n in [-n//2, n - n//2) times the spacing, exactly shift invariant."""
+    n, sites = cfg.n_sites, np.arange(cfg.n_sites)
+    return ((sites[:, None] - sites[None, :] + n // 2) % n - n // 2) * cfg.grid.spacing
 
 
 def _total_momentum(cfg: EPRConfig) -> np.ndarray:

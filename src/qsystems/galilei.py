@@ -188,11 +188,7 @@ def build_spin_rep(j, mass: float = 1.0) -> AlgebraRep:
 
 def casimir_squared(rep: AlgebraRep) -> np.ndarray:
     """J1^2 + J2^2 + J3^2 for the representation."""
-    total = _zeros(rep.space.total_dim)
-    for lab in ("J1", "J2", "J3"):
-        mat = rep.image(lab)
-        total = total + mat @ mat
-    return total
+    return sum((rep.image(lab) @ rep.image(lab) for lab in ("J1", "J2", "J3")), _zeros(rep.space.total_dim))
 
 
 def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:

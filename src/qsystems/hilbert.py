@@ -5,9 +5,8 @@ entries as ``float64`` and complex ones as ``complex128``, so a real symmetric
 Hamiltonian reaches a real ``eigh``.  Values are immutable after construction
 (arrays are marked read-only).  Besides the value types there are basis
 states, the Pauli matrices, the lift of a one-factor operator into a product
-space, a norm whose bits do not depend on the BLAS thread count, and a
-Hermitian eigendecomposition whose eigenvector basis is made deterministic by
-a fixed phase convention.
+space, a norm whose bits do not depend on the BLAS thread count, a phase-fixed
+Hermitian eigendecomposition, and the connected sets of a coupling pattern.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ __all__ = [
     "Operator",
     "lift",
     "eigh_phase_fixed",
+    "connected_sets",
     "pauli_matrices",
     "basis_state",
     "norm",
 ]
 
-HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-12
 # A component below this magnitude cannot fix an eigenvector's phase.
 _PHASE_PIVOT_TOL = 1e-12
@@ -111,9 +110,6 @@ class Operator:
             raise ValueError(f"operator shape {mat.shape} != ({d}, {d})")
         object.__setattr__(self, "entries", _frozen(mat))
 
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
-
 
 def basis_state(space: SpaceSpec, index: int) -> StateVector:
     amps = np.zeros(space.total_dim, dtype=np.complex128)
@@ -158,3 +154,14 @@ def eigh_phase_fixed(matrix: np.ndarray):
     scale = np.ones_like(pivots)
     scale[found] = pivots[found].conj() / size[found]
     return vals, vecs * scale
+
+
+def connected_sets(coupled: np.ndarray) -> list[np.ndarray]:
+    """Ascending index arrays of the connected sets of the boolean pattern
+    ``coupled``, linked either way, ordered by least index (spread to a fixed point)."""
+    coupled = coupled | coupled.T
+    labels, spread = None, np.arange(len(coupled))
+    while not np.array_equal(labels, spread):
+        labels = spread
+        spread = np.minimum(labels, np.where(coupled, labels, len(coupled)).min(axis=1))
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]

@@ -31,13 +31,6 @@ __all__ = [
 # rank above this midpoint between 0 and 1.
 _RANK_THRESHOLD = 0.5
 
-# Index-map entries per block of build_projectors: a block's index and weight
-# arrays take 0.5 MiB each.  All 5040 maps of the (7, 2) case at once took
-# 5 MiB each, and whether those landed on the C heap or in fresh pages moved
-# the process's peak memory by 5 MB from one launch path to another.
-_INDEX_BLOCK = 2 ** 16
-
-
 def _permutation_rows(images, dims: tuple[int, ...]) -> np.ndarray:
     """Row index of the single 1 in each column of each permutation operator.
 
@@ -85,29 +78,29 @@ def permutation_operator(image, space: SpaceSpec) -> Operator:
 
 def build_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Group averages S = mean(U_P) and A = mean(sgn(P) U_P) on n factors of
-    dimension d, as real ``d^n x d^n`` arrays, from the n! index maps in
-    blocks of about ``_INDEX_BLOCK`` entries.  The blocks add integer counts,
-    so the result does not depend on them."""
+    dimension d, as real ``d^n x d^n`` arrays, by cosets: each P in S_k is
+    (i k) h for one i <= k and one h in S_{k-1}, and (i k) flips the sign
+    when i < k.  Layer k sums the row gathers C[rows] of the counts C over
+    S_{k-1}, since U_(i k) is its own inverse."""
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 factors of dimension d >= 1")
-    dim = d ** n
-    images = np.array(list(itertools.permutations(range(n))))
-    i, j = np.triu_indices(n, 1)
-    signs = np.where(np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2, -1.0, 1.0)
-    sym, asym = np.zeros(dim * dim), np.zeros(dim * dim)
-    step = max(1, _INDEX_BLOCK // dim)
-    for start in range(0, len(images), step):
-        block = slice(start, start + step)
-        # Flat position r*dim + c of the 1 in column c of each permutation operator.
-        entries = (_permutation_rows(images[block], (d,) * n) * dim + np.arange(dim)).reshape(-1)
-        sym += np.bincount(entries, minlength=dim * dim)
-        asym += np.bincount(entries, np.repeat(signs[block], dim), minlength=dim * dim)
+    # Counts lie within +-n!: the smallest integer type that holds them.
+    sym = np.eye(d ** n, dtype=np.min_scalar_type(-math.factorial(n)))
+    asym = sym.copy()
+    layers, i = np.tril_indices(n, -1)  # (i k) for each i < k, by layer k
+    images = np.tile(np.arange(n), (layers.size, 1))
+    images[np.arange(layers.size), layers], images[np.arange(layers.size), i] = i, layers
+    transpositions = _permutation_rows(images, (d,) * n)
+    for k in range(1, n):
+        layer_sym, layer_asym = sym.copy(), asym.copy()
+        for rows in transpositions[layers == k]:
+            layer_sym += sym[rows]
+            layer_asym -= asym[rows]
+        sym, asym = layer_sym, layer_asym
     # Times 1/n!, not / n!: a real division moves the (6, 2) symmetrizer by
     # 1 ulp from the reported bits.
     scale = 1.0 / math.factorial(n)
-    sym *= scale
-    asym *= scale
-    return sym.reshape(dim, dim), asym.reshape(dim, dim)
+    return sym * scale, asym * scale
 
 
 def exchange_expectation_check(obs: Operator, psi: StateVector, image) -> float:
@@ -153,5 +146,5 @@ def count_antisymmetric_basis(n: int, d: int) -> int:
 
 
 def projector_rank(projector: np.ndarray) -> int:
-    """Rank of an (approximate) orthogonal projector by eigenvalue count."""
+    """Rank of an (approximate) orthogonal projector, summed over a stack, by eigenvalue count."""
     return int(np.sum(np.linalg.eigvalsh(projector) > _RANK_THRESHOLD))

@@ -613,8 +613,20 @@ def valid_configs(draw):
     return config, merged
 
 
+def _with_merged_sections(config):
+    """(config, merged sections) of every suite, as ``valid_configs`` draws them."""
+    return config, {
+        name: suites._merge(defaults, config.get(name, {}), name) for name, defaults in suites._DEFAULTS.items()
+    }
+
+
 @settings(max_examples=25, deadline=None)
 @given(valid_configs(), st.integers(0, 3))
+# A spacing L/n that is not dyadic once put the shift commutator at 3.05e-13.
+@example(_with_merged_sections({"epr": {
+    "n_sites": 44, "length": 20.175156469359752, "width": 0.9170525667890796,
+    "wide_width": 1.7074550334015246, "separation": 0.0, "momentum_mode": 0,
+}}), 0)
 def test_main_runs_every_valid_config_to_a_verdict(case, seed):
     config, merged = case
     out, err = io.StringIO(), io.StringIO()
@@ -729,24 +741,33 @@ def test_non_finite_results_fail_and_stay_strict_json(tmp_path):
 # Every value of the default report, evolution drifts included, is rounded the
 # same at 1 and 2 threads.  Evolution diagonalizes the relative Hamiltonian one
 # total S_z block at a time, at most 128 wide at the default 64 sites; one dense
-# 256-wide eigensolve rounded differently at 2 threads.
+# 256-wide eigensolve rounded differently at 2 threads.  The symmetry suite of
+# the many-body workload, up to 256-wide projectors, takes its ranks and
+# products on the exchange sectors, at most 35 wide.
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    reports = []
-    for threads in ("1", "2"):
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-            "MKL_NUM_THREADS": threads,
-        }
-        out = tmp_path / f"all-{threads}.json"
-        subprocess.run(
-            [sys.executable, "-m", "qsystems.cli", "all", "--format", "json", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    workloads = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8")
+    )
+    for command, workload in (("all", "default"), ("symmetry", "many-body")):
+        config = tmp_path / f"{workload}.json"
+        config.write_text(json.dumps(workloads["workloads"][workload]["config"]))
+        reports = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "MKL_NUM_THREADS": threads,
+            }
+            out = tmp_path / f"{command}-{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "qsystems.cli", command, "--config", str(config),
+                 "--format", "json", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], (command, workload)

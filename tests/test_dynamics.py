@@ -55,7 +55,7 @@ def spin_hamiltonian(v2=0.0, v3=0.0):
 class TestBuild:
     def test_free_pair_ground_energy_is_zero(self):
         h = build_hamiltonian(GRID, (2.0, 2.0), PotentialSpec())
-        assert h.is_hermitian(1e-12)
+        assert np.max(np.abs(h.entries - h.entries.conj().T)) <= 1e-12
         eigs = np.linalg.eigvalsh(h.entries)
         assert abs(eigs.min()) <= 1e-12  # free ground state at zero
 
@@ -101,7 +101,7 @@ class TestBuild:
     def test_relative_hamiltonian_hermitian_scales(self):
         h = build_hamiltonian(GRID, (1.0, 3.0), gaussian_well())
         assert h.space.factor_dims == (64, 2, 2)
-        assert h.is_hermitian(1e-12)
+        assert np.max(np.abs(h.entries - h.entries.conj().T)) <= 1e-12
         assert h.entries.dtype == np.float64
         assert np.array_equal(h.entries, h.entries.T)
 
@@ -223,6 +223,75 @@ def unmirrored_tensor_entry():
     entries = h.entries.copy().reshape(64, 4, 64, 4)
     entries[np.arange(64), 0, np.arange(64), 3] += 1e-11
     return Operator(h.space, entries.reshape(256, 256))
+
+
+def pass_per_index_blocks(h):
+    """Oracle: the blocks as evolve first read them, spreading the least
+    label over the spin-index pattern in as many passes as there are
+    indices."""
+    n = h.space.factor_dims[0]
+    s = h.space.total_dim // n
+    coupled = (h.entries != 0).reshape(n, s, n, s).any(axis=(0, 2))
+    coupled |= coupled.T | np.eye(s, dtype=bool)
+    labels = np.arange(s)
+    for _ in range(s):
+        labels = np.where(coupled, labels[None, :], s).min(axis=1)
+    flat = np.arange(h.space.total_dim).reshape(n, s)
+    return [flat[:, labels == label].reshape(-1) for label in np.unique(labels)]
+
+
+def control_hamiltonian(monkeypatch, change, n_sites=32):
+    """The shipped H, built from the spin pair ``change(dot, tensor)`` as a
+    negative control builds it."""
+    pair = dynamics.spin_pair_operators
+    monkeypatch.setattr(dynamics, "spin_pair_operators", lambda: change(*pair()))
+    return shipped_hamiltonian(n_sites)
+
+
+def one_sided_tensor_entry(dot, tensor):
+    tensor = tensor.copy()
+    tensor[0, 3] += 1e-10
+    return dot, tensor
+
+
+CONTROL_SPIN_PAIRS = {
+    "asymmetric-tensor-term": lambda dot, tensor: (
+        dot, 3.0 * np.kron(0.5 * np.diag([1.0, -1.0]), 0.5 * np.eye(2)) - dot
+    ),
+    "unmirrored-tensor-entry": one_sided_tensor_entry,
+    "scaled-spin-dot": lambda dot, tensor: (1.001 * dot, tensor),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTONIANS) + ["unmirrored-1e-11", *sorted(CONTROL_SPIN_PAIRS)])
+def test_decoupled_blocks_match_the_pass_per_index_oracle(name, monkeypatch):
+    if name in CONTROL_SPIN_PAIRS:
+        h = control_hamiltonian(monkeypatch, CONTROL_SPIN_PAIRS[name])
+    else:
+        h = unmirrored_tensor_entry() if name == "unmirrored-1e-11" else HAMILTONIANS[name]()
+    blocks, oracle = dynamics._decoupled_blocks(h), pass_per_index_blocks(h)
+    assert len(blocks) == len(oracle)
+    assert all(np.array_equal(block, expected) for block, expected in zip(blocks, oracle))
+
+
+def spoiled_shipped_hamiltonian(spoil):
+    """The shipped H on 16 sites with one entry changed and not its mirror."""
+    h = shipped_hamiltonian(16)
+    entries = h.entries.copy().reshape(16, 4, 16, 4)
+    if spoil == "in-block":  # up-down at site 0 to down-up at site 3
+        entries[0, 1, 3, 2] += 1e-6
+    elif spoil == "off-block":  # up-up to down-down, which no entry joins
+        entries[0, 0, 0, 3] += 1e-6
+    else:
+        entries[2, 0, 5, 3] = np.nan
+    return Operator(h.space, entries.reshape(64, 64))
+
+
+@pytest.mark.parametrize("spoil", ["in-block", "off-block", "nan"])
+def test_evolve_rejects_a_non_hermitian_entry_wherever_it_sits(spoil):
+    h = spoiled_shipped_hamiltonian(spoil)
+    with pytest.raises(ValueError, match="hermitian"):
+        evolve(random_state(h.space, 3), h, 1.0, 4)
 
 
 class TestSectorEvolution:

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qsystems import epr_bell, grids
+from qsystems import epr_bell, grids, suites
 from qsystems.hilbert import pauli_matrices
 from test_negative_controls import hemisphere_missing_a_jump, shifted_jumps_a
 from qsystems.epr_bell import (
@@ -168,6 +168,43 @@ class TestCommutingPair:
         assert narrow.var_relative_momentum == pytest.approx(1.0 / (4 * 0.25 ** 2), rel=0.01)
         assert wide.var_relative_momentum == pytest.approx(1.0 / (4 * 0.5 ** 2), rel=0.01)
         assert wide.var_relative_momentum < narrow.var_relative_momentum
+
+
+# A config that the fuzz of ``main`` drew: its spacing L/n is not dyadic, and
+# wrapping the difference of rounded site positions put the shift commutator
+# at 3.05e-13, over its 1e-14.
+NON_DYADIC_EPR = {"n_sites": 44, "length": 20.175156469359752, "width": 0.9170525667890796,
+                  "wide_width": 1.7074550334015246, "separation": 0.0, "momentum_mode": 0}
+
+
+def test_shift_commutator_is_exact_at_a_non_dyadic_spacing():
+    report = suites.run_suite("epr", NON_DYADIC_EPR)
+    record = next(c for c in report.checks if c.check_id == "shift-commutator")
+    assert record.value == 0.0
+    assert report.to_dict()["pass"] is True
+
+
+@pytest.mark.parametrize("n_sites, length", [(44, NON_DYADIC_EPR["length"]), (45, 7.3), (256, 16.0)])
+def test_relative_position_is_the_wrapped_site_offset(n_sites, length):
+    cfg = EPRConfig(n_sites=n_sites, length=length, width=length / 10.0)
+    d = relative_position_values(cfg)
+    assert np.array_equal(d, np.roll(d, 1, axis=(0, 1)))  # exactly shift invariant
+    assert d.min() >= -length / 2.0 and d.max() < length / 2.0
+    # The wrapped difference of positions agrees up to rounding, on the
+    # circle: at the seam, rounding may put it at +L/2 where d is -L/2.
+    x = grids.position_values(cfg.grid)
+    rounded = grids.wrap_displacement(x[:, None] - x[None, :], length)
+    assert np.max(grids.periodic_distance(d - rounded, length)) <= 1e-12 * length
+
+
+@pytest.mark.parametrize("n_sites", [256, 1024])
+def test_relative_position_is_unchanged_on_the_shipped_dyadic_grids(n_sites):
+    # At L = 16 every position is a multiple of a power of two, and the wrap
+    # of their differences was exact already.
+    cfg = EPRConfig(n_sites=n_sites)
+    x = grids.position_values(cfg.grid)
+    assert np.array_equal(relative_position_values(cfg),
+                          grids.wrap_displacement(x[:, None] - x[None, :], cfg.length))
 
 
 def test_commuting_pair_simultaneously_sharp_dense():

@@ -1,11 +1,16 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qsystems.hilbert import (
     Operator,
     SpaceSpec,
     StateVector,
     basis_state,
+    connected_sets,
     eigh_phase_fixed,
     lift,
     pauli_matrices,
@@ -145,7 +150,7 @@ def test_conjugate_by_identity_and_spectrum_preservation():
         np.sort(np.linalg.eigvalsh(obs.entries)),
         atol=1e-9,
     )
-    assert rotated.is_hermitian(1e-12)
+    assert np.max(np.abs(rotated.entries - rotated.entries.conj().T)) <= 1e-12
 
 
 def test_born_probability_equal_superposition():
@@ -241,3 +246,40 @@ def test_expectation_matches_manual():
     lifted = lift(op(SZ), 0, TWO_QUBITS)
     manual = a.amplitudes.conj() @ SZ @ a.amplitudes
     assert np.vdot(joint.amplitudes, lifted.entries @ joint.amplitudes) == pytest.approx(complex(manual))
+
+
+def bfs_sets(coupled):
+    """Oracle: the connected sets of the pattern, linked either way, by
+    breadth-first search from each unvisited index in ascending order."""
+    linked = coupled | coupled.T
+    seen, sets = set(), []
+    for start in range(len(coupled)):
+        if start in seen:
+            continue
+        seen.add(start)
+        found, queue = [start], deque([start])
+        while queue:
+            for other in np.flatnonzero(linked[queue.popleft()]):
+                if other not in seen:
+                    seen.add(other)
+                    found.append(other)
+                    queue.append(other)
+        sets.append(sorted(found))
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24).flatmap(
+    lambda m: arrays(bool, (m, m), elements=st.sampled_from([False] * 7 + [True]))
+))
+def test_connected_sets_match_breadth_first_search(pattern):
+    assert [ix.tolist() for ix in connected_sets(pattern)] == bfs_sets(pattern)
+
+
+def test_connected_sets_follow_a_long_one_way_chain():
+    # A path 0 -> 5 -> 1 -> 4 -> 2 -> 3, each link given in one direction only,
+    # needs several passes to spread the least index.
+    order = [0, 5, 1, 4, 2, 3]
+    coupled = np.zeros((6, 6), dtype=bool)
+    coupled[order[:-1], order[1:]] = True
+    assert [ix.tolist() for ix in connected_sets(coupled)] == [list(range(6))]

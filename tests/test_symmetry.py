@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsystems import symmetry
+from qsystems import suites
 from qsystems.galilei import build_additive_rep, build_spin_rep, casimir_squared
 from qsystems.hilbert import Operator, SpaceSpec, StateVector, basis_state, lift, pauli_matrices
 from qsystems.symmetry import (
@@ -141,7 +141,7 @@ def test_permutation_operator_matches_dense_oracle(dims):
 
 # At (6, 2) a real division by n! would move S by 1 ulp from the complex
 # group average, which divides by multiplying with 1/n!.
-@pytest.mark.parametrize("n,d", [(3, 3), (4, 2), (5, 2), (6, 2)])
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 2), (5, 2), (6, 2), (4, 4), (5, 3)])
 def test_projectors_match_dense_group_average(n, d):
     sym = np.zeros((d ** n, d ** n), dtype=np.complex128)
     asym = np.zeros_like(sym)
@@ -155,24 +155,102 @@ def test_projectors_match_dense_group_average(n, d):
     assert np.array_equal(a, asym / math.factorial(n))
 
 
-@pytest.mark.parametrize("n,d", [(3, 3), (5, 2), (6, 2)])
-def test_projectors_do_not_depend_on_the_index_block(n, d, monkeypatch):
-    whole = build_projectors(n, d)
-    monkeypatch.setattr(symmetry, "_INDEX_BLOCK", 7)  # one index map per block
-    for one_block, one_map_each in zip(whole, build_projectors(n, d)):
-        assert np.array_equal(one_block, one_map_each)
+def index_map_projectors(n, d, block=2 ** 16):
+    """Oracle: S and A as parity-weighted bincounts of the n! index maps,
+    added in blocks of about ``block`` entries, each sign from the inversion
+    count, then scaled by 1/n!."""
+    dim = d ** n
+    images = np.array(list(itertools.permutations(range(n))))
+    i, j = np.triu_indices(n, 1)
+    signs = np.where(np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2, -1.0, 1.0)
+    sym, asym = np.zeros(dim * dim), np.zeros(dim * dim)
+    step = max(1, block // dim)
+    for start in range(0, len(images), step):
+        part = slice(start, start + step)
+        # Flat position r*dim + c of the 1 in column c of each permutation operator.
+        entries = (_permutation_rows(images[part], (d,) * n) * dim + np.arange(dim)).reshape(-1)
+        sym += np.bincount(entries, minlength=dim * dim)
+        asym += np.bincount(entries, np.repeat(signs[part], dim), minlength=dim * dim)
+    scale = 1.0 / math.factorial(n)
+    sym *= scale
+    asym *= scale
+    return sym.reshape(dim, dim), asym.reshape(dim, dim)
+
+
+MANY_BODY_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 4), (5, 3), (6, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("n,d", MANY_BODY_CASES)
+def test_coset_build_matches_the_index_map_oracle(n, d):
+    for coset, oracle in zip(build_projectors(n, d), index_map_projectors(n, d)):
+        assert coset.dtype == np.float64
+        assert np.array_equal(coset, oracle)
+
+
+def traced_peak(build, n, d):
+    tracemalloc.start()
+    try:
+        build(n, d)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (5, 3), (7, 2)])
+def test_coset_build_peaks_no_higher_than_the_index_map_oracle(n, d):
+    # The layers hold counts in the smallest integer type that holds n!, so
+    # the two float64 results are most of the peak.
+    assert traced_peak(build_projectors, n, d) <= traced_peak(index_map_projectors, n, d)
 
 
 def test_projector_build_holds_one_block_of_index_maps():
     # All 5040 maps of (7, 2) at once held two 5 MiB index and weight arrays,
-    # and the build peaked at 10.6 MiB; in blocks it peaks at 2.3 MiB.
-    tracemalloc.start()
-    try:
-        build_projectors(7, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    # and the build peaked at 10.6 MiB; by cosets it peaks at 0.4 MiB.
+    assert traced_peak(build_projectors, 7, 2) < 3 * 2**20
+
+
+def dense_measures(s, a):
+    """Oracle: ranks and the four idempotency and orthogonality residuals on
+    the whole d^n x d^n arrays."""
+    return (projector_rank(s), projector_rank(a), np.max(np.abs(s @ s - s)),
+            np.max(np.abs(a @ a - a)), np.max(np.abs(s @ a)), np.max(np.abs(a @ s)))
+
+
+def sector_measures(s, a):
+    """The same measures as the symmetry suite takes them, on the blocks."""
+    s_blocks, a_blocks = suites._sector_blocks(s, a)
+    return dense_measures(s_blocks, a_blocks)
+
+
+@pytest.mark.parametrize("n,d", MANY_BODY_CASES)
+def test_sector_measures_equal_the_dense_ones(n, d):
+    s, a = build_projectors(n, d)
+    sector, dense = sector_measures(s, a), dense_measures(s, a)
+    assert sector[:2] == (count_symmetric_basis(n, d), count_antisymmetric_basis(n, d))
+    assert [float(v).hex() for v in sector] == [float(v).hex() for v in dense]
+
+
+def test_sector_blocks_are_the_exchange_orbits():
+    # Two basis tuples share a block when one permutes the other: at (4, 4)
+    # the 35 multisets of four digits, the largest the 24 orderings of four
+    # distinct ones.  Each block's rows show as its nonzero diagonal of S.
+    s_blocks, a_blocks = suites._sector_blocks(*build_projectors(4, 4))
+    assert s_blocks.shape == a_blocks.shape == (35, 24, 24)
+    sizes = np.count_nonzero(np.diagonal(s_blocks, axis1=1, axis2=2), axis=1)
+    orbits = [len(set(itertools.permutations(t)))
+              for t in itertools.combinations_with_replacement(range(4), 4)]
+    assert sorted(sizes) == sorted(orbits)
+
+
+@pytest.mark.parametrize("spoiled", [0, 1], ids=["S", "A"])
+@pytest.mark.parametrize("spoil", [1e-6, math.nan], ids=["coupling", "nan"])
+def test_an_entry_between_sectors_reaches_the_residual(spoil, spoiled):
+    # (0, 0, 0) and (0, 0, 1) lie in different sectors of the (3, 2) case.
+    projectors = [p.copy() for p in build_projectors(3, 2)]
+    projectors[spoiled][0, 1] = spoil
+    sector = sector_measures(*projectors)
+    assert [float(v).hex() for v in sector] == [float(v).hex() for v in dense_measures(*projectors)]
+    assert not all(v <= 1e-7 for v in sector[2:])  # above any tolerance, or NaN
 
 
 class TestProjectors:
