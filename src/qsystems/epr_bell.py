@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -372,50 +372,64 @@ def chsh_quantum(settings: CHSHSettings) -> float:
 class LHVModel:
     """Deterministic local responses on a shared circular hidden variable.
 
-    ``response_a(setting, lam)`` and ``response_b(setting, lam)`` take a
-    setting angle and hidden-variable angles ``lam`` in [0, 2*pi) and return
-    a boolean array: True is outcome +1, False is -1.  Each response depends
-    only on its own setting and the hidden variable.  ``jumps_a`` and
-    ``jumps_b`` list the discontinuity angles of the responses in [0, 2*pi),
-    which lets expectations be integrated arc-exactly.  The responses are
-    written independently of the jump lists, so the sampled and the
-    integrated correlations are two descriptions of one model.
+    ``response_a(setting, lam)`` and ``response_b(setting, lam)`` take
+    setting angles and hidden-variable angles ``lam`` in [0, 2*pi), which
+    broadcast against each other, and return a boolean array: True is
+    outcome +1, False is -1.  Each response depends only on its own setting
+    and the hidden variable.  ``jumps_a`` and ``jumps_b`` list the
+    discontinuity angles of the responses in [0, 2*pi) along a new last axis
+    of the settings' shape, which lets expectations be integrated arc-exactly.
+    The responses are written independently of the jump lists, so the sampled
+    and the integrated correlations are two descriptions of one model.
     """
 
     name: str
-    response_a: Callable[[float, np.ndarray], np.ndarray]
-    response_b: Callable[[float, np.ndarray], np.ndarray]
-    jumps_a: Callable[[float], np.ndarray]
-    jumps_b: Callable[[float], np.ndarray]
+    response_a: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    response_b: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jumps_a: Callable[[np.ndarray], np.ndarray]
+    jumps_b: Callable[[np.ndarray], np.ndarray]
 
 
 def _on_arcs(lam: np.ndarray, starts, width: float) -> np.ndarray:
     """Whether each angle of ``lam`` (in [0, 2*pi)) lies on one of the arcs
-    [start, start + width) taken mod 2*pi: two comparisons per arc, against
-    ends computed once per call."""
+    [start, start + width) taken mod 2*pi, for ``width`` in (0, 2*pi); each
+    start broadcasts against ``lam``.
+
+    With lo = start mod 2*pi and hi = lo + width, an arc that stays below
+    2*pi holds lo <= lam < hi; one that wraps holds lo <= lam or lam < hi -
+    2*pi.  In both, ``lam >= lo`` differs from ``lam >= end`` (end = hi, or
+    hi - 2*pi past the wrap) exactly on the arc or exactly off it, so two
+    comparisons and the wrap flag, chosen per start by ``np.where``, decide.
+    """
     two_pi = 2.0 * np.pi
     inside = None
     for start in starts:
-        lo = start % two_pi
+        lo = np.mod(start, two_pi)
         hi = lo + width
-        if hi > two_pi:
-            arc = (lam >= lo) | (lam < hi - two_pi)
-        else:
-            arc = (lam >= lo) & (lam < hi)
+        wrap = hi > two_pi
+        arc = lam >= lo
+        arc ^= lam >= np.where(wrap, hi - two_pi, hi)
+        arc ^= wrap
         inside = arc if inside is None else inside | arc
     return inside
+
+
+def _at(setting, offsets) -> np.ndarray:
+    """The angles setting + offset mod 2*pi, along a new last axis."""
+    return np.mod(np.asarray(setting)[..., None] + offsets, 2.0 * np.pi)
 
 
 def sign_cosine_model() -> LHVModel:
     """Hemisphere responses: each side answers with the sign of cos(lam - setting),
     that is, +1 on the half circle centred on its setting; B answers the
     opposite, so aligned analyzers reproduce the singlet's E = -1."""
+    jumps = np.array([-np.pi / 2, np.pi / 2])
     return LHVModel(
         name="sign-cosine",
         response_a=lambda a, lam: _on_arcs(lam, [a - np.pi / 2], np.pi),
         response_b=lambda b, lam: ~_on_arcs(lam, [b - np.pi / 2], np.pi),
-        jumps_a=lambda a: np.mod([a - np.pi / 2, a + np.pi / 2], 2.0 * np.pi),
-        jumps_b=lambda b: np.mod([b - np.pi / 2, b + np.pi / 2], 2.0 * np.pi),
+        jumps_a=lambda a: _at(a, jumps),
+        jumps_b=lambda b: _at(b, jumps),
     )
 
 
@@ -427,12 +441,13 @@ def narrow_window_model() -> LHVModel:
     """Window responses: +1 only when the hidden variable falls within
     ``_WINDOW_HALF_WIDTH`` of the setting; biased marginals, still local."""
     w = _WINDOW_HALF_WIDTH
+    jumps = np.array([-w, w])
     return LHVModel(
         name="narrow-window",
         response_a=lambda a, lam: _on_arcs(lam, [a - w], 2.0 * w),
         response_b=lambda b, lam: ~_on_arcs(lam, [b - w], 2.0 * w),
-        jumps_a=lambda a: np.mod([a - w, a + w], 2.0 * np.pi),
-        jumps_b=lambda b: np.mod([b - w, b + w], 2.0 * np.pi),
+        jumps_a=lambda a: _at(a, jumps),
+        jumps_b=lambda b: _at(b, jumps),
     )
 
 
@@ -445,8 +460,8 @@ def double_frequency_model() -> LHVModel:
         name="double-frequency",
         response_a=lambda a, lam: _on_arcs(lam, [a - np.pi / 4, a + 3 * np.pi / 4], np.pi / 2),
         response_b=lambda b, lam: ~_on_arcs(lam, [b - np.pi / 4, b + 3 * np.pi / 4], np.pi / 2),
-        jumps_a=lambda a: np.mod(a + quarters, 2.0 * np.pi),
-        jumps_b=lambda b: np.mod(b + quarters, 2.0 * np.pi),
+        jumps_a=lambda a: _at(a, quarters),
+        jumps_b=lambda b: _at(b, quarters),
     )
 
 
@@ -458,26 +473,29 @@ SHIPPED_LHV_MODELS = {
 
 
 def correlation_lhv_exact(model: LHVModel, angles_a, angles_b) -> np.ndarray:
-    """E(a, b) of the model for each pair of ``angles_a`` and ``angles_b``
-    (sequences of equal length), by exact piecewise-constant arc integration.
+    """E(a, b) of the model for each pair of the broadcast setting arrays
+    ``angles_a`` and ``angles_b``, by exact piecewise-constant arc
+    integration, all pairs in one array pass.
 
     Per pair, the jump angles of both sides, 0 and 2 pi, sorted, cut the
-    circle into arcs; the responses are evaluated at every arc midpoint in one
-    call per side, A before B, and the signed arc lengths are summed in circle
-    order.  A repeated angle makes an arc of zero length, which adds nothing.
+    circle into arcs; the responses are evaluated at every arc midpoint of
+    every pair in one call per side, A before B, and the signed arc lengths
+    are summed in circle order.  A repeated angle makes an arc of zero
+    length, which adds nothing.  Each pair's row is sorted and summed along
+    the last axis alone, so its value is the same at any batch size.
     """
     two_pi = 2.0 * np.pi
-    out = np.empty(len(angles_a))
-    for t, (a, b) in enumerate(zip(angles_a, angles_b)):
-        jumps = np.concatenate((np.atleast_1d(model.jumps_a(a)), np.atleast_1d(model.jumps_b(b))))
-        edges = np.sort(np.concatenate((np.mod(jumps, two_pi), [0.0, two_pi])))
-        widths = np.diff(edges)
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        agree = model.response_a(a, mids) == model.response_b(b, mids)
-        # A running sum adds the arcs one by one in circle order, where
-        # np.sum would add them pairwise.
-        out[t] = np.cumsum(np.where(agree, widths, -widths))[-1] / two_pi
-    return out
+    angles_a, angles_b = np.broadcast_arrays(np.asarray(angles_a, dtype=float),
+                                             np.asarray(angles_b, dtype=float))
+    circle = np.broadcast_to([0.0, two_pi], angles_a.shape + (2,))
+    jumps = np.concatenate((model.jumps_a(angles_a), model.jumps_b(angles_b)), axis=-1)
+    edges = np.sort(np.concatenate((np.mod(jumps, two_pi), circle), axis=-1), axis=-1)
+    widths = np.diff(edges, axis=-1)
+    mids = (edges[..., :-1] + edges[..., 1:]) / 2.0
+    agree = model.response_a(angles_a[..., None], mids) == model.response_b(angles_b[..., None], mids)
+    # A running sum adds the arcs one by one in circle order, where np.sum
+    # would add them pairwise.
+    return np.cumsum(np.where(agree, widths, -widths), axis=-1)[..., -1] / two_pi
 
 
 def chsh_lhv_exact(model: LHVModel, settings: CHSHSettings) -> float:
@@ -505,33 +523,38 @@ def _agreement_counts(model: LHVModel, settings: CHSHSettings, lam: np.ndarray) 
 
 
 def chsh_lhv(
-    model: LHVModel, settings: CHSHSettings, n_samples: int, seed: int
-) -> LHVEstimate:
-    """Monte-Carlo CHSH estimate for a local model; reproducible given the seed.
+    models: Sequence[LHVModel], settings: CHSHSettings, n_samples: int, seed: int
+) -> list[LHVEstimate]:
+    """Monte-Carlo CHSH estimates for local models, one per model in order;
+    reproducible given the seed.
 
-    The hidden variable of a local model does not depend on the analyzer
-    settings, so one draw of ``n_samples`` values serves all four
-    correlations.  In blocks of ``_LHV_CHUNK`` draws from one seeded
-    generator, each of A(a), A(a'), B(b) and B(b') is evaluated once, and the
-    samples on which each term's two outcomes agree are counted: E = (2 agree
-    - n) / n.  On each draw the four +/-1 products combine to S = +/-2, so S
-    is read from the integer counts, (2 (a0 - a1 + a2 + a3) - 2 n) / n, and
-    its ddof=1 standard error is sqrt((4 - S^2) / (n - 1)).  A model that
-    saturates the bound on every draw reads S = +/-2.0 with error 0.0.
+    The hidden variable of a local model depends neither on the analyzer
+    settings nor on the model, so one draw of ``n_samples`` values serves
+    every model and all four correlations.  In blocks of ``_LHV_CHUNK``
+    draws from one seeded generator, each model in turn evaluates each of
+    A(a), A(a'), B(b) and B(b') once and counts the samples on which each
+    term's two outcomes agree: E = (2 agree - n) / n.  A model's estimate is
+    the one it would get alone from this seed.  On each draw the four +/-1
+    products combine to S = +/-2, so S is read from the integer counts, (2
+    (a0 - a1 + a2 + a3) - 2 n) / n, and its ddof=1 standard error is sqrt((4
+    - S^2) / (n - 1)).  A model that saturates the bound on every draw reads
+    S = +/-2.0 with error 0.0.
     """
     if n_samples < MIN_LHV_SAMPLES:
         raise ValueError(f"use at least {MIN_LHV_SAMPLES} samples per correlation")
     rng = np.random.default_rng(seed)
-    agree = [0, 0, 0, 0]
+    agree = np.zeros((len(models), 4), dtype=np.int64)
     for start in range(0, n_samples, _LHV_CHUNK):
-        # Passed unnamed, each block of draws is freed before the next is drawn.
-        counts = _agreement_counts(
-            model, settings, rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
-        )
-        agree = [k + c for k, c in zip(agree, counts)]
+        lam = rng.uniform(0.0, 2.0 * np.pi, size=min(_LHV_CHUNK, n_samples - start))
+        agree += [_agreement_counts(model, settings, lam) for model in models]
+        del lam  # freed before the next block is drawn
+    return [_estimate(counts, n_samples, seed) for counts in agree.tolist()]
+
+
+def _estimate(agree: list[int], n: int, seed: int) -> LHVEstimate:
+    """The estimate of one model from its four agreement counts over n draws."""
     # a0 - a1 + a2 + a3 is twice the number of draws whose S is +2.
     plus = _chsh_sum(agree) // 2
-    n = n_samples
     return LHVEstimate(
         s_value=(4 * plus - 2 * n) / n,
         # (4 - S^2) / (n - 1) in integers, free of the cancellation near |S| = 2

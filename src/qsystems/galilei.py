@@ -191,7 +191,7 @@ def casimir_squared(rep: AlgebraRep) -> np.ndarray:
     return sum((rep.image(lab) @ rep.image(lab) for lab in ("J1", "J2", "J3")), _zeros(rep.space.total_dim))
 
 
-def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:
+def build_grid_rep(n_sites: int, length: float, mass: float, *, mask: DomainMask | None = None) -> AlgebraRep:
     """One-dimensional periodic-grid representation of the free subalgebra.
 
     Position is diagonal, momentum is the spectral derivative, boosts are
@@ -199,6 +199,8 @@ def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:
     satisfy its bracket exactly in finite dimensions (the trace of a
     commutator vanishes, the trace of i*M does not), so the bracket
     claims are restricted to the returned band-limited interior mask.
+    The mask depends on the grid alone: a caller that already holds it for
+    this grid, as another part on the same grid does, passes it as ``mask``.
 
     The single spatial axis realizes H, P1, K1, M, the only images the
     representation carries.
@@ -206,6 +208,8 @@ def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:
     if mass <= 0:
         raise ValueError("mass must be positive")
     grid = GridSpec(n_sites=n_sites, length=float(length))
+    if mask is None:
+        mask = grids.band_limited_mask(grid)
     pos = np.diag(grids.position_values(grid)).astype(np.complex128)
     return AlgebraRep(
         space=SpaceSpec.single(n_sites),
@@ -216,7 +220,7 @@ def build_grid_rep(n_sites: int, length: float, mass: float) -> AlgebraRep:
             "M": mass * np.eye(n_sites, dtype=np.complex128),
         },
         mass=mass,
-        mask=grids.band_limited_mask(grid),
+        mask=mask,
         name=f"grid(n={n_sites}, L={length:g}, m={mass:g})",
     )
 

@@ -164,4 +164,5 @@ def connected_sets(coupled: np.ndarray) -> list[np.ndarray]:
     while not np.array_equal(labels, spread):
         labels = spread
         spread = np.minimum(labels, np.where(coupled, labels, len(coupled)).min(axis=1))
-    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    # Each set's label is its least index, so its roots label themselves.
+    return [np.flatnonzero(labels == root) for root in np.flatnonzero(labels == np.arange(len(labels)))]

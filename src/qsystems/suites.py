@@ -504,10 +504,11 @@ def run_axioms(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
               np.max(np.abs(galilei.casimir_squared(rep) - expected)), _SPIN_TOL)
 
     n_states = int(cfg["n_test_states"])
-    rep_a, rep_b = (
-        galilei.build_grid_rep(int(cfg["grid_sites"]), float(cfg["grid_length"]), float(m))
-        for m in cfg["grid_masses"]
-    )
+    n_sites, length = int(cfg["grid_sites"]), float(cfg["grid_length"])
+    mass_a, mass_b = (float(m) for m in cfg["grid_masses"])
+    rep_a = galilei.build_grid_rep(n_sites, length, mass_a)
+    # Both parts live on one grid, so they share its band-limited mask.
+    rep_b = galilei.build_grid_rep(n_sites, length, mass_b, mask=rep_a.mask)
     rep_a.validate()
     xp_residuals = galilei.position_momentum_residuals(rep_a, n_states=n_states, seed=seed)
     check("grid-position-momentum", "([X,P] - ihbar) applied to band-limited interior states",
@@ -917,7 +918,12 @@ _BELL_DEFAULTS = {
 
 
 def run_bell(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
-    settings = epr_bell.CHSHSettings(*[float(a) for a in cfg["angles"]])
+    # Each configured angle is read mod 2 pi, once, by every path below: an
+    # angle far past 2 pi would otherwise round differently in each sum of an
+    # angle and an offset (the jump tables against the arcs, a rotation
+    # against its setting).  An angle in [0, 2 pi) is unchanged.
+    angles = np.mod(np.array(cfg["angles"], dtype=float), 2.0 * math.pi)
+    settings = epr_bell.CHSHSettings(*angles.tolist())
 
     optimal = epr_bell.CHSHSettings()
     check("chsh-quantum-optimal", "|S| at the canonical settings equals 2*sqrt(2)",
@@ -930,40 +936,38 @@ def run_bell(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     a, b = grid[:, None], grid[None, :]
     check("correlation-cosine-law", "singlet correlation E(a,b) equals -cos(a-b)",
           np.abs(epr_bell.correlation_quantum(a, b) + np.cos(a - b)), 1e-10)
-    rotated = (
-        epr_bell.CHSHSettings(*(angle + delta for angle in settings.as_tuple()))
-        for delta in np.linspace(0.0, 2.0 * math.pi, 7)
-    )
+    # The four terms' A and B angles at seven common offsets, (7, 2, 4).
+    rotated = np.array(settings.terms()) + np.linspace(0.0, 2.0 * math.pi, 7)[:, None, None]
+    s_rotated = epr_bell._chsh_sum(epr_bell.correlation_quantum(rotated[:, 0], rotated[:, 1]).T)
     check("chsh-rotation-invariance", "a common analyzer offset leaves S unchanged",
-          [abs(epr_bell.chsh_quantum(r) - s_quantum) for r in rotated], 1e-10)
+          np.abs(s_rotated - s_quantum), 1e-10)
 
-    trial_settings = [settings, optimal]
-    for _ in range(int(cfg["n_random_settings"])):
-        trial_settings.append(
-            epr_bell.CHSHSettings(*rng.uniform(0.0, 2.0 * math.pi, size=4).tolist())
-        )
-    first = None
-    for name in cfg["models"]:
-        model = epr_bell.SHIPPED_LHV_MODELS[name]()
-        # The configured terms are integrated once, for their S here and for
-        # the z-scores below; every other trial setting through its exact S.
-        exact = epr_bell.correlation_lhv_exact(model, *settings.terms())
-        magnitudes = np.abs([epr_bell._chsh_sum(exact),
-                             *(epr_bell.chsh_lhv_exact(model, s) for s in trial_settings[1:])])
+    # The terms of every trial setting, (trials, 2, 4): the configured, the
+    # canonical and the random ones.  Each model integrates them all in one
+    # call, and the saturation check reads the hemisphere model's canonical row.
+    random_settings = rng.uniform(0.0, 2.0 * math.pi, size=(int(cfg["n_random_settings"]), 4)).tolist()
+    trials = [settings, optimal, *(epr_bell.CHSHSettings(*angles) for angles in random_settings)]
+    terms = np.array([trial.terms() for trial in trials])
+    models = {name: epr_bell.SHIPPED_LHV_MODELS[name]()
+              for name in dict.fromkeys([*cfg["models"], "sign-cosine"])}
+    exact = {name: epr_bell.correlation_lhv_exact(model, terms[:, 0], terms[:, 1])
+             for name, model in models.items()}
+    # One draw of the hidden variable serves every configured model.
+    estimates = epr_bell.chsh_lhv([models[name] for name in cfg["models"]], settings,
+                                  int(cfg["n_samples"]), seed)
+    for name, estimate in zip(cfg["models"], estimates):
+        magnitudes = np.abs(epr_bell._chsh_sum(exact[name].T))
         check(f"lhv-classical-bound-{name}",
               "exact hidden-variable CHSH magnitude stays within the classical bound 2",
               np.maximum(magnitudes - epr_bell.CLASSICAL_BOUND, 0.0), 1e-6,
               {"worst_magnitude": np.max(magnitudes)})
-        estimate = epr_bell.chsh_lhv(model, settings, int(cfg["n_samples"]), seed)
-        if first is None:
-            first = (model, estimate)
         # Term by term, since the errors of a misplaced jump can cancel in S.
         # A correlation lies in [-1, 1], which an arc sum can round past; its
         # binomial standard error is zero only at +-1, where any sampled
         # difference is a failure.  The tolerance, 5, counts standard errors.
-        exact = np.clip(exact, -1.0, 1.0)
-        deviation = np.abs(np.array(estimate.correlations) - exact)
-        spread = np.sqrt((1.0 - exact ** 2) / estimate.n_samples)
+        configured = np.clip(exact[name][0], -1.0, 1.0)
+        deviation = np.abs(np.array(estimate.correlations) - configured)
+        spread = np.sqrt((1.0 - configured ** 2) / estimate.n_samples)
         z_scores = np.divide(deviation, spread, out=np.where(deviation > 0.0, np.inf, 0.0),
                              where=spread > 0.0)
         check(f"lhv-sampling-consistency-{name}",
@@ -972,7 +976,7 @@ def run_bell(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
               z_scores, 5.0,
               {
                   "correlations_sampled": estimate.correlations,
-                  "correlations_exact": exact,
+                  "correlations_exact": configured,
                   "z_scores": z_scores,
                   "n_samples": estimate.n_samples,
               })
@@ -980,8 +984,8 @@ def run_bell(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     check("lhv-sign-cosine-saturation",
           "the hemisphere model saturates (does not exceed) the classical bound "
           "at the canonical settings",
-          abs(abs(epr_bell.chsh_lhv_exact(epr_bell.sign_cosine_model(), optimal)) - 2.0), 1e-9)
-    doc = epr_bell.bell_report(settings, *first)
+          abs(abs(epr_bell._chsh_sum(exact["sign-cosine"][1])) - 2.0), 1e-9)
+    doc = epr_bell.bell_report(settings, models[cfg["models"][0]], estimates[0])
     required = {"S_quantum", "S_lhv", "stderr_lhv", "bound_classical", "bound_quantum", "verdict"}
     check("bell-report-schema", "the side-by-side record carries every documented field",
           required <= set(doc), detail=doc)

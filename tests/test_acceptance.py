@@ -181,13 +181,13 @@ def test_criterion_09_bell():
     s_quantum = epr_bell.chsh_quantum(settings)
     assert abs(abs(s_quantum) - 2.0 * math.sqrt(2.0)) <= 1e-10
     rng = np.random.default_rng(31)
-    for name, factory in sorted(epr_bell.SHIPPED_LHV_MODELS.items()):
-        model = factory()
+    models = [factory() for _, factory in sorted(epr_bell.SHIPPED_LHV_MODELS.items())]
+    estimates = epr_bell.chsh_lhv(models, settings, 100_000, seed=5)
+    for model, estimate in zip(models, estimates):
         assert abs(epr_bell.chsh_lhv_exact(model, settings)) <= 2.0 + 1e-6
         for _ in range(5):
             random_settings = epr_bell.CHSHSettings(*rng.uniform(0, 2 * math.pi, 4).tolist())
             assert abs(epr_bell.chsh_lhv_exact(model, random_settings)) <= 2.0 + 1e-6
-        estimate = epr_bell.chsh_lhv(model, settings, 100_000, seed=5)
         exact = epr_bell.chsh_lhv_exact(model, settings)
         assert abs(estimate.s_value - exact) <= 5.0 * estimate.stderr
     _report(

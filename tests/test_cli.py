@@ -771,3 +771,36 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             )
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], (command, workload)
+
+
+# Each analyzer angle is read mod 2 pi.  From about 1e15 rad, a hidden-variable
+# model's jump table and its arcs once rounded a - offset and a + offset
+# apart, and every lhv-sampling-consistency check exited 1 (z-scores 11.9,
+# 9.7 and 17.6 at 1e15).  With the last angle at 1e14, the common offsets of
+# chsh-rotation-invariance once rounded away.
+@pytest.mark.parametrize(
+    "angles",
+    [[1e14, 0.0, 0.0, 0.0], [1e15, 0.0, 0.0, 0.0], [1e17, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0],
+     [0.0, math.pi / 2.0, math.pi / 4.0, 1e14]],
+    ids=["first-1e14", "first-1e15", "first-1e17", "first-1e308", "last-1e14"],
+)
+def test_far_analyzer_angles_pass(angles, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"bell": {"angles": angles}})
+    assert main(["bell", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["angles"] == angles
+
+
+def test_a_run_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, 11-17 ms of every launch.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import contextlib, io, sys\n"
+        "from qsystems.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['all'])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                            text=True, timeout=300)
+    assert result.stdout.split() == ["0", "False"]

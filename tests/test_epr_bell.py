@@ -9,12 +9,13 @@ import pytest
 
 from qsystems import epr_bell, grids, suites
 from qsystems.hilbert import pauli_matrices
-from test_negative_controls import hemisphere_missing_a_jump, shifted_jumps_a
+from test_negative_controls import dropped_jump_a, shifted_jumps_a, signalling_partner
 from qsystems.epr_bell import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
     CHSHSettings,
     EPRConfig,
+    LHVEstimate,
     SHIPPED_LHV_MODELS,
     analyzer_operator,
     bell_report,
@@ -93,6 +94,51 @@ def oracle_correlation_lhv_exact(model, angle_a, angle_b):
         agree = model.response_a(angle_a, mid)[0] == model.response_b(angle_b, mid)[0]
         total += (1.0 if agree else -1.0) * (t1 - t0)
     return total / (2.0 * np.pi)
+
+
+def per_pair_correlation_lhv_exact(model, angles_a, angles_b):
+    """:func:`correlation_lhv_exact` as a loop over the pairs, one sort and one
+    running sum per pair, with scalar settings."""
+    two_pi = 2.0 * np.pi
+    out = np.empty(len(angles_a))
+    for t, (a, b) in enumerate(zip(angles_a, angles_b)):
+        jumps = np.concatenate((np.atleast_1d(model.jumps_a(a)), np.atleast_1d(model.jumps_b(b))))
+        edges = np.sort(np.concatenate((np.mod(jumps, two_pi), [0.0, two_pi])))
+        widths = np.diff(edges)
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        agree = model.response_a(a, mids) == model.response_b(b, mids)
+        out[t] = np.cumsum(np.where(agree, widths, -widths))[-1] / two_pi
+    return out
+
+
+def per_model_chsh_lhv(model, settings, n_samples, seed):
+    """One model's :func:`chsh_lhv` estimate from a generator of its own: in
+    blocks of ``_LHV_CHUNK`` draws, A(a), A(a'), B(b) and B(b') once each,
+    and the four agreement counts read as the estimate."""
+    rng = np.random.default_rng(seed)
+    a, ap, b, bp = settings.as_tuple()
+    agree = [0, 0, 0, 0]
+    for start in range(0, n_samples, epr_bell._LHV_CHUNK):
+        lam = rng.uniform(0.0, 2.0 * np.pi, size=min(epr_bell._LHV_CHUNK, n_samples - start))
+        out_a, out_ap = model.response_a(a, lam), model.response_a(ap, lam)
+        out_b, out_bp = model.response_b(b, lam), model.response_b(bp, lam)
+        pairs = ((out_a, out_b), (out_a, out_bp), (out_ap, out_b), (out_ap, out_bp))
+        agree = [k + int(np.count_nonzero(x == y)) for k, (x, y) in zip(agree, pairs)]
+    plus = (agree[0] - agree[1] + agree[2] + agree[3]) // 2
+    n = n_samples
+    return LHVEstimate(
+        s_value=(4 * plus - 2 * n) / n,
+        stderr=math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
+        correlations=tuple((2 * k - n) / n for k in agree),
+        n_samples=n,
+        seed=seed,
+    )
+
+
+def lone_estimate(model, settings, n_samples, seed):
+    """One model's estimate from :func:`chsh_lhv`."""
+    (only,) = chsh_lhv([model], settings, n_samples, seed)
+    return only
 
 
 def exact_correlation(model, angle_a, angle_b):
@@ -399,6 +445,17 @@ class TestQuantumCHSH:
             assert chsh_quantum(shifted) == pytest.approx(base, abs=1e-10)
 
 
+def test_rotated_settings_in_one_batch_are_the_per_setting_values():
+    # The bell suite's seven common offsets as one (7, 4) batch of terms,
+    # against chsh_quantum at each rotated setting, bit for bit.
+    deltas = np.linspace(0.0, 2.0 * math.pi, 7)
+    for angles in np.random.default_rng(26).uniform(0.0, 2.0 * math.pi, size=(20, 4)).tolist():
+        settings = CHSHSettings(*angles)
+        rotated = np.array(settings.terms()) + deltas[:, None, None]
+        batched = epr_bell._chsh_sum(correlation_quantum(rotated[:, 0], rotated[:, 1]).T)
+        per_setting = [chsh_quantum(CHSHSettings(*(a + d for a in angles))) for d in deltas]
+        np.testing.assert_array_equal(batched, per_setting)
+
 def test_chsh_terms_combine_as_the_written_out_sum_bit_for_bit():
     # S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), spelled out as the quantum
     # and the exact local values once were, and as sum(sign * E).
@@ -500,13 +557,45 @@ class TestLHVModels:
         oracle = [oracle_correlation_lhv_exact(model, a, b) for a, b in angles.T]
         np.testing.assert_array_equal(correlation_lhv_exact(model, *angles), oracle)
 
-    def test_batched_arcs_match_the_arc_loop_on_a_missing_jump(self, monkeypatch):
-        hemisphere_missing_a_jump(monkeypatch)
-        model = epr_bell.sign_cosine_model()
+    def test_batched_arcs_match_the_arc_loop_on_a_missing_jump(self):
+        model = dropped_jump_a(sign_cosine_model())
         angles = np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, size=(2, 200))
         oracle = [oracle_correlation_lhv_exact(model, a, b) for a, b in angles.T]
         np.testing.assert_array_equal(correlation_lhv_exact(model, *angles), oracle)
         assert abs(chsh_lhv_exact(model, OPTIMAL)) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("change", [None, signalling_partner, shifted_jumps_a, dropped_jump_a],
+                             ids=["shipped", "signalling-partner", "shifted-jumps", "dropped-jump"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_batched_arcs_match_the_per_pair_loop(self, name, change):
+        # Trial settings as the bell suite stacks them, (trials, 4) A angles
+        # against (trials, 4) B angles, with coinciding and wrapping jumps.
+        model = SHIPPED_LHV_MODELS[name]()
+        if change is not None:
+            model = change(model)
+        rng = np.random.default_rng(24)
+        settings = [*rng.uniform(0.0, 2.0 * math.pi, size=(40, 4)).tolist(),
+                    [0.0, 0.0, 0.0, 0.0], [math.pi, 0.0, math.pi, 2.0 * math.pi - 1e-15],
+                    OPTIMAL.as_tuple()]
+        terms = np.array([CHSHSettings(*angles).terms() for angles in settings])
+        batched = correlation_lhv_exact(model, terms[:, 0], terms[:, 1])
+        assert batched.shape == (len(settings), 4)
+        oracle = per_pair_correlation_lhv_exact(model, terms[:, 0].ravel(), terms[:, 1].ravel())
+        np.testing.assert_array_equal(batched.ravel(), oracle)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_responses_to_an_array_of_settings_are_the_scalar_ones(self, name):
+        # np.where picks each setting's wrap: arcs that wrap past 2 pi and
+        # arcs that do not, in one call.
+        model = SHIPPED_LHV_MODELS[name]()
+        settings = np.array([0.0, 0.3, math.pi / 2, 3.0, 4.9, 2.0 * math.pi - 1e-12])
+        lam = np.random.default_rng(25).uniform(0.0, 2.0 * math.pi, size=4096)
+        for response, jumps in ((model.response_a, model.jumps_a), (model.response_b, model.jumps_b)):
+            batched = response(settings[:, None], lam)
+            assert batched.shape == (len(settings), lam.size)
+            for row, setting in zip(batched, settings.tolist()):
+                np.testing.assert_array_equal(row, response(setting, lam))
+            np.testing.assert_array_equal(jumps(settings), [jumps(s) for s in settings.tolist()])
 
     def test_sign_cosine_saturates_at_optimal(self):
         assert abs(chsh_lhv_exact(sign_cosine_model(), OPTIMAL)) == pytest.approx(
@@ -517,14 +606,14 @@ class TestLHVModels:
 class TestLHVSampling:
     def test_deterministic_given_seed(self):
         model = sign_cosine_model()
-        a = chsh_lhv(model, OPTIMAL, 10_000, seed=42)
-        b = chsh_lhv(model, OPTIMAL, 10_000, seed=42)
+        a = lone_estimate(model, OPTIMAL, 10_000, seed=42)
+        b = lone_estimate(model, OPTIMAL, 10_000, seed=42)
         assert a.s_value == b.s_value
         assert a.stderr == b.stderr
 
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(ValueError):
-            chsh_lhv(sign_cosine_model(), OPTIMAL, 100, seed=0)
+            chsh_lhv([sign_cosine_model()], OPTIMAL, 100, seed=0)
 
     @pytest.mark.parametrize("n_samples", [10_000, 100_003, 1_000_000])
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
@@ -532,11 +621,25 @@ class TestLHVSampling:
         # Blocks of draws, arc tests and the agreement count give the oracle's
         # correlations and S exactly; the closed-form stderr agrees to 2 ulp.
         settings = CHSHSettings(0.3, 1.4, 0.9, 2.6)
-        estimate = chsh_lhv(SHIPPED_LHV_MODELS[name](), settings, n_samples, seed=n_samples)
+        estimate = lone_estimate(SHIPPED_LHV_MODELS[name](), settings, n_samples, seed=n_samples)
         s_value, stderr, correlations = oracle_chsh_lhv(name, settings, n_samples, n_samples)
         assert estimate.correlations == correlations
         assert estimate.s_value == s_value
         assert abs(estimate.stderr - stderr) <= 2 * np.spacing(stderr)
+
+    # 10^6 + 1 samples end in a block of 16,961 draws.
+    @pytest.mark.parametrize("n_samples", [10_000, 1_000_001])
+    @pytest.mark.parametrize("change", [None, signalling_partner, shifted_jumps_a],
+                             ids=["shipped", "signalling-partner", "shifted-jumps"])
+    def test_shared_draw_matches_the_per_model_loop(self, change, n_samples):
+        # One draw for every model gives each model the estimate that its
+        # own generator would, field by field and bit for bit.
+        models = [factory() for factory in SHIPPED_LHV_MODELS.values()]
+        if change is not None:
+            models = [change(model) for model in models]
+        settings = CHSHSettings(0.5, 1.1, 0.1, 0.9)
+        shared = chsh_lhv(models, settings, n_samples, seed=n_samples)
+        assert shared == [per_model_chsh_lhv(model, settings, n_samples, n_samples) for model in models]
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
     def test_sampler_never_reads_the_jump_tables(self, name):
@@ -545,12 +648,12 @@ class TestLHVSampling:
 
         model = SHIPPED_LHV_MODELS[name]()
         blind = replace(model, jumps_a=refuse, jumps_b=refuse)
-        assert chsh_lhv(blind, OPTIMAL, 10_000, seed=3) == chsh_lhv(model, OPTIMAL, 10_000, seed=3)
+        assert chsh_lhv([blind], OPTIMAL, 10_000, seed=3) == chsh_lhv([model], OPTIMAL, 10_000, seed=3)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
     def test_estimate_within_five_sigma_of_exact(self, name):
         model = SHIPPED_LHV_MODELS[name]()
-        estimate = chsh_lhv(model, OPTIMAL, 100_000, seed=11)
+        estimate = lone_estimate(model, OPTIMAL, 100_000, seed=11)
         exact = chsh_lhv_exact(model, OPTIMAL)
         assert abs(estimate.s_value - exact) <= 5.0 * estimate.stderr
 
@@ -558,12 +661,13 @@ class TestLHVSampling:
         # Every draw of the hemisphere model at the canonical settings gives
         # S = -2, so the counts give S = -2.0 and the stderr 0.0 exactly.
         for seed in range(5):
-            estimate = chsh_lhv(sign_cosine_model(), OPTIMAL, 100_003, seed=seed)
+            estimate = lone_estimate(sign_cosine_model(), OPTIMAL, 100_003, seed=seed)
             assert (estimate.s_value, estimate.stderr) == (-2.0, 0.0)
 
     def test_one_draw_serves_the_four_terms(self, monkeypatch):
         # n_samples hidden variables per call, in blocks of at most
-        # _LHV_CHUNK, and each of the four responses evaluated once per block.
+        # _LHV_CHUNK, and on each block every model, in order, evaluates
+        # A(a), A(a'), B(b) and B(b') once.
         drawn, evaluated = [], []
         default_rng = np.random.default_rng
 
@@ -575,35 +679,45 @@ class TestLHVSampling:
                 drawn.append(size)
                 return self.rng.uniform(low, high, size=size)
 
-        def counted(response):
+        def counted(model, side, response):
             def answer(setting, lam):
-                evaluated.append(lam.size)
+                evaluated.append((model, side, setting, lam.size))
                 return response(setting, lam)
             return answer
 
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-        model = narrow_window_model()
-        model = replace(model, response_a=counted(model.response_a), response_b=counted(model.response_b))
-        chsh_lhv(model, OPTIMAL, 200_001, seed=6)
+        names = list(SHIPPED_LHV_MODELS)
+        models = [
+            replace(model, response_a=counted(name, "A", model.response_a),
+                    response_b=counted(name, "B", model.response_b))
+            for name, model in ((name, SHIPPED_LHV_MODELS[name]()) for name in names)
+        ]
+        chsh_lhv(models, OPTIMAL, 200_001, seed=6)
         assert sum(drawn) == 200_001
         assert max(drawn) == epr_bell._LHV_CHUNK
-        assert sorted(evaluated) == sorted(4 * drawn)
+        a, ap, b, bp = OPTIMAL.as_tuple()
+        assert evaluated == [
+            (name, side, setting, size)
+            for size in drawn
+            for name in names
+            for side, setting in (("A", a), ("A", ap), ("B", b), ("B", bp))
+        ]
 
     def test_variance_halves_when_samples_double(self):
         # repeated-seed statistics: Var(S_hat) scales as 1/n, at settings
         # where the hemisphere model is not saturated (exact S = -1.236)
         model = sign_cosine_model()
         settings = CHSHSettings(0.5, 1.1, 0.1, 0.9)
-        small = [chsh_lhv(model, settings, 10_000, seed=s).s_value for s in range(160)]
+        small = [lone_estimate(model, settings, 10_000, seed=s).s_value for s in range(160)]
         large = [
-            chsh_lhv(model, settings, 20_000, seed=s).s_value for s in range(160, 320)
+            lone_estimate(model, settings, 20_000, seed=s).s_value for s in range(160, 320)
         ]
         ratio = np.var(large, ddof=1) / np.var(small, ddof=1)
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
 
     def test_reported_stderr_is_calibrated(self):
         model = narrow_window_model()
-        estimates = [chsh_lhv(model, OPTIMAL, 10_000, seed=s) for s in range(120)]
+        estimates = [lone_estimate(model, OPTIMAL, 10_000, seed=s) for s in range(120)]
         empirical = np.std([e.s_value for e in estimates], ddof=1)
         nominal = np.mean([e.stderr for e in estimates])
         assert empirical == pytest.approx(nominal, rel=0.3)
@@ -612,7 +726,7 @@ class TestLHVSampling:
 class TestBellReport:
     def test_fields_and_violation_verdict(self):
         model = sign_cosine_model()
-        doc = bell_report(OPTIMAL, model, chsh_lhv(model, OPTIMAL, 10_000, seed=1))
+        doc = bell_report(OPTIMAL, model, lone_estimate(model, OPTIMAL, 10_000, seed=1))
         for key in (
             "S_quantum",
             "S_lhv",
@@ -630,25 +744,23 @@ class TestBellReport:
     def test_no_violation_at_aligned_settings(self):
         aligned = CHSHSettings(0.0, 0.0, 0.0, 0.0)
         model = sign_cosine_model()
-        doc = bell_report(aligned, model, chsh_lhv(model, aligned, 10_000, seed=1))
+        doc = bell_report(aligned, model, lone_estimate(model, aligned, 10_000, seed=1))
         assert doc["verdict"] == "no violation at these settings"
         assert doc["S_quantum"] == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_bell_suite_runs_the_monte_carlo_once_per_model(monkeypatch):
-    from qsystems import epr_bell, suites
-
+def test_bell_suite_runs_one_monte_carlo_for_every_model(monkeypatch):
     calls = []
     original = epr_bell.chsh_lhv
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return original(*args, **kwargs)
+    def counted(models, *args, **kwargs):
+        calls.append([model.name for model in models])
+        return original(models, *args, **kwargs)
 
     monkeypatch.setattr(epr_bell, "chsh_lhv", counted)
     report = suites.run_suite("bell", {"n_samples": 10_000, "n_random_settings": 2}, seed=3)
     assert report.to_dict()["pass"] is True
-    assert sorted(calls) == sorted(m().name for m in epr_bell.SHIPPED_LHV_MODELS.values())
+    assert calls == [suites._BELL_DEFAULTS["models"]]
 
 
 def test_the_benchmark_harness_finds_the_monte_carlo_and_every_bell_check():
@@ -684,17 +796,21 @@ def test_pair_check_drops_its_grid_temporaries():
 
 
 def test_lhv_batches_do_not_overlap_in_memory():
-    # The Monte Carlo draws blocks of 2**16 hidden variables (0.5 MiB) and
-    # peaks at 1.0 MiB whatever the sample count; one full-length batch of
-    # 10^6 samples held 7.6 MiB per float array and peaked at 31 MiB.
-    for factory in SHIPPED_LHV_MODELS.values():
-        tracemalloc.start()
-        try:
-            chsh_lhv(factory(), OPTIMAL, 1_000_000, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 2**20
+    # The Monte Carlo draws blocks of 2**16 hidden variables (0.5 MiB), which
+    # every model reads in turn, and peaks near 1.0 MiB whatever the sample
+    # count and the number of models; one full-length batch of 10^6 samples
+    # held 7.6 MiB per float array and peaked at 31 MiB.
+    models = [factory() for factory in SHIPPED_LHV_MODELS.values()]
+    # The first draw imports modules (about 0.7 MiB); a small call loads
+    # them, so that the test reads the same peak alone and in the suite.
+    chsh_lhv(models, OPTIMAL, epr_bell.MIN_LHV_SAMPLES, 5)
+    tracemalloc.start()
+    try:
+        chsh_lhv(models, OPTIMAL, 1_000_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_epr_suite_builds_each_pair_state_once(monkeypatch):

@@ -147,6 +147,32 @@ class TestGridRep:
         with pytest.raises(ValueError):
             build_grid_rep(64, 16.0, -1.0)
 
+    def test_a_shared_mask_builds_the_same_rep(self):
+        # The mask depends on the grid alone, so a second mass on the same
+        # grid may take the first one's; every array is the same bit for bit.
+        fresh = build_grid_rep(64, 16.0, 1.5)
+        shared = build_grid_rep(64, 16.0, 1.5, mask=build_grid_rep(64, 16.0, 1.0).mask)
+        assert (shared.name, shared.mass, list(shared.images)) == (fresh.name, fresh.mass, list(fresh.images))
+        for label, image in fresh.images.items():
+            np.testing.assert_array_equal(shared.images[label], image)
+        np.testing.assert_array_equal(shared.mask.basis, fresh.mask.basis)
+        assert shared.mask.description == fresh.mask.description
+
+    def test_axioms_suite_computes_one_mask_for_both_grid_parts(self, monkeypatch):
+        from qsystems import grids, suites
+
+        grids_masked = []
+        mask = grids.band_limited_mask
+
+        def counted(grid):
+            grids_masked.append(grid)
+            return mask(grid)
+
+        monkeypatch.setattr(grids, "band_limited_mask", counted)
+        report = suites.run_suite("axioms", {"grid_sites": 64, "n_test_states": 2, "mereology_instances": 10})
+        assert report.to_dict()["pass"] is True
+        assert len(grids_masked) == 1
+
     def test_images_hermitian_and_mass_positive(self):
         rep = build_grid_rep(64, 16.0, 1.25)
         rep.validate()

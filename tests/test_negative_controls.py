@@ -47,7 +47,6 @@ GRID_REP = galilei.build_grid_rep
 ADDITIVE_GRID_PAIR = galilei.verify_additive_grid_pair
 
 ANALYZER = epr_bell.analyzer_operator
-SIGN_COSINE = epr_bell.sign_cosine_model
 EPR_FACTORS = epr_bell._epr_factors
 EPR_STATE = epr_bell.build_epr_state
 CONDITIONAL = epr_bell.conditional_inference
@@ -476,7 +475,7 @@ def signalling_partner(model):
 
     def response_b(b, lam):
         outcome = model.response_a(last[0], lam)
-        return ~outcome if math.cos(last[0] - b) >= 0.0 else outcome
+        return np.where(np.cos(last[0] - b) >= 0.0, ~outcome, outcome)
 
     return replace(model, response_a=response_a, response_b=response_b)
 
@@ -487,12 +486,11 @@ def shifted_jumps_a(model):
     return replace(model, jumps_a=lambda a: np.mod(model.jumps_a(a) + 0.05, 2.0 * np.pi))
 
 
-def hemisphere_missing_a_jump(monkeypatch):
-    """The hemisphere model's A jump table drops its jump at a + pi/2, so exact
-    integration reads |S| = 3 at the canonical settings."""
-    monkeypatch.setattr(epr_bell, "sign_cosine_model", lambda: replace(
-        SIGN_COSINE(), jumps_a=lambda a: np.mod([a - np.pi / 2], 2.0 * np.pi)
-    ))
+def dropped_jump_a(model):
+    """The A jump table keeps only its first jump; the hemisphere model loses
+    its jump at a + pi/2, so exact integration reads |S| = 3 at the canonical
+    settings."""
+    return replace(model, jumps_a=lambda a: model.jumps_a(a)[..., :1])
 
 
 ROWS = [
@@ -562,7 +560,8 @@ ROWS = [
              partial(_shipped_model_with, name=name, change=shifted_jumps_a)),
         )
     ],
-    ("bell", "lhv-sign-cosine-saturation", hemisphere_missing_a_jump),
+    ("bell", "lhv-sign-cosine-saturation",
+     partial(_shipped_model_with, name="sign-cosine", change=dropped_jump_a)),
 ]
 
 # Checks with no row, each with the reason no numerical defect can flip it.
@@ -685,30 +684,39 @@ def nan_gauge_at_quarter_turn(monkeypatch):
     monkeypatch.setattr(charge, "gauge_transform", transform)
 
 
-def nan_correlation_off_the_grid_origin(monkeypatch):
-    """The 13 x 13 grid of correlations reads NaN at entry [2, 5]; the
-    correlations of S, a batch of four, are untouched."""
-    correlation = epr_bell.correlation_quantum
+def nan_quantum_correlation(shape, index):
+    """The batch of singlet correlations of shape ``shape`` reads NaN at
+    ``index``; every other batch, such as the four correlations of S, is
+    untouched."""
 
-    def spoiled(angles_a, angles_b):
-        out = correlation(angles_a, angles_b)
-        if out.shape == (13, 13):
-            out[2, 5] = NAN
+    def inject(monkeypatch):
+        correlation = epr_bell.correlation_quantum
+
+        def spoiled(angles_a, angles_b):
+            out = correlation(angles_a, angles_b)
+            if out.shape == shape:
+                out[index] = NAN
+            return out
+
+        monkeypatch.setattr(epr_bell, "correlation_quantum", spoiled)
+
+    return inject
+
+
+def nan_exact_correlation_at_canonical_settings(monkeypatch):
+    """Each model's batch of exact correlations reads NaN at E(a, b') of the
+    canonical settings, the second trial setting of every classical-bound
+    check; the other three terms and the other settings are untouched."""
+    exact = epr_bell.correlation_lhv_exact
+    canonical = np.array(epr_bell.CHSHSettings().terms())
+
+    def spoiled(model, angles_a, angles_b):
+        out = exact(model, angles_a, angles_b)
+        rows = np.all(np.stack((angles_a, angles_b), axis=-2) == canonical, axis=(-2, -1))
+        out[rows, 1] = NAN
         return out
 
-    monkeypatch.setattr(epr_bell, "correlation_quantum", spoiled)
-
-
-def nan_exact_chsh_at_canonical_settings(monkeypatch):
-    """Exact S reads NaN at the canonical settings, the second trial setting
-    of every classical-bound check."""
-    exact = epr_bell.chsh_lhv_exact
-    canonical = epr_bell.CHSHSettings()
-
-    def spoiled(model, settings):
-        return NAN if settings == canonical else exact(model, settings)
-
-    monkeypatch.setattr(epr_bell, "chsh_lhv_exact", spoiled)
+    monkeypatch.setattr(epr_bell, "correlation_lhv_exact", spoiled)
 
 
 _SPIN_VALUES = suites._AXIOMS_DEFAULTS["spin_values"]
@@ -745,10 +753,12 @@ NAN_ROWS = [
      nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, mode=NAN))),
     ("epr", "conditional-inference-width",
      nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, width=NAN))),
-    ("bell", "correlation-cosine-law", nan_correlation_off_the_grid_origin),
-    ("bell", "chsh-rotation-invariance", nan_on_call(epr_bell, "chsh_quantum", 3)),
+    # Entry [2, 5] of the 13 x 13 grid, off its origin.
+    ("bell", "correlation-cosine-law", nan_quantum_correlation((13, 13), (2, 5))),
+    # The first term at the second of the seven common offsets.
+    ("bell", "chsh-rotation-invariance", nan_quantum_correlation((7, 4), (1, 0))),
     *[
-        ("bell", f"lhv-classical-bound-{name}", nan_exact_chsh_at_canonical_settings)
+        ("bell", f"lhv-classical-bound-{name}", nan_exact_correlation_at_canonical_settings)
         for name in suites._BELL_DEFAULTS["models"]
     ],
 ]
