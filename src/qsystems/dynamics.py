@@ -3,16 +3,14 @@ evolution, and the weak-coupling additivity check.
 
 The two-body functions here pose one pair of spin-1/2 bodies on a periodic
 grid, given as the grid and the two masses.  The Hamiltonian is posed in the
-relative coordinate (center of mass dropped).  It conserves total S_z, and
-evolution diagonalizes it one block at a time, the blocks read off its exact
-zeros, so an (n, 2, 2) Hamiltonian takes eigendecompositions of n, 2n and n
-rows rather than one of 4n.  The product-space checks
+relative coordinate (center of mass dropped).  It conserves total S_z and is
+exactly even under x -> -x, so evolution diagonalizes it by the blocks that
+its exact zeros decouple, each by its mirror halves.  The product-space checks
 (weak coupling and exchange symmetry) never store the n^2 x n^2 product-space
 Hamiltonian: they apply it to a few seeded vectors, the one-body kinetic
 terms along their own site axes and the pair potential and spin blocks
-pointwise.  The momentum-conservation check draws masked product states and
-applies the spinless two-body operators to each as an (n, n) array, the
-momentum-diagonal ones by 2-d FFT.  Units have hbar = 1.
+pointwise.  The momentum-conservation check applies the spinless two-body
+operators to the legs of masked product states by 1-d FFT.  Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +22,8 @@ import numpy as np
 
 from . import grids
 from .grids import GridSpec
-from .hilbert import Operator, SpaceSpec, StateVector, connected_sets, eigh_phase_fixed, pauli_matrices
+from .hilbert import (Operator, SpaceSpec, StateVector, connected_sets, eigh_phase_fixed, hermiticity_residual,
+                      norm, pauli_matrices)
 
 __all__ = [
     "RadialTable",
@@ -100,13 +99,14 @@ def spin_pair_operators() -> tuple[np.ndarray, np.ndarray]:
     return dot, tensor
 
 
-def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray) -> np.ndarray:
-    """4x4 spin interaction at each separation, stacked as (len(r), 4, 4).
+def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, dot: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """4x4 spin interaction ``dot`` and ``tensor`` (:func:`spin_pair_operators`)
+    at each separation, stacked as (len(r), 4, 4).
 
     Every entry of s1.s2 and of the tensor term is real (sy x sy included),
     so the blocks are real.
     """
-    dot, tensor = (op.real for op in spin_pair_operators())
+    dot, tensor = dot.real, tensor.real
 
     def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
         return pot.sample(table, r_values)[:, None, None] * op
@@ -135,28 +135,32 @@ def build_hamiltonian(grid: GridSpec, masses: Sequence[float], pot: PotentialSpe
     kinetic = grids.kinetic_operator(grid, mu)
     r = np.abs(grids.position_values(grid))
     central = np.diag(pot.sample(pot.v, r))
-    h = _spin_lift(kinetic + central, _spin_blocks(pot, r))
+    h = _spin_lift(kinetic + central, _spin_blocks(pot, r, *spin_pair_operators()))
     return Operator(SpaceSpec((grid.n_sites, 2, 2)), h)
 
 
 def _apply_product_hamiltonian(
-    grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, vectors: np.ndarray
-) -> np.ndarray:
-    """The two-body product-space Hamiltonian applied to ``vectors`` (columns
-    last), each viewed as (site 1, site 2, spin 1 x spin 2): T1 acts along
-    site axis 0, T2 along site axis 1, and V(x1, x2) and the 4x4 spin blocks
-    pointwise."""
+    grid: GridSpec, masses: Sequence[float], pots: Sequence[PotentialSpec], vectors: np.ndarray
+) -> list[np.ndarray]:
+    """The two-body product-space Hamiltonian of each of ``pots`` applied to
+    ``vectors`` (columns last), each viewed as (site 1, site 2, spin 1 x spin
+    2): T1 acts along site axis 0 and T2 along site axis 1, once for every
+    potential, then V(x1, x2) and the 4x4 spin blocks pointwise."""
     n = grid.n_sites
     t1, t2 = (grids.kinetic_operator(grid, m) for m in masses)
     x = grids.position_values(grid)
     dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
+    spin = spin_pair_operators()
     psi = vectors.reshape(n, n, 4, vectors.shape[-1])
-    out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
-    out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
-    out += pot.sample(pot.v, dist)[:, :, None, None] * psi
-    blocks = _spin_blocks(pot, dist.reshape(-1))
-    out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
-    return out.reshape(vectors.shape)
+    kinetic = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
+    kinetic += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
+    applied = []
+    for pot in pots:
+        out = kinetic + pot.sample(pot.v, dist)[:, :, None, None] * psi
+        blocks = _spin_blocks(pot, dist.reshape(-1), *spin)
+        out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
+        applied.append(out.reshape(vectors.shape))
+    return applied
 
 
 def _one_body_sum(grid: GridSpec, masses: Sequence[float], vectors: np.ndarray) -> np.ndarray:
@@ -217,34 +221,95 @@ def _decoupled_blocks(h: Operator) -> list[np.ndarray]:
     return [flat[:, ix].reshape(-1) for ix in connected_sets(coupled)]
 
 
+def _site_mirror(n: int) -> np.ndarray:
+    """The site reversal x -> -x about the grid centre: i -> (n - i) mod n on
+    even n, which fixes sites 0 and n/2, and i -> n - 1 - i on odd n."""
+    sites = np.arange(n)
+    return (n - sites) % n if n % 2 == 0 else n - 1 - sites
+
+
+def _mirror_halves(block: np.ndarray, n: int):
+    """The site reversal m of ``block``, whose rows run over ``n`` sites at
+    each of its spin indices, as a row index map, and the block's sectors
+    (matrix, rows, sign, c): its two halves under m when every entry equals
+    its image, else the whole block, with sign 0 and c = 1.
+
+    On the orthonormal basis (e_p +- e_m(p)) / sqrt(2) for p < m(p), and e_p
+    for a fixed p, a half over its rows p is 2 c_p c_q (B[p, q] +- B[p, m(q)]),
+    with c = 1/2 at a fixed index and 1/sqrt(2) elsewhere: B[p, q] +- B[p,
+    m(q)], fixed rows and columns scaled by 1/sqrt(2).  A block vector v has
+    the coordinates c_p (v[p] +- v[m(p)]) there, and a row X_p of coordinates
+    adds c_p X_p to block rows p and, times +-1, m(p).
+    """
+    spins = len(block) // n
+    mirror = (_site_mirror(n)[:, None] * spins + np.arange(spins)).reshape(-1)
+    index = np.arange(len(mirror))
+    # The rows p <= m(p) are those of sites 0..n//2, and the rows p < m(p)
+    # those of sites 1..n//2 - 1 on even n and 0..n//2 - 1 on odd n.
+    reps, pairs = slice(0, (n // 2 + 1) * spins), slice((1 - n % 2) * spins, n // 2 * spins)
+    # Row m(p) of the mirrored block equals row p when it does for every p <= m(p).
+    if pairs.start == pairs.stop or not np.array_equal(block[mirror[reps]][:, mirror], block[reps]):
+        return mirror, [(block, index, 0.0, np.ones(len(index)))]
+    halves = []
+    for sign, rows in ((1.0, reps), (-1.0, pairs)):
+        c = np.where(mirror[rows] == index[rows], 0.5, np.sqrt(0.5))
+        matrix = (block[rows, rows] + sign * block[rows][:, mirror[rows]]) * (2.0 * np.outer(c, c))
+        halves.append((matrix, rows, sign, c))
+    return mirror, halves
+
+
+def _split_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as two products, of the real and of the imaginary part of ``a``,
+    so that a real ``b`` stays real."""
+    return a.real @ b + 1j * (a.imag @ b)
+
+
 def evolve(psi0: StateVector, h: Operator, t_final: float, n_steps: int) -> EvolutionResult:
     """Evolve by exact spectral exponentiation, sampling n_steps+1 times.
 
     The propagator is exp(-i H t), built block by block: each block that the
     exact zeros of H decouple (:func:`_decoupled_blocks`; on the relative
-    Hamiltonian, the total S_z sectors) gets its own eigendecomposition, and
-    its amplitudes evolve by their own phases.  Norms and energies are
-    measured on the full states with the full H, so they double as unitarity
-    diagnostics and would show a wrong block.  Off the blocks H - H^dagger is 0,
-    so the hermiticity guard reads the blocks alone.
+    Hamiltonian, the total S_z sectors) is diagonalized by its halves under
+    x -> -x (:func:`_mirror_halves`), equal blocks once, and its amplitudes
+    evolve by their own phases.  Norms and energies are measured on the full
+    states with the full H, so they double as unitarity diagnostics and would
+    show a wrong block or half.  Off the blocks H - H^dagger is 0, so the
+    hermiticity guard reads the blocks alone.
     """
     blocks = [(ix, h.entries[np.ix_(ix, ix)]) for ix in _decoupled_blocks(h)]
     atol = HERMITICITY_ATOL * max(1.0, float(np.abs(h.entries).max()))
-    if not all(np.max(np.abs(block - block.conj().T)) <= atol for _, block in blocks):
+    if not all(hermiticity_residual(block) <= atol for _, block in blocks):
         raise ValueError("evolution requires a hermitian Hamiltonian")
     if not psi0.is_normalized(atol=1e-10):
         raise ValueError("initial state must be normalized")
     times = np.linspace(0.0, float(t_final), int(n_steps) + 1)
-    states = np.zeros((times.size, h.space.total_dim), dtype=np.complex128)
+    # One row of amplitudes per basis index, one column per time: blocks and
+    # halves are rows.
+    amplitudes = np.zeros((h.space.total_dim, times.size), dtype=np.complex128)
+    solved = []  # (block, mirror, [(eigenvectors, cos, sin, rows, sign, c) of each sector]) of each distinct block
     for ix, block in blocks:
-        vals, vecs = eigh_phase_fixed(block)
-        coeffs = vecs.conj().T @ psi0.amplitudes[ix]
-        phases = np.exp(-1j * np.outer(times, vals))
-        states[:, ix] = (vecs @ (phases * coeffs[None, :]).T).T
+        found = next((entry for entry in solved if np.array_equal(entry[0], block)), None)
+        if found is None:
+            mirror, sectors = _mirror_halves(block, h.space.factor_dims[0])
+            for i, (matrix, rows, sign, c) in enumerate(sectors):
+                vals, vecs = eigh_phase_fixed(matrix)
+                angles = np.outer(vals, times)
+                sectors[i] = (vecs, np.cos(angles), np.sin(angles), rows, sign, c)
+            found = (block, mirror, sectors)
+            solved.append(found)
+        _, mirror, sectors = found
+        psi = psi0.amplitudes[ix]
+        for vecs, cos, sin, rows, sign, c in sectors:
+            coeffs = _split_product((psi[rows] + sign * psi[mirror[rows]]) * c, vecs.conj())[:, None]
+            # exp(-i E t) coeffs = (cos - i sin) coeffs, apart: for real E, re and im are its parts
+            re, im = cos * coeffs.real + sin * coeffs.imag, cos * coeffs.imag - sin * coeffs.real
+            unfolded = c[:, None] * (vecs @ re + 1j * (vecs @ im))
+            amplitudes[ix[rows]] += unfolded
+            if sign:
+                amplitudes[ix[mirror[rows]]] += sign * unfolded
+    states = amplitudes.T
     norms = np.linalg.norm(states, axis=1)
-    # H psi from the real and the imaginary parts of the states, which keeps
-    # a real H real in its two products.
-    h_psi = states.real @ h.entries.T + 1j * (states.imag @ h.entries.T)
+    h_psi = _split_product(states, h.entries.T)
     energies = np.sum(states.real * h_psi.real + states.imag * h_psi.imag, axis=1)
     return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
 
@@ -269,15 +334,12 @@ def weak_coupling_check(
     """
     lambdas = [float(v) for v in lambda_values]
     vectors = _seeded_vectors(grid, seed)
-    free = _apply_product_hamiltonian(grid, masses, _scaled(pot, 0.0), vectors)
+    free, *coupled = _apply_product_hamiltonian(
+        grid, masses, [_scaled(pot, lam) for lam in [0.0, *lambdas]], vectors
+    )
     expected = _one_body_sum(grid, masses, vectors)
     zero_residual = float(np.linalg.norm(free - expected) / np.linalg.norm(expected))
-    deviations = [
-        float(np.linalg.norm(
-            _apply_product_hamiltonian(grid, masses, _scaled(pot, lam), vectors) - free
-        ))
-        for lam in lambdas
-    ]
+    deviations = [float(np.linalg.norm(applied - free)) for applied in coupled]
     slopes = np.array([dev / lam for dev, lam in zip(deviations, lambdas) if lam > 0])
     top = np.max(slopes, initial=0.0)
     spread = float((top - np.min(slopes)) / top) if top != 0.0 else 0.0
@@ -300,8 +362,8 @@ def exchange_symmetry_residual(
     """
     masses = (mass, mass)
     vectors = _seeded_vectors(grid, seed)
-    hv = _apply_product_hamiltonian(grid, masses, pot, vectors)
-    huv = _apply_product_hamiltonian(grid, masses, pot, vectors.transpose(1, 0, 3, 2, 4))
+    (hv,) = _apply_product_hamiltonian(grid, masses, [pot], vectors)
+    (huv,) = _apply_product_hamiltonian(grid, masses, [pot], vectors.transpose(1, 0, 3, 2, 4))
     return float(np.linalg.norm(huv - hv.transpose(1, 0, 3, 2, 4)) / np.linalg.norm(hv))
 
 
@@ -309,39 +371,40 @@ def momentum_conservation_residual(
     grid: GridSpec, masses: Sequence[float], pot: PotentialSpec, seed: int = 0
 ) -> np.ndarray:
     """Relative norm of [H, P_total] applied to each of ``_MOMENTUM_STATES``
-    masked product states.
+    masked product states a x b.
 
     The bodies are taken spinless, so only the central potential ``pot.v``
     enters H; it depends only on the relative separation, which the
-    construction guarantees.  Each state is an (n, n) array.  Both kinetic
-    terms and P_total are diagonal in momentum, so each multiplies the state's
-    2-d FFT by its symbol, at O(n^2 log n) per state; nothing of size
-    n^2 x n^2, nor any n x n operator, is formed.
+    construction guarantees.  T1, T2 and P_total are sums of one-leg
+    operators diagonal in momentum, so they act on the legs of all states by
+    1-d FFTs, and H P psi and P H psi are sums of leg products, but for
+    P_total (V psi): one batched 2-d FFT pair.  Both are formed in full and
+    subtracted.  No n^2 x n^2 array, nor any n x n operator, is formed.
     """
     x = grids.position_values(grid)
     v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
     k = grids.momentum_values(grid)
-    kinetic = k[:, None] ** 2 / (2.0 * masses[0]) + k[None, :] ** 2 / (2.0 * masses[1])
-    total_momentum = k[:, None] + k[None, :]
+    t1, t2 = (k ** 2 / (2.0 * m) for m in masses)
 
-    def spectral(symbol, psi):
-        return np.fft.ifft2(symbol * np.fft.fft2(psi, norm="ortho"), norm="ortho")
+    def spectral(symbol, legs):
+        return np.fft.ifft(symbol * np.fft.fft(legs, norm="ortho"), norm="ortho")
 
-    def apply_h(psi):
-        return spectral(kinetic, psi) + v * psi
-
-    def apply_p(psi):
-        return spectral(total_momentum, psi)
+    def products(*pairs):  # the sum of u_s w_s^T over the pairs (u, w), per state s
+        left, right = (np.stack(legs, axis=-1) for legs in zip(*pairs))
+        return left @ right.transpose(0, 2, 1)
 
     mask = grids.band_limited_mask(grid)
     rng = np.random.default_rng(seed)
-    sa = mask.random_states(_MOMENTUM_STATES, rng)
-    sb = mask.random_states(_MOMENTUM_STATES, rng)
+    a = mask.random_states(_MOMENTUM_STATES, rng).T
+    b = mask.random_states(_MOMENTUM_STATES, rng).T
+    pa, pb, t1a, t2b = spectral(k, a), spectral(k, b), spectral(t1, a), spectral(t2, b)
+    hp = products((spectral(t1, pa), b), (t1a, pb), (pa, t2b), (a, spectral(t2, pb)))
+    hp += v * products((pa, b), (a, pb))
+    ph = products((spectral(k, t1a), b), (t1a, pb), (pa, t2b), (a, spectral(k, t2b)))
+    ph += np.fft.ifft2((k[:, None] + k[None, :]) * np.fft.fft2(v * products((a, b)), norm="ortho"), norm="ortho")
     residuals = np.zeros(_MOMENTUM_STATES)
-    for col in range(_MOMENTUM_STATES):
-        psi = np.outer(sa[:, col], sb[:, col])
-        hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
-        scale = np.maximum(np.linalg.norm(hp), np.linalg.norm(ph))
+    for state in range(_MOMENTUM_STATES):
+        scale = np.maximum(norm(hp[state]), norm(ph[state]))
         if scale != 0.0:  # both products vanish at scale 0, and NaN stays NaN
-            residuals[col] = np.linalg.norm(hp - ph) / scale
+            residuals[state] = norm(hp[state] - ph[state]) / scale
     return residuals

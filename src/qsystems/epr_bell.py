@@ -482,11 +482,13 @@ def correlation_lhv_exact(model: LHVModel, angles_a, angles_b) -> np.ndarray:
     every pair in one call per side, A before B, and the signed arc lengths
     are summed in circle order.  A repeated angle makes an arc of zero
     length, which adds nothing.  Each pair's row is sorted and summed along
-    the last axis alone, so its value is the same at any batch size.
+    the last axis alone, so its value is the same at any batch size.  Each
+    setting is reduced mod 2 pi first, as in :func:`chsh_lhv`, so that a far
+    one rounds its jumps and arcs from one angle.
     """
     two_pi = 2.0 * np.pi
-    angles_a, angles_b = np.broadcast_arrays(np.asarray(angles_a, dtype=float),
-                                             np.asarray(angles_b, dtype=float))
+    angles_a, angles_b = np.broadcast_arrays(np.mod(np.asarray(angles_a, dtype=float), two_pi),
+                                             np.mod(np.asarray(angles_b, dtype=float), two_pi))
     circle = np.broadcast_to([0.0, two_pi], angles_a.shape + (2,))
     jumps = np.concatenate((model.jumps_a(angles_a), model.jumps_b(angles_b)), axis=-1)
     edges = np.sort(np.concatenate((np.mod(jumps, two_pi), circle), axis=-1), axis=-1)
@@ -514,8 +516,8 @@ class LHVEstimate:
 def _agreement_counts(model: LHVModel, settings: CHSHSettings, lam: np.ndarray) -> list[int]:
     """On how many hidden variables of ``lam`` each term's two outcomes agree,
     in the order of :meth:`CHSHSettings.terms`: A(a), A(a'), B(b) and B(b')
-    are each evaluated once."""
-    a, ap, b, bp = settings.as_tuple()
+    are each evaluated once, at the setting reduced mod 2 pi."""
+    a, ap, b, bp = np.mod(settings.as_tuple(), 2.0 * np.pi)
     out_a, out_ap = model.response_a(a, lam), model.response_a(ap, lam)
     out_b, out_bp = model.response_b(b, lam), model.response_b(bp, lam)
     pairs = ((out_a, out_b), (out_a, out_bp), (out_ap, out_b), (out_ap, out_bp))

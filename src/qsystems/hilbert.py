@@ -6,7 +6,8 @@ Hamiltonian reaches a real ``eigh``.  Values are immutable after construction
 (arrays are marked read-only).  Besides the value types there are basis
 states, the Pauli matrices, the lift of a one-factor operator into a product
 space, a norm whose bits do not depend on the BLAS thread count, a phase-fixed
-Hermitian eigendecomposition, and the connected sets of a coupling pattern.
+Hermitian eigendecomposition, the hermiticity residual, and the connected sets
+of a coupling pattern.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "Operator",
     "lift",
     "eigh_phase_fixed",
+    "hermiticity_residual",
     "connected_sets",
     "pauli_matrices",
     "basis_state",
@@ -154,6 +156,13 @@ def eigh_phase_fixed(matrix: np.ndarray):
     scale = np.ones_like(pivots)
     scale[found] = pivots[found].conj() / size[found]
     return vals, vecs * scale
+
+
+def hermiticity_residual(matrix: np.ndarray) -> float:
+    """max |M - M^dagger|.  A real M is compared with its transpose, so no
+    conjugate copy is made; the value is the same."""
+    adjoint = matrix.conj().T if np.iscomplexobj(matrix) else matrix.T
+    return float(np.max(np.abs(matrix - adjoint)))
 
 
 def connected_sets(coupled: np.ndarray) -> list[np.ndarray]:

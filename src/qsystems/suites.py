@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__, charge, dynamics, epr_bell, galilei, mereology, symmetry
 from .grids import MIN_SITES, GridSpec, wrap_displacement
-from .hilbert import Operator, SpaceSpec, StateVector, basis_state, connected_sets, lift, pauli_matrices
+from .hilbert import (Operator, SpaceSpec, StateVector, basis_state, connected_sets, hermiticity_residual, lift,
+                      pauli_matrices)
 from .report import CheckRecord, SuiteReport
 
 __all__ = ["SUITE_RUNNERS", "run_suite", "run_all"]
@@ -68,6 +69,19 @@ _COUNT_RANGES = {
     "epr.n_inference": (1, 1000),
     "bell.n_samples": (epr_bell.MIN_LHV_SAMPLES, 10_000_000),
     "bell.n_random_settings": (1, 1000),
+}
+
+# Lengths and masses, each mapped to the (least, most) value of every entry,
+# ten times past the shipped and fuzzed values both ways; far past them the
+# arithmetic overflows (a box of 1e300) or underflows (a spacing of 0).
+_SCALE_RANGES = {
+    "axioms.grid_length": (0.1, 1000.0),
+    "dynamics.relative.length": (0.1, 1000.0),
+    "dynamics.relative.well_width": (0.01, 100.0),
+    "axioms.grid_masses": (0.01, 100.0),
+    "dynamics.relative.masses": (0.01, 100.0),
+    "dynamics.weak_coupling.masses": (0.01, 100.0),
+    "dynamics.momentum.masses": (0.01, 100.0),
 }
 
 # An individual is one uint64 mask, one bit per distinct atom of the pool.
@@ -126,12 +140,6 @@ def _check_value(path: str, value) -> None:
     """Raise ValueError, naming ``path``, unless ``value`` keeps its key's rule."""
     if path in _POSITIVE_NUMBERS and not value > 0:
         raise ValueError(f"{path} must be positive")
-    if path in _COUNT_RANGES:
-        least, most = _COUNT_RANGES[path]
-        if value < least:
-            raise ValueError(f"{path} must be at least {least}")
-        if value > most:
-            raise ValueError(f"{path} must be at most {most}")
     if path in ("symmetry.cases", "bell.models") and not value:
         raise ValueError(f"{path} must not be empty")
     if path == "symmetry.cases":
@@ -174,6 +182,14 @@ def _check_value(path: str, value) -> None:
                 raise ValueError(f"{path}[{i}] must be at most {_CHARGE_BOUND} in magnitude, got {q}")
     if path.endswith("masses") and (len(value) != 2 or not all(m > 0 for m in value)):
         raise ValueError(f"{path} must hold exactly two positive masses, got {value}")
+    if path in _COUNT_RANGES or path in _SCALE_RANGES:
+        least, most = _COUNT_RANGES.get(path) or _SCALE_RANGES[path]
+        each = " each" if isinstance(value, list) else ""
+        numbers = value if each else [value]
+        if min(numbers) < least:
+            raise ValueError(f"{path} must{each} be at least {least}")
+        if max(numbers) > most:
+            raise ValueError(f"{path} must{each} be at most {most}")
     if path == "dynamics.weak_coupling.lambdas":
         # Linearity compares the slopes of the positive couplings: with fewer
         # than two there is no spread to measure.
@@ -689,7 +705,7 @@ def run_dynamics(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     )
     h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot)
     check("hamiltonian-hermiticity", "kinetic + central + spin-spin Hamiltonian is hermitian",
-          np.max(np.abs(h.entries - h.entries.conj().T)), 1e-12)
+          hermiticity_residual(h.entries), 1e-12)
 
     # The spin operators that the Hamiltonian's spin-spin terms are built from.
     dot, tensor = dynamics.spin_pair_operators()

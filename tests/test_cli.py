@@ -404,6 +404,23 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"epr": {"separation": 6.0}},
          "epr.width 0.25 and epr.separation 6 leave the pair envelope at 1.1e-07 of its peak"),
         ({"epr": {"width": 0.7, "wide_width": 1.0}}, "epr.width 0.7 and epr.separation 1 leave"),
+        # Each once ended in a traceback (overflow, or a zero spacing) or in
+        # an exit 2 that named no key.
+        ({"axioms": {"grid_length": 1e300}}, "axioms.grid_length must be at most 1000.0"),
+        ({"axioms": {"grid_length": 5e-324}}, "axioms.grid_length must be at least 0.1"),
+        ({"axioms": {"grid_length": 1e-300}}, "axioms.grid_length must be at least 0.1"),
+        ({"dynamics": {"relative": {"length": 1e300}}}, "dynamics.relative.length must be at most 1000.0"),
+        ({"dynamics": {"relative": {"length": 5e-324}}}, "dynamics.relative.length must be at least 0.1"),
+        ({"dynamics": {"relative": {"length": 1e-300}}}, "dynamics.relative.length must be at least 0.1"),
+        ({"dynamics": {"relative": {"well_width": 1e300}}}, "dynamics.relative.well_width must be at most 100.0"),
+        ({"dynamics": {"relative": {"well_width": 5e-324}}}, "dynamics.relative.well_width must be at least 0.01"),
+        ({"dynamics": {"relative": {"well_width": 1e-300}}}, "dynamics.relative.well_width must be at least 0.01"),
+        ({"dynamics": {"relative": {"masses": [5e-324, 5e-324]}}},
+         "dynamics.relative.masses must each be at least 0.01"),
+        ({"dynamics": {"relative": {"masses": [1e-300, 1e-300]}}},
+         "dynamics.relative.masses must each be at least 0.01"),
+        ({"dynamics": {"relative": {"masses": [1.7e308, 1.7e308]}}},
+         "dynamics.relative.masses must each be at most 100.0"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -460,6 +477,8 @@ def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_pa
     assert "Traceback" not in err
 
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 # Values of every JSON type, for keys whose default has another type.
 _ANY_JSON = ["text", True, None, [], {}, 1.5, 7]
 
@@ -486,7 +505,7 @@ def _draw_path(draw, keep):
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
     kind = draw(st.sampled_from(
-        ["unknown", "mistyped", "non-finite", "overflow", "positive", "count"]
+        ["unknown", "mistyped", "non-finite", "overflow", "positive", "count", "scale"]
     ))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
@@ -508,11 +527,18 @@ def invalid_sections(draw):
         where = draw(st.sampled_from(sorted(suites._POSITIVE_NUMBERS)))
         suite = where.split(".")[0]
         value = draw(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.integers(max_value=0)))
-    else:
+    elif kind == "count":
         where = draw(st.sampled_from(sorted(suites._COUNT_RANGES)))
         suite = where.split(".")[0]
         least, bound = suites._COUNT_RANGES[where]
         value = draw(st.integers(max_value=least - 1) | st.integers(bound + 1, 10 ** 300))
+    else:
+        where = draw(st.sampled_from(sorted(suites._SCALE_RANGES)))
+        suite = where.split(".")[0]
+        least, most = suites._SCALE_RANGES[where]
+        value = draw(st.floats(5e-324, least, exclude_max=True) | st.floats(most, _FLOAT_MAX, exclude_min=True))
+        if where.endswith("masses"):
+            value = draw(st.permutations([1.0, value]))
     doc = value
     for key in reversed(where.split(".")):
         doc = {key: doc}
@@ -740,9 +766,11 @@ def test_non_finite_results_fail_and_stay_strict_json(tmp_path):
 
 # Every value of the default report, evolution drifts included, is rounded the
 # same at 1 and 2 threads.  Evolution diagonalizes the relative Hamiltonian one
-# total S_z block at a time, at most 128 wide at the default 64 sites; one dense
-# 256-wide eigensolve rounded differently at 2 threads.  The symmetry suite of
-# the many-body workload, up to 256-wide projectors, takes its ranks and
+# total S_z block at a time, each by its halves under x -> -x: at the many-body
+# workload's 128 sites the widest half has 130 rows, where one dense 256-wide
+# eigensolve rounded differently at 2 threads; its states and energies are
+# real products of up to 512 wide, which round the same.  The symmetry suite
+# of the many-body workload, up to 256-wide projectors, takes its ranks and
 # products on the exchange sectors, at most 35 wide.
 
 
@@ -751,7 +779,7 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     workloads = json.loads(
         (Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8")
     )
-    for command, workload in (("all", "default"), ("symmetry", "many-body")):
+    for command, workload in (("all", "default"), ("symmetry", "many-body"), ("dynamics", "many-body")):
         config = tmp_path / f"{workload}.json"
         config.write_text(json.dumps(workloads["workloads"][workload]["config"]))
         reports = []

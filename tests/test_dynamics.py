@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsystems import dynamics, galilei, grids, suites
 from qsystems.dynamics import (
@@ -107,7 +108,7 @@ class TestBuild:
 
     def test_product_hamiltonian_hermitian(self):
         eye = np.eye(16 * 16 * 4, dtype=np.complex128)
-        h = dynamics._apply_product_hamiltonian(SMALL, (1.0, 1.5), gaussian_well(), eye)
+        (h,) = dynamics._apply_product_hamiltonian(SMALL, (1.0, 1.5), [gaussian_well()], eye)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
@@ -294,6 +295,102 @@ def test_evolve_rejects_a_non_hermitian_entry_wherever_it_sits(spoil):
         evolve(random_state(h.space, 3), h, 1.0, 4)
 
 
+def block_evolution(psi0, h, t_final, n_steps):
+    """Oracle: evolution as evolve did it before its mirror halves, one
+    eigendecomposition of each decoupled block and complex products."""
+    times = np.linspace(0.0, float(t_final), int(n_steps) + 1)
+    states = np.zeros((times.size, h.space.total_dim), dtype=np.complex128)
+    for ix in dynamics._decoupled_blocks(h):
+        vals, vecs = eigh_phase_fixed(h.entries[np.ix_(ix, ix)])
+        coeffs = vecs.conj().T @ psi0.amplitudes[ix]
+        phases = np.exp(-1j * np.outer(times, vals))
+        states[:, ix] = (vecs @ (phases * coeffs[None, :]).T).T
+    norms = np.linalg.norm(states, axis=1)
+    h_psi = states.real @ h.entries.T + 1j * (states.imag @ h.entries.T)
+    energies = np.sum(states.real * h_psi.real + states.imag * h_psi.imag, axis=1)
+    return states, norms, energies
+
+
+def assert_matches_block_evolution(h, seed, t_final=2.0, n_steps=40):
+    psi0 = random_state(h.space, seed)
+    result = evolve(psi0, h, t_final, n_steps)
+    states, norms, energies = block_evolution(psi0, h, t_final, n_steps)
+    np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
+    assert abs(result.norm_drift - np.max(np.abs(norms - norms[0]))) <= 1e-15
+    # Each energy sums terms as large as the largest entry of H (about 53 at
+    # the shipped 64 sites), whose roundoff sets the drift: the two drifts
+    # agree to a few ulps of that entry, not to 1e-15 absolute.
+    scale = np.finfo(float).eps * np.abs(h.entries).max()
+    assert abs(result.energy_drift - np.max(np.abs(energies - energies[0]))) <= 16 * scale
+
+
+def with_central_potential(h, values):
+    """``h`` plus ``values[i]`` on the diagonal at site i, every spin index."""
+    return Operator(h.space, h.entries + np.diag(np.repeat(values, h.space.total_dim // len(values))))
+
+
+def with_off_mirror_entry(h):
+    """``h`` plus a hermitian pair of entries between sites 1 and 3 of the
+    up-down index, whose mirror images at sites n - 1 and n - 3 stay."""
+    n = h.space.factor_dims[0]
+    entries = h.entries.copy().reshape(n, 4, n, 4)
+    entries[1, 1, 3, 1] += 0.25
+    entries[3, 1, 1, 1] += 0.25
+    return Operator(h.space, entries.reshape(4 * n, 4 * n))
+
+
+MIRROR_BROKEN = {
+    # Odd under x -> -x, so no block is unchanged by the reversal.
+    "potential-of-x": lambda: with_central_potential(
+        shipped_hamiltonian(16), 0.3 * grids.position_values(GridSpec(16, 16.0))
+    ),
+    # Only the mixed block holds the entry; up-up and down-down still split.
+    "off-mirror-entry": lambda: with_off_mirror_entry(shipped_hamiltonian(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_BROKEN))
+def test_mirror_broken_hamiltonian_matches_block_evolution(name):
+    assert_matches_block_evolution(MIRROR_BROKEN[name](), seed=4)
+
+
+def test_block_with_a_nan_is_one_sector():
+    # evolve's guard rejects such an H first (test_evolve_rejects_...), as
+    # the block oracle's eigh would fail on it; the mirror test alone reads
+    # a NaN as a changed entry.  Site 2, up-up, to site 5, down-down joins
+    # those two indices in one block, which stays whole; the mixed block
+    # still splits.
+    h = spoiled_shipped_hamiltonian("nan")
+    sizes = [
+        [len(sector[0]) for sector in dynamics._mirror_halves(h.entries[np.ix_(ix, ix)], 16)[1]]
+        for ix in dynamics._decoupled_blocks(h)
+    ]
+    assert sizes == [[32], [18, 14]]
+
+
+@pytest.mark.parametrize("n_sites, expected", [(8, [0, 7, 6, 5, 4, 3, 2, 1]), (9, [8, 7, 6, 5, 4, 3, 2, 1, 0])])
+def test_site_mirror_reflects_positions(n_sites, expected):
+    mirror = dynamics._site_mirror(n_sites)
+    assert mirror.tolist() == expected
+    x = grids.position_values(GridSpec(n_sites, 16.0))
+    # Site 0 of an even grid sits at -L/2, the same point as +L/2.
+    assert np.array_equal(np.abs(x[mirror]), np.abs(x))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_sites=st.integers(8, 40),
+    length=st.floats(4.0, 32.0),
+    masses=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    well=st.tuples(st.floats(-4.0, 4.0), st.floats(0.3, 3.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_mirror_halves_match_block_evolution(n_sites, length, masses, well, seed):
+    depth, width, v2, v3 = well
+    pot = suites._gaussian_well_tables(length, depth, width, v2, v3)
+    assert_matches_block_evolution(build_hamiltonian(GridSpec(n_sites, length), masses, pot), seed)
+
+
 class TestSectorEvolution:
     @pytest.mark.parametrize("name", sorted(HAMILTONIANS))
     def test_matches_dense_propagation(self, name):
@@ -305,21 +402,31 @@ class TestSectorEvolution:
         np.testing.assert_allclose(result.norms, norms, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(result.energies, energies, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n_sites", [16, 64])
+    @pytest.mark.parametrize("n_sites", [15, 16, 64])
     def test_shipped_hamiltonian_splits_by_total_spin(self, n_sites, monkeypatch):
-        h = shipped_hamiltonian(n_sites)
-        assert eigh_block_sizes(monkeypatch, h) == [n_sites, 2 * n_sites, n_sites]
+        # Up-up and down-down are bit-equal blocks of n rows, which share one
+        # decomposition; the mixed block has 2n.  Each splits into its
+        # mirror-even half, one row per orbit {i, m(i)} and spin index, and
+        # its odd half, one row per orbit of two sites.
+        even, odd = n_sites // 2 + 1, (n_sites - 1) // 2
+        assert eigh_block_sizes(monkeypatch, shipped_hamiltonian(n_sites)) == [even, odd, 2 * even, 2 * odd]
 
     @pytest.mark.parametrize(
         "make, sizes",
         [
             (HAMILTONIANS["random-one-block"], [64]),
-            (HAMILTONIANS["up-up-down-down"], [64, 64]),
-            (HAMILTONIANS["spin-chain"], [64]),
-            (unmirrored_tensor_entry, [128, 128]),
+            (HAMILTONIANS["up-up-down-down"], [34, 30, 34, 30]),
+            (HAMILTONIANS["spin-chain"], [36, 28]),
+            (unmirrored_tensor_entry, [66, 62, 66, 62]),
             (lambda: Operator(SpaceSpec((6,)), random_coupled_hamiltonian(2, 1).entries[:6, :6]), [6]),
+            # A field on up-up alone: the up-up and down-down blocks differ,
+            # so each takes its own decomposition.
+            (lambda: with_spin_coupling(shipped_hamiltonian(16), 0, 0, 0.05), [9, 7, 18, 14, 9, 7]),
+            (lambda: MIRROR_BROKEN["potential-of-x"](), [16, 32]),
+            (lambda: MIRROR_BROKEN["off-mirror-entry"](), [9, 7, 32]),
         ],
-        ids=["random-one-block", "up-up-down-down", "spin-chain", "unmirrored-tensor-entry", "single-factor"],
+        ids=["random-one-block", "up-up-down-down", "spin-chain", "unmirrored-tensor-entry", "single-factor",
+             "unequal-spin-blocks", "potential-of-x", "off-mirror-entry"],
     )
     def test_blocks_follow_the_coupling_pattern(self, make, sizes, monkeypatch):
         assert eigh_block_sizes(monkeypatch, make()) == sizes
@@ -345,10 +452,11 @@ class TestWeakCoupling:
     def test_perturbed_free_part_fails_zero_coupling(self, spin_terms, monkeypatch):
         apply = dynamics._apply_product_hamiltonian
 
-        def perturbed(grid, masses, pot, vectors):
-            out = apply(grid, masses, pot, vectors)
-            out.reshape(-1, 4)[5] += 1e-8 * vectors.reshape(-1, 4)[3]  # H[5, 3] += 1e-8
-            return out
+        def perturbed(grid, masses, pots, vectors):
+            applied = apply(grid, masses, pots, vectors)
+            for out in applied:
+                out.reshape(-1, 4)[5] += 1e-8 * vectors.reshape(-1, 4)[3]  # H[5, 3] += 1e-8
+            return applied
 
         monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", perturbed)
         pot = gaussian_well() if spin_terms else PotentialSpec(v=gaussian_well().v)
@@ -413,6 +521,80 @@ def test_momentum_conservation_matches_explicit_product_oracle():
     )
 
 
+def per_state_momentum_residuals(grid, masses, pot, seed):
+    """Oracle: momentum_conservation_residual before its leg transforms,
+    each product state a whole (n, n) array and every operator a 2-d FFT
+    pair, four pairs per state."""
+    x = grids.position_values(grid)
+    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+    k = grids.momentum_values(grid)
+    kinetic = k[:, None] ** 2 / (2.0 * masses[0]) + k[None, :] ** 2 / (2.0 * masses[1])
+    total_momentum = k[:, None] + k[None, :]
+
+    def spectral(symbol, psi):
+        return np.fft.ifft2(symbol * np.fft.fft2(psi, norm="ortho"), norm="ortho")
+
+    def apply_h(psi):
+        return spectral(kinetic, psi) + v * psi
+
+    def apply_p(psi):
+        return spectral(total_momentum, psi)
+
+    mask = grids.band_limited_mask(grid)
+    rng = np.random.default_rng(seed)
+    n_states = dynamics._MOMENTUM_STATES
+    sa, sb = mask.random_states(n_states, rng), mask.random_states(n_states, rng)
+    residuals = np.zeros(n_states)
+    for col in range(n_states):
+        psi = np.outer(sa[:, col], sb[:, col])
+        hp, ph = apply_h(apply_p(psi)), apply_p(apply_h(psi))
+        scale = np.maximum(np.linalg.norm(hp), np.linalg.norm(ph))
+        if scale != 0.0:
+            residuals[col] = np.linalg.norm(hp - ph) / scale
+    return residuals
+
+
+@pytest.mark.parametrize(
+    "n_sites, masses, seed, central",
+    [(51, (1.0, 1.5), 0, True), (64, (1.0, 1.5), 3, True), (64, (1.0, 1.0), 1, False), (97, (0.7, 2.0), 2, True)],
+)
+def test_momentum_legs_match_the_per_state_oracle(n_sites, masses, seed, central):
+    pot = PotentialSpec(v=gaussian_well().v) if central else PotentialSpec()
+    grid = GridSpec(n_sites, 16.0)
+    actual = momentum_conservation_residual(grid, masses, pot, seed=seed)
+    expected = per_state_momentum_residuals(grid, masses, pot, seed)
+    assert np.max(expected) > 0.0
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-15)
+
+
+def one_product_hamiltonian(grid, masses, pot, vectors):
+    """Oracle: the product-space Hamiltonian of one potential applied to
+    ``vectors``, kinetic terms and all, as each call once applied it."""
+    n = grid.n_sites
+    t1, t2 = (grids.kinetic_operator(grid, m) for m in masses)
+    x = grids.position_values(grid)
+    dist = grids.periodic_distance(x[:, None] - x[None, :], grid.length)
+    psi = vectors.reshape(n, n, 4, vectors.shape[-1])
+    out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
+    out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
+    out += pot.sample(pot.v, dist)[:, :, None, None] * psi
+    blocks = dynamics._spin_blocks(pot, dist.reshape(-1), *spin_pair_operators())
+    out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
+    return out.reshape(vectors.shape)
+
+
+@pytest.mark.parametrize("n_sites", [8, 16, 24])
+def test_one_kinetic_pass_keeps_every_product_bit(n_sites):
+    grid = GridSpec(n_sites, 16.0)
+    lambdas = [0.0, 0.125, 0.25, 0.5, 1.0]
+    pots = [dynamics._scaled(gaussian_well(), lam) for lam in lambdas]
+    vectors = dynamics._seeded_vectors(grid, n_sites)
+    applied = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pots, vectors)
+    assert len(applied) == len(pots)
+    for pot, out in zip(pots, applied):
+        assert np.array_equal(out, one_product_hamiltonian(grid, (1.0, 1.3), pot, vectors))
+
+
 def kron_product_parts(grid, masses, pot):
     """Oracle: the product-space parts built from dense Kronecker products."""
     eye_n = np.eye(grid.n_sites, dtype=np.complex128)
@@ -438,7 +620,7 @@ def test_product_parts_match_kron_oracle(spin_terms):
         grid = GridSpec(n_sites, 16.0)
         vectors = dynamics._seeded_vectors(grid, 4).reshape(-1, 4)
         expected = sum(kron_product_parts(grid, (1.0, 1.3), pot)) @ vectors
-        actual = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pot, vectors)
+        (actual,) = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), [pot], vectors)
         assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
 
 

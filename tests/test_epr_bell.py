@@ -75,7 +75,9 @@ def oracle_correlation_quantum(angle_a, angle_b):
 
 
 def oracle_correlation_lhv_exact(model, angle_a, angle_b):
-    """E(a,b) by a Python loop over the arcs between sorted jump angles."""
+    """E(a,b) by a Python loop over the arcs between sorted jump angles, each
+    setting first reduced mod 2 pi."""
+    angle_a, angle_b = np.mod(angle_a, 2.0 * np.pi), np.mod(angle_b, 2.0 * np.pi)
     jumps = np.concatenate(
         (
             np.atleast_1d(model.jumps_a(angle_a)),
@@ -656,6 +658,22 @@ class TestLHVSampling:
         estimate = lone_estimate(model, OPTIMAL, 100_000, seed=11)
         exact = chsh_lhv_exact(model, OPTIMAL)
         assert abs(estimate.s_value - exact) <= 5.0 * estimate.stderr
+
+    @pytest.mark.parametrize("far", [1e15, 1e308])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
+    def test_setting_far_outside_the_circle_reads_as_its_reduction(self, name, far):
+        # From about 1e15 rad, a - offset and a + offset once rounded apart
+        # from the arcs taken from a, and the sampled and the integrated
+        # correlations disagreed.  Both reduce each setting mod 2 pi first.
+        model = SHIPPED_LHV_MODELS[name]()
+        settings = CHSHSettings(far, 0.0, 0.0, 0.0)
+        reduced = CHSHSettings(float(np.mod(far, 2.0 * np.pi)), 0.0, 0.0, 0.0)
+        exact = correlation_lhv_exact(model, *settings.terms())
+        assert np.array_equal(exact, correlation_lhv_exact(model, *reduced.terms()))
+        (estimate,) = chsh_lhv([model], settings, 10_000, seed=5)
+        assert [estimate] == chsh_lhv([model], reduced, 10_000, seed=5)
+        deviation = np.abs(np.array(estimate.correlations) - exact)
+        assert np.all(deviation <= 5.0 * np.sqrt((1.0 - np.clip(exact, -1.0, 1.0) ** 2) / 10_000))
 
     def test_saturated_model_reads_minus_two_with_no_error(self):
         # Every draw of the hemisphere model at the canonical settings gives

@@ -210,11 +210,12 @@ def nonlinear_sample(monkeypatch):
 
 
 def wrong_second_mass(monkeypatch):
-    """The product-space Hamiltonian takes body 2's mass 10% too large."""
+    """The product-space Hamiltonian takes body 2's mass 10% too large, at
+    every coupling."""
 
-    def apply(grid, masses, pot, vectors):
+    def apply(grid, masses, pots, vectors):
         m1, m2 = masses
-        return APPLY(grid, (m1, 1.1 * m2), pot, vectors)
+        return APPLY(grid, (m1, 1.1 * m2), pots, vectors)
 
     monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", apply)
 
@@ -740,8 +741,11 @@ NAN_ROWS = [
     ("symmetry", "pauli-exclusion-duplicates", nan_on_call(symmetry, "pauli_exclusion_check", 1)),
     ("symmetry", "exchange-invariant-total-observable",
      nan_on_call(symmetry, "exchange_expectation_check", 2)),
+    # One call applies H(0) and then H(lambda) of every coupling: entry 2 is
+    # the second coupling's, so its deviation reads NaN.
     ("dynamics", "weak-coupling-linearity",
-     nan_on_call(dynamics, "_apply_product_hamiltonian", 2, lambda out: np.full_like(out, NAN))),
+     nan_on_call(dynamics, "_apply_product_hamiltonian", 0,
+                 lambda applied: [*applied[:2], np.full_like(applied[2], NAN), *applied[3:]])),
     # Flat index 1 of the first (dim, n_states) draw: a NaN in test state 1.
     ("dynamics", "momentum-conservation", nan_on_call(grids.DomainMask, "random_states", 0, nan_at)),
     ("charge", "central-commutators", nan_on_call(charge, "verify_central", 0, nan_at)),

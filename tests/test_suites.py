@@ -67,6 +67,22 @@ class TestMerge:
                 assert suites._CASE_DIM_BOUND >= 10 * d ** n
                 assert suites._CASE_INDEX_BOUND >= 10 * math.factorial(n) * d ** n
 
+    def test_scale_ranges_leave_ten_times_every_shipped_value_both_ways(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme[readme.index("## Config file"):]
+        example = example[example.index("```json") + len("```json"):]
+        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
+        configs = [DEFAULTS, json.loads(example[: example.index("```")])]
+        configs += [w["config"] for w in workloads["workloads"].values()]
+        for where, (least, most) in suites._SCALE_RANGES.items():
+            for config in configs:
+                value = config
+                for key in where.split("."):
+                    value = value.get(key, {})
+                if value != {}:
+                    for number in value if isinstance(value, list) else [value]:
+                        assert 10 * least <= number and 10 * number <= most, where
+
     def test_every_shipped_size_is_at_least_its_least_value(self):
         workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
         configs = [DEFAULTS, *(w["config"] for w in workloads["workloads"].values())]
