@@ -2,8 +2,10 @@
 evolution, and the weak-coupling additivity check.
 
 The two-body functions here pose one pair of spin-1/2 bodies on a periodic
-grid, given as the grid and the two masses.  The Hamiltonian is posed in the
-relative coordinate (center of mass dropped).  It conserves total S_z and is
+grid, given as the grid and the two masses.  The pair interaction is a
+Gaussian well of four numbers (:class:`PotentialSpec`), evaluated in closed
+form at each separation.  The Hamiltonian is posed in the relative
+coordinate (center of mass dropped).  It conserves total S_z and is
 exactly even under x -> -x, so evolution diagonalizes it by the blocks that
 its exact zeros decouple, each by its mirror halves.  The product-space checks
 (weak coupling and exchange symmetry) never store the n^2 x n^2 product-space
@@ -15,7 +17,7 @@ operators to the legs of masked product states by 1-d FFT.  Units have hbar = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +28,6 @@ from .hilbert import (Operator, SpaceSpec, StateVector, connected_sets, eigh_pha
                       norm, pauli_matrices)
 
 __all__ = [
-    "RadialTable",
     "PotentialSpec",
     "build_hamiltonian",
     "spin_pair_operators",
@@ -42,48 +43,21 @@ HERMITICITY_ATOL = 1e-12
 _MOMENTUM_STATES = 10
 
 
-@dataclass(frozen=True, eq=False)
-class RadialTable:
-    """Sampled real radial function, linearly interpolated between samples."""
-
-    r: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
-        v = np.asarray(self.values)
-        if np.iscomplexobj(v) and np.max(np.abs(v.imag)) > 0:
-            raise ValueError("potential tables must be real-valued")
-        v = v.real.astype(np.float64)
-        if r.ndim != 1 or r.size < 2 or np.any(np.diff(r) <= 0):
-            raise ValueError("radial samples must be a strictly increasing 1-d array")
-        if v.shape != r.shape:
-            raise ValueError("radial samples and values must have equal length")
-        r.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "values", v)
-
-    def __call__(self, r) -> np.ndarray:
-        return np.interp(np.asarray(r, dtype=np.float64), self.r, self.values)
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Radial potentials: central v, and the spin channels v2 and v3.
+    """The Gaussian pair well g(r) = exp(-r^2 / (2 width^2)): central
+    -depth g, ``v2`` g on s1.s2 and ``v3`` g on the tensor combination
+    3(s1.n)(s2.n) - s1.s2."""
 
-    ``v2`` multiplies s1.s2, ``v3`` multiplies the tensor combination
-    3(s1.n)(s2.n) - s1.s2.  Missing tables mean zero.
-    """
+    depth: float
+    width: float
+    v2: float
+    v3: float
 
-    v: RadialTable | None = None
-    v2: RadialTable | None = None
-    v3: RadialTable | None = None
-
-    def sample(self, table: RadialTable | None, r: np.ndarray) -> np.ndarray:
-        if table is None:
-            return np.zeros_like(np.asarray(r, dtype=np.float64))
-        return table(r)
+    def channels(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The central, s1.s2 and tensor channels at the separations ``r``."""
+        shape = np.exp(-(np.asarray(r, dtype=np.float64) ** 2) / (2.0 * self.width ** 2))
+        return -self.depth * shape, self.v2 * shape, self.v3 * shape
 
 
 def spin_pair_operators() -> tuple[np.ndarray, np.ndarray]:
@@ -99,19 +73,14 @@ def spin_pair_operators() -> tuple[np.ndarray, np.ndarray]:
     return dot, tensor
 
 
-def _spin_blocks(pot: PotentialSpec, r_values: np.ndarray, dot: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """4x4 spin interaction ``dot`` and ``tensor`` (:func:`spin_pair_operators`)
-    at each separation, stacked as (len(r), 4, 4).
+def _spin_blocks(v2: np.ndarray, v3: np.ndarray, dot: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """4x4 spin interaction ``v2 dot + v3 tensor`` (:func:`spin_pair_operators`)
+    at each separation, from the sampled channels, stacked as (len(v2), 4, 4).
 
     Every entry of s1.s2 and of the tensor term is real (sy x sy included),
     so the blocks are real.
     """
-    dot, tensor = dot.real, tensor.real
-
-    def channel(table: RadialTable | None, op: np.ndarray) -> np.ndarray:
-        return pot.sample(table, r_values)[:, None, None] * op
-
-    return channel(pot.v2, dot) + channel(pot.v3, tensor)
+    return v2[:, None, None] * dot.real + v3[:, None, None] * tensor.real
 
 
 def _spin_lift(spatial: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -133,9 +102,8 @@ def build_hamiltonian(grid: GridSpec, masses: Sequence[float], pot: PotentialSpe
     m1, m2 = masses
     mu = m1 * m2 / (m1 + m2)
     kinetic = grids.kinetic_operator(grid, mu)
-    r = np.abs(grids.position_values(grid))
-    central = np.diag(pot.sample(pot.v, r))
-    h = _spin_lift(kinetic + central, _spin_blocks(pot, r, *spin_pair_operators()))
+    central, v2, v3 = pot.channels(np.abs(grids.position_values(grid)))
+    h = _spin_lift(kinetic + np.diag(central), _spin_blocks(v2, v3, *spin_pair_operators()))
     return Operator(SpaceSpec((grid.n_sites, 2, 2)), h)
 
 
@@ -156,8 +124,9 @@ def _apply_product_hamiltonian(
     kinetic += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
     applied = []
     for pot in pots:
-        out = kinetic + pot.sample(pot.v, dist)[:, :, None, None] * psi
-        blocks = _spin_blocks(pot, dist.reshape(-1), *spin)
+        central, v2, v3 = pot.channels(dist)
+        out = kinetic + central[:, :, None, None] * psi
+        blocks = _spin_blocks(v2.reshape(-1), v3.reshape(-1), *spin)
         out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
         applied.append(out.reshape(vectors.shape))
     return applied
@@ -174,12 +143,6 @@ def _one_body_sum(grid: GridSpec, masses: Sequence[float], vectors: np.ndarray) 
         applied = (h @ moved.reshape(h.shape[0], -1)).reshape(moved.shape)
         total += np.moveaxis(applied, (0, 1), (body, body + 2))
     return total
-
-
-def _scaled(pot: PotentialSpec, lam: float) -> PotentialSpec:
-    """``pot`` with every table's values multiplied by the coupling ``lam``."""
-    tables = (pot.v, pot.v2, pot.v3)
-    return PotentialSpec(*(None if t is None else RadialTable(t.r, lam * t.values) for t in tables))
 
 
 def _seeded_vectors(grid: GridSpec, seed: int) -> np.ndarray:
@@ -324,7 +287,7 @@ def weak_coupling_check(
     """Deviation from the sum of free one-body Hamiltonians is linear in the
     coupling; the measurements as report detail.
 
-    H(lambda), built from ``pot`` with every table scaled by lambda, is
+    H(lambda), built from ``pot`` with depth, v2 and v3 scaled by lambda, is
     applied to four seeded product-space vectors v.  H(0)v should agree with
     each body's kinetic operator applied on its own (site, spin) legs:
     ``zero_coupling_residual`` is their relative difference.  For lambda > 0,
@@ -334,9 +297,8 @@ def weak_coupling_check(
     """
     lambdas = [float(v) for v in lambda_values]
     vectors = _seeded_vectors(grid, seed)
-    free, *coupled = _apply_product_hamiltonian(
-        grid, masses, [_scaled(pot, lam) for lam in [0.0, *lambdas]], vectors
-    )
+    scaled = [replace(pot, depth=lam * pot.depth, v2=lam * pot.v2, v3=lam * pot.v3) for lam in [0.0, *lambdas]]
+    free, *coupled = _apply_product_hamiltonian(grid, masses, scaled, vectors)
     expected = _one_body_sum(grid, masses, vectors)
     zero_residual = float(np.linalg.norm(free - expected) / np.linalg.norm(expected))
     deviations = [float(np.linalg.norm(applied - free)) for applied in coupled]
@@ -373,7 +335,7 @@ def momentum_conservation_residual(
     """Relative norm of [H, P_total] applied to each of ``_MOMENTUM_STATES``
     masked product states a x b.
 
-    The bodies are taken spinless, so only the central potential ``pot.v``
+    The bodies are taken spinless, so only the central channel of ``pot``
     enters H; it depends only on the relative separation, which the
     construction guarantees.  T1, T2 and P_total are sums of one-leg
     operators diagonal in momentum, so they act on the legs of all states by
@@ -382,7 +344,7 @@ def momentum_conservation_residual(
     subtracted.  No n^2 x n^2 array, nor any n x n operator, is formed.
     """
     x = grids.position_values(grid)
-    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+    v = pot.channels(grids.periodic_distance(x[:, None] - x[None, :], grid.length))[0]
     k = grids.momentum_values(grid)
     t1, t2 = (k ** 2 / (2.0 * m) for m in masses)
 

@@ -57,7 +57,7 @@ _COUNT_RANGES = {
     "dynamics.evolution.n_steps": (1, 100_000),
     "dynamics.weak_coupling.n_sites": (MIN_SITES, 256),
     # momentum-conservation of the shipped dynamics config first passes on
-    # seeds 0-9 at 51 sites, and at every size up to 300; at 50 it reads 1.4
+    # seeds 0-9 at 51 sites, and at every size up to 500; at 50 it reads 1.4
     # times its tolerance.
     "dynamics.momentum.n_sites": (51, 4096),
     "charge.n_observables": (1, 100),
@@ -82,7 +82,26 @@ _SCALE_RANGES = {
     "dynamics.relative.masses": (0.01, 100.0),
     "dynamics.weak_coupling.masses": (0.01, 100.0),
     "dynamics.momentum.masses": (0.01, 100.0),
+    # Each positive coupling; 0 stays allowed.  Linearity holds from 1e-10 to
+    # 1e100, but at 1e300 the deviations overflow to NaN, and at 1e-300 the
+    # coupled term falls below the ulp of the kinetic one and its deviation
+    # reads 0.
+    "dynamics.weak_coupling.lambdas": (1e-3, 1e3),
 }
+
+# evolution-energy-drift is absolute, 1e-9, and its roundoff grows with the
+# relative Hamiltonian's scale, the kinetic top (pi n / L)^2 / 2 mu plus
+# |well_depth| + |v2_scale| + |v3_scale|.  Over 240 runs (n 8-64, L 0.1-16,
+# masses 0.01-1, each well term alone up to 1e7, seeds 0-1) and at up to 512
+# sites and 2000 steps, the drift stayed within 2.7e-16 times that scale, so
+# at this bound it reads at most 2.7e-10, 3.7 times below its tolerance.
+_HAMILTONIAN_SCALE_BOUND = 1e6
+
+# momentum-narrowing compares two variances of relative momentum, each
+# rounded to about 1e-15 of itself (seeds 0-9, 44-1024 sites); a wide width
+# that exceeds the width by a relative d narrows the variance by 2d, which
+# at this margin clears that roundoff 2000-fold.
+_NARROWING_MARGIN = 1e-12
 
 # An individual is one uint64 mask, one bit per distinct atom of the pool.
 _POOL_ATOMS_BOUND = 64
@@ -182,14 +201,6 @@ def _check_value(path: str, value) -> None:
                 raise ValueError(f"{path}[{i}] must be at most {_CHARGE_BOUND} in magnitude, got {q}")
     if path.endswith("masses") and (len(value) != 2 or not all(m > 0 for m in value)):
         raise ValueError(f"{path} must hold exactly two positive masses, got {value}")
-    if path in _COUNT_RANGES or path in _SCALE_RANGES:
-        least, most = _COUNT_RANGES.get(path) or _SCALE_RANGES[path]
-        each = " each" if isinstance(value, list) else ""
-        numbers = value if each else [value]
-        if min(numbers) < least:
-            raise ValueError(f"{path} must{each} be at least {least}")
-        if max(numbers) > most:
-            raise ValueError(f"{path} must{each} be at most {most}")
     if path == "dynamics.weak_coupling.lambdas":
         # Linearity compares the slopes of the positive couplings: with fewer
         # than two there is no spread to measure.
@@ -197,6 +208,16 @@ def _check_value(path: str, value) -> None:
             raise ValueError(f"{path} must not hold a negative coupling, got {value}")
         if sum(lam > 0 for lam in value) < 2:
             raise ValueError(f"{path} must hold at least two positive couplings, got {value}")
+    if path in _COUNT_RANGES or path in _SCALE_RANGES:
+        least, most = _COUNT_RANGES.get(path) or _SCALE_RANGES[path]
+        each = " each" if isinstance(value, list) else ""
+        numbers = value if each else [value]
+        if path == "dynamics.weak_coupling.lambdas":
+            each, numbers = " each, but for 0,", [lam for lam in value if lam > 0]
+        if min(numbers) < least:
+            raise ValueError(f"{path} must{each} be at least {least}")
+        if max(numbers) > most:
+            raise ValueError(f"{path} must{each} be at most {most}")
     if path in _ID_LABELS:
         labels = [_ID_LABELS[path](entry) for entry in value]
         for i, label in enumerate(labels):
@@ -233,9 +254,10 @@ def _check_epr_geometry(section: dict) -> None:
         except ValueError as exc:
             raise ValueError(f"epr.{key}: {exc}") from None
     # momentum-narrowing compares the two envelopes: a wide one no wider than
-    # the other would fail it whatever the code computes.
-    if not section["wide_width"] > section["width"]:
-        raise ValueError("epr.wide_width must exceed epr.width")
+    # the other, or wider by less than the variances' roundoff, would fail it
+    # whatever the code computes.
+    if not section["wide_width"] - section["width"] >= _NARROWING_MARGIN * section["width"]:
+        raise ValueError(f"epr.wide_width must exceed epr.width by at least {_NARROWING_MARGIN:g} of it")
     width, separation = float(section["width"]), float(section["separation"])
     seam = math.exp(-(((grid["length"] / 2.0 - abs(separation)) / (2.0 * width)) ** 2))
     if seam > _SEAM_AMPLITUDE:
@@ -253,6 +275,25 @@ def _check_epr_geometry(section: dict) -> None:
         )
 
 
+def _check_dynamics_scale(section: dict) -> None:
+    """Raise ValueError, naming the key of its largest term, unless the
+    merged ``dynamics`` section's relative Hamiltonian has a scale of at most
+    ``_HAMILTONIAN_SCALE_BOUND``."""
+    rel = section["relative"]
+    m1, m2 = rel["masses"]
+    terms = {
+        "dynamics.relative.n_sites, dynamics.relative.length and dynamics.relative.masses":
+            (math.pi * rel["n_sites"] / rel["length"]) ** 2 * (m1 + m2) / (2.0 * m1 * m2),
+        **{f"dynamics.relative.{key}": abs(rel[key]) for key in ("well_depth", "v2_scale", "v3_scale")},
+    }
+    scale = sum(terms.values())
+    if scale > _HAMILTONIAN_SCALE_BOUND:
+        raise ValueError(
+            f"{max(terms, key=terms.get)} must keep the relative Hamiltonian's scale (pi n / L)^2 / 2 mu "
+            f"+ |well_depth| + |v2_scale| + |v3_scale| at most {_HAMILTONIAN_SCALE_BOUND:g}; it is {scale:.3g}"
+        )
+
+
 def _merge(defaults: dict, override, path: str) -> dict:
     """``defaults`` updated by ``override`` at every depth.
 
@@ -260,7 +301,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
     value whose JSON type differs from its default's (an integer may stand
     for a number, and every element of a list must match the default's first),
     for a value that breaks its key's rule in :func:`_check_value`, or for an
-    ``epr`` section that :func:`_check_epr_geometry` rejects.
+    ``epr`` or ``dynamics`` section that :func:`_check_epr_geometry` or
+    :func:`_check_dynamics_scale` rejects.
     """
     if override is None:
         override = {}
@@ -279,6 +321,8 @@ def _merge(defaults: dict, override, path: str) -> dict:
             out[key] = value
     if path == "epr":
         _check_epr_geometry(out)
+    if path == "dynamics":
+        _check_dynamics_scale(out)
     return out
 
 
@@ -679,29 +723,11 @@ _DYNAMICS_DEFAULTS = {
 }
 
 
-def _gaussian_well_tables(length: float, depth: float, width: float, v2: float, v3: float):
-    # Lattice distances between the nodes pick up the kinks of the linear
-    # interpolant, which alias past the band and break momentum conservation.
-    # With 4096 intervals every grid of 51 to 300 sites keeps that error below
-    # its tolerance, and grids of 2^k sites, k <= 13, put every distance on a node.
-    r = np.linspace(0.0, length / 2.0, 4097)
-    shape = np.exp(-(r ** 2) / (2.0 * width ** 2))
-    return dynamics.PotentialSpec(
-        v=dynamics.RadialTable(r, -depth * shape),
-        v2=dynamics.RadialTable(r, v2 * shape),
-        v3=dynamics.RadialTable(r, v3 * shape),
-    )
-
-
 def run_dynamics(cfg: dict, check, rng: np.random.Generator, seed: int) -> None:
     rel = cfg["relative"]
     length = float(rel["length"])
-    pot = _gaussian_well_tables(
-        length,
-        float(rel["well_depth"]),
-        float(rel["well_width"]),
-        float(rel["v2_scale"]),
-        float(rel["v3_scale"]),
+    pot = dynamics.PotentialSpec(
+        float(rel["well_depth"]), float(rel["well_width"]), float(rel["v2_scale"]), float(rel["v3_scale"])
     )
     h = dynamics.build_hamiltonian(GridSpec(int(rel["n_sites"]), length), rel["masses"], pot)
     check("hamiltonian-hermiticity", "kinetic + central + spin-spin Hamiltonian is hermitian",

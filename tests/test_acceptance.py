@@ -16,7 +16,6 @@ from qsystems import epr_bell, galilei, symmetry
 from qsystems.cli import main
 from qsystems.dynamics import (
     PotentialSpec,
-    RadialTable,
     build_hamiltonian,
     evolve,
     spin_pair_operators,
@@ -112,13 +111,7 @@ def test_criterion_06_dynamics():
     assert np.max(np.abs(eigs - np.array([-0.75, 0.25, 0.25, 0.25]))) <= 1e-12
 
     grid = GridSpec(64, 16.0)
-    r = np.linspace(0.0, 8.0, 513)
-    shape = np.exp(-(r ** 2) / (2.0 * 1.5 ** 2))
-    pot = PotentialSpec(
-        v=RadialTable(r, -2.0 * shape),
-        v2=RadialTable(r, 0.8 * shape),
-        v3=RadialTable(r, 0.5 * shape),
-    )
+    pot = PotentialSpec(depth=2.0, width=1.5, v2=0.8, v3=0.5)
     h = build_hamiltonian(grid, (1.0, 1.0), pot)
     rng = np.random.default_rng(6)
     psi0 = StateVector(

@@ -421,6 +421,32 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
          "dynamics.relative.masses must each be at least 0.01"),
         ({"dynamics": {"relative": {"masses": [1.7e308, 1.7e308]}}},
          "dynamics.relative.masses must each be at most 100.0"),
+        # Each once exited 1 on evolution-energy-drift, or on NaN in three
+        # checks at a depth of 1e300.
+        ({"dynamics": {"relative": {"length": 0.1, "masses": [0.01, 0.01]}}},
+         "dynamics.relative.n_sites, dynamics.relative.length and dynamics.relative.masses must keep"),
+        ({"dynamics": {"relative": {"well_depth": 1e8}}},
+         "dynamics.relative.well_depth must keep the relative Hamiltonian's scale"),
+        ({"dynamics": {"relative": {"v2_scale": 1e8}}}, "dynamics.relative.v2_scale must keep"),
+        ({"dynamics": {"relative": {"v3_scale": -1e9}}}, "dynamics.relative.v3_scale must keep"),
+        ({"dynamics": {"relative": {"well_depth": 1e300}}}, "dynamics.relative.well_depth must keep"),
+        # Just above the bound; test_dynamics_scale_just_below_its_bound_passes
+        # runs the configs just below it.
+        ({"dynamics": {"relative": {"length": 0.1, "n_sites": 32}}},
+         "dynamics.relative.masses must keep the relative Hamiltonian's scale (pi n / L)^2 / 2 mu "
+         "+ |well_depth| + |v2_scale| + |v3_scale| at most 1e+06; it is 1.01e+06"),
+        ({"dynamics": {"relative": {"well_depth": 1.01e6}}}, "dynamics.relative.well_depth must keep"),
+        ({"dynamics": {"relative": {"v3_scale": -1.01e6}}}, "dynamics.relative.v3_scale must keep"),
+        # NaN in weak-coupling-linearity, and a spread of 1.0.
+        ({"dynamics": {"weak_coupling": {"lambdas": [0.5, 1e300]}}},
+         "dynamics.weak_coupling.lambdas must each, but for 0, be at most 1000.0"),
+        ({"dynamics": {"weak_coupling": {"lambdas": [1e-300, 1.0]}}},
+         "dynamics.weak_coupling.lambdas must each, but for 0, be at least 0.001"),
+        ({"dynamics": {"weak_coupling": {"lambdas": [0.0, 0.5, 1001.0]}}},
+         "dynamics.weak_coupling.lambdas must each, but for 0, be at most 1000.0"),
+        # One ulp above the width: momentum-narrowing compared two equal variances.
+        ({"epr": {"wide_width": 0.25000000000000006}},
+         "epr.wide_width must exceed epr.width by at least 1e-12 of it"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -505,7 +531,7 @@ def _draw_path(draw, keep):
 def invalid_sections(draw):
     """(suite, dotted path, config) with exactly one invalid entry."""
     kind = draw(st.sampled_from(
-        ["unknown", "mistyped", "non-finite", "overflow", "positive", "count", "scale"]
+        ["unknown", "mistyped", "non-finite", "overflow", "positive", "count", "scale", "well"]
     ))
     if kind == "unknown":
         suite, where, _ = _draw_path(draw, lambda d: isinstance(d, dict))
@@ -532,13 +558,19 @@ def invalid_sections(draw):
         suite = where.split(".")[0]
         least, bound = suites._COUNT_RANGES[where]
         value = draw(st.integers(max_value=least - 1) | st.integers(bound + 1, 10 ** 300))
-    else:
+    elif kind == "scale":
         where = draw(st.sampled_from(sorted(suites._SCALE_RANGES)))
         suite = where.split(".")[0]
         least, most = suites._SCALE_RANGES[where]
         value = draw(st.floats(5e-324, least, exclude_max=True) | st.floats(most, _FLOAT_MAX, exclude_min=True))
         if where.endswith("masses"):
             value = draw(st.permutations([1.0, value]))
+        elif where.endswith("lambdas"):  # among valid couplings, 0 included
+            value = draw(st.permutations([0.0, 0.5, 1.0, value]))
+    else:  # a well term far enough past the scale bound to be its largest term
+        where = "dynamics.relative." + draw(st.sampled_from(["well_depth", "v2_scale", "v3_scale"]))
+        suite = "dynamics"
+        value = draw(st.sampled_from([1, -1])) * draw(st.floats(1.01 * suites._HAMILTONIAN_SCALE_BOUND, _FLOAT_MAX))
     doc = value
     for key in reversed(where.split(".")):
         doc = {key: doc}

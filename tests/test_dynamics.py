@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qsystems import dynamics, galilei, grids, suites
 from qsystems.dynamics import (
     PotentialSpec,
-    RadialTable,
     build_hamiltonian,
     evolve,
     exchange_symmetry_residual,
@@ -24,26 +24,16 @@ SMALL = GridSpec(16, 16.0)
 
 
 def gaussian_well(depth=2.0, width=1.5, v2=0.8, v3=0.5):
-    r = np.linspace(0.0, 8.0, 513)
-    shape = np.exp(-(r ** 2) / (2.0 * width ** 2))
-    return PotentialSpec(
-        v=RadialTable(r, -depth * shape),
-        v2=RadialTable(r, v2 * shape),
-        v3=RadialTable(r, v3 * shape),
-    )
+    return PotentialSpec(depth, width, v2, v3)
 
 
-class TestTables:
-    def test_radial_table_interpolates_and_clamps(self):
-        table = RadialTable(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
-        assert table(0.5) == pytest.approx(1.0)
-        assert table(5.0) == pytest.approx(0.0)  # clamped to last sample
+def central_well():
+    """The default well without its spin channels."""
+    return gaussian_well(v2=0.0, v3=0.0)
 
-    def test_radial_table_rejects_complex_and_unsorted(self):
-        with pytest.raises(ValueError):
-            RadialTable(np.array([0.0, 1.0]), np.array([1.0 + 1j, 0.0]))
-        with pytest.raises(ValueError):
-            RadialTable(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+# No pair interaction at all.
+FREE = PotentialSpec(0.0, 1.5, 0.0, 0.0)
 
 
 def spin_hamiltonian(v2=0.0, v3=0.0):
@@ -55,26 +45,26 @@ def spin_hamiltonian(v2=0.0, v3=0.0):
 
 class TestBuild:
     def test_free_pair_ground_energy_is_zero(self):
-        h = build_hamiltonian(GRID, (2.0, 2.0), PotentialSpec())
+        h = build_hamiltonian(GRID, (2.0, 2.0), FREE)
         assert np.max(np.abs(h.entries - h.entries.conj().T)) <= 1e-12
         eigs = np.linalg.eigvalsh(h.entries)
         assert abs(eigs.min()) <= 1e-12  # free ground state at zero
 
     def test_spinless_pair_is_not_built(self):
         # A central potential alone still poses the spin-1/2 pair.
-        h = build_hamiltonian(GRID, (1.0, 1.0), PotentialSpec(v=gaussian_well().v))
+        h = build_hamiltonian(GRID, (1.0, 1.0), central_well())
         assert h.space.factor_dims == (64, 2, 2)
 
     def test_single_body_rejects_pair_potentials(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(GRID, (1.0,), PotentialSpec(v=gaussian_well().v))
+            build_hamiltonian(GRID, (1.0,), central_well())
 
     def test_spin_potentials_need_spin(self):
         # The spinless momentum check reads the central potential only.
         pot = gaussian_well()
         residuals = [
             momentum_conservation_residual(GRID, (1.0, 1.5), p, seed=1).tolist()
-            for p in (pot, PotentialSpec(v=pot.v))
+            for p in (pot, replace(pot, v2=0.0, v3=0.0))
         ]
         assert residuals[0] == residuals[1]
 
@@ -148,9 +138,7 @@ def shipped_hamiltonian(n_sites):
     """The dynamics suite's relative Hamiltonian at its default well, on
     ``n_sites`` sites."""
     rel = suites._DYNAMICS_DEFAULTS["relative"]
-    pot = suites._gaussian_well_tables(
-        rel["length"], rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"]
-    )
+    pot = PotentialSpec(rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"])
     return build_hamiltonian(GridSpec(n_sites, rel["length"]), rel["masses"], pot)
 
 
@@ -387,7 +375,7 @@ def test_site_mirror_reflects_positions(n_sites, expected):
 )
 def test_mirror_halves_match_block_evolution(n_sites, length, masses, well, seed):
     depth, width, v2, v3 = well
-    pot = suites._gaussian_well_tables(length, depth, width, v2, v3)
+    pot = PotentialSpec(depth, width, v2, v3)
     assert_matches_block_evolution(build_hamiltonian(GridSpec(n_sites, length), masses, pot), seed)
 
 
@@ -459,19 +447,19 @@ class TestWeakCoupling:
             return applied
 
         monkeypatch.setattr(dynamics, "_apply_product_hamiltonian", perturbed)
-        pot = gaussian_well() if spin_terms else PotentialSpec(v=gaussian_well().v)
+        pot = gaussian_well() if spin_terms else central_well()
         check = weak_coupling_check(SMALL, (1.0, 1.3), pot, [0.5, 1.0])
         assert check["zero_coupling_residual"] > 1e-12
         assert not (check["zero_coupling_residual"] <= 1e-12 and check["linearity_spread"] <= 1e-6)
 
     def test_halving_coupling_halves_deviation(self):
-        pot = PotentialSpec(v=gaussian_well().v)
+        pot = central_well()
         check = weak_coupling_check(SMALL, (1.0, 1.0), pot, [0.5, 1.0])
         half, full = check["deviation_norms"]
         assert half == pytest.approx(0.5 * full, rel=1e-9)
 
     def test_ratio_ten_between_couplings(self):
-        pot = PotentialSpec(v=gaussian_well().v)
+        pot = central_well()
         check = weak_coupling_check(SMALL, (1.0, 1.0), pot, [0.1, 1.0])
         small, big = check["deviation_norms"]
         assert big / small == pytest.approx(10.0, rel=1e-6)
@@ -482,7 +470,7 @@ def test_exchange_symmetry_for_identical_bodies():
 
 
 def test_momentum_conservation_on_masked_states():
-    pot = PotentialSpec(v=gaussian_well().v)
+    pot = central_well()
     residuals = momentum_conservation_residual(GRID, (1.0, 1.5), pot, seed=2)
     assert residuals.shape == (10,)
     assert np.max(residuals) <= 1e-6
@@ -490,12 +478,12 @@ def test_momentum_conservation_on_masked_states():
 
 def test_momentum_conservation_matches_explicit_product_oracle():
     grid = GridSpec(32, 16.0)
-    pot = PotentialSpec(v=gaussian_well().v)
+    pot = central_well()
     t1 = grids.kinetic_operator(grid, 1.0)
     t2 = grids.kinetic_operator(grid, 1.5)
     p = grids.momentum_operator(grid)
     x = grids.position_values(grid)
-    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+    v = pot.channels(grids.periodic_distance(x[:, None] - x[None, :], grid.length))[0]
 
     def apply_h(psi):
         return t1 @ psi + psi @ t2.T + v * psi
@@ -521,12 +509,51 @@ def test_momentum_conservation_matches_explicit_product_oracle():
     )
 
 
+@dataclass(frozen=True)
+class TabulatedWell(PotentialSpec):
+    """Oracle: the well as it was once read, its channels sampled on 4097
+    nodes from 0 to half the box and linearly interpolated between them."""
+
+    length: float
+
+    def channels(self, r):
+        nodes = np.linspace(0.0, self.length / 2.0, 4097)
+        shape = np.exp(-(nodes ** 2) / (2.0 * self.width ** 2))
+        tables = (-self.depth * shape, self.v2 * shape, self.v3 * shape)
+        return tuple(np.interp(np.asarray(r, dtype=np.float64), nodes, table) for table in tables)
+
+
+@pytest.mark.parametrize("k", range(3, 14))
+def test_channels_equal_the_table_on_power_of_two_grids(k):
+    # On a box of 16 with 2^k sites every separation is a table node, where
+    # the interpolant returns the node's value bit for bit.  Every pairwise
+    # periodic distance of a uniform grid is some site's distance from site 0.
+    grid = GridSpec(2 ** k, 16.0)
+    x = grids.position_values(grid)
+    well = gaussian_well(-1.3, 0.7, 0.4, -2.1)
+    table = TabulatedWell(-1.3, 0.7, 0.4, -2.1, grid.length)
+    for r in (np.abs(x), grids.periodic_distance(x - x[0], grid.length)):
+        for closed, tabulated in zip(well.channels(r), table.channels(r)):
+            assert np.array_equal(closed, tabulated)
+
+
+@pytest.mark.parametrize("n_sites", [257, 300, 383])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_momentum_conservation_is_no_worse_than_through_the_table(n_sites, seed):
+    # Off the nodes, the interpolant's kinks alias past the band: seed 0
+    # reads about 3e-10 to 8e-10 through the table, 6e-12 to 6e-11 here.
+    grid, masses = GridSpec(n_sites, 16.0), (1.0, 1.5)
+    closed = momentum_conservation_residual(grid, masses, gaussian_well(), seed=seed)
+    tabulated = momentum_conservation_residual(grid, masses, TabulatedWell(2.0, 1.5, 0.8, 0.5, 16.0), seed=seed)
+    assert np.max(closed) <= np.max(tabulated)
+
+
 def per_state_momentum_residuals(grid, masses, pot, seed):
     """Oracle: momentum_conservation_residual before its leg transforms,
     each product state a whole (n, n) array and every operator a 2-d FFT
     pair, four pairs per state."""
     x = grids.position_values(grid)
-    v = pot.sample(pot.v, grids.periodic_distance(x[:, None] - x[None, :], grid.length))
+    v = pot.channels(grids.periodic_distance(x[:, None] - x[None, :], grid.length))[0]
     k = grids.momentum_values(grid)
     kinetic = k[:, None] ** 2 / (2.0 * masses[0]) + k[None, :] ** 2 / (2.0 * masses[1])
     total_momentum = k[:, None] + k[None, :]
@@ -559,7 +586,7 @@ def per_state_momentum_residuals(grid, masses, pot, seed):
     [(51, (1.0, 1.5), 0, True), (64, (1.0, 1.5), 3, True), (64, (1.0, 1.0), 1, False), (97, (0.7, 2.0), 2, True)],
 )
 def test_momentum_legs_match_the_per_state_oracle(n_sites, masses, seed, central):
-    pot = PotentialSpec(v=gaussian_well().v) if central else PotentialSpec()
+    pot = central_well() if central else FREE
     grid = GridSpec(n_sites, 16.0)
     actual = momentum_conservation_residual(grid, masses, pot, seed=seed)
     expected = per_state_momentum_residuals(grid, masses, pot, seed)
@@ -577,8 +604,9 @@ def one_product_hamiltonian(grid, masses, pot, vectors):
     psi = vectors.reshape(n, n, 4, vectors.shape[-1])
     out = (t1 @ psi.reshape(n, -1)).reshape(psi.shape)
     out += (t2 @ psi.reshape(n, n, -1)).reshape(psi.shape)
-    out += pot.sample(pot.v, dist)[:, :, None, None] * psi
-    blocks = dynamics._spin_blocks(pot, dist.reshape(-1), *spin_pair_operators())
+    central, v2, v3 = pot.channels(dist)
+    out += central[:, :, None, None] * psi
+    blocks = dynamics._spin_blocks(v2.reshape(-1), v3.reshape(-1), *spin_pair_operators())
     out += (blocks @ psi.reshape(n * n, 4, -1)).reshape(psi.shape)
     return out.reshape(vectors.shape)
 
@@ -587,7 +615,7 @@ def one_product_hamiltonian(grid, masses, pot, vectors):
 def test_one_kinetic_pass_keeps_every_product_bit(n_sites):
     grid = GridSpec(n_sites, 16.0)
     lambdas = [0.0, 0.125, 0.25, 0.5, 1.0]
-    pots = [dynamics._scaled(gaussian_well(), lam) for lam in lambdas]
+    pots = [gaussian_well(2.0 * lam, 1.5, 0.8 * lam, 0.5 * lam) for lam in lambdas]
     vectors = dynamics._seeded_vectors(grid, n_sites)
     applied = dynamics._apply_product_hamiltonian(grid, (1.0, 1.3), pots, vectors)
     assert len(applied) == len(pots)
@@ -605,17 +633,14 @@ def kron_product_parts(grid, masses, pot):
     dot, tensor = dynamics.spin_pair_operators()
     eye_spin = np.eye(4, dtype=np.complex128)
     kinetic = np.kron(np.kron(t1, eye_n) + np.kron(eye_n, t2), eye_spin)
-    interaction = (
-        np.kron(np.diag(pot.sample(pot.v, dist)), eye_spin)
-        + np.kron(np.diag(pot.sample(pot.v2, dist)), dot)
-        + np.kron(np.diag(pot.sample(pot.v3, dist)), tensor)
-    )
+    central, v2, v3 = pot.channels(dist)
+    interaction = np.kron(np.diag(central), eye_spin) + np.kron(np.diag(v2), dot) + np.kron(np.diag(v3), tensor)
     return kinetic, interaction
 
 
 @pytest.mark.parametrize("spin_terms", [False, True])
 def test_product_parts_match_kron_oracle(spin_terms):
-    pot = gaussian_well() if spin_terms else PotentialSpec(v=gaussian_well().v)
+    pot = gaussian_well() if spin_terms else central_well()
     for n_sites in (8, 12):
         grid = GridSpec(n_sites, 16.0)
         vectors = dynamics._seeded_vectors(grid, 4).reshape(-1, 4)

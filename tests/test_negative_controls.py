@@ -30,7 +30,7 @@ import pytest
 from qsystems import charge, dynamics, epr_bell, galilei, grids, mereology, suites, symmetry
 from qsystems.hilbert import Operator
 
-SAMPLE = dynamics.PotentialSpec.sample
+CHANNELS = dynamics.PotentialSpec.channels
 CHARGE_MODEL = suites._build_charge_model
 CHARGE_EIGH = charge.eigh_phase_fixed
 GAUGE = charge.gauge_transform
@@ -200,13 +200,12 @@ def permutation_rows_off_by_one(monkeypatch):
 
 
 def nonlinear_sample(monkeypatch):
-    """Every sampled potential v becomes v + 5 v^2."""
+    """Every channel v of the pair potential becomes v + 5 v^2."""
 
-    def sample(self, table, r):
-        v = SAMPLE(self, table, r)
-        return v + 5.0 * v ** 2
+    def channels(self, r):
+        return tuple(v + 5.0 * v ** 2 for v in CHANNELS(self, r))
 
-    monkeypatch.setattr(dynamics.PotentialSpec, "sample", sample)
+    monkeypatch.setattr(dynamics.PotentialSpec, "channels", channels)
 
 
 def wrong_second_mass(monkeypatch):
@@ -269,13 +268,13 @@ def potential_of_first_position(monkeypatch):
     """A pair potential sampled on a (site 1, site 2) grid reads only its
     first column, so it depends on x1 alone."""
 
-    def sample(self, table, r):
+    def channels(self, r):
         r = np.asarray(r)
         if r.ndim == 2:
             r = np.broadcast_to(r[:, :1], r.shape)
-        return SAMPLE(self, table, r)
+        return CHANNELS(self, r)
 
-    monkeypatch.setattr(dynamics.PotentialSpec, "sample", sample)
+    monkeypatch.setattr(dynamics.PotentialSpec, "channels", channels)
 
 
 def _charge_model_with(monkeypatch, change):

@@ -24,6 +24,16 @@ ROOT = Path(__file__).parents[1]
 STRUCTURE = Path(__file__).parent / "data" / "report_structure.json"
 
 DEFAULTS = suites._DEFAULTS
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))["workloads"]
+
+
+def shipped_configs() -> list[dict]:
+    """The defaults, the README's example config and each benchmark workload's
+    config, in that order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("## Config file"):]
+    example = example[example.index("```json") + len("```json"):]
+    return [DEFAULTS, json.loads(example[: example.index("```")]), *(w["config"] for w in WORKLOADS.values())]
 
 
 class TestMerge:
@@ -50,12 +60,7 @@ class TestMerge:
             suites._merge(DEFAULTS["epr"], {"length": value}, "epr")
 
     def test_count_bounds_leave_ten_times_every_shipped_size(self):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        example = readme[readme.index("## Config file"):]
-        example = example[example.index("```json") + len("```json"):]
-        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
-        configs = [DEFAULTS, json.loads(example[: example.index("```")])]
-        configs += [w["config"] for w in workloads["workloads"].values()]
+        configs = shipped_configs()
         for where, (_, bound) in suites._COUNT_RANGES.items():
             for config in configs:
                 value = config
@@ -68,12 +73,7 @@ class TestMerge:
                 assert suites._CASE_INDEX_BOUND >= 10 * math.factorial(n) * d ** n
 
     def test_scale_ranges_leave_ten_times_every_shipped_value_both_ways(self):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        example = readme[readme.index("## Config file"):]
-        example = example[example.index("```json") + len("```json"):]
-        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
-        configs = [DEFAULTS, json.loads(example[: example.index("```")])]
-        configs += [w["config"] for w in workloads["workloads"].values()]
+        configs = shipped_configs()
         for where, (least, most) in suites._SCALE_RANGES.items():
             for config in configs:
                 value = config
@@ -83,9 +83,17 @@ class TestMerge:
                     for number in value if isinstance(value, list) else [value]:
                         assert 10 * least <= number and 10 * number <= most, where
 
+    @pytest.mark.parametrize("which", ["defaults", "readme", *WORKLOADS])
+    def test_every_shipped_config_passes_every_section_rule(self, which):
+        # A new rule must not reject a config that the README or the benchmark
+        # runs.  The defaults are merged over themselves, so that every key's
+        # rule reads them.
+        config = dict(zip(["defaults", "readme", *WORKLOADS], shipped_configs()))[which]
+        for name, section in config.items():
+            suites._merge(DEFAULTS[name], section, name)
+
     def test_every_shipped_size_is_at_least_its_least_value(self):
-        workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text(encoding="utf-8"))
-        configs = [DEFAULTS, *(w["config"] for w in workloads["workloads"].values())]
+        configs = [DEFAULTS, *(w["config"] for w in WORKLOADS.values())]
         for where, (least, _) in suites._COUNT_RANGES.items():
             for config in configs:
                 value = config
@@ -291,15 +299,27 @@ def test_each_least_size_admits_a_passing_run(runner, section, ids):
     assert checks and all(c.passed for c in checks), [c.check_id for c in checks if not c.passed]
 
 
+@pytest.mark.parametrize(
+    "relative",
+    [{"length": 0.1, "n_sites": 31}, {"well_depth": 9.9e5}, {"v2_scale": 9.9e5}, {"v3_scale": -9.9e5},
+     {"length": 1.25, "n_sites": 39, "masses": [0.01, 0.01]}],
+    ids=["kinetic", "well_depth", "v2_scale", "v3_scale", "light-masses"],
+)
+def test_dynamics_scale_just_below_its_bound_passes(relative):
+    # Scales of 9.5e5 to 9.9e5; the rows just above exit 2 (tests/test_cli.py).
+    section = {"relative": relative, "weak_coupling": {"lambdas": [0.001, 0.01, 1000.0]}}
+    report = suites.run_suite("dynamics", section)
+    assert all(c.passed for c in report.checks), [(c.check_id, c.value) for c in report.checks if not c.passed]
+
+
 @pytest.mark.parametrize("n_sites", [65, 70, 110])
 def test_momentum_conservation_holds_between_the_table_nodes(n_sites):
-    # These lattices put distances between the nodes of the shipped tables;
-    # with 257 nodes, seed 0 read 1.1e-6, 3.2e-6 and 1.5e-6 here, against 1e-6.
+    # These lattices put distances between the nodes of a tabulated well;
+    # read through a table of 257 nodes, seed 0 read 1.1e-6, 3.2e-6 and
+    # 1.5e-6 here, against 1e-6.  The shipped well is evaluated in closed form.
     cfg = DEFAULTS["dynamics"]
     rel = cfg["relative"]
-    pot = suites._gaussian_well_tables(
-        rel["length"], rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"]
-    )
+    pot = dynamics.PotentialSpec(rel["well_depth"], rel["well_width"], rel["v2_scale"], rel["v3_scale"])
     residuals = dynamics.momentum_conservation_residual(
         GridSpec(n_sites, rel["length"]), cfg["momentum"]["masses"], pot, seed=0
     )
