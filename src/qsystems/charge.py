@@ -7,6 +7,9 @@ consequences operational: gauge conjugation fixes every registered
 observable, charge sectors are superselected (no observable connects them),
 and relative phases between sectors are invisible to every expectation
 value.
+
+The checks return plain values or report detail: :func:`sector_decomposition`
+returns the sector projectors and a dict of its diagnostics.
 """
 
 from __future__ import annotations
@@ -16,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Operator, SpaceSpec, StateVector, eigh_phase_fixed
+from .hilbert import Operator, StateVector, eigh_phase_fixed
 
 __all__ = [
     "ChargeModel",
     "verify_central",
     "gauge_transform",
-    "ChargeSector",
-    "SectorDecomposition",
     "sector_decomposition",
     "relative_phase_spread",
 ]
@@ -37,25 +38,22 @@ class ChargeModel:
 
     The spectrum must consist of integers (within tolerance) so that the
     gauge family exp(i*theta*Q) is 2*pi-periodic, and the charge must differ
-    from the identity.  An optional vacuum index singles out the basis vector
+    from the identity.  The vacuum index singles out the basis vector
     required to be fixed by the gauge family.
     """
 
-    space: SpaceSpec
     q_operator: Operator
-    observables: tuple[Operator, ...] = ()
-    vacuum_index: int | None = None
+    observables: tuple[Operator, ...]
+    vacuum_index: int
 
     def __post_init__(self):
         q = self.q_operator
-        if q.space != self.space:
-            raise ValueError("charge operator lives on the wrong space")
         if not np.max(np.abs(q.entries - q.entries.conj().T)) <= 1e-10:
             raise ValueError("charge operator must be hermitian")
         eigs = np.linalg.eigvalsh(q.entries)
         if np.max(np.abs(eigs - np.round(eigs))) > INTEGER_SPECTRUM_ATOL:
             raise ValueError("charge spectrum must be integral")
-        if np.max(np.abs(q.entries - np.eye(self.space.total_dim))) <= 1e-12:
+        if np.max(np.abs(q.entries - np.eye(q.space.total_dim))) <= 1e-12:
             raise ValueError("charge operator must differ from the identity")
 
 
@@ -69,37 +67,12 @@ def gauge_transform(model: ChargeModel, theta: float) -> Operator:
     """The first-kind gauge unitary exp(i*theta*Q) by spectral exponentiation."""
     vals, vecs = eigh_phase_fixed(model.q_operator.entries)
     phases = np.exp(1j * float(theta) * vals)
-    return Operator(model.space, (vecs * phases[None, :]) @ vecs.conj().T)
+    return Operator(model.q_operator.space, (vecs * phases[None, :]) @ vecs.conj().T)
 
 
-@dataclass(frozen=True, eq=False)
-class ChargeSector:
-    charge: int
-    dimension: int
-    projector: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SectorDecomposition:
-    sectors: tuple[ChargeSector, ...]
-    neutral_dimension: int
-    neutral_unique: bool
-    vacuum_invariant: bool | None
-    offdiagonal_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "charges": [s.charge for s in self.sectors],
-            "dimensions": [s.dimension for s in self.sectors],
-            "neutral_dimension": self.neutral_dimension,
-            "neutral_unique": self.neutral_unique,
-            "vacuum_invariant": self.vacuum_invariant,
-            "offdiagonal_residual": self.offdiagonal_residual,
-        }
-
-
-def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
-    """Spectral projectors of the charge and the superselection diagnostics.
+def sector_decomposition(model: ChargeModel) -> tuple[list[np.ndarray], dict]:
+    """Spectral projectors of the charge, in ascending charge order, and the
+    superselection diagnostics as report detail.
 
     Reports whether the neutral (charge-zero) sector is one-dimensional,
     whether the designated vacuum vector is fixed by the gauge family, and the
@@ -107,40 +80,32 @@ def sector_decomposition(model: ChargeModel) -> SectorDecomposition:
     """
     vals, vecs = eigh_phase_fixed(model.q_operator.entries)
     rounded = np.round(vals).astype(int)
-    sectors = []
-    for charge in sorted(set(rounded.tolist())):
-        cols = vecs[:, rounded == charge]
-        sectors.append(
-            ChargeSector(
-                charge=int(charge),
-                dimension=cols.shape[1],
-                projector=cols @ cols.conj().T,
-            )
-        )
-    neutral_dim = next((s.dimension for s in sectors if s.charge == 0), 0)
+    charges = sorted(set(rounded.tolist()))
+    columns = [vecs[:, rounded == q] for q in charges]
+    projectors = [cols @ cols.conj().T for cols in columns]
+    dimensions = [cols.shape[1] for cols in columns]
+    neutral_dim = dimensions[charges.index(0)] if 0 in charges else 0
 
-    vacuum_ok: bool | None = None
-    if model.vacuum_index is not None:
-        vac = np.zeros(model.space.total_dim, dtype=np.complex128)
-        vac[model.vacuum_index] = 1.0
-        moved = [
-            gauge_transform(model, theta).entries @ vac - vac
-            for theta in np.linspace(0.0, 2.0 * np.pi, 9)
-        ]
-        vacuum_ok = bool(np.all(np.linalg.norm(moved, axis=1) <= 1e-10))
+    vac = np.zeros(len(vals), dtype=np.complex128)
+    vac[model.vacuum_index] = 1.0
+    moved = [
+        gauge_transform(model, theta).entries @ vac - vac
+        for theta in np.linspace(0.0, 2.0 * np.pi, 9)
+    ]
 
     blocks = [
-        sa.projector @ obs.entries @ sb.projector
+        pa @ obs.entries @ pb
         for obs in model.observables
-        for sa, sb in itertools.combinations(sectors, 2)
+        for pa, pb in itertools.combinations(projectors, 2)
     ]
-    return SectorDecomposition(
-        sectors=tuple(sectors),
-        neutral_dimension=neutral_dim,
-        neutral_unique=neutral_dim == 1,
-        vacuum_invariant=vacuum_ok,
-        offdiagonal_residual=float(np.max(np.abs(blocks), initial=0.0)),
-    )
+    return projectors, {
+        "charges": charges,
+        "dimensions": dimensions,
+        "neutral_dimension": neutral_dim,
+        "neutral_unique": neutral_dim == 1,
+        "vacuum_invariant": bool(np.all(np.linalg.norm(moved, axis=1) <= 1e-10)),
+        "offdiagonal_residual": float(np.max(np.abs(blocks), initial=0.0)),
+    }
 
 
 def relative_phase_spread(

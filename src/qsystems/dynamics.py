@@ -31,7 +31,6 @@ __all__ = [
     "PotentialSpec",
     "build_hamiltonian",
     "spin_pair_operators",
-    "EvolutionResult",
     "evolve",
     "weak_coupling_check",
     "exchange_symmetry_residual",
@@ -154,22 +153,6 @@ def _seeded_vectors(grid: GridSpec, seed: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionResult:
-    times: np.ndarray
-    states: np.ndarray  # (n_samples, dim)
-    norms: np.ndarray
-    energies: np.ndarray
-
-    @property
-    def norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - self.norms[0])))
-
-    @property
-    def energy_drift(self) -> float:
-        return float(np.max(np.abs(self.energies - self.energies[0])))
-
-
 def _decoupled_blocks(h: Operator) -> list[np.ndarray]:
     """Flat indices of the blocks of ``h`` that its exact zeros decouple:
     every leading index times one connected set of the trailing indices (all
@@ -227,8 +210,12 @@ def _split_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.real @ b + 1j * (a.imag @ b)
 
 
-def evolve(psi0: StateVector, h: Operator, t_final: float, n_steps: int) -> EvolutionResult:
-    """Evolve by exact spectral exponentiation, sampling n_steps+1 times.
+def evolve(
+    psi0: StateVector, h: Operator, t_final: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve by exact spectral exponentiation, sampling n_steps+1 times:
+    the ``times``, the ``states`` (one row per time), and their ``norms`` and
+    ``energies``.
 
     The propagator is exp(-i H t), built block by block: each block that the
     exact zeros of H decouple (:func:`_decoupled_blocks`; on the relative
@@ -274,7 +261,7 @@ def evolve(psi0: StateVector, h: Operator, t_final: float, n_steps: int) -> Evol
     norms = np.linalg.norm(states, axis=1)
     h_psi = _split_product(states, h.entries.T)
     energies = np.sum(states.real * h_psi.real + states.imag * h_psi.imag, axis=1)
-    return EvolutionResult(times=times, states=states, norms=norms, energies=energies)
+    return times, states, norms, energies
 
 
 def weak_coupling_check(

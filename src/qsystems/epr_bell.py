@@ -8,6 +8,12 @@ center of mass.  The CHSH machinery is purely spin-1/2: correlations are
 contracted with the singlet for a stack of analyzer pairs at once, classical
 models by exact arc integration over the hidden variable and by seeded Monte
 Carlo.  Units have hbar = 1.
+
+The measurements return plain values or the report detail they fill:
+:func:`commuting_pair_check` a dict of its two residuals and five moments,
+:func:`conditional_inference` the tuple ``(probabilities, mode, width)``, and
+:func:`chsh_lhv` one dict per model of ``s_value``, ``stderr``,
+``correlations``, ``n_samples`` and ``seed``.
 """
 
 from __future__ import annotations
@@ -28,9 +34,7 @@ __all__ = [
     "relative_position_values",
     "total_momentum_apply",
     "momentum_moments",
-    "PairSharpnessReport",
     "commuting_pair_check",
-    "ConditionalDistribution",
     "conditional_inference",
     "CHSHSettings",
     "singlet_state",
@@ -44,7 +48,6 @@ __all__ = [
     "SHIPPED_LHV_MODELS",
     "correlation_lhv_exact",
     "chsh_lhv_exact",
-    "LHVEstimate",
     "chsh_lhv",
     "bell_report",
     "CLASSICAL_BOUND",
@@ -82,11 +85,11 @@ class EPRConfig:
     inside the lattice's band (:func:`_largest_momentum_mode`).
     """
 
-    n_sites: int = 256
-    length: float = 16.0
-    separation: float = 1.0
-    momentum_mode: int = 0
-    width: float = 0.25
+    n_sites: int
+    length: float
+    separation: float
+    momentum_mode: int
+    width: float
 
     def __post_init__(self):
         grid = self.grid  # validates n_sites/length
@@ -207,20 +210,10 @@ def _spectral_moments(spectrum: np.ndarray, cfg: EPRConfig) -> tuple[float, floa
     return mean_p, var_p, var_rel
 
 
-@dataclass(frozen=True)
-class PairSharpnessReport:
-    commutator_state_residual: float
-    shift_commutator_residual: float
-    mean_relative_position: float
-    var_relative_position: float
-    mean_total_momentum: float
-    var_total_momentum: float
-    var_relative_momentum: float
-
-
-def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessReport:
+def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> dict:
     """How compatible the relative position and total momentum are on the pair
-    state ``psi``, as :func:`build_epr_state` builds it from ``cfg``.
+    state ``psi``, as :func:`build_epr_state` builds it from ``cfg``; the
+    measurements as report detail.
 
     Two residuals: the absolute norm of the commutator of the two observables
     applied to the unit pair state (the state is a simultaneous
@@ -254,31 +247,26 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> PairSharpnessRepor
     shift_scale = norm(d * shifted)
     shift_residual = norm(shift_comm) / shift_scale if shift_scale > 0 else 0.0
 
-    return PairSharpnessReport(
-        commutator_state_residual=state_residual,
-        shift_commutator_residual=shift_residual,
-        mean_relative_position=mean_d,
-        var_relative_position=var_d,
-        mean_total_momentum=mean_p,
-        var_total_momentum=var_p,
-        var_relative_momentum=var_rel,
-    )
+    return {
+        "commutator_state_residual": state_residual,
+        "shift_commutator_residual": shift_residual,
+        "mean_relative_position": mean_d,
+        "var_relative_position": var_d,
+        "mean_total_momentum": mean_p,
+        "var_total_momentum": var_p,
+        "var_relative_momentum": var_rel,
+    }
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalDistribution:
-    probabilities: np.ndarray
-    mode: float
-    width: float
-
-
-def conditional_inference(cfg: EPRConfig, measured_x1: float) -> ConditionalDistribution:
-    """Distribution over the partner position after reading off particle 1.
+def conditional_inference(cfg: EPRConfig, measured_x1: float) -> tuple[np.ndarray, float, float]:
+    """Distribution over the partner position after reading off particle 1, as
+    ``(probabilities, mode, width)``.
 
     Slices the joint probability of :func:`build_epr_state` at the grid row
     nearest ``measured_x1``, computed from that one row alone, and
     normalizes.  The mode sits one grid spacing or less from
-    ``measured_x1 - a`` (wrapped into the box).
+    ``measured_x1 - a`` (wrapped into the box); the width is the
+    distribution's root-mean-square distance from it.
     """
     if abs(measured_x1) > cfg.length / 2.0:
         raise ValueError("measured position must lie inside the box")
@@ -294,7 +282,7 @@ def conditional_inference(cfg: EPRConfig, measured_x1: float) -> ConditionalDist
     mode = float(x[int(np.argmax(slice_prob))])
     deviations = grids.wrap_displacement(x - mode, cfg.length)
     width = float(np.sqrt(np.sum(slice_prob * deviations ** 2)))
-    return ConditionalDistribution(probabilities=slice_prob, mode=mode, width=width)
+    return slice_prob, mode, width
 
 
 # --------------------------------------------------------------------------
@@ -504,15 +492,6 @@ def chsh_lhv_exact(model: LHVModel, settings: CHSHSettings) -> float:
     return float(_chsh_sum(correlation_lhv_exact(model, *settings.terms())))
 
 
-@dataclass(frozen=True)
-class LHVEstimate:
-    s_value: float
-    stderr: float
-    correlations: tuple[float, float, float, float]
-    n_samples: int
-    seed: int
-
-
 def _agreement_counts(model: LHVModel, settings: CHSHSettings, lam: np.ndarray) -> list[int]:
     """On how many hidden variables of ``lam`` each term's two outcomes agree,
     in the order of :meth:`CHSHSettings.terms`: A(a), A(a'), B(b) and B(b')
@@ -526,9 +505,10 @@ def _agreement_counts(model: LHVModel, settings: CHSHSettings, lam: np.ndarray) 
 
 def chsh_lhv(
     models: Sequence[LHVModel], settings: CHSHSettings, n_samples: int, seed: int
-) -> list[LHVEstimate]:
-    """Monte-Carlo CHSH estimates for local models, one per model in order;
-    reproducible given the seed.
+) -> list[dict]:
+    """Monte-Carlo CHSH estimates for local models, one dict per model in
+    order, of ``s_value``, ``stderr``, the four ``correlations``,
+    ``n_samples`` and ``seed``; reproducible given the seed.
 
     The hidden variable of a local model depends neither on the analyzer
     settings nor on the model, so one draw of ``n_samples`` values serves
@@ -553,21 +533,21 @@ def chsh_lhv(
     return [_estimate(counts, n_samples, seed) for counts in agree.tolist()]
 
 
-def _estimate(agree: list[int], n: int, seed: int) -> LHVEstimate:
+def _estimate(agree: list[int], n: int, seed: int) -> dict:
     """The estimate of one model from its four agreement counts over n draws."""
     # a0 - a1 + a2 + a3 is twice the number of draws whose S is +2.
     plus = _chsh_sum(agree) // 2
-    return LHVEstimate(
-        s_value=(4 * plus - 2 * n) / n,
+    return {
+        "s_value": (4 * plus - 2 * n) / n,
         # (4 - S^2) / (n - 1) in integers, free of the cancellation near |S| = 2
-        stderr=math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
-        correlations=tuple((2 * k - n) / n for k in agree),
-        n_samples=n,
-        seed=seed,
-    )
+        "stderr": math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
+        "correlations": tuple((2 * k - n) / n for k in agree),
+        "n_samples": n,
+        "seed": seed,
+    }
 
 
-def bell_report(settings: CHSHSettings, model: LHVModel, estimate: LHVEstimate) -> dict:
+def bell_report(settings: CHSHSettings, model: LHVModel, estimate: dict) -> dict:
     """Side-by-side quantum vs local-model CHSH record.
 
     The verdict compares the magnitude of the quantum value against the
@@ -584,13 +564,13 @@ def bell_report(settings: CHSHSettings, model: LHVModel, estimate: LHVEstimate) 
     return {
         "settings": list(settings.as_tuple()),
         "model": model.name,
-        "n_samples": estimate.n_samples,
-        "seed": estimate.seed,
+        "n_samples": estimate["n_samples"],
+        "seed": estimate["seed"],
         "S_quantum": s_quantum,
         "S_quantum_abs": abs(s_quantum),
-        "S_lhv": estimate.s_value,
+        "S_lhv": estimate["s_value"],
         "S_lhv_exact": s_exact,
-        "stderr_lhv": estimate.stderr,
+        "stderr_lhv": estimate["stderr"],
         "bound_classical": CLASSICAL_BOUND,
         "bound_quantum": QUANTUM_BOUND,
         "verdict": verdict,

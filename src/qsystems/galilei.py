@@ -118,8 +118,8 @@ class AlgebraRep:
     space: SpaceSpec
     images: dict[str, np.ndarray]
     mass: float
-    mask: DomainMask | None = None
-    name: str = "rep"
+    mask: DomainMask | None
+    name: str
 
     def __post_init__(self):
         if list(self.images) != [lab for lab in LABELS if lab in self.images]:
@@ -258,6 +258,7 @@ def build_additive_rep(parts: Sequence[AlgebraRep]) -> AlgebraRep:
         space=space,
         images=images,
         mass=float(sum(p.mass for p in parts)),
+        mask=None,
         name="additive(" + ", ".join(p.name for p in parts) + ")",
     )
 

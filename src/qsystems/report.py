@@ -39,7 +39,7 @@ class CheckRecord:
     value: object  # residual float, count, or bool
     tolerance: float | None
     passed: bool
-    detail: dict | None = None
+    detail: dict | None
     non_finite: bool = False  # the value or the tolerance is NaN or infinite
 
     def to_dict(self) -> dict:
@@ -62,8 +62,8 @@ class SuiteReport:
     suite: str
     seed: int
     config: dict
+    tool_version: str
     checks: list[CheckRecord] = field(default_factory=list)
-    tool_version: str = "0"
 
     def add(self, record: CheckRecord) -> None:
         self.checks.append(record)

@@ -13,10 +13,9 @@ from qsystems.hilbert import Operator, SpaceSpec, basis_state, pauli_matrices
 SX, SY, SZ = pauli_matrices()
 
 
-def diag_model(charges, observables=(), vacuum=None):
+def diag_model(charges, observables=(), vacuum=0):
     space = SpaceSpec.single(len(charges))
     return ChargeModel(
-        space=space,
         q_operator=Operator(space, np.diag(np.asarray(charges, dtype=complex))),
         observables=tuple(Operator(space, m) for m in observables),
         vacuum_index=vacuum,
@@ -35,11 +34,11 @@ class TestModelValidation:
     def test_rejects_non_hermitian(self):
         space = SpaceSpec.single(2)
         with pytest.raises(ValueError):
-            ChargeModel(space=space, q_operator=Operator(space, np.triu(np.ones((2, 2)))))
+            ChargeModel(q_operator=Operator(space, np.triu(np.ones((2, 2)))), observables=(), vacuum_index=0)
 
     def test_charges_property(self):
         model = diag_model([0.0, 1.0, 1.0, 2.0])
-        decomposition = sector_decomposition(model).to_dict()
+        _, decomposition = sector_decomposition(model)
         assert decomposition["charges"] == [0, 1, 2]
         assert decomposition["dimensions"] == [1, 2, 1]
 
@@ -98,23 +97,24 @@ class TestGauge:
 class TestSectors:
     def test_neutral_sector_unique(self):
         model = diag_model([0.0, 1.0, 1.0], vacuum=0)
-        decomp = sector_decomposition(model)
-        assert decomp.neutral_unique
-        assert decomp.neutral_dimension == 1
-        assert [s.charge for s in decomp.sectors] == [0, 1]
-        assert [s.dimension for s in decomp.sectors] == [1, 2]
-        assert decomp.vacuum_invariant is True
+        projectors, decomp = sector_decomposition(model)
+        assert decomp["neutral_unique"]
+        assert decomp["neutral_dimension"] == 1
+        assert decomp["charges"] == [0, 1]
+        assert decomp["dimensions"] == [1, 2]
+        assert [round(np.trace(p).real) for p in projectors] == [1, 2]
+        assert decomp["vacuum_invariant"] is True
 
     def test_degenerate_neutral_sector_flagged(self):
         model = diag_model([0.0, 0.0, 1.0])
-        decomp = sector_decomposition(model)
-        assert not decomp.neutral_unique
-        assert decomp.neutral_dimension == 2
+        _, decomp = sector_decomposition(model)
+        assert not decomp["neutral_unique"]
+        assert decomp["neutral_dimension"] == 2
 
     def test_projectors_resolve_identity(self):
         model = diag_model([-1.0, 0.0, 1.0, 1.0])
-        decomp = sector_decomposition(model)
-        total = sum(s.projector for s in decomp.sectors)
+        projectors, _ = sector_decomposition(model)
+        total = sum(projectors)
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
     def test_offdiagonal_blocks_vanish_for_central_observables(self):
@@ -126,13 +126,13 @@ class TestSectors:
         blocks[1:3, 1:3] = 0.5 * (sub + sub.conj().T)
         blocks[3, 3] = -0.4
         model = diag_model(charges, observables=[blocks])
-        decomp = sector_decomposition(model)
-        assert decomp.offdiagonal_residual <= 1e-12
+        _, decomp = sector_decomposition(model)
+        assert decomp["offdiagonal_residual"] <= 1e-12
 
     def test_vacuum_not_invariant_when_charged(self):
         model = diag_model([0.0, 1.0], vacuum=1)
-        decomp = sector_decomposition(model)
-        assert decomp.vacuum_invariant is False
+        _, decomp = sector_decomposition(model)
+        assert decomp["vacuum_invariant"] is False
 
 
 class TestSuperselection:
@@ -145,7 +145,7 @@ class TestSuperselection:
             mats.append(np.diag(d.astype(complex)))
         model = diag_model(charges, observables=mats)
         spread = relative_phase_spread(
-            model, basis_state(model.space, 1), basis_state(model.space, 2), n_phases=16
+            model, basis_state(model.q_operator.space, 1), basis_state(model.q_operator.space, 2), n_phases=16
         )
         assert spread.shape == (3,)
         assert np.max(spread) <= 1e-10
@@ -154,9 +154,9 @@ class TestSuperselection:
         # negative control: sigma_x connects the two sectors
         model_space = SpaceSpec.single(2)
         model = ChargeModel(
-            space=model_space,
             q_operator=Operator(model_space, np.diag([0.0 + 0j, 1.0])),
             observables=(Operator(model_space, SX),),
+            vacuum_index=0,
         )
         spread = relative_phase_spread(
             model, basis_state(model_space, 0), basis_state(model_space, 1), n_phases=16

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qsystems import epr_bell, suites
+from qsystems import dynamics, epr_bell, suites
 from qsystems.cli import SUITE_NAMES, _seed, main
 
 FAST_BELL = {"bell": {"n_samples": 10_000, "n_random_settings": 2}}
@@ -194,7 +194,10 @@ def test_charge_list_missing_required_charges_reports_error(charges, missing, tm
 
 @pytest.mark.parametrize("n_sites", [128, 256])
 def test_largest_accepted_momentum_mode_passes_and_the_next_exits_2(n_sites, tmp_path, capsys):
-    largest = epr_bell._largest_momentum_mode(epr_bell.EPRConfig(n_sites=n_sites))
+    defaults = suites._EPR_DEFAULTS
+    largest = epr_bell._largest_momentum_mode(
+        epr_bell.EPRConfig(n_sites, defaults["length"], 0.0, 0, defaults["width"])
+    )
     for mode in (largest, -largest):
         cfg = write_config(tmp_path, {"epr": {"n_sites": n_sites, "momentum_mode": mode, "n_inference": 2}})
         assert main(["epr", "--config", cfg]) == 0
@@ -202,6 +205,21 @@ def test_largest_accepted_momentum_mode_passes_and_the_next_exits_2(n_sites, tmp
     cfg = write_config(tmp_path, {"epr": {"n_sites": n_sites, "momentum_mode": largest + 1}})
     assert main(["epr", "--config", cfg]) == 2
     assert f"epr.momentum_mode must be at most {largest} in magnitude" in capsys.readouterr().err
+
+
+# Each once exited 2 with "separation must fit in the box", naming no key:
+# the geometry rule tried every width at the default separation of 1, which
+# does not fit in a box shorter than 2.
+@pytest.mark.parametrize("section", [
+    {"length": 1.99, "n_sites": 64, "width": 0.07, "wide_width": 0.1, "separation": 0.0, "n_inference": 2},
+    {"length": 1.0, "n_sites": 64, "width": 0.04, "wide_width": 0.1, "separation": 0.0, "n_inference": 2},
+])
+def test_box_shorter_than_the_default_separation_passes(section, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["epr", "--config", write_config(tmp_path, {"epr": section}), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert all(c["pass"] for c in doc["checks"])
+    assert doc["config"]["length"] == section["length"]
 
 
 # At width 0.25 the envelope reaches 1e-13 of its peak on the box seam at a
@@ -447,6 +465,11 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         # One ulp above the width: momentum-narrowing compared two equal variances.
         ({"epr": {"wide_width": 0.25000000000000006}},
          "epr.wide_width must exceed epr.width by at least 1e-12 of it"),
+        # E t overflowed to inf, and both evolution drifts read NaN; the
+        # least and the most values pass (tests/test_suites.py).
+        ({"dynamics": {"evolution": {"t_final": 1e308}}}, "dynamics.evolution.t_final must be at most 1e+300"),
+        ({"dynamics": {"evolution": {"t_final": 1.01e300}}}, "dynamics.evolution.t_final must be at most 1e+300"),
+        ({"dynamics": {"evolution": {"t_final": 0.0099}}}, "dynamics.evolution.t_final must be at least 0.01"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -609,7 +632,7 @@ def _epr_sections(draw):
     ``suites._check_epr_geometry``: a width of two spacings to L/22, whose
     envelope on the box seam stays below 1e-13 at zero separation, and a
     separation that keeps it there."""
-    n_sites, length = draw(st.integers(44, 128)), draw(st.floats(8.0, 24.0))
+    n_sites, length = draw(st.integers(44, 128)), draw(st.floats(1.0, 24.0))
     width = draw(st.floats(2.0 * length / n_sites, length / 22.0))
     reach = max(length / 2.0 - 11.0 * width, 0.0)  # 0 up to roundoff at width L/22
     return {
@@ -778,11 +801,14 @@ def test_readme_example_config_runs(tmp_path):
     assert main(["all", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
 
 
-def test_non_finite_results_fail_and_stay_strict_json(tmp_path):
-    cfg = write_config(tmp_path, {"dynamics": {"evolution": {"t_final": 1e308, "n_steps": 100}}})
+def test_non_finite_results_fail_and_stay_strict_json(tmp_path, monkeypatch):
+    # Evolution to t = 1e308, past the config's range: E t overflows to inf,
+    # and every state after the first is NaN.
+    evolve = dynamics.evolve
+    monkeypatch.setattr(dynamics, "evolve", lambda psi0, h, t_final, n_steps: evolve(psi0, h, 1e308, n_steps))
     out = tmp_path / "report.json"
     with np.errstate(all="ignore"):
-        assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["dynamics", "--out", str(out)]) == 1
 
     def reject(token):
         raise ValueError(f"non-strict JSON token {token}")

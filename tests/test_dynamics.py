@@ -102,13 +102,18 @@ class TestBuild:
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
+def drift(values):
+    """The largest distance of a sampled norm or energy from its first value."""
+    return np.max(np.abs(values - values[0]))
+
+
 class TestEvolution:
     def test_stationary_state_phase_only(self):
         h = build_hamiltonian(SMALL, (1.0, 1.0), gaussian_well())
         _, vecs = eigh_phase_fixed(h.entries)
         psi0 = StateVector(h.space, vecs[:, 0])
-        result = evolve(psi0, h, t_final=3.0, n_steps=50)
-        overlaps = np.abs(result.states @ psi0.amplitudes.conj())
+        _, states, _, _ = evolve(psi0, h, t_final=3.0, n_steps=50)
+        overlaps = np.abs(states @ psi0.amplitudes.conj())
         assert np.max(np.abs(overlaps - 1.0)) <= 1e-10
 
     def test_drifts_within_documented_bounds(self):
@@ -117,12 +122,12 @@ class TestEvolution:
         psi0 = StateVector(
             h.space, rng.standard_normal(h.space.total_dim) + 1j * rng.standard_normal(h.space.total_dim)
         ).normalized()
-        result = evolve(psi0, h, t_final=2.0, n_steps=100)
-        assert result.norm_drift <= 1e-10
-        assert result.energy_drift <= 1e-9
-        assert len(result.times) == 101
-        oracle = np.real(np.einsum("ti,ij,tj->t", result.states.conj(), h.entries, result.states))
-        np.testing.assert_allclose(result.energies, oracle, rtol=1e-12, atol=0.0)
+        times, states, norms, energies = evolve(psi0, h, t_final=2.0, n_steps=100)
+        assert drift(norms) <= 1e-10
+        assert drift(energies) <= 1e-9
+        assert len(times) == 101
+        oracle = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.entries, states))
+        np.testing.assert_allclose(energies, oracle, rtol=1e-12, atol=0.0)
 
     def test_rejects_non_hermitian_and_unnormalized(self):
         h = Operator(SpaceSpec((2, 2)), spin_hamiltonian(v2=1.0))
@@ -301,15 +306,15 @@ def block_evolution(psi0, h, t_final, n_steps):
 
 def assert_matches_block_evolution(h, seed, t_final=2.0, n_steps=40):
     psi0 = random_state(h.space, seed)
-    result = evolve(psi0, h, t_final, n_steps)
+    _, evolved, evolved_norms, evolved_energies = evolve(psi0, h, t_final, n_steps)
     states, norms, energies = block_evolution(psi0, h, t_final, n_steps)
-    np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
-    assert abs(result.norm_drift - np.max(np.abs(norms - norms[0]))) <= 1e-15
+    np.testing.assert_allclose(evolved, states, rtol=0.0, atol=1e-12)
+    assert abs(drift(evolved_norms) - drift(norms)) <= 1e-15
     # Each energy sums terms as large as the largest entry of H (about 53 at
     # the shipped 64 sites), whose roundoff sets the drift: the two drifts
     # agree to a few ulps of that entry, not to 1e-15 absolute.
     scale = np.finfo(float).eps * np.abs(h.entries).max()
-    assert abs(result.energy_drift - np.max(np.abs(energies - energies[0]))) <= 16 * scale
+    assert abs(drift(evolved_energies) - drift(energies)) <= 16 * scale
 
 
 def with_central_potential(h, values):
@@ -384,11 +389,11 @@ class TestSectorEvolution:
     def test_matches_dense_propagation(self, name):
         h = HAMILTONIANS[name]()
         psi0 = random_state(h.space, 7)
-        result = evolve(psi0, h, t_final=2.0, n_steps=40)
+        _, evolved, evolved_norms, evolved_energies = evolve(psi0, h, t_final=2.0, n_steps=40)
         states, norms, energies = dense_evolution(psi0, h, 2.0, 40)
-        np.testing.assert_allclose(result.states, states, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(result.norms, norms, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(result.energies, energies, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(evolved, states, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(evolved_norms, norms, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(evolved_energies, energies, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n_sites", [15, 16, 64])
     def test_shipped_hamiltonian_splits_by_total_spin(self, n_sites, monkeypatch):
@@ -424,8 +429,8 @@ class TestSectorEvolution:
         amps = random_state(h.space, 5).amplitudes.reshape(16, 4).copy()
         amps[:, [0, 3]] = 0.0  # only up-down and down-up: total S_z = 0
         psi0 = StateVector(h.space, amps).normalized()
-        result = evolve(psi0, h, t_final=3.0, n_steps=30)
-        spins = result.states.reshape(-1, 16, 4)
+        _, states, _, _ = evolve(psi0, h, t_final=3.0, n_steps=30)
+        spins = states.reshape(-1, 16, 4)
         assert np.all(spins[:, :, [0, 3]] == 0.0)
         assert np.max(np.abs(np.linalg.norm(spins[:, :, [1, 2]], axis=(1, 2)) - 1.0)) <= 1e-12
 

@@ -15,7 +15,6 @@ from qsystems.epr_bell import (
     QUANTUM_BOUND,
     CHSHSettings,
     EPRConfig,
-    LHVEstimate,
     SHIPPED_LHV_MODELS,
     analyzer_operator,
     bell_report,
@@ -36,6 +35,15 @@ from qsystems.epr_bell import (
 )
 
 OPTIMAL = CHSHSettings()
+
+# The pair geometry that a test does not set: the shipped epr suite's, at zero
+# momentum.
+PAIR_GEOMETRY = {"n_sites": 256, "length": 16.0, "separation": 1.0, "momentum_mode": 0, "width": 0.25}
+
+
+def pair_config(**fields):
+    """An :class:`EPRConfig` of ``PAIR_GEOMETRY`` updated by ``fields``."""
+    return EPRConfig(**{**PAIR_GEOMETRY, **fields})
 
 
 # Oracles: the cos-form +/-1 responses and the one-shot float estimator that the
@@ -128,13 +136,13 @@ def per_model_chsh_lhv(model, settings, n_samples, seed):
         agree = [k + int(np.count_nonzero(x == y)) for k, (x, y) in zip(agree, pairs)]
     plus = (agree[0] - agree[1] + agree[2] + agree[3]) // 2
     n = n_samples
-    return LHVEstimate(
-        s_value=(4 * plus - 2 * n) / n,
-        stderr=math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
-        correlations=tuple((2 * k - n) / n for k in agree),
-        n_samples=n,
-        seed=seed,
-    )
+    return {
+        "s_value": (4 * plus - 2 * n) / n,
+        "stderr": math.sqrt(16 * plus * (n - plus) / (n * n * (n - 1))),
+        "correlations": tuple((2 * k - n) / n for k in agree),
+        "n_samples": n,
+        "seed": seed,
+    }
 
 
 def lone_estimate(model, settings, n_samples, seed):
@@ -151,33 +159,33 @@ def exact_correlation(model, angle_a, angle_b):
 class TestEPRConfig:
     def test_width_below_resolution_rejected(self):
         with pytest.raises(ValueError):
-            EPRConfig(n_sites=64, length=16.0, width=0.1)
+            pair_config(n_sites=64, length=16.0, width=0.1)
 
     def test_width_against_box_and_separation_bounds(self):
         with pytest.raises(ValueError):
-            EPRConfig(width=3.0)
+            pair_config(width=3.0)
         with pytest.raises(ValueError):
-            EPRConfig(separation=9.0)
+            pair_config(separation=9.0)
 
     def test_momentum_snapping(self):
         # The total momentum is momentum_mode steps of 4 pi / L: bit for bit
         # the mode's float momentum snapped back onto that lattice.
         for length in (8.0, 13.7, 16.0, 32.0):
             unit = 4.0 * math.pi / length
-            cfg = EPRConfig(length=length)
+            cfg = pair_config(length=length)
             for mode in range(-5000, 5001):
                 snapped = unit * round(float(mode) * 4.0 * math.pi / length / unit)
                 assert replace(cfg, momentum_mode=mode).total_momentum == snapped
-        assert EPRConfig().total_momentum == 0.0
+        assert pair_config().total_momentum == 0.0
 
 
 class TestEPRState:
     def test_normalized(self):
-        psi = build_epr_state(EPRConfig())
+        psi = build_epr_state(pair_config())
         assert abs(psi.norm() - 1.0) <= 1e-10
 
     def test_zero_separation_concentrates_on_diagonal(self):
-        cfg = EPRConfig(separation=0.0, momentum_mode=0)
+        cfg = pair_config(separation=0.0, momentum_mode=0)
         grid = build_epr_state(cfg).amplitudes.reshape(cfg.n_sites, cfg.n_sites)
         prob = np.abs(grid) ** 2
         diag_mass = np.trace(prob)
@@ -187,13 +195,13 @@ class TestEPRState:
 
     def test_mean_separation_and_momentum(self):
         p = 3 * 4.0 * math.pi / 16.0
-        cfg = EPRConfig(separation=1.0, momentum_mode=3)
+        cfg = pair_config(separation=1.0, momentum_mode=3)
         rep = commuting_pair_check(build_epr_state(cfg), cfg)
-        assert rep.mean_relative_position == pytest.approx(1.0, abs=1e-9)
-        assert rep.mean_total_momentum == pytest.approx(p, abs=1e-9)
+        assert rep["mean_relative_position"] == pytest.approx(1.0, abs=1e-9)
+        assert rep["mean_total_momentum"] == pytest.approx(p, abs=1e-9)
 
     def test_translation_invariance_at_zero_momentum(self):
-        cfg = EPRConfig(momentum_mode=0)
+        cfg = pair_config(momentum_mode=0)
         grid = build_epr_state(cfg).amplitudes.reshape(cfg.n_sites, cfg.n_sites)
         shifted = np.roll(grid, 1, axis=(0, 1))
         overlap = abs(np.vdot(grid.reshape(-1), shifted.reshape(-1)))
@@ -202,20 +210,20 @@ class TestEPRState:
 
 class TestCommutingPair:
     def test_residuals_and_variances(self):
-        cfg = EPRConfig()
+        cfg = pair_config()
         rep = commuting_pair_check(build_epr_state(cfg), cfg)
-        assert rep.commutator_state_residual <= 1e-10
-        assert rep.shift_commutator_residual <= 1e-14
-        assert rep.var_relative_position == pytest.approx(cfg.width ** 2, rel=0.01)
-        assert rep.var_total_momentum <= 1e-20
+        assert rep["commutator_state_residual"] <= 1e-10
+        assert rep["shift_commutator_residual"] <= 1e-14
+        assert rep["var_relative_position"] == pytest.approx(cfg.width ** 2, rel=0.01)
+        assert rep["var_total_momentum"] <= 1e-20
 
     def test_relative_momentum_reciprocal_scaling(self):
-        narrow_cfg, wide_cfg = EPRConfig(width=0.25), EPRConfig(width=0.5)
+        narrow_cfg, wide_cfg = pair_config(width=0.25), pair_config(width=0.5)
         narrow = commuting_pair_check(build_epr_state(narrow_cfg), narrow_cfg)
         wide = commuting_pair_check(build_epr_state(wide_cfg), wide_cfg)
-        assert narrow.var_relative_momentum == pytest.approx(1.0 / (4 * 0.25 ** 2), rel=0.01)
-        assert wide.var_relative_momentum == pytest.approx(1.0 / (4 * 0.5 ** 2), rel=0.01)
-        assert wide.var_relative_momentum < narrow.var_relative_momentum
+        assert narrow["var_relative_momentum"] == pytest.approx(1.0 / (4 * 0.25 ** 2), rel=0.01)
+        assert wide["var_relative_momentum"] == pytest.approx(1.0 / (4 * 0.5 ** 2), rel=0.01)
+        assert wide["var_relative_momentum"] < narrow["var_relative_momentum"]
 
 
 # A config that the fuzz of ``main`` drew: its spacing L/n is not dyadic, and
@@ -234,7 +242,7 @@ def test_shift_commutator_is_exact_at_a_non_dyadic_spacing():
 
 @pytest.mark.parametrize("n_sites, length", [(44, NON_DYADIC_EPR["length"]), (45, 7.3), (256, 16.0)])
 def test_relative_position_is_the_wrapped_site_offset(n_sites, length):
-    cfg = EPRConfig(n_sites=n_sites, length=length, width=length / 10.0)
+    cfg = pair_config(n_sites=n_sites, length=length, width=length / 10.0)
     d = relative_position_values(cfg)
     assert np.array_equal(d, np.roll(d, 1, axis=(0, 1)))  # exactly shift invariant
     assert d.min() >= -length / 2.0 and d.max() < length / 2.0
@@ -249,7 +257,7 @@ def test_relative_position_is_the_wrapped_site_offset(n_sites, length):
 def test_relative_position_is_unchanged_on_the_shipped_dyadic_grids(n_sites):
     # At L = 16 every position is a multiple of a power of two, and the wrap
     # of their differences was exact already.
-    cfg = EPRConfig(n_sites=n_sites)
+    cfg = pair_config(n_sites=n_sites)
     x = grids.position_values(cfg.grid)
     assert np.array_equal(relative_position_values(cfg),
                           grids.wrap_displacement(x[:, None] - x[None, :], cfg.length))
@@ -261,7 +269,7 @@ def test_commuting_pair_simultaneously_sharp_dense():
     from qsystems.hilbert import Operator
     from qsystems.grids import GridSpec, momentum_operator
 
-    cfg = EPRConfig(n_sites=32, length=16.0, separation=1.0, width=1.0)
+    cfg = pair_config(n_sites=32, length=16.0, separation=1.0, width=1.0)
     psi = build_epr_state(cfg)
     d = relative_position_values(cfg)
     xrel = Operator(psi.space, np.diag(d.reshape(-1)))
@@ -293,28 +301,28 @@ def test_commuting_pair_simultaneously_sharp_dense():
 
 class TestConditionalInference:
     def test_documented_example(self):
-        cfg = EPRConfig(separation=1.0)
-        result = conditional_inference(cfg, measured_x1=0.3)
-        assert abs(result.mode - (-0.7)) <= cfg.grid.spacing
+        cfg = pair_config(separation=1.0)
+        _, mode, _ = conditional_inference(cfg, measured_x1=0.3)
+        assert abs(mode - (-0.7)) <= cfg.grid.spacing
 
     def test_zero_separation_mode_tracks_measurement(self):
-        cfg = EPRConfig(separation=0.0)
+        cfg = pair_config(separation=0.0)
         for x1 in (-1.2, 0.0, 2.4):
-            result = conditional_inference(cfg, measured_x1=x1)
-            assert abs(result.mode - x1) <= cfg.grid.spacing
+            _, mode, _ = conditional_inference(cfg, measured_x1=x1)
+            assert abs(mode - x1) <= cfg.grid.spacing
 
     def test_conditional_width_matches_regularization(self):
-        cfg = EPRConfig(width=0.3)
-        result = conditional_inference(cfg, measured_x1=0.5)
-        assert result.width == pytest.approx(0.3, rel=0.2)
+        cfg = pair_config(width=0.3)
+        _, _, width = conditional_inference(cfg, measured_x1=0.5)
+        assert width == pytest.approx(0.3, rel=0.2)
 
     def test_distribution_normalized(self):
-        result = conditional_inference(EPRConfig(), measured_x1=1.0)
-        assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        probabilities, _, _ = conditional_inference(pair_config(), measured_x1=1.0)
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            conditional_inference(EPRConfig(), measured_x1=100.0)
+            conditional_inference(pair_config(), measured_x1=100.0)
 
 
 # Oracle: the dense builder that the factored one replaced, which evaluates
@@ -372,14 +380,14 @@ def test_conditional_row_matches_the_dense_oracle(n, separation, mode):
     # would be a tie that roundoff breaks.
     cfg = _oracle_config(n, separation, mode)
     for x1 in (-7.5, -0.3, 2.6, 7.9):
-        result = conditional_inference(cfg, x1)
-        prob, mode_x2, width, weight = oracle_conditional(cfg, x1)
-        assert result.mode == mode_x2
-        assert result.width == pytest.approx(width, rel=1e-12)
+        probabilities, mode_x2, width = conditional_inference(cfg, x1)
+        prob, oracle_mode, oracle_width, weight = oracle_conditional(cfg, x1)
+        assert mode_x2 == oracle_mode
+        assert width == pytest.approx(oracle_width, rel=1e-12)
         # Every row of the circulant carries 1/n of the probability, so no
         # slice is negligible.
         assert weight == pytest.approx(1.0 / n, rel=1e-12)
-        np.testing.assert_allclose(result.probabilities, prob, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probabilities, prob, rtol=0, atol=1e-15)
 
 
 class TestQuantumCHSH:
@@ -610,8 +618,8 @@ class TestLHVSampling:
         model = sign_cosine_model()
         a = lone_estimate(model, OPTIMAL, 10_000, seed=42)
         b = lone_estimate(model, OPTIMAL, 10_000, seed=42)
-        assert a.s_value == b.s_value
-        assert a.stderr == b.stderr
+        assert a["s_value"] == b["s_value"]
+        assert a["stderr"] == b["stderr"]
 
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(ValueError):
@@ -625,9 +633,9 @@ class TestLHVSampling:
         settings = CHSHSettings(0.3, 1.4, 0.9, 2.6)
         estimate = lone_estimate(SHIPPED_LHV_MODELS[name](), settings, n_samples, seed=n_samples)
         s_value, stderr, correlations = oracle_chsh_lhv(name, settings, n_samples, n_samples)
-        assert estimate.correlations == correlations
-        assert estimate.s_value == s_value
-        assert abs(estimate.stderr - stderr) <= 2 * np.spacing(stderr)
+        assert estimate["correlations"] == correlations
+        assert estimate["s_value"] == s_value
+        assert abs(estimate["stderr"] - stderr) <= 2 * np.spacing(stderr)
 
     # 10^6 + 1 samples end in a block of 16,961 draws.
     @pytest.mark.parametrize("n_samples", [10_000, 1_000_001])
@@ -657,7 +665,7 @@ class TestLHVSampling:
         model = SHIPPED_LHV_MODELS[name]()
         estimate = lone_estimate(model, OPTIMAL, 100_000, seed=11)
         exact = chsh_lhv_exact(model, OPTIMAL)
-        assert abs(estimate.s_value - exact) <= 5.0 * estimate.stderr
+        assert abs(estimate["s_value"] - exact) <= 5.0 * estimate["stderr"]
 
     @pytest.mark.parametrize("far", [1e15, 1e308])
     @pytest.mark.parametrize("name", sorted(SHIPPED_LHV_MODELS))
@@ -672,7 +680,7 @@ class TestLHVSampling:
         assert np.array_equal(exact, correlation_lhv_exact(model, *reduced.terms()))
         (estimate,) = chsh_lhv([model], settings, 10_000, seed=5)
         assert [estimate] == chsh_lhv([model], reduced, 10_000, seed=5)
-        deviation = np.abs(np.array(estimate.correlations) - exact)
+        deviation = np.abs(np.array(estimate["correlations"]) - exact)
         assert np.all(deviation <= 5.0 * np.sqrt((1.0 - np.clip(exact, -1.0, 1.0) ** 2) / 10_000))
 
     def test_saturated_model_reads_minus_two_with_no_error(self):
@@ -680,7 +688,7 @@ class TestLHVSampling:
         # S = -2, so the counts give S = -2.0 and the stderr 0.0 exactly.
         for seed in range(5):
             estimate = lone_estimate(sign_cosine_model(), OPTIMAL, 100_003, seed=seed)
-            assert (estimate.s_value, estimate.stderr) == (-2.0, 0.0)
+            assert (estimate["s_value"], estimate["stderr"]) == (-2.0, 0.0)
 
     def test_one_draw_serves_the_four_terms(self, monkeypatch):
         # n_samples hidden variables per call, in blocks of at most
@@ -726,9 +734,9 @@ class TestLHVSampling:
         # where the hemisphere model is not saturated (exact S = -1.236)
         model = sign_cosine_model()
         settings = CHSHSettings(0.5, 1.1, 0.1, 0.9)
-        small = [lone_estimate(model, settings, 10_000, seed=s).s_value for s in range(160)]
+        small = [lone_estimate(model, settings, 10_000, seed=s)["s_value"] for s in range(160)]
         large = [
-            lone_estimate(model, settings, 20_000, seed=s).s_value for s in range(160, 320)
+            lone_estimate(model, settings, 20_000, seed=s)["s_value"] for s in range(160, 320)
         ]
         ratio = np.var(large, ddof=1) / np.var(small, ddof=1)
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
@@ -736,8 +744,8 @@ class TestLHVSampling:
     def test_reported_stderr_is_calibrated(self):
         model = narrow_window_model()
         estimates = [lone_estimate(model, OPTIMAL, 10_000, seed=s) for s in range(120)]
-        empirical = np.std([e.s_value for e in estimates], ddof=1)
-        nominal = np.mean([e.stderr for e in estimates])
+        empirical = np.std([e["s_value"] for e in estimates], ddof=1)
+        nominal = np.mean([e["stderr"] for e in estimates])
         assert empirical == pytest.approx(nominal, rel=0.3)
 
 
@@ -803,7 +811,7 @@ def test_the_benchmark_harness_finds_the_monte_carlo_and_every_bell_check():
 def test_pair_check_drops_its_grid_temporaries():
     # At the default 256 sites one (n, n) complex array is 1 MiB; the check
     # keeps at most about eight of them alive at once.
-    cfg = EPRConfig(n_sites=256, length=16.0, separation=1.0, width=0.25)
+    cfg = pair_config(n_sites=256, length=16.0, separation=1.0, width=0.25)
     tracemalloc.start()
     try:
         commuting_pair_check(build_epr_state(cfg), cfg)
@@ -851,11 +859,11 @@ def test_epr_suite_builds_each_pair_state_once(monkeypatch):
 
 @pytest.mark.parametrize("width", [0.25, 0.5])
 def test_momentum_moments_are_the_pair_checks_bit_for_bit(width):
-    cfg = EPRConfig(n_sites=128, width=width)
+    cfg = pair_config(n_sites=128, width=width)
     psi = build_epr_state(cfg)
     full = commuting_pair_check(psi, cfg)
     assert momentum_moments(psi, cfg) == (
-        full.mean_total_momentum, full.var_total_momentum, full.var_relative_momentum
+        full["mean_total_momentum"], full["var_total_momentum"], full["var_relative_momentum"]
     )
 
 
@@ -873,9 +881,9 @@ def test_epr_suite_runs_one_pair_check_and_reads_only_the_wide_moments(monkeypat
     report = suites.run_suite("epr", {"n_sites": 128, "n_inference": 2})
     defaults = suites._EPR_DEFAULTS
     assert checked == [defaults["width"]]
-    wide_cfg = EPRConfig(
+    wide_cfg = pair_config(
         n_sites=128, width=defaults["wide_width"], momentum_mode=defaults["momentum_mode"]
     )
     wide = original(build_epr_state(wide_cfg), wide_cfg)
     narrowing = next(c for c in report.checks if c.check_id == "momentum-narrowing")
-    assert narrowing.detail["var_relative_momentum_wide_envelope"] == wide.var_relative_momentum
+    assert narrowing.detail["var_relative_momentum_wide_envelope"] == wide["var_relative_momentum"]

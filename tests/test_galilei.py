@@ -361,7 +361,7 @@ def test_rep_rejects_labels_outside_or_out_of_order():
     for labels in (("J1", "J2", "J3", "Q"), ("J2", "J1", "J3", "M"), ("M", "J1", "J2", "J3")):
         images = dict(zip(labels, rep.images.values()))
         with pytest.raises(ValueError, match="order"):
-            galilei.AlgebraRep(space=rep.space, images=images, mass=1.0)
+            galilei.AlgebraRep(space=rep.space, images=images, mass=1.0, mask=None, name="spin")
 
 
 def test_reps_hold_only_asserted_images():

@@ -175,7 +175,7 @@ def test_gauge_like_conjugation_fixes_commuting_operator():
     from qsystems.charge import ChargeModel, gauge_transform
 
     q = op(np.diag([0.0, 1.0]))
-    model = ChargeModel(space=QUBIT, q_operator=q)
+    model = ChargeModel(q_operator=q, observables=(), vacuum_index=0)
     a = np.diag([2.0, -1.0])
     for theta in (0.3, 1.2, 4.0):
         u = gauge_transform(model, theta).entries

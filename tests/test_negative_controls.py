@@ -295,7 +295,7 @@ def cross_sector_observable(monkeypatch):
         entries = model.observables[0].entries.copy()
         entries[a, b] += 1e-3
         entries[b, a] += 1e-3
-        leaky = Operator(model.space, entries)
+        leaky = Operator(model.q_operator.space, entries)
         return replace(model, observables=(leaky, *model.observables[1:]))
 
     _charge_model_with(monkeypatch, change)
@@ -406,11 +406,11 @@ def unsnapped_momentum(monkeypatch):
 
 
 def width_read_from_the_default(monkeypatch):
-    """The builder reads the width of a default EPRConfig, so the wide
-    envelope is no wider."""
+    """The builder reads the epr suite's default width, so the wide envelope
+    is no wider."""
     monkeypatch.setattr(
         epr_bell, "build_epr_state",
-        lambda cfg: EPR_STATE(replace(cfg, width=epr_bell.EPRConfig.width)),
+        lambda cfg: EPR_STATE(replace(cfg, width=suites._EPR_DEFAULTS["width"])),
     )
 
 
@@ -654,10 +654,9 @@ def nan_operator_entry(op):
     return Operator(op.space, nan_at(op.entries))
 
 
-def nan_second_sector(decomp):
-    sectors = list(decomp.sectors)
-    sectors[1] = replace(sectors[1], projector=nan_at(sectors[1].projector))
-    return replace(decomp, sectors=tuple(sectors))
+def nan_second_sector(decomposition):
+    projectors, detail = decomposition
+    return [projectors[0], nan_at(projectors[1]), *projectors[2:]], detail
 
 
 def nan_in_second_observable(monkeypatch):
@@ -753,9 +752,9 @@ NAN_ROWS = [
     ("charge", "superselection-offdiagonal", nan_in_second_observable),
     ("charge", "relative-phase-invisibility", nan_in_second_observable),
     ("epr", "conditional-inference-mode",
-     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, mode=NAN))),
+     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: (c[0], NAN, c[2]))),
     ("epr", "conditional-inference-width",
-     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: replace(c, width=NAN))),
+     nan_on_call(epr_bell, "conditional_inference", 1, lambda c: (c[0], c[1], NAN))),
     # Entry [2, 5] of the 13 x 13 grid, off its origin.
     ("bell", "correlation-cosine-law", nan_quantum_correlation((13, 13), (2, 5))),
     # The first term at the second of the seven common offsets.

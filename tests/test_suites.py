@@ -211,7 +211,7 @@ def test_merge_returns_a_config_or_raises_value_error(case):
 
 class TestVerdictPolicy:
     def checks(self, scale=1.0):
-        report = SuiteReport("probe", seed=0, config={})
+        report = SuiteReport("probe", seed=0, config={}, tool_version="0")
         return report, suites._checks(report, scale)
 
     def test_residual_passes_at_its_scaled_tolerance(self):
@@ -291,6 +291,7 @@ class TestVerdictPolicy:
          {"n_sites": 44, "width": 0.73, "wide_width": 2.0, "separation": 0.0, "momentum_mode": 0,
           "n_inference": 2},
          None),
+        (suites.run_dynamics, {"evolution": {"t_final": 0.01}}, {"evolution-norm-drift", "evolution-energy-drift"}),
     ],
 )
 def test_each_least_size_admits_a_passing_run(runner, section, ids):
@@ -306,8 +307,10 @@ def test_each_least_size_admits_a_passing_run(runner, section, ids):
     ids=["kinetic", "well_depth", "v2_scale", "v3_scale", "light-masses"],
 )
 def test_dynamics_scale_just_below_its_bound_passes(relative):
-    # Scales of 9.5e5 to 9.9e5; the rows just above exit 2 (tests/test_cli.py).
-    section = {"relative": relative, "weak_coupling": {"lambdas": [0.001, 0.01, 1000.0]}}
+    # Scales of 9.5e5 to 9.9e5, at the most t_final, where the phases E t are
+    # largest; the rows just above either bound exit 2 (tests/test_cli.py).
+    section = {"relative": relative, "evolution": {"t_final": 1e300},
+               "weak_coupling": {"lambdas": [0.001, 0.01, 1000.0]}}
     report = suites.run_suite("dynamics", section)
     assert all(c.passed for c in report.checks), [(c.check_id, c.value) for c in report.checks if not c.passed]
 
