@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = run_suite(
                 args.command, config.get(args.command), seed=args.seed,
                 tolerance_scale=args.tolerance_scale,
-            ).to_dict()
+            )
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

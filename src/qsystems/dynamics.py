@@ -327,8 +327,9 @@ def momentum_conservation_residual(
     construction guarantees.  T1, T2 and P_total are sums of one-leg
     operators diagonal in momentum, so they act on the legs of all states by
     1-d FFTs, and H P psi and P H psi are sums of leg products, but for
-    P_total (V psi): one batched 2-d FFT pair.  Both are formed in full and
-    subtracted.  No n^2 x n^2 array, nor any n x n operator, is formed.
+    P_total (V psi): one 2-d FFT pair.  Both are formed in full and
+    subtracted one state at a time, so a few n x n arrays are live at once.
+    No n^2 x n^2 array, nor any n x n operator, is formed.
     """
     x = grids.position_values(grid)
     v = pot.channels(grids.periodic_distance(x[:, None] - x[None, :], grid.length))[0]
@@ -338,22 +339,24 @@ def momentum_conservation_residual(
     def spectral(symbol, legs):
         return np.fft.ifft(symbol * np.fft.fft(legs, norm="ortho"), norm="ortho")
 
-    def products(*pairs):  # the sum of u_s w_s^T over the pairs (u, w), per state s
+    def products(*pairs):  # the sum of u w^T over the pairs (u, w)
         left, right = (np.stack(legs, axis=-1) for legs in zip(*pairs))
-        return left @ right.transpose(0, 2, 1)
+        return left @ right.T
 
     mask = grids.band_limited_mask(grid)
     rng = np.random.default_rng(seed)
     a = mask.random_states(_MOMENTUM_STATES, rng).T
     b = mask.random_states(_MOMENTUM_STATES, rng).T
     pa, pb, t1a, t2b = spectral(k, a), spectral(k, b), spectral(t1, a), spectral(t2, b)
-    hp = products((spectral(t1, pa), b), (t1a, pb), (pa, t2b), (a, spectral(t2, pb)))
-    hp += v * products((pa, b), (a, pb))
-    ph = products((spectral(k, t1a), b), (t1a, pb), (pa, t2b), (a, spectral(k, t2b)))
-    ph += np.fft.ifft2((k[:, None] + k[None, :]) * np.fft.fft2(v * products((a, b)), norm="ortho"), norm="ortho")
+    t1pa, t2pb, pt1a, pt2b = spectral(t1, pa), spectral(t2, pb), spectral(k, t1a), spectral(k, t2b)
+    k_total = k[:, None] + k[None, :]
     residuals = np.zeros(_MOMENTUM_STATES)
-    for state in range(_MOMENTUM_STATES):
-        scale = np.maximum(norm(hp[state]), norm(ph[state]))
+    for s in range(_MOMENTUM_STATES):
+        hp = products((t1pa[s], b[s]), (t1a[s], pb[s]), (pa[s], t2b[s]), (a[s], t2pb[s]))
+        hp += v * products((pa[s], b[s]), (a[s], pb[s]))
+        ph = products((pt1a[s], b[s]), (t1a[s], pb[s]), (pa[s], t2b[s]), (a[s], pt2b[s]))
+        ph += np.fft.ifft2(k_total * np.fft.fft2(v * products((a[s], b[s])), norm="ortho"), norm="ortho")
+        scale = np.maximum(norm(hp), norm(ph))
         if scale != 0.0:  # both products vanish at scale 0, and NaN stays NaN
-            residuals[state] = norm(hp[state] - ph[state]) / scale
+            residuals[s] = norm(hp - ph) / scale
     return residuals

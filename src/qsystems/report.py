@@ -1,17 +1,18 @@
-"""Check records and suite reports.
+"""Check records and suite reports, each built once as its JSON dict.
 
-One record per verified law: an id, the law as a human-readable statement, a
-measured value (residual, count or boolean), the tolerance it was held to, and
-the verdict.  Reports serialize to strict JSON deterministically (sorted keys,
-no timestamps, no NaN or Infinity), so identical runs produce identical bytes.
+A record is what the suites' ``check`` writes for one verified law: its
+``id``, the ``law`` as a statement, the measured ``value`` (residual, count or
+boolean), the ``tolerance`` it was held to and the verdict ``pass``, with an
+optional ``detail`` and ``non_finite`` flag.  Reports serialize to strict
+JSON deterministically (sorted keys, no timestamps, no NaN or Infinity), so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["CheckRecord", "SuiteReport", "combined_report_dict", "render_text", "as_builtin"]
+__all__ = ["suite_report", "combined_report_dict", "render_text", "as_builtin"]
 
 SCHEMA_VERSION = 1
 
@@ -32,71 +33,29 @@ def as_builtin(value):
     return value
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    law: str
-    value: object  # residual float, count, or bool
-    tolerance: float | None
-    passed: bool
-    detail: dict | None
-    non_finite: bool = False  # the value or the tolerance is NaN or infinite
-
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.check_id,
-            "law": self.law,
-            "value": as_builtin(self.value),
-            "tolerance": as_builtin(self.tolerance),
-            "pass": bool(self.passed),
-        }
-        if self.detail is not None:
-            out["detail"] = as_builtin(self.detail)
-        if self.non_finite:
-            out["non_finite"] = True
-        return out
+def suite_report(suite: str, seed: int, config: dict, tool_version: str, checks: list[dict]) -> dict:
+    """The report of one suite run: its records ``checks``, their counts and
+    the verdict, which passes when every record does."""
+    passed = sum(1 for c in checks if c["pass"])
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "suite": suite,
+        "tool_version": tool_version,
+        "seed": seed,
+        "config": config,
+        "checks": checks,
+        "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
+        "pass": passed == len(checks),
+    }
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    config: dict
-    tool_version: str
-    checks: list[CheckRecord] = field(default_factory=list)
-
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def summary(self) -> dict:
-        passed = sum(1 for c in self.checks if c.passed)
-        return {"total": len(self.checks), "passed": passed, "failed": len(self.checks) - passed}
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "suite": self.suite,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "config": self.config,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-            "pass": self.all_passed,
-        }
-
-
-def combined_report_dict(reports: list[SuiteReport], seed: int, tool_version: str) -> dict:
+def combined_report_dict(reports: list[dict], seed: int, tool_version: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "seed": seed,
-        "suites": [r.to_dict() for r in reports],
-        "pass": all(r.all_passed for r in reports),
+        "suites": reports,
+        "pass": all(r["pass"] for r in reports),
     }
 
 

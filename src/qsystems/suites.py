@@ -5,9 +5,9 @@
 each section is merged once.  A suite's body, ``run_<suite>``, then builds its
 fixtures from the seeded generator, measures each law at a pinned tolerance
 (scaled by ``tolerance_scale`` for exploratory runs), and records it in the
-:class:`~qsystems.report.SuiteReport` that :func:`_run` returns.  Each check is
-one call to the ``check`` made by :func:`_checks`, which applies the one
-verdict policy.
+report dict that :func:`_run` returns.  Each check is one call to the
+``check`` made by :func:`_checks`, which applies the one verdict policy and
+writes the check's JSON record.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import __version__, charge, dynamics, epr_bell, galilei, mereology, symme
 from .grids import MIN_SITES, GridSpec, wrap_displacement
 from .hilbert import (Operator, SpaceSpec, StateVector, basis_state, connected_sets, hermiticity_residual, lift,
                       pauli_matrices)
-from .report import CheckRecord, SuiteReport
+from .report import as_builtin, suite_report
 
 __all__ = ["SUITE_RUNNERS", "run_suite", "run_all"]
 
@@ -102,6 +102,17 @@ _SCALE_RANGES = {
 # sites and 2000 steps, the drift stayed within 2.7e-16 times that scale, so
 # at this bound it reads at most 2.7e-10, 3.7 times below its tolerance.
 _HAMILTONIAN_SCALE_BOUND = 1e6
+
+# weak-coupling-linearity compares the slopes ||(H(lambda) - H(0)) v|| / lambda,
+# each the difference of two sums dominated by the weak grid's kinetic terms,
+# so the spread grows as the kinetic top over lambda_min (|well_depth| +
+# |v2_scale| + |v3_scale|), lambda_min the least positive coupling.  Over
+# 3625 runs (weak grids of 8-256 sites on boxes of 0.1-1000, masses
+# 0.01-100, widths 0.01-100, the central well, each spin channel and mixed
+# wells, seeds 0-9) the spread stayed within 2.8e-17 times that quotient, so
+# at this bound on its inverse it reads at most 2.8e-8, 36 times below its
+# 1e-6.  A zero well stays allowed: every slope reads 0.
+_WEAK_WELL_BOUND = 1e-9
 
 # momentum-narrowing compares two variances of relative momentum, each
 # rounded to about 1e-15 of itself (seeds 0-9, 44-1024 sites); a wide width
@@ -282,7 +293,9 @@ def _check_epr_geometry(section: dict) -> None:
 def _check_dynamics_scale(section: dict) -> None:
     """Raise ValueError, naming the key of its largest term, unless the
     merged ``dynamics`` section's relative Hamiltonian has a scale of at most
-    ``_HAMILTONIAN_SCALE_BOUND``."""
+    ``_HAMILTONIAN_SCALE_BOUND``, and, naming the keys, unless its well is 0
+    or, times the least positive coupling, at least ``_WEAK_WELL_BOUND`` of
+    the weak grid's kinetic top."""
     rel = section["relative"]
     m1, m2 = rel["masses"]
     terms = {
@@ -295,6 +308,16 @@ def _check_dynamics_scale(section: dict) -> None:
         raise ValueError(
             f"{max(terms, key=terms.get)} must keep the relative Hamiltonian's scale (pi n / L)^2 / 2 mu "
             f"+ |well_depth| + |v2_scale| + |v3_scale| at most {_HAMILTONIAN_SCALE_BOUND:g}; it is {scale:.3g}"
+        )
+    weak = section["weak_coupling"]
+    well = sum(abs(rel[key]) for key in ("well_depth", "v2_scale", "v3_scale"))
+    least = min(lam for lam in weak["lambdas"] if lam > 0)
+    top = max((math.pi * weak["n_sites"] / rel["length"]) ** 2 / (2.0 * m) for m in weak["masses"])
+    if well > 0.0 and least * well < _WEAK_WELL_BOUND * top:
+        raise ValueError(
+            "dynamics.relative.well_depth, v2_scale and v3_scale must all be 0, or their |sum| times the least "
+            f"positive dynamics.weak_coupling.lambdas entry at least {_WEAK_WELL_BOUND:g} of the weak grid's "
+            f"kinetic top (pi n / L)^2 / 2m; it is {least * well / top:.3g} of it"
         )
 
 
@@ -330,35 +353,40 @@ def _merge(defaults: dict, override, path: str) -> dict:
     return out
 
 
-def _checks(report: SuiteReport, tolerance_scale: float):
+def _checks(suite: str, records: list, tolerance_scale: float):
     """The suite's one verdict policy, as the function ``check``.
 
-    ``check(id, law, value, tolerance, detail)`` adds a record.  With a
-    tolerance (a number fixed at the check, scaled by ``tolerance_scale``),
-    ``value`` is one residual or a sequence of them, and the record holds
-    their maximum, NaN included: it passes when that is at most the
-    tolerance.  A residual or tolerance that is NaN or infinite fails and is
-    marked ``non_finite``, and an empty sequence measured nothing, which
-    raises ValueError.  With no tolerance, a count passes when it is 0 and a
-    flag when it is true.
+    ``check(id, law, value, tolerance, detail)`` appends the check's JSON
+    record to ``records``.  With a tolerance (a number fixed at the check,
+    scaled by ``tolerance_scale``), ``value`` is one residual or a sequence of
+    them, and the record holds their maximum, NaN included: it passes when
+    that is at most the tolerance.  A residual or tolerance that is NaN or
+    infinite fails and is marked ``non_finite``, and an empty sequence
+    measured nothing, which raises ValueError.  With no tolerance, a count
+    passes when it is 0 and a flag when it is true.
     """
 
     def check(check_id: str, law: str, value, tolerance=None, detail=None) -> None:
+        finite = True
         if tolerance is None:
             if isinstance(value, (bool, np.bool_)):
                 value = passed = bool(value)
             else:
                 value = int(value)
                 passed = value == 0
-            report.add(CheckRecord(check_id, law, value, None, passed, detail))
-            return
-        residuals = np.asarray(value, dtype=np.float64)
-        if residuals.size == 0:
-            raise ValueError(f"{report.suite}/{check_id} measured nothing: no residual to compare")
-        value, tolerance = float(np.max(residuals)), float(tolerance) * tolerance_scale
-        finite = bool(np.all(np.isfinite(residuals))) and math.isfinite(tolerance)
-        passed = finite and value <= tolerance
-        report.add(CheckRecord(check_id, law, value, tolerance, passed, detail, not finite))
+        else:
+            residuals = np.asarray(value, dtype=np.float64)
+            if residuals.size == 0:
+                raise ValueError(f"{suite}/{check_id} measured nothing: no residual to compare")
+            value, tolerance = float(np.max(residuals)), float(tolerance) * tolerance_scale
+            finite = bool(np.all(np.isfinite(residuals))) and math.isfinite(tolerance)
+            passed = finite and value <= tolerance
+        record = {"id": check_id, "law": law, "value": value, "tolerance": tolerance, "pass": passed}
+        if detail is not None:
+            record["detail"] = detail
+        if not finite:
+            record["non_finite"] = True
+        records.append(as_builtin(record))
 
     return check
 
@@ -1047,16 +1075,16 @@ _DEFAULTS = dict(axioms=_AXIOMS_DEFAULTS, symmetry=_SYMMETRY_DEFAULTS, dynamics=
                  charge=_CHARGE_DEFAULTS, epr=_EPR_DEFAULTS, bell=_BELL_DEFAULTS)
 
 
-def _run(name: str, cfg: dict, seed: int, tolerance_scale: float) -> SuiteReport:
-    """Run suite ``name`` on its merged section ``cfg``: its body, reached
-    through ``SUITE_RUNNERS``, gets the report's ``check`` and a generator
-    seeded with ``seed``."""
-    report = SuiteReport(name, seed=seed, config=cfg, tool_version=__version__)
-    SUITE_RUNNERS[name](cfg, _checks(report, tolerance_scale), np.random.default_rng(seed), seed)
-    return report
+def _run(name: str, cfg: dict, seed: int, tolerance_scale: float) -> dict:
+    """The report of suite ``name`` on its merged section ``cfg``: its body,
+    reached through ``SUITE_RUNNERS``, gets the ``check`` that writes the
+    report's records and a generator seeded with ``seed``."""
+    records = []
+    SUITE_RUNNERS[name](cfg, _checks(name, records, tolerance_scale), np.random.default_rng(seed), seed)
+    return suite_report(name, seed, cfg, __version__, records)
 
 
-def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> SuiteReport:
+def run_suite(name: str, config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> dict:
     if name not in SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
     return _run(name, _merge(_DEFAULTS[name], config, name), seed, tolerance_scale)
@@ -1074,7 +1102,7 @@ def _check_sections(config) -> None:
             raise ValueError(f"section {name!r} must be a JSON object")
 
 
-def run_all(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> list[SuiteReport]:
+def run_all(config: dict | None = None, seed: int = 0, tolerance_scale: float = 1.0) -> list[dict]:
     config = {} if config is None else config
     _check_sections(config)
     # Every section is merged, and so validated, before any suite runs.

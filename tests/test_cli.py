@@ -88,6 +88,23 @@ def test_tolerance_scale_can_force_failures(tmp_path, capsys):
     assert doc["pass"] is False
 
 
+def test_one_failed_check_fails_its_suite_and_all(monkeypatch, capsys):
+    def runner(fails):
+        def run(cfg, check, rng, seed):
+            check("count", "a count passes at 0", 0)
+            check("residual", "a residual passes within its tolerance", [0.5, 2.0 if fails else 0.5], 1.0)
+        return run
+
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites.SUITE_RUNNERS, name, runner(name == "dynamics"))
+    assert main(["all"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert [(s["suite"], s["pass"], s["summary"]["failed"]) for s in doc["suites"]] == [
+        (name, name != "dynamics", int(name == "dynamics")) for name in SUITE_NAMES
+    ]
+
+
 def test_zero_tolerances_stay_legal(tmp_path, capsys):
     # Zero demands an exact result: it fails the sampled checks, but it is not
     # a config error.
@@ -110,6 +127,24 @@ def test_identical_invocations_byte_identical(tmp_path):
     assert main(["bell", "--config", cfg, "--seed", "11", "--out", str(out1)]) == 0
     assert main(["bell", "--config", cfg, "--seed", "11", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def seed0_all_suites(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all") / "all.json"
+    assert main(["all", "--seed", "0", "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["suites"]
+
+
+@pytest.mark.parametrize("index, suite", list(enumerate(SUITE_NAMES)))
+def test_suite_command_prints_its_entry_of_all(index, suite, seed0_all_suites, tmp_path):
+    # The single-suite and the combined paths build their reports apart; the
+    # suite's bytes are its entry of `all`, rendered at the top level.
+    out = tmp_path / f"{suite}.json"
+    assert main([suite, "--seed", "0", "--out", str(out)]) == 0
+    entry = seed0_all_suites[index]
+    assert entry["suite"] == suite
+    assert out.read_text(encoding="utf-8") == json.dumps(entry, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def test_different_seed_changes_sampled_values(tmp_path):
@@ -252,7 +287,7 @@ def test_largest_accepted_charge_keeps_the_gauge_period(tmp_path, capsys):
 def test_tolerance_scale_applies_to_every_tolerance():
     def tolerances(scale):
         reports = suites.run_all(FAST_BELL, tolerance_scale=scale)
-        return [(r.suite, c.check_id, c.tolerance) for r in reports for c in r.checks]
+        return [(r["suite"], c["id"], c["tolerance"]) for r in reports for c in r["checks"]]
 
     one, two = tolerances(1.0), tolerances(2.0)
     assert [key[:2] for key in one] == [key[:2] for key in two]
@@ -470,6 +505,23 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
         ({"dynamics": {"evolution": {"t_final": 1e308}}}, "dynamics.evolution.t_final must be at most 1e+300"),
         ({"dynamics": {"evolution": {"t_final": 1.01e300}}}, "dynamics.evolution.t_final must be at most 1e+300"),
         ({"dynamics": {"evolution": {"t_final": 0.0099}}}, "dynamics.evolution.t_final must be at least 0.01"),
+        # weak-coupling-linearity read 9.1e-5, against 1e-6, at a depth of
+        # 1e-12; test_weak_well_just_above_its_bound_passes runs the configs
+        # just above the bound.
+        ({"dynamics": {"relative": {"well_depth": 1e-12, "v2_scale": 0, "v3_scale": 0}}},
+         "dynamics.relative.well_depth, v2_scale and v3_scale must all be 0, or their |sum| times the least "
+         "positive dynamics.weak_coupling.lambdas entry at least 1e-09 of the weak grid's kinetic top "
+         "(pi n / L)^2 / 2m; it is 2.53e-14 of it"),
+        ({"dynamics": {"relative": {"well_depth": 3.9e-8, "v2_scale": 0, "v3_scale": 0}}}, "it is 9.88e-10 of it"),
+        ({"dynamics": {"relative": {"well_depth": 0, "v2_scale": -3.9e-8, "v3_scale": 0}}}, "it is 9.88e-10 of it"),
+        ({"dynamics": {"relative": {"well_depth": 1e-8, "v2_scale": 1e-8, "v3_scale": -1.9e-8}}},
+         "it is 9.88e-10 of it"),
+        ({"dynamics": {"relative": {"well_depth": 4.9e-6, "v2_scale": 0, "v3_scale": 0},
+                       "weak_coupling": {"lambdas": [0.0, 0.001, 1.0]}}}, "it is 9.93e-10 of it"),
+        ({"dynamics": {"relative": {"well_depth": 3.9e-6, "v2_scale": 0, "v3_scale": 0},
+                       "weak_coupling": {"masses": [0.01, 0.01]}}}, "it is 9.88e-10 of it"),
+        ({"dynamics": {"relative": {"well_depth": 1e-5, "v2_scale": 0, "v3_scale": 0},
+                       "weak_coupling": {"n_sites": 256}}}, "it is 9.89e-10 of it"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):

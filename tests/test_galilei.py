@@ -170,7 +170,7 @@ class TestGridRep:
 
         monkeypatch.setattr(grids, "band_limited_mask", counted)
         report = suites.run_suite("axioms", {"grid_sites": 64, "n_test_states": 2, "mereology_instances": 10})
-        assert report.to_dict()["pass"] is True
+        assert report["pass"] is True
         assert len(grids_masked) == 1
 
     def test_images_hermitian_and_mass_positive(self):

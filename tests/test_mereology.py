@@ -248,10 +248,10 @@ def test_axioms_report_names_the_law_check_path(pool, exhaustive, instances):
         "grid_sites": CHEAP_GRID_SITES,
         "n_test_states": 2,
     }
-    record = suites.run_suite("axioms", cheap).checks[0]
-    assert record.check_id == "mereology-monoid-parthood"
-    assert record.passed and record.value == 0
-    assert record.detail == {"instances": instances, "exhaustive": exhaustive}
+    record = suites.run_suite("axioms", cheap)["checks"][0]
+    assert record["id"] == "mereology-monoid-parthood"
+    assert record["pass"] and record["value"] == 0
+    assert record["detail"] == {"instances": instances, "exhaustive": exhaustive}
 
 
 @pytest.mark.parametrize(
