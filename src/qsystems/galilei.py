@@ -9,8 +9,9 @@ matrix representations (spin, periodic grid, additive composites) and
 measures how well each one reproduces the bracket table, restricted to the
 subspace on which the representation makes its claims.  A representation
 holds images of exactly the generators it asserts.  Units have hbar = 1; the
-law texts keep ``ihbar`` to show where it enters.  Grid masks and the
-leg-by-leg two-particle products live in :mod:`qsystems.grids`.
+law texts keep ``ihbar`` to show where it enters.  Grid masks live in
+:mod:`qsystems.grids`; the additive grid pair applies one-particle words leg
+by leg to product states, and reads its norms from one thin QR per leg.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import grids
-from .grids import DomainMask, GridSpec, leg_product
+from .grids import DomainMask, GridSpec
 from .hilbert import Operator, SpaceSpec, lift
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "build_additive_rep",
     "casimir_squared",
     "verify_rep",
-    "position_momentum_residuals",
+    "position_momentum_residual",
     "verify_additive_grid_pair",
 ]
 
@@ -325,31 +326,38 @@ def verify_rep(rep: AlgebraRep) -> dict:
     return _bracket_detail(rep.name, mask_description, residuals)
 
 
-def position_momentum_residuals(
-    rep: AlgebraRep, n_states: int = 20, seed: int = 0
-) -> np.ndarray:
-    """Relative error of ([X, P] - i*hbar) applied to masked test states.
+def position_momentum_residual(rep: AlgebraRep) -> float:
+    """The largest singular value of ([X, P] - i*hbar) B over the mask basis
+    B: the residual of the band's worst unit state, read from the eigenvalues
+    of the small m x m matrix D^H D of D = ([X, P] - i*hbar) B.
 
     X is the boost image divided by the mass.  Requires a masked (grid)
     representation.
     """
     if rep.mask is None:
         raise ValueError("representation has no domain mask")
-    rng = np.random.default_rng(seed)
-    states = rep.mask.random_states(n_states, rng)
+    basis = rep.mask.basis
     x = rep.image("K1") / rep.mass
     p = rep.image("P1")
-    delta = x @ (p @ states) - p @ (x @ states) - 1j * states
-    return np.linalg.norm(delta, axis=0)
+    delta = x @ (p @ basis) - p @ (x @ basis) - 1j * basis
+    return float(np.sqrt(np.linalg.eigvalsh(delta.conj().T @ delta)[-1]))
 
 
-def _factored_norms(*terms: tuple[complex, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Frobenius norms, one per state, of sum(c * U_s V_s^T) over ``(c, (U, V))``
-    terms: the norms of R_U R_V^T from thin QRs of the concatenated factors,
-    which keep the conditioning that Gram matrices would square."""
-    r_u = np.linalg.qr(np.concatenate([c * u for c, (u, _) in terms], axis=-1), mode="r")
-    r_v = np.linalg.qr(np.concatenate([v for _, (_, v) in terms], axis=-1), mode="r")
-    return np.linalg.norm(r_u @ np.swapaxes(r_v, -1, -2), axis=(-2, -1))
+def _leg_terms(products: list) -> dict[tuple[str, str], complex]:
+    """The sum of ``(c, *names)`` operator products, each applied to a test
+    state a (x) b, as ``{(word_a, word_b): coefficient}``.
+
+    A name ending in "a" or "b" acts on that leg; a bare generator name is
+    the total, the sum of both legs.  A word is the string of one-leg
+    operators that acts on its leg: "KP" is K(P(leg)), and "" is the leg
+    itself.  Equal terms add, so opposite ones cancel exactly.
+    """
+    terms: dict[tuple[str, str], complex] = {}
+    for c, *names in products:
+        for atoms in itertools.product(*((f + "a", f + "b") if len(f) == 1 else (f,) for f in names)):
+            words = tuple("".join(atom[0] for atom in atoms if atom[1] == tag) for tag in "ab")
+            terms[words] = terms.get(words, 0) + c
+    return terms
 
 
 def verify_additive_grid_pair(
@@ -363,14 +371,15 @@ def verify_additive_grid_pair(
 
     The two-particle operators are never materialized, and neither are the
     states.  Test states are products ``a (x) b`` of masked one-particle
-    states, and every operator here acts on one leg, so every operator
-    product applied to a test state is a short sum of products.  All test
-    states are carried at once as factor stacks ``(U, V)`` of shape
-    ``(n_states, n, k)`` through :func:`grids.leg_product`: a lifted
-    one-particle operator multiplies one factor (the diagonal K, X and M
-    elementwise), and a sum concatenates factors.  Checked, per test state
-    and with relative residuals: the bracket relations among the total H, P,
-    K, M; the mixed relations of each total generator with every per-part
+    states, and every operator here acts on one leg, so every side of every
+    law is a short sum ``sum_t c_t (w_t a) (x) (v_t b)`` of one-leg words
+    (:func:`_leg_terms`).  Each distinct word is applied once to all of its
+    leg's test states, and one thin QR per leg, ``W = Q R`` of the
+    ``(n_states, n, words)`` stack, gives every norm as
+    ``||R_a[:, I] diag(c) R_b[:, J]^T||_F``; the QR keeps the conditioning
+    that Gram matrices would square.  Checked, per test state and with
+    relative residuals: the bracket relations among the total H, P, K, M;
+    the mixed relations of each total generator with every per-part
     position and momentum; exact additivity of the mass; and commutation of
     generators lifted from different parts.  Each law's residual is its
     largest over the test states, NaN included.
@@ -379,58 +388,67 @@ def verify_additive_grid_pair(
         if part.mask is None:
             raise ValueError(f"{part.name} has no domain mask")
     rng = np.random.default_rng(seed)
-    states_a = part_a.mask.random_states(n_states, rng)
-    states_b = part_b.mask.random_states(n_states, rng)
-
-    # A name ending in "a" or "b" acts on that part's leg; a bare generator
-    # name is the total, the sum of both legs.
-    ops = {}
-    for which, (tag, part) in enumerate((("a", part_a), ("b", part_b))):
-        k = np.diag(part.image("K1"))
-        ops.update(
-            {
-                "P" + tag: (part.image("P1"), which),
-                "K" + tag: (k, which),
-                "H" + tag: (part.image("H"), which),
-                "M" + tag: (np.diag(part.image("M")), which),
-                "X" + tag: (k / part.mass, which),
-            }
-        )
-    ops.update({label: (label + "a", label + "b") for label in "PKHM"})
+    states = [part.mask.random_states(n_states, rng) for part in (part_a, part_b)]
     m_a, m_b = part_a.mass, part_b.mass
-    psi = (states_a.T[:, :, None], states_b.T[:, :, None])
-    products = {(): psi}
-
-    records: dict[str, list[np.ndarray]] = {}
-
-    def record(law: str, lhs: list, c: complex = 0.0, expected: tuple = psi) -> None:
-        """``lhs = c * expected`` for ``lhs`` a list of ``(coefficient, state)``
-        terms: the residual of each state, relative to ``c * expected``, or to
-        the first term when c is 0, as in :func:`_relative_residual`."""
-        num = _factored_norms(*lhs, *([(-c, expected)] if c else []))
-        den = _factored_norms(*([(c, expected)] if c else lhs[:1]))
-        ratio = np.where(num == 0.0, 0.0, np.inf)
-        np.divide(num, den, out=ratio, where=den > 0.0)
-        records.setdefault(law, []).append(ratio)
-
-    def act(*names: str) -> tuple:
-        return leg_product(ops, products, names)
 
     def comm(f: str, g: str) -> list:
-        return [(1, act(f, g)), (-1, act(g, f))]
+        return [(1, f, g), (-1, g, f)]
 
-    record("[K,P] = ihbar*M (totals)", comm("K", "P"), 1j * (m_a + m_b))
-    record("[K,H] = ihbar*P (totals)", comm("K", "H"), 1j, act("P"))
-    record("[P,H] = 0 (totals)", comm("P", "H"))
+    # Each law as (text, lhs, c, expected): lhs = c * expected, for lhs a list
+    # of (coefficient, *names) products; the residual is relative to
+    # c * expected, or to the first product when c is 0, as in
+    # :func:`_relative_residual`.
+    laws = [
+        ("[K,P] = ihbar*M (totals)", comm("K", "P"), 1j * (m_a + m_b), ()),
+        ("[K,H] = ihbar*P (totals)", comm("K", "H"), 1j, ("P",)),
+        ("[P,H] = 0 (totals)", comm("P", "H"), 0, ()),
+    ]
     for tag, m_r in (("a", m_a), ("b", m_b)):
         x_r, p_r = "X" + tag, "P" + tag
-        record("[P_total, X_part] = -ihbar", comm("P", x_r), -1j)
-        record("[P_total, P_part] = 0", comm("P", p_r))
-        record("[K_total, X_part] = 0", comm("K", x_r))
-        record("[K_total, P_part] = ihbar*m_part", comm("K", p_r), 1j * m_r)
-    record("M_total = (m_a + m_b)*identity", [(1, act("M"))], m_a + m_b)
-    record("cross-part generators commute", comm("Ka", "Pb"))
+        laws += [
+            ("[P_total, X_part] = -ihbar", comm("P", x_r), -1j, ()),
+            ("[P_total, P_part] = 0", comm("P", p_r), 0, ()),
+            ("[K_total, X_part] = 0", comm("K", x_r), 0, ()),
+            ("[K_total, P_part] = ihbar*m_part", comm("K", p_r), 1j * m_r, ()),
+        ]
+    laws += [
+        ("M_total = (m_a + m_b)*identity", [(1, "M")], m_a + m_b, ()),
+        ("cross-part generators commute", comm("Ka", "Pb"), 0, ()),
+    ]
+    # The numerator and the denominator of every law, in turn.
+    sides = [
+        _leg_terms(side)
+        for _, lhs, c, expected in laws
+        for side in (([*lhs, (-c, *expected)], [(c, *expected)]) if c else (lhs, lhs[:1]))
+    ]
 
+    words, r_factors = [], []
+    for leg, part in enumerate((part_a, part_b)):
+        k = np.diag(part.image("K1"))
+        ops = {"P": part.image("P1"), "K": k, "H": part.image("H"), "M": np.diag(part.image("M")),
+               "X": k / part.mass}
+        # Every word with its suffixes, shortest first: each is one operator
+        # applied to a word already applied, a diagonal one elementwise.
+        applied = {"": states[leg]}
+        for word in sorted({key[leg][i:] for side in sides for key in side for i in range(len(key[leg]))},
+                           key=lambda w: (len(w), w)):
+            op, rest = ops[word[0]], applied[word[1:]]
+            applied[word] = op[:, None] * rest if op.ndim == 1 else op @ rest
+        words.append({word: i for i, word in enumerate(applied)})
+        r_factors.append(np.linalg.qr(np.stack(list(applied.values()), axis=-1).transpose(1, 0, 2), mode="r"))
+
+    def norms(terms: dict) -> np.ndarray:
+        """||R_a[:, I] diag(c) R_b[:, J]^T||_F per test state, for the
+        ``terms`` {(word I, word J): c}."""
+        r_a, r_b = (r[..., [words[leg][key[leg]] for key in terms]] for leg, r in enumerate(r_factors))
+        return np.linalg.norm((r_a * np.array(list(terms.values()))) @ np.swapaxes(r_b, -1, -2), axis=(-2, -1))
+
+    records: dict[str, list[np.ndarray]] = {}
+    for (text, *_), num_terms, den_terms in zip(laws, sides[::2], sides[1::2]):
+        num, den = norms(num_terms), norms(den_terms)
+        ratio = np.where(num == 0.0, 0.0, np.inf)
+        np.divide(num, den, out=ratio, where=den > 0.0)
+        records.setdefault(text, []).append(ratio)
     return _bracket_detail(
         f"additive-pair({part_a.name}, {part_b.name})",
         f"products of masked states: {part_a.mask.description}",

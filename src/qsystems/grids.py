@@ -7,12 +7,9 @@ DFT: each spectral operator is a circulant, gathered from one inverse FFT of
 its symbol.  Exact canonical commutators are impossible in finite
 dimensions, so every consumer of these operators restricts its claims to
 band-limited, interior-localized states: the :class:`DomainMask` of
-:func:`band_limited_mask`.  The additive Galilei pair draws product test
-states from such masks and applies one-particle operators leg by leg with
-:func:`leg_product`, so no n^2 x n^2 matrix is formed.  It carries every
-state, a sum of products, as factor stacks ``(U, V)`` of shape
-``(n_states, n, k)`` with ``psi_s = U_s V_s^T``, on which a leg operator acts
-on one factor.
+:func:`band_limited_mask`.  The two-particle checks draw product test states
+from such masks and apply one-particle operators leg by leg, so no
+n^2 x n^2 matrix is formed.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "periodic_distance",
     "DomainMask",
     "band_limited_mask",
-    "leg_product",
 ]
 
 
@@ -109,7 +105,7 @@ def periodic_distance(values: np.ndarray, length: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Masked test states and two-particle leg products
+# Masked test states
 # --------------------------------------------------------------------------
 
 
@@ -157,41 +153,3 @@ def band_limited_mask(grid: GridSpec) -> DomainMask:
         f"of {n} (lowest {_BAND_FRACTION:.0%} of momentum modes); dim {basis.shape[1]}"
     )
     return DomainMask(basis=basis, description=description)
-
-
-def _apply_factor(op: np.ndarray, which: int, psi: tuple[np.ndarray, np.ndarray]):
-    """Apply the one-particle operator ``op`` on leg ``which`` (0 or 1) of the
-    factor stacks ``psi = (U, V)``: ``op`` multiplies that factor, as a dense
-    matrix or as the vector of its diagonal, which then acts elementwise."""
-    leg = psi[which]
-    if op.ndim == 1:
-        leg = op[:, None] * leg
-    else:  # one matrix product over the columns of every state
-        s, n, k = leg.shape
-        leg = (op @ leg.transpose(1, 0, 2).reshape(n, s * k)).reshape(n, s, k).transpose(1, 0, 2)
-    return (leg, psi[1]) if which == 0 else (psi[0], leg)
-
-
-def leg_product(ops: dict, products: dict, names: tuple[str, ...]):
-    """The operator product ``names`` applied to the factor stacks
-    ``products[()]``; ("K", "P") is K(P(psi)).
-
-    ``ops`` maps a name to ``(op, which)``, applied by :func:`_apply_factor`,
-    or to a tuple of names, whose operators it sums in that order:
-    ``"P": ("Pa", "Pb")``.  A sum of factored states concatenates their
-    factors.  ``products`` memoizes every partial product, so each is
-    computed once.
-
-    A module-level function, so that no closure refers to itself: such a
-    cycle would keep the memo alive after the call until the cyclic garbage
-    collector happened to run.
-    """
-    if names not in products:
-        entry, rest = ops[names[0]], names[1:]
-        if isinstance(entry[0], str):
-            terms = [leg_product(ops, products, (term, *rest)) for term in entry]
-            products[names] = tuple(np.concatenate(f, axis=-1) for f in zip(*terms))
-        else:
-            op, which = entry
-            products[names] = _apply_factor(op, which, leg_product(ops, products, rest))
-    return products[names]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qsystems import dynamics, epr_bell, suites
+from qsystems import dynamics, epr_bell, suites, symmetry
 from qsystems.cli import SUITE_NAMES, _seed, main
 
 FAST_BELL = {"bell": {"n_samples": 10_000, "n_random_settings": 2}}
@@ -206,9 +206,11 @@ def test_vacuous_sample_count_reports_error(command, section, key, tmp_path, cap
     assert "Traceback" not in err
 
 
-def test_check_that_measures_nothing_reports_error(tmp_path, capsys):
-    # No case has an antisymmetric sector, so no pair of sector states is drawn.
-    cfg = write_config(tmp_path, {"symmetry": {"cases": [[3, 2], [4, 2]]}})
+def test_check_that_measures_nothing_reports_error(tmp_path, capsys, monkeypatch):
+    # Every antisymmetric sector reads rank 0, so no pair of sector states is
+    # drawn.  A config whose cases all have d < n exits 2 before any suite runs.
+    monkeypatch.setattr(symmetry, "projector_rank", lambda blocks: 0)
+    cfg = write_config(tmp_path, {"symmetry": {"cases": [[2, 2], [3, 2]]}})
     out = tmp_path / "report.json"
     assert main(["symmetry", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -522,6 +524,9 @@ def test_partial_nested_section_keeps_sibling_defaults(tmp_path, capsys):
                        "weak_coupling": {"masses": [0.01, 0.01]}}}, "it is 9.88e-10 of it"),
         ({"dynamics": {"relative": {"well_depth": 1e-5, "v2_scale": 0, "v3_scale": 0},
                        "weak_coupling": {"n_sites": 256}}}, "it is 9.89e-10 of it"),
+        # Exited 2 after the axioms suite had run, on symmetry/sector-orthogonality
+        # measuring nothing, a message that named no key.
+        ({"symmetry": {"cases": [[3, 2]]}}, "symmetry.cases must hold a case [n, d] with d >= n, got [[3, 2]]"),
     ],
 )
 def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, capsys, monkeypatch):
@@ -567,6 +572,7 @@ def test_all_validates_every_section_before_any_suite_runs(doc, path, tmp_path, 
          "axioms.atom_pool must hold at most 64 distinct atoms, got 100"),
         ("epr", {"epr": {"separation": 7.0}}, "epr.separation 7 leave the pair envelope"),
         ("epr", {"epr": {"width": 0.7, "wide_width": 1.0}}, "epr.width 0.7 and epr.separation 1"),
+        ("symmetry", {"symmetry": {"cases": [[3, 2]]}}, "symmetry.cases must hold a case [n, d] with d >= n"),
     ],
 )
 def test_unknown_or_mistyped_config_key_reports_error(command, doc, path, tmp_path, capsys):
@@ -705,8 +711,8 @@ _VALID_SECTIONS = {
         atom_pool=st.lists(st.sampled_from("abcdefghijk"), min_size=1, max_size=10),
         spin_values=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), max_size=2, unique=True),
         grid_length=st.floats(4.0, 32.0), grid_masses=_pair(0.5, 3.0)),
-    # A case with d >= n keeps sector-orthogonality measuring: without one it
-    # measures nothing and exits 2 (test_check_that_measures_nothing_reports_error).
+    # A section needs a case with d >= n, whose antisymmetric sector
+    # sector-orthogonality draws from; without one it exits 2.
     "symmetry": _keys(
         {"n_random": st.integers(1, 3)},
         cases=st.lists(st.sampled_from([[2, 2], [2, 3], [3, 2], [3, 3], [4, 2], [2, 4]]),

@@ -14,7 +14,7 @@ from qsystems.galilei import (
     build_grid_rep,
     build_spin_rep,
     casimir_squared,
-    position_momentum_residuals,
+    position_momentum_residual,
     verify_additive_grid_pair,
     verify_rep,
     verify_structure,
@@ -45,6 +45,18 @@ def largest_residual(detail):
 
 def ih(label, coeff=1):
     return {label: coeff}
+
+
+def position_momentum_delta(rep, states):
+    """([X, P] - i) applied to the columns of ``states``, densely."""
+    x, p = rep.image("K1") / rep.mass, rep.image("P1")
+    return x @ (p @ states) - p @ (x @ states) - 1j * states
+
+
+def sampled_position_momentum_residuals(rep, n_states, seed):
+    """Oracle: the residuals of ``n_states`` random unit states of the band."""
+    return np.linalg.norm(position_momentum_delta(rep, rep.mask.random_states(n_states, np.random.default_rng(seed))),
+                          axis=0)
 
 
 class TestExactLayer:
@@ -191,10 +203,27 @@ class TestGridRep:
         assert np.linalg.norm((xp - px) - 1j * psi) <= 1e-6
 
     def test_masked_state_residuals(self):
+        # The band's worst unit state bounds every sampled state's residual,
+        # and equals the spectral norm of ([X,P] - i)B over the mask basis B.
         rep = build_grid_rep(128, 16.0, 1.0)
-        residuals = position_momentum_residuals(rep, n_states=20, seed=7)
-        assert residuals.shape == (20,)
-        assert residuals.max() <= 1e-6
+        worst = position_momentum_residual(rep)
+        assert worst <= 1e-6
+        sampled = sampled_position_momentum_residuals(rep, n_states=20, seed=7)
+        assert sampled.shape == (20,)
+        assert sampled.max() <= worst * (1 + 1e-9)
+        assert abs(worst - np.linalg.norm(position_momentum_delta(rep, rep.mask.basis), 2)) <= 1e-6 * worst
+
+    @pytest.mark.parametrize("n_sites", [49, 50, 64, 128, 257])
+    def test_band_residual_is_attained_by_its_worst_state(self, n_sites):
+        # The top right singular vector of ([X,P] - i)B is a unit state of
+        # the band whose residual is the reported value, up to the roundoff
+        # of applying [X,P] again (about 1e-15 absolute).
+        rep = build_grid_rep(n_sites, 16.0, 1.0)
+        delta = position_momentum_delta(rep, rep.mask.basis)
+        worst = rep.mask.basis @ np.linalg.svd(delta)[2][0].conj()
+        residual = np.linalg.norm(position_momentum_delta(rep, worst[:, None]))
+        assert abs(position_momentum_residual(rep) - residual) <= 1e-6 * residual + 1e-13
+        assert position_momentum_residual(rep) <= 1e-6
 
     def test_bracket_residuals_masked(self):
         verification = verify_rep(build_grid_rep(128, 16.0, 1.0))
@@ -207,7 +236,7 @@ class TestGridRep:
 
     def test_mask_requires_grid(self):
         with pytest.raises(ValueError):
-            position_momentum_residuals(build_spin_rep(0.5))
+            position_momentum_residual(build_spin_rep(0.5))
 
 
 class TestAdditive:
@@ -330,11 +359,12 @@ def unmemoized_pair_residuals(part_a, part_b, n_states, seed):
 
 
 def test_additive_pair_matches_unmemoized_dense_oracle():
-    # The factored evaluation sums in another order than the dense oracle, so
-    # the two agree to a relative 1e-4 on the physical residuals and within
+    # The per-leg QR evaluation sums in another order than the dense oracle,
+    # so the two agree to a relative 1e-4 on the physical residuals and within
     # 1e-13 on the laws that hold to roundoff.  At n=32 the residuals (about
-    # 5e-2) fail the check, so failing values are compared too.
-    for n_sites in (32, 64):
+    # 5e-2) fail the check, so failing values are compared too; n=128 is the
+    # shipped size.
+    for n_sites in (32, 64, 128):
         a = build_grid_rep(n_sites, 16.0, 1.0)
         b = build_grid_rep(n_sites, 16.0, 1.5)
         for seed in (0, 4, 7):
@@ -380,6 +410,24 @@ def test_verification_report_serializable():
     json.dumps(doc, allow_nan=False)
 
 
+def test_additive_pair_takes_one_qr_per_leg(monkeypatch):
+    # Every law's norms come from the same two triangular factors; one QR per
+    # law record would take 26 pairs of calls.
+    a = build_grid_rep(128, 16.0, 1.0)
+    b = build_grid_rep(128, 16.0, 1.5, mask=a.mask)
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    verify_additive_grid_pair(a, b, n_states=20, seed=0)
+    assert len(calls) == 2
+    assert all(shape[:2] == (20, 128) for shape in calls)
+
+
 def test_additive_pair_memo_is_freed_on_return():
     # The per-state memo of operator products is large; a reference cycle
     # would keep it until the cyclic collector happened to run.
@@ -396,7 +444,7 @@ def test_additive_pair_memo_is_freed_on_return():
 
 def test_additive_pair_stays_small_at_a_large_grid():
     # Dense (n, n) product states of 20 test states took 265 MiB at n=512;
-    # factor stacks of width k take 20 * n * k entries each.
+    # the per-leg word stacks of w words take 20 * n * w entries each.
     a = build_grid_rep(512, 16.0, 1.0)
     b = build_grid_rep(512, 16.0, 1.5)
     tracemalloc.start()

@@ -398,3 +398,52 @@ def test_screen_needs_the_generators_to_generate_the_table():
     )
     assert not suites._triples_cannot_fail(assoc, part, generators)
     assert suites._triple_failures(assoc, part, np.zeros((4, 4), dtype=bool)) > 0
+
+
+def _transitive_by_brute_force(part: np.ndarray) -> bool:
+    """P.P <= P, by a loop over the middle individual y of every (x, y, z)."""
+    reach = np.zeros_like(part)
+    for y in range(len(part)):
+        reach |= part[:, y, None] & part[None, y, :]
+    return not (reach & ~part).any()
+
+
+def _closure(relation: np.ndarray) -> np.ndarray:
+    while True:
+        wider = relation | (relation.astype(np.float32) @ relation.astype(np.float32) > 0)
+        if np.array_equal(wider, relation):
+            return relation
+        relation = wider
+
+
+def _without_one_pair(relation: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``relation`` with one random pair (x, z), x != z, removed."""
+    pairs = np.argwhere(relation & ~np.eye(len(relation), dtype=bool))
+    x, z = pairs[rng.integers(len(pairs))]
+    out = relation.copy()
+    out[x, z] = False
+    return out
+
+
+def test_transitivity_screen_matches_brute_force_over_256_individuals():
+    # The association table of an 8-atom pool passes the screen's generation
+    # and Light's test, so its verdict is the transitivity of ``part`` alone.
+    ids = np.arange(256)
+    assoc = (ids[:, None] | ids[None, :]).astype(np.uint8)
+    generators = [0] + [1 << i for i in range(8)]
+    subset = (ids[:, None] & ~ids[None, :]) == 0
+    rng = np.random.default_rng(0)
+    relations = [subset, *(rng.random((256, 256)) < p for p in (0.0005, 0.004, 0.5))]
+    for density in (0.001, 0.003, 0.01):
+        closed = _closure((rng.random((256, 256)) < density) | np.eye(256, dtype=bool))
+        relations += [closed, *(_without_one_pair(closed, rng) for _ in range(4))]
+    # Removing a covering pair x < z (z has one atom more) keeps the order
+    # transitive; removing any other pair x < z breaks it.
+    relations += [_without_one_pair(subset, rng) for _ in range(4)]
+    covering = subset.copy()
+    covering[0b0001, 0b0011] = False
+    relations.append(covering)
+    verdicts = [_transitive_by_brute_force(part) for part in relations]
+    assert True in verdicts and False in verdicts
+    for part, transitive in zip(relations, verdicts):
+        assert suites._triples_cannot_fail(assoc, part, generators) == transitive
