@@ -327,7 +327,7 @@ def momentum_conservation_residual(
     construction guarantees.  T1, T2 and P_total are sums of one-leg
     operators diagonal in momentum, so they act on the legs of all states by
     1-d FFTs, and H P psi and P H psi are sums of leg products, but for
-    P_total (V psi): one 2-d FFT pair.  Both are formed in full and
+    P_total (V psi): one 2-d FFT pair, in place.  Both are formed in full and
     subtracted one state at a time, so a few n x n arrays are live at once.
     No n^2 x n^2 array, nor any n x n operator, is formed.
     """
@@ -353,10 +353,15 @@ def momentum_conservation_residual(
     residuals = np.zeros(_MOMENTUM_STATES)
     for s in range(_MOMENTUM_STATES):
         hp = products((t1pa[s], b[s]), (t1a[s], pb[s]), (pa[s], t2b[s]), (a[s], t2pb[s]))
-        hp += v * products((pa[s], b[s]), (a[s], pb[s]))
+        v_terms = products((pa[s], b[s]), (a[s], pb[s]))
+        v_terms *= v
+        hp += v_terms
         ph = products((pt1a[s], b[s]), (t1a[s], pb[s]), (pa[s], t2b[s]), (a[s], pt2b[s]))
-        ph += np.fft.ifft2(k_total * np.fft.fft2(v * products((a[s], b[s])), norm="ortho"), norm="ortho")
+        v_psi = products((a[s], b[s]))
+        v_psi *= v
+        ph += grids.apply_symbol_2d(v_psi, k_total)
         scale = np.maximum(norm(hp), norm(ph))
         if scale != 0.0:  # both products vanish at scale 0, and NaN stays NaN
-            residuals[s] = norm(hp - ph) / scale
+            hp -= ph
+            residuals[s] = norm(hp) / scale
     return residuals

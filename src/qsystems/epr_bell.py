@@ -4,10 +4,13 @@ CHSH value, and local hidden-variable models for the classical bound.
 
 The pair state carries a Gaussian of width ``w`` in the relative coordinate
 (a normalizable stand-in for a sharp separation) times a plane wave in the
-center of mass.  The CHSH machinery is purely spin-1/2: correlations are
-contracted with the singlet for a stack of analyzer pairs at once, classical
-models by exact arc integration over the hidden variable and by seeded Monte
-Carlo.  Units have hbar = 1.
+center of mass.  Its circulant envelope and the relative position are
+strided views (:func:`grids.circulant`), so no (n, n) index array is formed,
+and the pair check writes every product and 2-d FFT into a few (n, n) work
+arrays that live for the call.  The CHSH machinery is purely spin-1/2:
+correlations are contracted with the singlet for a stack of analyzer pairs
+at once, classical models by exact arc integration over the hidden variable
+and by seeded Monte Carlo.  Units have hbar = 1.
 
 The measurements return plain values or the report detail they fill:
 :func:`commuting_pair_check` a dict of its two residuals and five moments,
@@ -32,7 +35,6 @@ __all__ = [
     "EPRConfig",
     "build_epr_state",
     "relative_position_values",
-    "total_momentum_apply",
     "momentum_moments",
     "commuting_pair_check",
     "conditional_inference",
@@ -157,23 +159,24 @@ def build_epr_state(cfg: EPRConfig) -> StateVector:
     The Gaussian argument is wrapped to the principal interval, so the
     relative-separation distribution has mean ``a`` and standard deviation
     ``w`` regardless of where the box seam sits.  The state is a circulant
-    envelope times an outer product of phases, so it is gathered from the n
-    values of :func:`_epr_factors` and normalized by the norm of the array
-    built.
+    envelope times an outer product of phases, so it is written from the n
+    values of :func:`_epr_factors` into one (n, n) array and normalized by
+    the norm of the array built.
     """
     envelope, phase = _epr_factors(cfg)
-    sites = np.arange(cfg.n_sites)
-    psi = envelope[(sites[:, None] - sites[None, :]) % cfg.n_sites] * phase[:, None]
+    n = cfg.n_sites
+    psi = np.multiply(grids.circulant(envelope), phase[:, None], out=np.empty((n, n), np.complex128))
     psi *= phase[None, :]
     psi /= norm(psi)
-    return StateVector(SpaceSpec((cfg.n_sites, cfg.n_sites)), psi.reshape(-1))
+    return StateVector(SpaceSpec((n, n)), psi.reshape(-1))
 
 
 def relative_position_values(cfg: EPRConfig) -> np.ndarray:
-    """Diagonal of the wrapped relative-position observable, as an (n, n) array: the
-    site offset (i - j) mod n in [-n//2, n - n//2) times the spacing, exactly shift invariant."""
-    n, sites = cfg.n_sites, np.arange(cfg.n_sites)
-    return ((sites[:, None] - sites[None, :] + n // 2) % n - n // 2) * cfg.grid.spacing
+    """Diagonal of the wrapped relative-position observable, as a read-only
+    (n, n) :func:`grids.circulant` view: the site offset (i - j) mod n in
+    [-n//2, n - n//2) times the spacing, exactly shift invariant."""
+    n = cfg.n_sites
+    return grids.circulant(((np.arange(n) + n // 2) % n - n // 2) * cfg.grid.spacing)
 
 
 def _total_momentum(cfg: EPRConfig) -> np.ndarray:
@@ -182,32 +185,51 @@ def _total_momentum(cfg: EPRConfig) -> np.ndarray:
     return k[:, None] + k[None, :]
 
 
-def total_momentum_apply(psi_grid: np.ndarray, cfg: EPRConfig) -> np.ndarray:
-    """Apply the total momentum spectrally to an (n, n) pair wavefunction."""
-    return np.fft.ifft2(_total_momentum(cfg) * np.fft.fft2(psi_grid, norm="ortho"), norm="ortho")
-
-
 def _pair_grid(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
     return psi.amplitudes.reshape(cfg.n_sites, cfg.n_sites)
+
+
+def _spectrum(psi: StateVector, cfg: EPRConfig) -> np.ndarray:
+    """The pair state's unitary 2-d FFT, written into a new (n, n) array."""
+    grid = _pair_grid(psi, cfg)
+    return np.fft.fft2(grid, norm="ortho", out=np.empty_like(grid))
 
 
 def momentum_moments(psi: StateVector, cfg: EPRConfig) -> tuple[float, float, float]:
     """The mean and variance of the total momentum and the variance of the
     relative momentum on the pair state ``psi``, read from its one 2-d FFT."""
-    return _spectral_moments(np.fft.fft2(_pair_grid(psi, cfg), norm="ortho"), cfg)
+    return _spectral_moments(_spectrum(psi, cfg), cfg, _total_momentum(cfg))
 
 
-def _spectral_moments(spectrum: np.ndarray, cfg: EPRConfig) -> tuple[float, float, float]:
-    """:func:`momentum_moments` from the pair state's unitary 2-d FFT."""
+def _spectral_moments(spectrum: np.ndarray, cfg: EPRConfig,
+                      k_total: np.ndarray) -> tuple[float, float, float]:
+    """:func:`momentum_moments` from the pair state's unitary 2-d FFT and the
+    total momentum of :func:`_total_momentum`.  Each moment is summed from
+    one of three real (n, n) work arrays, written in the order of
+    ``sum(prob * (k - mean)**2)``, so the sums add the same values."""
     k = grids.momentum_values(cfg.grid)
-    ksum = _total_momentum(cfg)
-    krel = 0.5 * (k[:, None] - k[None, :])
-    prob_k = np.abs(spectrum) ** 2
-    mean_p = float(np.sum(prob_k * ksum))
-    var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
-    mean_rel = float(np.sum(prob_k * krel))
-    var_rel = float(np.sum(prob_k * (krel - mean_rel) ** 2))
+    prob_k = np.abs(spectrum)
+    np.square(prob_k, out=prob_k)
+    work = np.multiply(prob_k, k_total)
+    mean_p = float(np.sum(work))
+    np.square(np.subtract(k_total, mean_p, out=work), out=work)
+    var_p = float(np.sum(np.multiply(prob_k, work, out=work)))
+    krel = np.subtract.outer(k, k)
+    krel *= 0.5
+    mean_rel = float(np.sum(np.multiply(prob_k, krel, out=work)))
+    np.square(np.subtract(krel, mean_rel, out=krel), out=krel)
+    var_rel = float(np.sum(np.multiply(prob_k, krel, out=krel)))
     return mean_p, var_p, var_rel
+
+
+def _shift_one_site(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.roll(values, 1, axis=(0, 1))``, both particles one site on,
+    written into ``out``."""
+    out[1:, 1:] = values[:-1, :-1]
+    out[1:, :1] = values[:-1, -1:]
+    out[:1, 1:] = values[-1:, :-1]
+    out[:1, :1] = values[-1:, -1:]
+    return out
 
 
 def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> dict:
@@ -224,28 +246,37 @@ def commuting_pair_check(psi: StateVector, cfg: EPRConfig) -> dict:
     sharp to the regularization width, the total momentum is exactly sharp by
     construction, and the conjugate spread of order 1/w^2 sits entirely in
     the relative momentum.  The moments and ``P_total psi`` share one 2-d FFT
-    of the state.
+    of the state.  Every product is written with ``out=`` into one of two
+    complex and a few real (n, n) work arrays, which live for the call alone.
     """
+    k_total = _total_momentum(cfg)
+    p_psi = _spectrum(psi, cfg)
+    mean_p, var_p, var_rel = _spectral_moments(p_psi, cfg, k_total)
+    p_psi *= k_total
+    # numpy's ifft2 drops its out=; ifftn over both axes keeps it, same bits.
+    np.fft.ifftn(p_psi, axes=(-2, -1), norm="ortho", out=p_psi)
     psi = _pair_grid(psi, cfg)
-    spectrum = np.fft.fft2(psi, norm="ortho")
-    mean_p, var_p, var_rel = _spectral_moments(spectrum, cfg)
-    p_psi = np.fft.ifft2(_total_momentum(cfg) * spectrum, norm="ortho")
-    del spectrum
     d = relative_position_values(cfg)
-    prob = np.abs(psi) ** 2
+    prob = np.abs(psi)
+    np.square(prob, out=prob)
+    work = np.multiply(prob, d, out=np.empty_like(prob))
+    mean_d = float(np.sum(work))
+    np.square(np.subtract(d, mean_d, out=work), out=work)
+    var_d = float(np.sum(np.multiply(prob, work, out=work)))
+    del work  # a real work array goes after its last use, to keep the peak low
 
-    mean_d = float(np.sum(prob * d))
-    var_d = float(np.sum(prob * (d - mean_d) ** 2))
-    del prob  # each (n, n) temporary goes after its last use, to keep the peak low
+    d_psi = grids.apply_symbol_2d(np.multiply(d, psi, out=np.empty_like(psi)), k_total)
+    del k_total
+    p_psi *= d
+    p_psi -= d_psi  # d P psi - P d psi
+    state_residual = norm(p_psi)
 
-    commutator = d * p_psi - total_momentum_apply(d * psi, cfg)
-    state_residual = norm(commutator)
-    del p_psi, commutator
-
-    shifted = np.roll(psi, 1, axis=(0, 1))
-    shift_comm = d * shifted - np.roll(d * psi, 1, axis=(0, 1))
-    shift_scale = norm(d * shifted)
-    shift_residual = norm(shift_comm) / shift_scale if shift_scale > 0 else 0.0
+    shifted = _shift_one_site(psi, out=d_psi)
+    d_shifted = np.multiply(d, shifted, out=p_psi)
+    shift_scale = norm(d_shifted)
+    # np.roll(d * psi, 1, axis=(0, 1)) is the shifted d times the shifted psi.
+    d_shifted -= np.multiply(_shift_one_site(d, out=prob), shifted, out=shifted)
+    shift_residual = norm(d_shifted) / shift_scale if shift_scale > 0 else 0.0
 
     return {
         "commutator_state_residual": state_residual,

@@ -142,9 +142,14 @@ class AlgebraRep:
         for lab, mat in self.images.items():
             if np.max(np.abs(mat - mat.conj().T)) > _VALIDATE_ATOL:
                 raise ValueError(f"image of {lab} is not hermitian")
-        m_eigs = np.linalg.eigvalsh(self.images["M"])
-        if m_eigs.min() < -_VALIDATE_ATOL:
-            raise ValueError("mass image has a negative eigenvalue")
+        # The hermitian M + atol I has a Cholesky factor when it is positive
+        # definite, that is when every eigenvalue of M lies above -atol: one
+        # factorization in place of an eigensolve.
+        mass = self.images["M"]
+        try:
+            np.linalg.cholesky(mass + _VALIDATE_ATOL * np.eye(mass.shape[0]))
+        except np.linalg.LinAlgError:
+            raise ValueError("mass image has a negative eigenvalue") from None
 
 
 def _zeros(d: int) -> np.ndarray:

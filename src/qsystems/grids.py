@@ -3,8 +3,10 @@ wavepacket code.
 
 One spatial dimension, ``n`` sites on a box of length ``L`` with positions
 ``x_k = (k - n//2) * L/n``, momenta realized spectrally through the unitary
-DFT: each spectral operator is a circulant, gathered from one inverse FFT of
-its symbol.  Exact canonical commutators are impossible in finite
+DFT: each spectral operator is a :func:`circulant`, a strided view of one
+inverse FFT of its symbol, hermitized into the one array it returns, and a
+symbol on the two-particle grid is applied in place by
+:func:`apply_symbol_2d`.  Exact canonical commutators are impossible in finite
 dimensions, so every consumer of these operators restricts its claims to
 band-limited, interior-localized states: the :class:`DomainMask` of
 :func:`band_limited_mask`.  The two-particle checks draw product test states
@@ -23,6 +25,8 @@ __all__ = [
     "MIN_SITES",
     "position_values",
     "momentum_values",
+    "circulant",
+    "apply_symbol_2d",
     "momentum_operator",
     "kinetic_operator",
     "wrap_displacement",
@@ -68,17 +72,40 @@ def momentum_values(grid: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_sites, d=grid.spacing)
 
 
+def circulant(column: np.ndarray) -> np.ndarray:
+    """The (n, n) circulant whose entry [i, j] is ``column[(i - j) % n]``, as a
+    read-only strided view of one array of 2n - 1 values, ``column[::-1]``
+    followed by ``column[:0:-1]``.  Row i is the window that starts n - 1 - i
+    values in, so each row is contiguous and no index array is formed."""
+    n = column.size
+    reversed_column = column[::-1]
+    doubled = np.concatenate((reversed_column, reversed_column[:-1]))
+    return np.lib.stride_tricks.sliding_window_view(doubled, n)[::-1]
+
+
+def apply_symbol_2d(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The operator diagonal in 2-d momentum with ``symbol`` applied in place
+    to the complex (n, n) array ``values``, by one unitary 2-d FFT pair that
+    writes back into it; returns ``values``."""
+    np.fft.fft2(values, norm="ortho", out=values)
+    values *= symbol
+    # numpy's ifft2 drops its out=, so the inverse is ifftn over the same two
+    # axes, which takes it and gives the same bits.
+    return np.fft.ifftn(values, axes=(-2, -1), norm="ortho", out=values)
+
+
 def _spectral_operator(column: np.ndarray) -> np.ndarray:
     """Hermitized F^H diag(v) F, with F the unitary DFT, from its first
     column ``ifft(v)``.
 
-    The product is the circulant whose entry [j, l] is ``column[(j - l) % n]``,
-    so one index gather builds it in O(n^2).
+    The product is the :func:`circulant` of the column, so the hermitized
+    matrix is written in O(n^2) into the one array it returns.
     """
-    n = column.size
-    sites = np.arange(n)
-    op = column[(sites[:, None] - sites[None, :]) % n]
-    return 0.5 * (op + op.conj().T)
+    op = circulant(column)
+    hermitized = np.conjugate(op.T, out=np.empty(op.shape, op.dtype))
+    hermitized += op
+    hermitized *= 0.5
+    return hermitized
 
 
 def momentum_operator(grid: GridSpec) -> np.ndarray:

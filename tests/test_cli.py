@@ -895,7 +895,8 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     workloads = json.loads(
         (Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text(encoding="utf-8")
     )
-    for command, workload in (("all", "default"), ("symmetry", "many-body"), ("dynamics", "many-body")):
+    for command, workload in (("all", "default"), ("symmetry", "many-body"), ("dynamics", "many-body"),
+                              ("epr", "fine-grid")):
         config = tmp_path / f"{workload}.json"
         config.write_text(json.dumps(workloads["workloads"][workload]["config"]))
         reports = []

@@ -634,7 +634,9 @@ def batched_momentum_residuals(grid, masses, pot, seed):
 @pytest.mark.parametrize(
     "n_sites, length, masses, seed, central",
     [(51, 16.0, (1.0, 1.5), 0, True), (64, 16.0, (1.0, 1.5), 3, True), (64, 16.0, (1.0, 1.0), 1, False),
-     (97, 8.0, (0.7, 2.0), 2, True), (128, 16.0, (1.0, 1.5), 0, True)],
+     (97, 8.0, (0.7, 2.0), 2, True), (128, 16.0, (1.0, 1.5), 0, True)]
+    + [(n_sites, 16.0, (1.0, 1.5), seed, True)
+       for n_sites, seeds in ((51, (1, 2)), (64, (0, 1, 2)), (256, (0, 1, 2))) for seed in seeds],
 )
 def test_state_by_state_residuals_equal_the_batched_oracle_bit_for_bit(n_sites, length, masses, seed, central):
     grid, pot = GridSpec(n_sites, length), gaussian_well() if central else FREE

@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from qsystems import epr_bell, grids, suites
-from qsystems.hilbert import pauli_matrices
-from test_negative_controls import dropped_jump_a, shifted_jumps_a, signalling_partner
+from qsystems.hilbert import norm, pauli_matrices
+from test_negative_controls import (
+    dropped_jump_a,
+    relative_position_unwrapped,
+    shifted_jumps_a,
+    signalling_partner,
+)
 from qsystems.epr_bell import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -361,6 +366,104 @@ def _oracle_config(n, separation, mode):
         momentum_mode=mode,
         width=max(0.25, 2.0 * length / n),
     )
+
+
+# Oracles: the pair layer that the strided, in-place one replaced.  Each
+# circulant is gathered through (n, n) int64 index arrays, and every product
+# and 2-d FFT is a fresh array.
+def gathered_epr_state(cfg):
+    envelope, phase = epr_bell._epr_factors(cfg)
+    sites = np.arange(cfg.n_sites)
+    psi = envelope[(sites[:, None] - sites[None, :]) % cfg.n_sites] * phase[:, None]
+    psi *= phase[None, :]
+    psi /= norm(psi)
+    return psi.reshape(-1)
+
+
+def gathered_relative_position(cfg):
+    n, sites = cfg.n_sites, np.arange(cfg.n_sites)
+    return ((sites[:, None] - sites[None, :] + n // 2) % n - n // 2) * cfg.grid.spacing
+
+
+def gathered_total_momentum(cfg):
+    k = grids.momentum_values(cfg.grid)
+    return k[:, None] + k[None, :]
+
+
+def gathered_spectral_moments(spectrum, cfg):
+    k = grids.momentum_values(cfg.grid)
+    ksum = gathered_total_momentum(cfg)
+    krel = 0.5 * (k[:, None] - k[None, :])
+    prob_k = np.abs(spectrum) ** 2
+    mean_p = float(np.sum(prob_k * ksum))
+    var_p = float(np.sum(prob_k * (ksum - mean_p) ** 2))
+    mean_rel = float(np.sum(prob_k * krel))
+    var_rel = float(np.sum(prob_k * (krel - mean_rel) ** 2))
+    return mean_p, var_p, var_rel
+
+
+def gathered_pair_check(psi, cfg, relative_position=gathered_relative_position):
+    def total_momentum_apply(psi_grid):
+        spectrum = np.fft.fft2(psi_grid, norm="ortho")
+        return np.fft.ifft2(gathered_total_momentum(cfg) * spectrum, norm="ortho")
+
+    psi = psi.amplitudes.reshape(cfg.n_sites, cfg.n_sites)
+    spectrum = np.fft.fft2(psi, norm="ortho")
+    mean_p, var_p, var_rel = gathered_spectral_moments(spectrum, cfg)
+    p_psi = np.fft.ifft2(gathered_total_momentum(cfg) * spectrum, norm="ortho")
+    d = relative_position(cfg)
+    prob = np.abs(psi) ** 2
+    mean_d = float(np.sum(prob * d))
+    var_d = float(np.sum(prob * (d - mean_d) ** 2))
+    state_residual = norm(d * p_psi - total_momentum_apply(d * psi))
+    shifted = np.roll(psi, 1, axis=(0, 1))
+    shift_comm = d * shifted - np.roll(d * psi, 1, axis=(0, 1))
+    shift_scale = norm(d * shifted)
+    return {
+        "commutator_state_residual": state_residual,
+        "shift_commutator_residual": norm(shift_comm) / shift_scale if shift_scale > 0 else 0.0,
+        "mean_relative_position": mean_d,
+        "var_relative_position": var_d,
+        "mean_total_momentum": mean_p,
+        "var_total_momentum": var_p,
+        "var_relative_momentum": var_rel,
+    }
+
+
+def _gather_configs(n):
+    """The pair config and its wide twin at ``n`` sites: at 44 the non-dyadic
+    one that the fuzz of ``main`` found, elsewhere the oracle geometry."""
+    if n == 44:
+        geometry = {key: value for key, value in NON_DYADIC_EPR.items() if key != "wide_width"}
+        cfg = EPRConfig(length=geometry.pop("length"), **geometry)
+        return cfg, replace(cfg, width=NON_DYADIC_EPR["wide_width"])
+    cfg = _oracle_config(n, 1.0, 3)
+    return cfg, replace(cfg, width=min(2.0 * cfg.width, cfg.length / 8.0))
+
+
+@pytest.mark.parametrize("n", [17, 44, 64, 255, 256, 1024])
+def test_pair_layer_equals_the_index_gather_oracle_bit_for_bit(n):
+    for cfg in _gather_configs(n):
+        psi = build_epr_state(cfg)
+        assert np.array_equal(psi.amplitudes, gathered_epr_state(cfg))
+        assert np.array_equal(relative_position_values(cfg), gathered_relative_position(cfg))
+        assert commuting_pair_check(psi, cfg) == gathered_pair_check(psi, cfg)
+        assert momentum_moments(psi, cfg) == gathered_spectral_moments(
+            np.fft.fft2(psi.amplitudes.reshape(n, n), norm="ortho"), cfg
+        )
+
+
+@pytest.mark.parametrize("n", [44, 256])
+def test_unwrapped_relative_position_still_spoils_the_shift_commutator(monkeypatch, n):
+    # The pair check reads any (n, n) relative position, strided or not: the
+    # negative control's unwrapped x1 - x2 gives the oracle's values, and
+    # breaks the exact shift invariance.
+    cfg, _ = _gather_configs(n)
+    psi = build_epr_state(cfg)
+    relative_position_unwrapped(monkeypatch)
+    spoiled = commuting_pair_check(psi, cfg)
+    assert spoiled == gathered_pair_check(psi, cfg, epr_bell.relative_position_values)
+    assert spoiled["shift_commutator_residual"] > 1e-14
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 256])
@@ -809,16 +912,33 @@ def test_the_benchmark_harness_finds_the_monte_carlo_and_every_bell_check():
 
 
 def test_pair_check_drops_its_grid_temporaries():
-    # At the default 256 sites one (n, n) complex array is 1 MiB; the check
-    # keeps at most about eight of them alive at once.
+    # At the default 256 sites one (n, n) complex array is 1 MiB.  Building
+    # the state and checking it peaks at 4.13 MiB, when the state, two
+    # complex and two real work arrays are live.  With index gathers
+    # and a fresh array per product the peak was 7.5 MiB.  A first call
+    # plans the FFTs, so the test reads the same peak alone and in the suite.
     cfg = pair_config(n_sites=256, length=16.0, separation=1.0, width=0.25)
+    commuting_pair_check(build_epr_state(cfg), cfg)
     tracemalloc.start()
     try:
         commuting_pair_check(build_epr_state(cfg), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20
+    assert peak < 4.63 * 2**20
+
+
+def test_epr_suite_stays_small_at_the_defaults():
+    # The suite holds the pair state while it builds the wide one and reads
+    # its moments: 5.13 MiB at 256 sites, where it was 7.5 MiB.
+    suites.run_suite("epr")
+    tracemalloc.start()
+    try:
+        suites.run_suite("epr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.63 * 2**20
 
 
 def test_lhv_batches_do_not_overlap_in_memory():

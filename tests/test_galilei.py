@@ -151,6 +151,22 @@ class TestSpinReps:
     def test_validation_accepts_shipped_reps(self):
         build_spin_rep(1.0).validate()
 
+    @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True), (0.0, True)])
+    def test_validation_bounds_the_lowest_mass_eigenvalue(self, lowest, accepted):
+        # A rotated spectrum, so the mass image is not diagonal; the bound
+        # is 1e-10 below zero.
+        rep = build_spin_rep(1.0)
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)) + 1j * np.eye(3))
+        mass = q @ np.diag([1.0, 0.5, lowest]) @ q.conj().T
+        mass = 0.5 * (mass + mass.conj().T)
+        assert np.linalg.eigvalsh(mass)[0] == pytest.approx(lowest, abs=1e-15)
+        spoiled = galilei.AlgebraRep(rep.space, {**rep.images, "M": mass}, rep.mass, rep.mask, rep.name)
+        if accepted:
+            spoiled.validate()
+        else:
+            with pytest.raises(ValueError, match="mass image has a negative eigenvalue"):
+                spoiled.validate()
+
 
 class TestGridRep:
     def test_requires_enough_sites_and_positive_mass(self):
